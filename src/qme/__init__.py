@@ -31,9 +31,8 @@ from .dynamics import (
 from .covering import (
     CellCounts,
     CountGrid,
-    CoverResult,
+    CountResult,
     RelationGraph,
-    SeparatedResult,
     bowen_matrix,
     build_relation,
     count_grid,

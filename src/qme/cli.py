@@ -23,8 +23,8 @@ from .dynamics import build_orbits
 from .entropy import (
     compare_theorems,
     estimate_from_grid,
-    ENTROPY_VARIANTS,
     power_rule_check,
+    variant_grids,
 )
 from .quasimetric import check_axioms
 
@@ -139,15 +139,14 @@ def cmd_entropy(args) -> int:
     _require_fit_window(cfg)
     orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
+    grids, _ = variant_grids(cfg.qspec, orbits, cfg.cloud, cfg.variants,
+                             cfg.n_list, cfg.eps_list, mode=cfg.solver_mode,
+                             exact_threshold=cfg.exact_threshold,
+                             threads=cfg.threads)
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:
-        transform, rel_variant, _, _ = ENTROPY_VARIANTS[variant]
-        used = transform(cfg.qspec) if transform is not None else cfg.qspec
-        grid = count_grid(used, orbits, cfg.cloud, cfg.n_list, cfg.eps_list,
-                          mode=cfg.solver_mode, exact_threshold=cfg.exact_threshold,
-                          variants=(rel_variant,), threads=cfg.threads)
-        est = estimate_from_grid(grid, variant, cfg.eps_list,
+        est = estimate_from_grid(grids[variant], variant, cfg.eps_list,
                                  n_burn=cfg.n_burn, window_size=cfg.window_size,
                                  saturation_fraction=cfg.saturation_fraction,
                                  stability_tol=cfg.stability_tol)

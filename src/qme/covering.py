@@ -1,14 +1,19 @@
 """Minimal spanning and maximal separated cardinalities on threshold relations.
 
-For a distance rule e, an orbit table and a scale eps, two symmetric cover
-relations are built from the orbit-maximized distances e_n:
+``bowen_stream`` grows the orbit-maximized matrix D_n[x, y] =
+max_{i<n} e(T^i x, T^i y) once over an ascending n schedule; each
+(n, variant) symmetrizes D_n once and each eps thresholds it:
 
-``two_sided``  y covers x when e_n(x, y) <= eps AND e_n(y, x) <= eps
-``one_sided``  y covers x when e_n(x, y) <= eps OR  e_n(y, x) <= eps
+``two_sided``  y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
+``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
+
+The max symmetrization gives the same two_sided relation; the entropy module
+checks that per cell (``relations_identical``) and reuses the two_sided counts.
 
 Separation is the off-diagonal complement of cover for the matching pairing,
 so a minimal spanning set is a minimum dominating set of the cover graph and a
-maximal separated set is a maximum independent set of the same graph.
+maximal separated set is a maximum independent set of the same graph. Solvers
+require a symmetric cover, as built here, and read its rows.
 
 Both problems get a deterministic greedy solver and an exact branch-and-bound
 solver (bitset based). Greedy covers never undershoot the optimum and greedy
@@ -20,7 +25,7 @@ from __future__ import annotations
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,12 +35,13 @@ from .quasimetric import QuasiMetricSpec, pairwise
 __all__ = [
     "VARIANTS",
     "RelationGraph",
-    "CoverResult",
-    "SeparatedResult",
+    "CountResult",
     "CellCounts",
     "CountGrid",
+    "bowen_stream",
     "bowen_matrix",
     "build_relation",
+    "relations_identical",
     "greedy_cover",
     "exact_cover",
     "greedy_separated",
@@ -54,27 +60,58 @@ DEFAULT_EXACT_THRESHOLD = 64
 # Quantity codes used in serialized grids: r1/s1 pair with the two_sided
 # relation, r2/s2 with the one_sided relation.
 QUANTITIES = ("r1", "s1", "r2", "s2")
+QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2")}
+
+
+def bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
+                 n_list: Sequence) -> Iterator[tuple]:
+    """Yield (n, D_n) over an ascending n schedule. D_n is updated in place
+    for the next n: copy it to keep it past the next step."""
+    dist = None
+    done = 0
+    for n in n_list:
+        for i in range(done, n):
+            pts = orbits.iterate_points(i)
+            if dist is None:
+                dist = pairwise(spec, pts, pts)
+            else:  # the step's matrix is freed before the consumer resumes
+                np.maximum(dist, pairwise(spec, pts, pts), out=dist)
+        done = n
+        yield n, dist
 
 
 def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarray:
     """Full matrix of orbit-maximized distances: M[x, y] = max_{i<n} e(T^i x, T^i y)."""
     if not 1 <= n <= orbits.n_max:
         raise ValueError(f"n must be in 1..{orbits.n_max}, got {n}")
-    out = None
-    for i in range(n):
-        pts = orbits.iterate_points(i)
-        d = pairwise(spec, pts, pts)
-        out = d if out is None else np.maximum(out, d, out=out)
-    return out
+    return next(bowen_stream(spec, orbits, [n]))[1]
 
 
-def _cover_from_distances(dist: np.ndarray, eps: float, variant: str) -> np.ndarray:
-    fwd = dist <= eps
+def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> list:
+    """Cover relations of one variant at every eps from one symmetrized D_n,
+    which is freed on return."""
     if variant == "two_sided":
-        return fwd & fwd.T
-    if variant == "one_sided":
-        return fwd | fwd.T
-    raise ValueError(f"unknown variant {variant!r}")
+        sym = np.maximum(dist, dist.T)
+    elif variant == "one_sided":
+        sym = np.minimum(dist, dist.T)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return [sym <= eps for eps in eps_list]
+
+
+def relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
+                        orbits: OrbitTable, n_list: Sequence,
+                        eps_list: Sequence) -> bool:
+    """Whether two distance rules give the same two_sided relation at every
+    (n, eps) cell. Each rule runs its own Bowen stream."""
+    streams = zip(bowen_stream(spec_a, orbits, n_list),
+                  bowen_stream(spec_b, orbits, n_list))
+    for (_, dist_a), (_, dist_b) in streams:
+        pairs = zip(_covers(dist_a, "two_sided", eps_list),
+                    _covers(dist_b, "two_sided", eps_list))
+        if not all(np.array_equal(a, b) for a, b in pairs):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -110,8 +147,7 @@ def build_relation(spec: QuasiMetricSpec, orbits: OrbitTable, n: int, eps: float
     """Threshold the orbit-maximized distances into a cover relation."""
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
-    dist = bowen_matrix(spec, orbits, n)
-    cover = _cover_from_distances(dist, eps, variant)
+    cover = _covers(bowen_matrix(spec, orbits, n), variant, [eps])[0]
     return RelationGraph(n=n, eps=eps, variant=variant, cover=cover)
 
 
@@ -128,9 +164,9 @@ def greedy_cover(cover: np.ndarray) -> list:
     picks = []
     while uncovered.any():
         y = int(np.argmax(gains))
-        newly = uncovered & cover[:, y]
+        newly = uncovered & cover[y]
         picks.append(y)
-        uncovered &= ~cover[:, y]
+        uncovered &= ~cover[y]
         gains -= cover[newly, :].sum(axis=0, dtype=np.int64)
     return picks
 
@@ -143,7 +179,7 @@ def greedy_separated(cover: np.ndarray) -> list:
     for x in range(n):
         if not conflicted[x]:
             picks.append(x)
-            conflicted |= cover[:, x]
+            conflicted |= cover[x]
     return picks
 
 
@@ -152,13 +188,10 @@ def greedy_separated(cover: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 def _column_masks(cover: np.ndarray) -> list:
-    """cover columns as python-int bitsets: mask[y] has bit x iff y covers x."""
-    n = cover.shape[0]
-    masks = []
-    for y in range(n):
-        col = np.packbits(cover[:, y].astype(np.uint8), bitorder="little")
-        masks.append(int.from_bytes(col.tobytes(), "little"))
-    return masks
+    """cover columns (equal to its rows) as python-int bitsets: mask[y] has
+    bit x iff y covers x."""
+    packed = np.packbits(cover, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def exact_cover(cover: np.ndarray) -> tuple:
@@ -173,14 +206,13 @@ def exact_cover(cover: np.ndarray) -> tuple:
     """
     n = cover.shape[0]
     full = (1 << n) - 1
-    covmask = _column_masks(cover)
-    rowmask = _column_masks(cover.T)  # coverers of x (equals covmask when symmetric)
+    covmask = _column_masks(cover)  # also the coverers of each point
 
     # union of coverage reachable through any coverer of x, for the lower bound
     blocked = []
     for x in range(n):
         acc = 0
-        m = rowmask[x]
+        m = covmask[x]
         while m:
             y = (m & -m).bit_length() - 1
             acc |= covmask[y]
@@ -219,12 +251,12 @@ def exact_cover(cover: np.ndarray) -> tuple:
         m = uncov
         while m:
             x = (m & -m).bit_length() - 1
-            c = rowmask[x].bit_count()
+            c = covmask[x].bit_count()
             if c < bcount:
                 bx, bcount = x, c
             m &= m - 1
         cands = []
-        m = rowmask[bx]
+        m = covmask[bx]
         while m:
             y = (m & -m).bit_length() - 1
             gain = (covmask[y] & uncov).bit_count()
@@ -247,10 +279,7 @@ def exact_separated(cover: np.ndarray) -> tuple:
     clique-cover bound on the remaining candidates. Returns (sorted ids, nodes).
     """
     n = cover.shape[0]
-    adj = []
-    for x in range(n):
-        col = np.packbits(cover[:, x].astype(np.uint8), bitorder="little")
-        adj.append(int.from_bytes(col.tobytes(), "little") & ~(1 << x))
+    adj = [m & ~(1 << x) for x, m in enumerate(_column_masks(cover))]
 
     best = greedy_separated(cover)
     best_len = len(best)
@@ -308,7 +337,9 @@ def exact_separated(cover: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CoverResult:
+class CountResult:
+    """A spanning or separated set found on one cover relation."""
+
     cardinality: int
     witness: tuple
     method: str  # exact_bnb | greedy
@@ -316,33 +347,28 @@ class CoverResult:
     nodes: int = 0
 
 
-@dataclass(frozen=True)
-class SeparatedResult:
-    cardinality: int
-    witness: tuple
-    method: str
-    optimal: bool
-    nodes: int = 0
-
-
-def _resolve_mode(mode: str, size: int, exact_threshold: int) -> str:
+def _solve(cover: np.ndarray, separated: bool, mode: str,
+           exact_threshold: int) -> CountResult:
+    """Minimal spanning set, or maximal separated set when ``separated``."""
     if mode not in ("auto", "exact", "greedy"):
         raise ValueError(f"unknown solver mode {mode!r}")
-    if mode == "auto":
-        return "exact" if size <= exact_threshold else "greedy"
-    return mode
+    if mode == "exact" or (mode == "auto" and cover.shape[0] <= exact_threshold):
+        ids, nodes = exact_separated(cover) if separated else exact_cover(cover)
+        return CountResult(len(ids), tuple(ids), "exact_bnb", True, nodes)
+    ids = greedy_separated(cover) if separated else sorted(greedy_cover(cover))
+    return CountResult(len(ids), tuple(ids), "greedy", False)
 
 
 def min_spanning(graph: RelationGraph, mode: str = "auto",
-                 exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CoverResult:
+                 exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
     """Smallest set of cloud points covering every cloud point."""
-    return _solve_cover(graph.cover, mode, exact_threshold)
+    return _solve(graph.cover, False, mode, exact_threshold)
 
 
 def max_separated(graph: RelationGraph, mode: str = "auto",
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> SeparatedResult:
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
     """Largest set of cloud points that is pairwise separated."""
-    return _solve_separated(graph.cover, mode, exact_threshold)
+    return _solve(graph.cover, True, mode, exact_threshold)
 
 
 def is_valid_cover(cover: np.ndarray, witness: Iterable) -> bool:
@@ -370,10 +396,10 @@ class CellCounts:
 
     n: int
     eps: float
-    r1: Optional[CoverResult] = None
-    s1: Optional[SeparatedResult] = None
-    r2: Optional[CoverResult] = None
-    s2: Optional[SeparatedResult] = None
+    r1: Optional[CountResult] = None
+    s1: Optional[CountResult] = None
+    r2: Optional[CountResult] = None
+    s2: Optional[CountResult] = None
 
     def get(self, quantity: str):
         if quantity not in QUANTITIES:
@@ -413,8 +439,7 @@ class CountGrid:
 
     def to_rows(self) -> list:
         """Flat rows for CSV: n, epsilon, variant, quantity, cardinality, method, optimal."""
-        variant_of = {"r1": "two_sided", "s1": "two_sided",
-                      "r2": "one_sided", "s2": "one_sided"}
+        variant_of = {q: v for v, pair in QUANTITY_PAIRS.items() for q in pair}
         rows = []
         for n in self.n_list:
             for eps in self.eps_list:
@@ -443,13 +468,7 @@ class CountGrid:
                 for q in QUANTITIES:
                     res = cell.get(q)
                     if res is not None:
-                        entry[q] = {
-                            "cardinality": res.cardinality,
-                            "witness": list(res.witness),
-                            "method": res.method,
-                            "optimal": res.optimal,
-                            "nodes": res.nodes,
-                        }
+                        entry[q] = {**vars(res), "witness": list(res.witness)}
                 cells.append(entry)
         return {
             "cloud_size": self.cloud_size,
@@ -461,27 +480,6 @@ class CountGrid:
         }
 
 
-def _solve_cover(cover: np.ndarray, mode: str, exact_threshold: int) -> CoverResult:
-    if _resolve_mode(mode, cover.shape[0], exact_threshold) == "exact":
-        ids, nodes = exact_cover(cover)
-        return CoverResult(len(ids), tuple(ids), "exact_bnb", True, nodes)
-    ids = greedy_cover(cover)
-    return CoverResult(len(ids), tuple(sorted(ids)), "greedy", False, 0)
-
-
-def _solve_separated(cover: np.ndarray, mode: str, exact_threshold: int) -> SeparatedResult:
-    if _resolve_mode(mode, cover.shape[0], exact_threshold) == "exact":
-        ids, nodes = exact_separated(cover)
-        return SeparatedResult(len(ids), tuple(ids), "exact_bnb", True, nodes)
-    ids = greedy_separated(cover)
-    return SeparatedResult(len(ids), tuple(ids), "greedy", False, 0)
-
-
-def _solve_cell_quantities(cover: np.ndarray, mode: str, exact_threshold: int):
-    return (_solve_cover(cover, mode, exact_threshold),
-            _solve_separated(cover, mode, exact_threshold))
-
-
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
                n_list: Sequence, eps_list: Sequence, *,
                mode: str = "auto",
@@ -490,9 +488,9 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
                threads: int = 1) -> CountGrid:
     """Solve every requested quantity over the (n, eps) schedule.
 
-    The orbit-maximized distance matrix is grown incrementally across the
-    ascending n schedule; each (n, eps) cell is solved independently (cells can
-    run on a thread pool) and merged by cell coordinates.
+    D_n comes from one ``bowen_stream`` over the ascending n schedule; each
+    (n, variant) symmetrizes it once and each (n, eps, variant) cell is solved
+    independently (cells can run on a thread pool) and merged by coordinates.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -508,39 +506,26 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
     if n_list[-1] > orbits.n_max:
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
+    def solve_cell(cover):
+        return (_solve(cover, False, mode, exact_threshold),
+                _solve(cover, True, mode, exact_threshold))
+
     size = len(cloud)
     cells = {}
-    dist = None
-    done = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
     try:
-        for n in n_list:
-            for i in range(done, n):
-                pts = orbits.iterate_points(i)
-                d = pairwise(spec, pts, pts)
-                dist = d if dist is None else np.maximum(dist, d, out=dist)
-            done = n
-
+        for n, dist in bowen_stream(spec, orbits, n_list):
             tasks = {}
-            for eps in eps_list:
-                for variant in variants:
-                    cover = _cover_from_distances(dist, eps, variant)
-                    if pool is not None:
-                        tasks[(eps, variant)] = pool.submit(
-                            _solve_cell_quantities, cover, mode, exact_threshold)
-                    else:
-                        tasks[(eps, variant)] = _solve_cell_quantities(
-                            cover, mode, exact_threshold)
-
+            for variant in variants:
+                for eps, cover in zip(eps_list, _covers(dist, variant, eps_list)):
+                    tasks[(eps, variant)] = (solve_cell(cover) if pool is None
+                                             else pool.submit(solve_cell, cover))
             for eps in eps_list:
                 parts = {}
                 for variant in variants:
                     res = tasks[(eps, variant)]
-                    span, sep = res.result() if pool is not None else res
-                    if variant == "two_sided":
-                        parts["r1"], parts["s1"] = span, sep
-                    else:
-                        parts["r2"], parts["s2"] = span, sep
+                    parts.update(zip(QUANTITY_PAIRS[variant],
+                                     res if pool is None else res.result()))
                 cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts)
     finally:
         if pool is not None:

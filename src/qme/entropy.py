@@ -12,7 +12,8 @@ scale. Four estimate variants are supported:
 ``mean_metric``  counts under the arithmetic-mean symmetrization.
 ``max_metric``   counts under the max symmetrization; the relation (and hence
                  every count and slope) is identical to ``two_sided`` bit for
-                 bit.
+                 bit, so after a cell-by-cell identity check its counts are
+                 the two_sided ones.
 
 Separated counts are the primary statistic; spanning counts are carried along
 as a cross-check. Counts close to the cloud size are finite-sample saturation
@@ -30,8 +31,9 @@ import numpy as np
 from .covering import (
     CountGrid,
     DEFAULT_EXACT_THRESHOLD,
-    bowen_matrix,
+    bowen_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
     count_grid,
+    relations_identical,
 )
 from .dynamics import MapSpec, OrbitTable, PointCloud, build_orbits, iterate_map
 from .quasimetric import QuasiMetricSpec, symmetrize_max, symmetrize_mean
@@ -42,6 +44,7 @@ __all__ = [
     "growth_rate",
     "PerEpsSlope",
     "EntropyEstimate",
+    "variant_grids",
     "estimate_entropy",
     "CheckRow",
     "EstimateCheck",
@@ -52,12 +55,12 @@ __all__ = [
     "power_rule_check",
 ]
 
-# variant -> (spec transform, relation variant, primary quantity, cross quantity)
+# variant -> (primary quantity, cross quantity)
 ENTROPY_VARIANTS = {
-    "two_sided": (None, "two_sided", "s1", "r1"),
-    "one_sided": (None, "one_sided", "s2", "r2"),
-    "mean_metric": (symmetrize_mean, "two_sided", "s1", "r1"),
-    "max_metric": (symmetrize_max, "two_sided", "s1", "r1"),
+    "two_sided": ("s1", "r1"),
+    "one_sided": ("s2", "r2"),
+    "mean_metric": ("s1", "r1"),
+    "max_metric": ("s1", "r1"),
 }
 
 DEFAULT_N_BURN = 2
@@ -123,6 +126,12 @@ class PerEpsSlope:
     max_step: float
     dropped_saturated: tuple = ()
 
+    def to_dict(self) -> dict:
+        return {"epsilon": self.eps, "slope": self.slope,
+                "fit_points": self.fit_points, "residual": self.residual,
+                "max_step": self.max_step,
+                "dropped_saturated": list(self.dropped_saturated)}
+
 
 @dataclass
 class EntropyEstimate:
@@ -141,21 +150,11 @@ class EntropyEstimate:
     def to_dict(self) -> dict:
         return {
             "variant": self.variant,
-            "per_epsilon_slopes": [
-                {"epsilon": p.eps, "slope": p.slope, "fit_points": p.fit_points,
-                 "residual": p.residual, "max_step": p.max_step,
-                 "dropped_saturated": list(p.dropped_saturated)}
-                for p in self.per_epsilon_slopes
-            ],
+            "per_epsilon_slopes": [p.to_dict() for p in self.per_epsilon_slopes],
             "extrapolated": self.extrapolated,
             "log_base": self.log_base,
             "diagnostics": list(self.diagnostics),
-            "spanning_slopes": [
-                {"epsilon": p.eps, "slope": p.slope, "fit_points": p.fit_points,
-                 "residual": p.residual, "max_step": p.max_step,
-                 "dropped_saturated": list(p.dropped_saturated)}
-                for p in self.spanning_slopes
-            ],
+            "spanning_slopes": [p.to_dict() for p in self.spanning_slopes],
             "stabilized": self.stabilized,
             "cloud_size": self.cloud_size,
             "counts": {repr(eps): [[n, c] for n, c in seq]
@@ -194,7 +193,7 @@ def estimate_from_grid(grid: CountGrid, variant: str, eps_list: Sequence, *,
     """Turn an existing count grid into an entropy estimate for one variant."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown entropy variant {variant!r}")
-    _, _, primary, cross = ENTROPY_VARIANTS[variant]
+    primary, cross = ENTROPY_VARIANTS[variant]
     eps_list = [float(e) for e in eps_list]
     diagnostics: list = []
     counts = {}
@@ -241,6 +240,42 @@ def estimate_from_grid(grid: CountGrid, variant: str, eps_list: Sequence, *,
                            cloud_size=grid.cloud_size, counts=counts)
 
 
+def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
+                  variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
+                  mode: str = "auto",
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+                  threads: int = 1) -> tuple:
+    """({variant: CountGrid}, relations_identical or None) for the variants.
+
+    two_sided and one_sided share one grid; mean_metric solves its own (a
+    Bowen max of means is not a function of D_n); max_metric reuses the
+    two_sided grid when the relation identity check holds, else solves its own.
+    """
+    for v in variants:
+        if v not in ENTROPY_VARIANTS:
+            raise ValueError(f"unknown entropy variant {v!r}")
+    common = dict(mode=mode, exact_threshold=exact_threshold, threads=threads)
+    on_spec = tuple(r for r in ("two_sided", "one_sided") if r in variants
+                    or (r == "two_sided" and "max_metric" in variants))
+    grids = {}
+    if on_spec:
+        grid_e = count_grid(spec, orbits, cloud, n_list, eps_list,
+                            variants=on_spec, **common)
+        grids.update((r, grid_e) for r in on_spec)
+    if "mean_metric" in variants:
+        grids["mean_metric"] = count_grid(symmetrize_mean(spec), orbits, cloud,
+                                          n_list, eps_list,
+                                          variants=("two_sided",), **common)
+    identical = None
+    if "max_metric" in variants:
+        me_spec = symmetrize_max(spec)
+        identical = relations_identical(spec, me_spec, orbits, n_list, eps_list)
+        grids["max_metric"] = grid_e if identical else count_grid(
+            me_spec, orbits, cloud, n_list, eps_list, variants=("two_sided",),
+            **common)
+    return grids, identical
+
+
 def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
                      variant: str, n_list: Sequence, eps_list: Sequence, *,
                      mode: str = "auto",
@@ -258,17 +293,13 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     cardinalities over the schedule under the variant's distance rule, fits
     per-scale growth slopes and extrapolates at the smallest scale.
     """
-    if variant not in ENTROPY_VARIANTS:
-        raise ValueError(f"unknown entropy variant {variant!r}")
-    transform, rel_variant, _, _ = ENTROPY_VARIANTS[variant]
-    used_spec = transform(spec) if transform is not None else spec
     if orbits is None:
         orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                               snap_mode=snap_mode, qspec=spec)
-    grid = count_grid(used_spec, orbits, cloud, n_list, eps_list, mode=mode,
-                      exact_threshold=exact_threshold, variants=(rel_variant,),
-                      threads=threads)
-    return estimate_from_grid(grid, variant, eps_list, n_burn=n_burn,
+    grids, _ = variant_grids(spec, orbits, cloud, (variant,), n_list, eps_list,
+                             mode=mode, exact_threshold=exact_threshold,
+                             threads=threads)
+    return estimate_from_grid(grids[variant], variant, eps_list, n_burn=n_burn,
                               window_size=window_size,
                               saturation_fraction=saturation_fraction,
                               stability_tol=stability_tol)
@@ -378,17 +409,14 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     eps_list = [float(e) for e in eps_list]
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
                           qspec=spec)
-    common = dict(mode=mode, exact_threshold=exact_threshold, threads=threads)
-    grid_e = count_grid(spec, orbits, cloud, n_list, eps_list,
-                        variants=("two_sided", "one_sided"), **common)
-    grid_de = count_grid(symmetrize_mean(spec), orbits, cloud, n_list, eps_list,
-                         variants=("two_sided",), **common)
-    grid_me = count_grid(symmetrize_max(spec), orbits, cloud, n_list, eps_list,
-                         variants=("two_sided",), **common)
+    grids, identical = variant_grids(
+        spec, orbits, cloud, tuple(ENTROPY_VARIANTS), n_list, eps_list, mode=mode,
+        exact_threshold=exact_threshold, threads=threads)
+    grid_e, grid_de, grid_me = (grids["two_sided"], grids["mean_metric"],
+                                grids["max_metric"])
 
     allc = _all_cells(n_list, eps_list)
     halves = _halving_pairs(n_list, eps_list)
-    doubles = [(b, a) for a, b in halves]  # (eps, 2eps) pairs, cell at eps first
 
     rows = []
     rows += _ineq_rows("sandwich_two_sided_lower", grid_e, "r1", grid_e, "s1", allc)
@@ -417,28 +445,11 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                                      ok=a.cardinality == b.cardinality,
                                      exact=True))
 
-    # bitwise identity of the two_sided relation under e and the relation
-    # under the max symmetrization, cell by cell
-    relations_identical = True
-    me_spec = symmetrize_max(spec)
-    for n in n_list:
-        de = bowen_matrix(spec, orbits, n)
-        dme = bowen_matrix(me_spec, orbits, n)
-        for eps in eps_list:
-            cov_e = (de <= eps) & (de.T <= eps)
-            cov_me = (dme <= eps) & (dme.T <= eps)
-            if not np.array_equal(cov_e, cov_me):
-                relations_identical = False
-
     fit = dict(n_burn=n_burn, window_size=window_size,
                saturation_fraction=saturation_fraction,
                stability_tol=stability_tol)
-    estimates = {
-        "two_sided": estimate_from_grid(grid_e, "two_sided", eps_list, **fit),
-        "one_sided": estimate_from_grid(grid_e, "one_sided", eps_list, **fit),
-        "mean_metric": estimate_from_grid(grid_de, "mean_metric", eps_list, **fit),
-        "max_metric": estimate_from_grid(grid_me, "max_metric", eps_list, **fit),
-    }
+    estimates = {v: estimate_from_grid(grids[v], v, eps_list, **fit)
+                 for v in ENTROPY_VARIANTS}
     h_two = estimates["two_sided"].extrapolated
     h_one = estimates["one_sided"].extrapolated
     h_mean = estimates["mean_metric"].extrapolated
@@ -458,9 +469,9 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
         diagnostics.append(f"{n_greedy} count checks use greedy cells and are "
                            "informational only")
     binding_ok = all(r.ok for r in rows if r.exact)
-    overall = binding_ok and relations_identical and all(c.ok for c in est_checks)
+    overall = binding_ok and identical and all(c.ok for c in est_checks)
     return TheoremComparison(count_checks=rows, estimate_checks=est_checks,
-                             relations_identical=relations_identical,
+                             relations_identical=identical,
                              estimates=estimates, diagnostics=diagnostics,
                              overall_ok=overall)
 

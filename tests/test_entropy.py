@@ -239,11 +239,11 @@ def test_power_rule_rejects_bad_m():
 def test_slope_drop_across_scales_is_flagged():
     # hand-built grid: healthy doubling at the larger scale, flat at the
     # smaller one; the estimator must flag the drop, not assert on it
-    from qme.covering import CellCounts, CountGrid, CoverResult, SeparatedResult
+    from qme.covering import CellCounts, CountGrid, CountResult
 
     def cell(n, eps, count):
-        span = CoverResult(count, tuple(range(count)), "exact_bnb", True)
-        sep = SeparatedResult(count, tuple(range(count)), "exact_bnb", True)
+        span = CountResult(count, tuple(range(count)), "exact_bnb", True)
+        sep = CountResult(count, tuple(range(count)), "exact_bnb", True)
         return CellCounts(n=n, eps=eps, r1=span, s1=sep)
 
     counts = {0.5: [4, 8, 16, 32], 0.25: [4, 4, 4, 4]}
