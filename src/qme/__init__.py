@@ -8,7 +8,6 @@ from .quasimetric import (
     ball_members,
     bowen_distance,
     check_axioms,
-    covering_radius,
     evaluate,
     pairwise,
     scaled,

@@ -68,10 +68,6 @@ def _prepare(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.threads is not None:
-        cfg.threads = args.threads
-    elif cfg.threads == 1:
-        cfg.threads = os.cpu_count() or 1
     if args.exact_threshold is not None:
         cfg.exact_threshold = args.exact_threshold
     if args.seed is not None:
@@ -99,15 +95,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
-def _grid_for(cfg: RunConfig):
-    orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
-                          snap_mode=cfg.snap_mode, qspec=cfg.qspec)
-    return orbits, count_grid(cfg.qspec, orbits, cfg.cloud, cfg.n_list,
-                              cfg.eps_list, mode=cfg.solver_mode,
-                              exact_threshold=cfg.exact_threshold,
-                              threads=cfg.threads)
-
-
 def _require_fit_window(cfg: RunConfig) -> None:
     usable = [n for n in cfg.n_list if n >= cfg.n_burn]
     if cfg.window_size > 0:
@@ -120,7 +107,10 @@ def _require_fit_window(cfg: RunConfig) -> None:
 
 def cmd_counts(args) -> int:
     cfg = _prepare(args)
-    _, grid = _grid_for(cfg)
+    orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
+                          snap_mode=cfg.snap_mode, qspec=cfg.qspec)
+    grid = count_grid(cfg.qspec, orbits, cfg.cloud, cfg.n_list, cfg.eps_list,
+                      mode=cfg.solver_mode, exact_threshold=cfg.exact_threshold)
     if cfg.out_format in ("csv", "both"):
         _write_csv(os.path.join(cfg.out_dir, "counts.csv"),
                    ["n", "epsilon", "variant", "quantity", "cardinality",
@@ -141,8 +131,7 @@ def cmd_entropy(args) -> int:
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
     grids, _ = variant_grids(cfg.qspec, orbits, cfg.cloud, cfg.variants,
                              cfg.n_list, cfg.eps_list, mode=cfg.solver_mode,
-                             exact_threshold=cfg.exact_threshold,
-                             threads=cfg.threads)
+                             exact_threshold=cfg.exact_threshold)
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:
@@ -174,7 +163,7 @@ def cmd_compare(args) -> int:
     report = compare_theorems(cfg.map_spec, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, mode=cfg.solver_mode,
                               exact_threshold=cfg.exact_threshold,
-                              threads=cfg.threads, snap_mode=cfg.snap_mode,
+                              snap_mode=cfg.snap_mode,
                               estimator_tol=cfg.estimator_tol,
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
                               saturation_fraction=cfg.saturation_fraction,
@@ -202,7 +191,7 @@ def cmd_power(args) -> int:
     report = power_rule_check(cfg.map_spec, m, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, mode=cfg.solver_mode,
                               exact_threshold=cfg.exact_threshold,
-                              threads=cfg.threads, snap_mode=cfg.snap_mode,
+                              snap_mode=cfg.snap_mode,
                               power_tol_rel=cfg.power_tol_rel,
                               power_tol_abs=cfg.power_tol_abs,
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
@@ -242,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", default=None, help="output directory")
+        # still parsed because perfbench/workloads.py passes it
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: machine parallelism)")
+                       help="accepted and ignored: cells are solved serially")
         p.add_argument("--exact-threshold", type=int, default=None,
                        dest="exact_threshold",
                        help="largest cloud solved exactly in auto mode")

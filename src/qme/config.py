@@ -120,7 +120,6 @@ class RunConfig:
     power_m: int = 2
     out_dir: str = "out"
     out_format: str = "both"
-    threads: int = 1
 
 
 def _section(doc: dict, name: str) -> dict:

@@ -23,7 +23,6 @@ All tie-breaking is by lowest point id, so results are reproducible.
 from __future__ import annotations
 
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -484,13 +483,12 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
                n_list: Sequence, eps_list: Sequence, *,
                mode: str = "auto",
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-               variants: tuple = VARIANTS,
-               threads: int = 1) -> CountGrid:
+               variants: tuple = VARIANTS) -> CountGrid:
     """Solve every requested quantity over the (n, eps) schedule.
 
     D_n comes from one ``bowen_stream`` over the ascending n schedule; each
     (n, variant) symmetrizes it once and each (n, eps, variant) cell is solved
-    independently (cells can run on a thread pool) and merged by coordinates.
+    in schedule order and merged by coordinates.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -506,32 +504,18 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
     if n_list[-1] > orbits.n_max:
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
-    def solve_cell(cover):
-        return (_solve(cover, False, mode, exact_threshold),
-                _solve(cover, True, mode, exact_threshold))
-
-    size = len(cloud)
     cells = {}
-    pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
-    try:
-        for n, dist in bowen_stream(spec, orbits, n_list):
-            tasks = {}
-            for variant in variants:
-                for eps, cover in zip(eps_list, _covers(dist, variant, eps_list)):
-                    tasks[(eps, variant)] = (solve_cell(cover) if pool is None
-                                             else pool.submit(solve_cell, cover))
-            for eps in eps_list:
-                parts = {}
-                for variant in variants:
-                    res = tasks[(eps, variant)]
-                    parts.update(zip(QUANTITY_PAIRS[variant],
-                                     res if pool is None else res.result()))
-                cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for n, dist in bowen_stream(spec, orbits, n_list):
+        parts = {eps: {} for eps in eps_list}
+        for variant in variants:
+            r, s = QUANTITY_PAIRS[variant]
+            for eps, cover in zip(eps_list, _covers(dist, variant, eps_list)):
+                parts[eps][r] = _solve(cover, False, mode, exact_threshold)
+                parts[eps][s] = _solve(cover, True, mode, exact_threshold)
+        for eps in eps_list:
+            cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 
-    grid = CountGrid(cloud_size=size, n_list=n_list, eps_list=eps_list,
+    grid = CountGrid(cloud_size=len(cloud), n_list=n_list, eps_list=eps_list,
                      variants=tuple(variants), cells=cells)
     grid.diagnostics.extend(_monotonicity_diagnostics(grid))
     return grid

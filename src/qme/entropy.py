@@ -243,8 +243,7 @@ def estimate_from_grid(grid: CountGrid, variant: str, eps_list: Sequence, *,
 def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
                   variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
                   mode: str = "auto",
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                  threads: int = 1) -> tuple:
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> tuple:
     """({variant: CountGrid}, relations_identical or None) for the variants.
 
     two_sided and one_sided share one grid; mean_metric solves its own (a
@@ -254,25 +253,24 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
     for v in variants:
         if v not in ENTROPY_VARIANTS:
             raise ValueError(f"unknown entropy variant {v!r}")
-    common = dict(mode=mode, exact_threshold=exact_threshold, threads=threads)
     on_spec = tuple(r for r in ("two_sided", "one_sided") if r in variants
                     or (r == "two_sided" and "max_metric" in variants))
     grids = {}
     if on_spec:
-        grid_e = count_grid(spec, orbits, cloud, n_list, eps_list,
-                            variants=on_spec, **common)
+        grid_e = count_grid(spec, orbits, cloud, n_list, eps_list, mode=mode,
+                            exact_threshold=exact_threshold, variants=on_spec)
         grids.update((r, grid_e) for r in on_spec)
     if "mean_metric" in variants:
-        grids["mean_metric"] = count_grid(symmetrize_mean(spec), orbits, cloud,
-                                          n_list, eps_list,
-                                          variants=("two_sided",), **common)
+        grids["mean_metric"] = count_grid(
+            symmetrize_mean(spec), orbits, cloud, n_list, eps_list, mode=mode,
+            exact_threshold=exact_threshold, variants=("two_sided",))
     identical = None
     if "max_metric" in variants:
         me_spec = symmetrize_max(spec)
         identical = relations_identical(spec, me_spec, orbits, n_list, eps_list)
         grids["max_metric"] = grid_e if identical else count_grid(
-            me_spec, orbits, cloud, n_list, eps_list, variants=("two_sided",),
-            **common)
+            me_spec, orbits, cloud, n_list, eps_list, mode=mode,
+            exact_threshold=exact_threshold, variants=("two_sided",))
     return grids, identical
 
 
@@ -280,7 +278,6 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                      variant: str, n_list: Sequence, eps_list: Sequence, *,
                      mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     threads: int = 1,
                      snap_mode: str = "exact",
                      n_burn: int = DEFAULT_N_BURN,
                      window_size: int = 0,
@@ -297,8 +294,7 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
         orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                               snap_mode=snap_mode, qspec=spec)
     grids, _ = variant_grids(spec, orbits, cloud, (variant,), n_list, eps_list,
-                             mode=mode, exact_threshold=exact_threshold,
-                             threads=threads)
+                             mode=mode, exact_threshold=exact_threshold)
     return estimate_from_grid(grids[variant], variant, eps_list, n_burn=n_burn,
                               window_size=window_size,
                               saturation_fraction=saturation_fraction,
@@ -391,7 +387,6 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                      n_list: Sequence, eps_list: Sequence, *,
                      mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     threads: int = 1,
                      snap_mode: str = "exact",
                      estimator_tol: float = DEFAULT_ESTIMATOR_TOL,
                      n_burn: int = DEFAULT_N_BURN,
@@ -411,7 +406,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                           qspec=spec)
     grids, identical = variant_grids(
         spec, orbits, cloud, tuple(ENTROPY_VARIANTS), n_list, eps_list, mode=mode,
-        exact_threshold=exact_threshold, threads=threads)
+        exact_threshold=exact_threshold)
     grid_e, grid_de, grid_me = (grids["two_sided"], grids["mean_metric"],
                                 grids["max_metric"])
 
@@ -528,7 +523,6 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                      spec: QuasiMetricSpec, n_list: Sequence, eps_list: Sequence, *,
                      mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     threads: int = 1,
                      snap_mode: str = "exact",
                      power_tol_rel: float = DEFAULT_POWER_TOL_REL,
                      power_tol_abs: float = DEFAULT_POWER_TOL_ABS,
@@ -556,11 +550,10 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                                snap_mode=snap_mode, qspec=spec)
 
     base_ns = sorted(set(n_list) | {m * n for n in n_list})
-    common = dict(mode=mode, exact_threshold=exact_threshold, threads=threads)
-    grid_base = count_grid(spec, orbits_base, cloud, base_ns, eps_list,
-                           variants=("one_sided",), **common)
-    grid_comp = count_grid(spec, orbits_comp, cloud, n_list, eps_list,
-                           variants=("one_sided",), **common)
+    grid_base = count_grid(spec, orbits_base, cloud, base_ns, eps_list, mode=mode,
+                           exact_threshold=exact_threshold, variants=("one_sided",))
+    grid_comp = count_grid(spec, orbits_comp, cloud, n_list, eps_list, mode=mode,
+                           exact_threshold=exact_threshold, variants=("one_sided",))
 
     cells = []
     for n in n_list:

@@ -42,9 +42,7 @@ __all__ = [
     "scaled",
     "ball_members",
     "bowen_distance",
-    "covering_radius",
     "load_matrix_csv",
-    "save_matrix_csv",
 ]
 
 _BASE_KINDS = {
@@ -100,21 +98,6 @@ class QuasiMetricSpec:
             raise ValueError(f"{self.kind} needs a base spec")
         if self.kind == "scaled" and not self.factor > 0.0:
             raise ValueError("scale factor must be > 0")
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when the rule is symmetric by construction."""
-        if self.kind in ("euclidean", "circle_arc", "block_prefix"):
-            return True
-        if self.kind in ("mean_of", "max_of"):
-            return True
-        if self.kind == "scaled":
-            return self.base.is_symmetric
-        if self.kind == "weighted_asym":
-            return self.alpha == self.beta
-        if self.kind == "matrix":
-            return bool(np.array_equal(self.matrix, self.matrix.T))
-        return False
 
 
 def _as_points(a) -> np.ndarray:
@@ -383,20 +366,6 @@ def bowen_distance(spec: QuasiMetricSpec, orbits, x: int, y: int, n: int) -> flo
     return best
 
 
-def covering_radius(spec: QuasiMetricSpec, cloud) -> float:
-    """Largest distance from a cloud point to its nearest distinct neighbor,
-    measured in the max symmetrization. Bounds the error of snapping arbitrary
-    coordinates back onto the cloud."""
-    pts = cloud.points
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    D = pairwise(spec, pts, pts)
-    M = np.maximum(D, D.T)
-    np.fill_diagonal(M, np.inf)
-    return float(M.min(axis=1).max())
-
-
 def load_matrix_csv(path) -> QuasiMetricSpec:
     """Read a matrix-backed rule from CSV with header line ``qmetric,v1,<n>``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -418,13 +387,3 @@ def load_matrix_csv(path) -> QuasiMetricSpec:
     if m.shape != (n, n):
         raise ValueError(f"matrix body is {m.shape}, header says {n}x{n}")
     return QuasiMetricSpec(kind="matrix", matrix=m, description=f"{n}x{n} matrix from {path}")
-
-
-def save_matrix_csv(spec: QuasiMetricSpec, path) -> None:
-    if spec.kind != "matrix":
-        raise ValueError("only matrix-backed specs serialize to matrix CSV")
-    m = spec.matrix
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"qmetric,v1,{m.shape[0]}\n")
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

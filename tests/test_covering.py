@@ -252,14 +252,6 @@ def test_count_grid_rows_schema(doubling_grid):
     assert {r["variant"] for r in rows} == {"two_sided", "one_sided"}
 
 
-def test_count_grid_threads_match_serial():
-    cloud = circle_grid(32)
-    orbits = build_orbits(MapSpec(kind="doubling"), cloud, 3)
-    serial = count_grid(ARC, orbits, cloud, [1, 2, 3], [0.25, 0.125])
-    threaded = count_grid(ARC, orbits, cloud, [1, 2, 3], [0.25, 0.125], threads=4)
-    assert serial.to_dict() == threaded.to_dict()
-
-
 def test_count_grid_validates_schedules():
     cloud = circle_grid(8)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 2)

@@ -38,16 +38,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("config,subdir,command,exit_code,names", CASES,
                          ids=[f"{c[1] or 'example'}-{c[2]}" for c in CASES])
 def test_outputs_match_golden(tmp_path, capsys, config, subdir, command,
-                              exit_code, names, threads):
+                              exit_code, names):
     path = tmp_path / "run.yaml"
     path.write_text(config)
     out = tmp_path / "out"
-    assert main([command, "--config", str(path), "--out", str(out),
-                 "--threads", str(threads)]) == exit_code
+    assert main([command, "--config", str(path), "--out", str(out)]) == exit_code
     capsys.readouterr()
     for name in names:
         assert (out / name).read_bytes() == (GOLDEN / subdir / name).read_bytes(), name

