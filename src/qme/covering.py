@@ -1,8 +1,9 @@
 """Minimal spanning and maximal separated cardinalities on threshold relations.
 
 ``bowen_stream`` grows the orbit-maximized matrix D_n[x, y] =
-max_{i<n} e(T^i x, T^i y) once over an ascending n schedule; each
-(n, variant) symmetrizes D_n once and each eps thresholds it:
+max_{i<n} e(T^i x, T^i y) once over an ascending n schedule, in row tiles;
+each (n, variant) symmetrizes D_n once, in cache-sized blocks, and each eps
+thresholds it:
 
 ``two_sided``  y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
 ``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable, PointCloud
-from .quasimetric import QuasiMetricSpec, pairwise
+from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, with_transpose
 
 __all__ = [
     "VARIANTS",
@@ -64,17 +65,22 @@ QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2")}
 
 def bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
                  n_list: Sequence) -> Iterator[tuple]:
-    """Yield (n, D_n) over an ascending n schedule. D_n is updated in place
-    for the next n: copy it to keep it past the next step."""
-    dist = None
+    """Yield (n, D_n) over an ascending n schedule. D_n is one preallocated
+    matrix, filled and then max-accumulated in row tiles, so no full-size
+    pairwise matrix is ever built; it is updated in place for the next n:
+    copy it to keep it past the next step."""
+    size = orbits.images.shape[0]
+    dist = np.empty((size, size))
     done = 0
     for n in n_list:
         for i in range(done, n):
             pts = orbits.iterate_points(i)
-            if dist is None:
-                dist = pairwise(spec, pts, pts)
-            else:  # the step's matrix is freed before the consumer resumes
-                np.maximum(dist, pairwise(spec, pts, pts), out=dist)
+            for rows in row_tiles(size):
+                tile = pairwise(spec, pts[rows], pts)
+                if i == 0:
+                    dist[rows] = tile
+                else:
+                    np.maximum(dist[rows], tile, out=dist[rows])
         done = n
         yield n, dist
 
@@ -86,16 +92,19 @@ def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarra
     return next(bowen_stream(spec, orbits, [n]))[1]
 
 
-def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> list:
-    """Cover relations of one variant at every eps from one symmetrized D_n,
-    which is freed on return."""
+def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> Iterator:
+    """Yield the cover relation of one variant at each eps from one
+    symmetrized D_n, built block by block against its transpose. The cover
+    is one bool buffer, overwritten at the next eps."""
     if variant == "two_sided":
-        sym = np.maximum(dist, dist.T)
+        sym = with_transpose(np.maximum, dist)
     elif variant == "one_sided":
-        sym = np.minimum(dist, dist.T)
+        sym = with_transpose(np.minimum, dist)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return [sym <= eps for eps in eps_list]
+    cover = np.empty(sym.shape, dtype=bool)
+    for eps in eps_list:
+        yield np.less_equal(sym, eps, out=cover)
 
 
 def relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
@@ -146,7 +155,7 @@ def build_relation(spec: QuasiMetricSpec, orbits: OrbitTable, n: int, eps: float
     """Threshold the orbit-maximized distances into a cover relation."""
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
-    cover = _covers(bowen_matrix(spec, orbits, n), variant, [eps])[0]
+    cover = next(_covers(bowen_matrix(spec, orbits, n), variant, [eps]))
     return RelationGraph(n=n, eps=eps, variant=variant, cover=cover)
 
 

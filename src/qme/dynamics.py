@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quasimetric import QuasiMetricSpec, pairwise, symmetrize_max
+from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, symmetrize_max
 
 __all__ = [
     "PointCloud",
@@ -236,7 +236,8 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
 
     ``nearest`` mode needs the run's distance rule to measure snap distances;
     it keeps every orbit on the cloud, for rules (matrix-backed) or maps that
-    do not close over arbitrary coordinates.
+    do not close over arbitrary coordinates. It snaps in row tiles, so only a
+    tile of snap distances is alive at a time.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -255,11 +256,12 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
         if snap_mode == "exact":
             images[:, i, :] = raw
         else:
-            dist = pairwise(sym, raw, pts)
-            nearest = np.argmin(dist, axis=1)  # argmin takes the lowest id on ties
-            err = dist[np.arange(n_pts), nearest]
-            snap_err = max(snap_err, float(err.max()))
-            images[:, i, :] = pts[nearest]
+            for rows in row_tiles(n_pts):
+                dist = pairwise(sym, raw[rows], pts)
+                nearest = np.argmin(dist, axis=1)  # argmin takes the lowest id on ties
+                err = dist[np.arange(dist.shape[0]), nearest]
+                snap_err = max(snap_err, float(err.max()))
+                images[rows, i, :] = pts[nearest]
     images.setflags(write=False)
     return OrbitTable(images=images, n_max=n_max, snap_mode=snap_mode,
                       snap_error=snap_err)

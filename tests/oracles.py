@@ -3,11 +3,15 @@
 Everything here recomputes answers from first principles (exhaustive subset
 enumeration, 1-D sweep arguments, direct per-pair definitions) without touching
 the branch-and-bound or the vectorized distance matrices, so tests can compare
-two routes that share no code.
+two routes that share no code. The exception is the last section: untiled,
+full-matrix forms of the tiled N x N passes, which must agree with them bit for
+bit.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from qme.quasimetric import pairwise, symmetrize_max
 
 
 def brute_min_cover(cover: np.ndarray) -> int:
@@ -129,3 +133,36 @@ def shift_first_fit_separated(blocks: np.ndarray, separated_fn) -> list:
         if all(separated_fn(i, j) for j in chosen):
             chosen.append(i)
     return chosen
+
+
+# --- untiled references for the tiled N x N passes ---------------------------
+
+def naive_bowen(spec, orbits, n: int) -> np.ndarray:
+    """D_n from one full-matrix pairwise call and one maximum per orbit step."""
+    pts = orbits.iterate_points(0)
+    dist = pairwise(spec, pts, pts)
+    for i in range(1, n):
+        pts = orbits.iterate_points(i)
+        dist = np.maximum(dist, pairwise(spec, pts, pts))
+    return dist
+
+
+def naive_symmetrized(dist: np.ndarray, variant: str) -> np.ndarray:
+    """max(D, D^T) for two_sided, min(D, D^T) for one_sided, via a full transpose."""
+    op = {"two_sided": np.maximum, "one_sided": np.minimum}[variant]
+    return op(dist, dist.T)
+
+
+def naive_snap(map_spec, cloud, n_max: int, qspec) -> tuple:
+    """(images, snap error) of nearest snapping with one full distance matrix
+    per orbit step; ties go to the lowest id."""
+    pts = cloud.points
+    sym = symmetrize_max(qspec)
+    images = [pts]
+    err = 0.0
+    for _ in range(1, n_max):
+        dist = pairwise(sym, map_spec.apply(images[-1]), pts)
+        nearest = np.argmin(dist, axis=1)
+        err = max(err, float(dist[np.arange(len(pts)), nearest].max()))
+        images.append(pts[nearest])
+    return np.stack(images, axis=1), err

@@ -26,6 +26,20 @@ schedule: {n_list: [1, 2, 3, 4, 5], eps_list: [0.5, 0.25, 0.125, 0.0625]}
 output: {format: both}
 """
 
+# 300 points exceed both tile sizes of the N x N passes (256-row pairwise
+# tiles, 64-wide transpose blocks) and are a multiple of neither, so these
+# files cross tile boundaries in the Bowen stream, the symmetrization and
+# nearest snapping.
+TILE_CONFIG = """\
+map: {kind: logistic, r: 4.0}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 300}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [0.25, 0.125, 0.0625, 0.03125]}
+orbits: {snap_mode: nearest}
+solver: {mode: greedy}
+output: {format: both}
+"""
+
 # (configuration, golden subdirectory, command, expected exit code, files)
 CASES = [
     (EXAMPLE_CONFIG, "", "counts", 0, ("counts.csv", "counts.json")),
@@ -35,6 +49,9 @@ CASES = [
     # exit 1: sandwich_one_sided_upper fails at n=2, eps=0.5 and the
     # one_sided estimate exceeds the two_sided one beyond estimator_tol
     (ASYM_CONFIG, "asym", "compare", 1, ("compare_checks.csv",)),
+    (TILE_CONFIG, "tiles", "counts", 0, ("counts.csv", "counts.json")),
+    # exit 1: the composed estimate 0.708 misses the target 1.106 +- 0.221
+    (TILE_CONFIG, "tiles", "power", 1, ("power_cells.csv",)),
 ]
 
 
