@@ -59,8 +59,8 @@ schedule:
   eps_list: [0.5, 0.25, 0.125, 0.0625]   # strictly halving
 
 solver:
-  mode: auto                # auto | exact | greedy
-  exact_threshold: 64       # auto switches to greedy above this cloud size
+  exact_threshold: 64       # solve exactly up to this cloud size; 0 = always greedy
+  # mode: auto              # legacy spelling: greedy = threshold 0, exact = cloud size
 
 orbits:
   snap_mode: exact          # exact | nearest
@@ -105,7 +105,6 @@ class RunConfig:
     n_list: list
     eps_list: list
     variants: list
-    solver_mode: str = "auto"
     exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     snap_mode: str = "exact"
     n_burn: int = DEFAULT_N_BURN
@@ -263,14 +262,13 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"unknown output format {fmt!r}")
 
     try:
-        return RunConfig(
+        cfg = RunConfig(
             map_spec=map_spec,
             cloud=cloud,
             qspec=qspec,
             n_list=n_list,
             eps_list=eps_list,
             variants=list(variants),
-            solver_mode=mode,
             exact_threshold=int(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)),
             snap_mode=snap,
             n_burn=int(fit.get("n_burn", DEFAULT_N_BURN)),
@@ -289,6 +287,11 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
+    if cfg.exact_threshold < 0:
+        raise ConfigError("solver.exact_threshold must be >= 0")
+    if mode != "auto":  # legacy spelling of the threshold
+        cfg.exact_threshold = 0 if mode == "greedy" else len(cloud)
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import OrbitTable, PointCloud
+from .dynamics import OrbitTable
 from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, with_transpose
 
 __all__ = [
@@ -355,28 +355,26 @@ class CountResult:
     nodes: int = 0
 
 
-def _solve(cover: np.ndarray, separated: bool, mode: str,
-           exact_threshold: int) -> CountResult:
-    """Minimal spanning set, or maximal separated set when ``separated``."""
-    if mode not in ("auto", "exact", "greedy"):
-        raise ValueError(f"unknown solver mode {mode!r}")
-    if mode == "exact" or (mode == "auto" and cover.shape[0] <= exact_threshold):
+def _solve(cover: np.ndarray, separated: bool, exact_threshold: int) -> CountResult:
+    """Minimal spanning set, or maximal separated set when ``separated``;
+    exact when the cover has at most ``exact_threshold`` points, else greedy."""
+    if cover.shape[0] <= exact_threshold:
         ids, nodes = exact_separated(cover) if separated else exact_cover(cover)
         return CountResult(len(ids), tuple(ids), "exact_bnb", True, nodes)
     ids = greedy_separated(cover) if separated else sorted(greedy_cover(cover))
     return CountResult(len(ids), tuple(ids), "greedy", False)
 
 
-def min_spanning(graph: RelationGraph, mode: str = "auto",
+def min_spanning(graph: RelationGraph,
                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
     """Smallest set of cloud points covering every cloud point."""
-    return _solve(graph.cover, False, mode, exact_threshold)
+    return _solve(graph.cover, False, exact_threshold)
 
 
-def max_separated(graph: RelationGraph, mode: str = "auto",
+def max_separated(graph: RelationGraph,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
     """Largest set of cloud points that is pairwise separated."""
-    return _solve(graph.cover, True, mode, exact_threshold)
+    return _solve(graph.cover, True, exact_threshold)
 
 
 def is_valid_cover(cover: np.ndarray, witness: Iterable) -> bool:
@@ -488,12 +486,13 @@ class CountGrid:
         }
 
 
-def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
+def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
                n_list: Sequence, eps_list: Sequence, *,
-               mode: str = "auto",
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                variants: tuple = VARIANTS) -> CountGrid:
-    """Solve every requested quantity over the (n, eps) schedule.
+    """Solve every requested quantity over the (n, eps) schedule on the orbit
+    table's cloud: exactly when it has at most ``exact_threshold`` points
+    (0: always greedy), else greedily.
 
     D_n comes from one ``bowen_stream`` over the ascending n schedule; each
     (n, variant) symmetrizes it once and each (n, eps, variant) cell is solved
@@ -503,8 +502,8 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
     eps_list = [float(e) for e in eps_list]
     if not n_list or not eps_list:
         raise ValueError("schedules must be nonempty")
-    if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
-        raise ValueError("n_list must be strictly increasing")
+    if sorted(set(n_list)) != n_list or n_list[0] < 1:
+        raise ValueError("n_list must be strictly increasing from n >= 1")
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be > 0")
     for v in variants:
@@ -519,13 +518,13 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
         for variant in variants:
             r, s = QUANTITY_PAIRS[variant]
             for eps, cover in zip(eps_list, _covers(dist, variant, eps_list)):
-                parts[eps][r] = _solve(cover, False, mode, exact_threshold)
-                parts[eps][s] = _solve(cover, True, mode, exact_threshold)
+                parts[eps][r] = _solve(cover, False, exact_threshold)
+                parts[eps][s] = _solve(cover, True, exact_threshold)
         for eps in eps_list:
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 
-    grid = CountGrid(cloud_size=len(cloud), n_list=n_list, eps_list=eps_list,
-                     variants=tuple(variants), cells=cells)
+    grid = CountGrid(cloud_size=orbits.images.shape[0], n_list=n_list,
+                     eps_list=eps_list, variants=tuple(variants), cells=cells)
     grid.diagnostics.extend(_monotonicity_diagnostics(grid))
     return grid
 

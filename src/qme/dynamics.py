@@ -220,10 +220,13 @@ class OrbitTable:
     symmetrization, with the worst snap error recorded).
     """
 
-    images: np.ndarray  # (N, n_max, d)
-    n_max: int
+    images: np.ndarray  # (N, n_max, d); n_max is read off this shape
     snap_mode: str
     snap_error: float = 0.0
+
+    @property
+    def n_max(self) -> int:
+        return self.images.shape[1]
 
     def iterate_points(self, i: int) -> np.ndarray:
         return self.images[:, i, :]
@@ -263,5 +266,4 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
                 snap_err = max(snap_err, float(err.max()))
                 images[rows, i, :] = pts[nearest]
     images.setflags(write=False)
-    return OrbitTable(images=images, n_max=n_max, snap_mode=snap_mode,
-                      snap_error=snap_err)
+    return OrbitTable(images=images, snap_mode=snap_mode, snap_error=snap_err)

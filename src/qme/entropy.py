@@ -186,20 +186,20 @@ def _fit_one_eps(eps: float, seq: list, cloud_size: int, *, n_burn: int,
                        dropped_saturated=dropped)
 
 
-def estimate_from_grid(grid: CountGrid, variant: str, eps_list: Sequence, *,
+def estimate_from_grid(grid: CountGrid, variant: str, *,
                        n_burn: int = DEFAULT_N_BURN, window_size: int = 0,
                        saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
                        stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
-    """Turn an existing count grid into an entropy estimate for one variant."""
+    """Turn an existing count grid into an entropy estimate for one variant,
+    fitting every scale of the grid's eps schedule."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown entropy variant {variant!r}")
     primary, cross = ENTROPY_VARIANTS[variant]
-    eps_list = [float(e) for e in eps_list]
     diagnostics: list = []
     counts = {}
     slopes = []
     cross_slopes = []
-    for eps in eps_list:
+    for eps in grid.eps_list:
         seq = [(n, grid.cell(n, eps).get(primary).cardinality) for n in grid.n_list]
         counts[eps] = seq
         slopes.append(_fit_one_eps(eps, seq, grid.cloud_size, n_burn=n_burn,
@@ -240,9 +240,8 @@ def estimate_from_grid(grid: CountGrid, variant: str, eps_list: Sequence, *,
                            cloud_size=grid.cloud_size, counts=counts)
 
 
-def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
+def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
                   variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
-                  mode: str = "auto",
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> tuple:
     """({variant: CountGrid}, relations_identical or None) for the variants.
 
@@ -257,26 +256,25 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable, cloud: PointCloud,
                     or (r == "two_sided" and "max_metric" in variants))
     grids = {}
     if on_spec:
-        grid_e = count_grid(spec, orbits, cloud, n_list, eps_list, mode=mode,
+        grid_e = count_grid(spec, orbits, n_list, eps_list,
                             exact_threshold=exact_threshold, variants=on_spec)
         grids.update((r, grid_e) for r in on_spec)
     if "mean_metric" in variants:
         grids["mean_metric"] = count_grid(
-            symmetrize_mean(spec), orbits, cloud, n_list, eps_list, mode=mode,
+            symmetrize_mean(spec), orbits, n_list, eps_list,
             exact_threshold=exact_threshold, variants=("two_sided",))
     identical = None
     if "max_metric" in variants:
         me_spec = symmetrize_max(spec)
         identical = relations_identical(spec, me_spec, orbits, n_list, eps_list)
         grids["max_metric"] = grid_e if identical else count_grid(
-            me_spec, orbits, cloud, n_list, eps_list, mode=mode,
+            me_spec, orbits, n_list, eps_list,
             exact_threshold=exact_threshold, variants=("two_sided",))
     return grids, identical
 
 
 def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
                      variant: str, n_list: Sequence, eps_list: Sequence, *,
-                     mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                      snap_mode: str = "exact",
                      n_burn: int = DEFAULT_N_BURN,
@@ -293,9 +291,9 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     if orbits is None:
         orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                               snap_mode=snap_mode, qspec=spec)
-    grids, _ = variant_grids(spec, orbits, cloud, (variant,), n_list, eps_list,
-                             mode=mode, exact_threshold=exact_threshold)
-    return estimate_from_grid(grids[variant], variant, eps_list, n_burn=n_burn,
+    grids, _ = variant_grids(spec, orbits, (variant,), n_list, eps_list,
+                             exact_threshold=exact_threshold)
+    return estimate_from_grid(grids[variant], variant, n_burn=n_burn,
                               window_size=window_size,
                               saturation_fraction=saturation_fraction,
                               stability_tol=stability_tol)
@@ -357,12 +355,15 @@ class TheoremComparison:
 
 
 def _ineq_rows(name: str, grid_a: CountGrid, qa: str, grid_b: CountGrid, qb: str,
-               pairs) -> list:
+               pairs, label_rhs: bool = False) -> list:
+    """qa of grid_a at cell a <= qb of grid_b at cell b for each (a, b) pair;
+    a row is labelled with cell a, or with cell b when ``label_rhs``."""
     rows = []
-    for (na, ea), (nb, eb) in pairs:
-        ra = grid_a.cell(na, ea).get(qa)
-        rb = grid_b.cell(nb, eb).get(qb)
-        rows.append(CheckRow(name=name, n=na, eps=ea,
+    for a, b in pairs:
+        ra = grid_a.cell(*a).get(qa)
+        rb = grid_b.cell(*b).get(qb)
+        n, eps = b if label_rhs else a
+        rows.append(CheckRow(name=name, n=n, eps=eps,
                              lhs=ra.cardinality, rhs=rb.cardinality,
                              ok=ra.cardinality <= rb.cardinality,
                              exact=ra.optimal and rb.optimal))
@@ -385,7 +386,6 @@ def _halving_pairs(n_list, eps_list):
 
 def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
                      n_list: Sequence, eps_list: Sequence, *,
-                     mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                      snap_mode: str = "exact",
                      estimator_tol: float = DEFAULT_ESTIMATOR_TOL,
@@ -405,7 +405,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
                           qspec=spec)
     grids, identical = variant_grids(
-        spec, orbits, cloud, tuple(ENTROPY_VARIANTS), n_list, eps_list, mode=mode,
+        spec, orbits, tuple(ENTROPY_VARIANTS), n_list, eps_list,
         exact_threshold=exact_threshold)
     grid_e, grid_de, grid_me = (grids["two_sided"], grids["mean_metric"],
                                 grids["max_metric"])
@@ -422,14 +422,8 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     rows += _ineq_rows("variant_sep", grid_e, "s2", grid_e, "s1", allc)
     rows += _ineq_rows("mean_metric_upper", grid_de, "r1", grid_e, "r1", allc)
     # r1 under e at 2*eps <= r1 under mean metric at eps
-    rows += [CheckRow(name="mean_metric_lower", n=n, eps=lo,
-                      lhs=grid_e.cell(n, hi).get("r1").cardinality,
-                      rhs=grid_de.cell(n, lo).get("r1").cardinality,
-                      ok=(grid_e.cell(n, hi).get("r1").cardinality
-                          <= grid_de.cell(n, lo).get("r1").cardinality),
-                      exact=(grid_e.cell(n, hi).get("r1").optimal
-                             and grid_de.cell(n, lo).get("r1").optimal))
-             for (n, hi), (_, lo) in halves]
+    rows += _ineq_rows("mean_metric_lower", grid_e, "r1", grid_de, "r1", halves,
+                       label_rhs=True)
     for q in ("r1", "s1"):
         for n in n_list:
             for eps in eps_list:
@@ -443,7 +437,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     fit = dict(n_burn=n_burn, window_size=window_size,
                saturation_fraction=saturation_fraction,
                stability_tol=stability_tol)
-    estimates = {v: estimate_from_grid(grids[v], v, eps_list, **fit)
+    estimates = {v: estimate_from_grid(grids[v], v, **fit)
                  for v in ENTROPY_VARIANTS}
     h_two = estimates["two_sided"].extrapolated
     h_one = estimates["one_sided"].extrapolated
@@ -521,7 +515,6 @@ class PowerRuleReport:
 
 def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                      spec: QuasiMetricSpec, n_list: Sequence, eps_list: Sequence, *,
-                     mode: str = "auto",
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                      snap_mode: str = "exact",
                      power_tol_rel: float = DEFAULT_POWER_TOL_REL,
@@ -550,9 +543,9 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                                snap_mode=snap_mode, qspec=spec)
 
     base_ns = sorted(set(n_list) | {m * n for n in n_list})
-    grid_base = count_grid(spec, orbits_base, cloud, base_ns, eps_list, mode=mode,
+    grid_base = count_grid(spec, orbits_base, base_ns, eps_list,
                            exact_threshold=exact_threshold, variants=("one_sided",))
-    grid_comp = count_grid(spec, orbits_comp, cloud, n_list, eps_list, mode=mode,
+    grid_comp = count_grid(spec, orbits_comp, n_list, eps_list,
                            exact_threshold=exact_threshold, variants=("one_sided",))
 
     cells = []
@@ -573,8 +566,8 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                             eps_list=eps_list, variants=("one_sided",),
                             cells={(n, e): grid_base.cell(n, e)
                                    for n in n_list for e in eps_list})
-    est_base = estimate_from_grid(base_window, "one_sided", eps_list, **fit)
-    est_comp = estimate_from_grid(grid_comp, "one_sided", eps_list, **fit)
+    est_base = estimate_from_grid(base_window, "one_sided", **fit)
+    est_comp = estimate_from_grid(grid_comp, "one_sided", **fit)
 
     target = m * est_base.extrapolated
     tol = max(power_tol_rel * abs(target), power_tol_abs)

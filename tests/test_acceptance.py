@@ -61,10 +61,10 @@ def sweep():
     ]:
         orbits = build_orbits(map_spec, cloud, max(N_SWEEP))
         grids = {
-            "e": count_grid(spec, orbits, cloud, N_SWEEP, EPS_SWEEP),
-            "de": count_grid(symmetrize_mean(spec), orbits, cloud, N_SWEEP,
+            "e": count_grid(spec, orbits, N_SWEEP, EPS_SWEEP),
+            "de": count_grid(symmetrize_mean(spec), orbits, N_SWEEP,
                              EPS_SWEEP, variants=("two_sided",)),
-            "me": count_grid(symmetrize_max(spec), orbits, cloud, N_SWEEP,
+            "me": count_grid(symmetrize_max(spec), orbits, N_SWEEP,
                              EPS_SWEEP, variants=("two_sided",)),
         }
         systems[label] = (cloud, spec, orbits, grids)
@@ -124,8 +124,8 @@ def test_criterion_3_variant_ordering(sweep):
     orbits2 = build_orbits(MapSpec(kind="identity"), index_cloud(2), 1)
     g_and = build_relation(two_point, orbits2, 1, 1.5, "two_sided")
     g_or = build_relation(two_point, orbits2, 1, 1.5, "one_sided")
-    r1 = min_spanning(g_and, mode="exact").cardinality
-    r2 = min_spanning(g_or, mode="exact").cardinality
+    r1 = min_spanning(g_and, exact_threshold=g_and.size).cardinality
+    r2 = min_spanning(g_or, exact_threshold=g_or.size).cardinality
     ok &= (r2 == 1 and r1 == 2)
     _verdict(3, ok, "one_sided counts never exceed two_sided counts; "
                     f"strict gap witnessed (r2={r2} < r1={r1} at eps=1.5)")
@@ -145,8 +145,8 @@ def test_criterion_4_max_metric_identity(sweep):
                 ok &= bool(np.array_equal(cov_e, cov_me))
         for q in ("r1", "s1"):
             ok &= grids["e"].counts(q) == grids["me"].counts(q)
-        est_e = estimate_from_grid(grids["e"], "two_sided", EPS_SWEEP)
-        est_me = estimate_from_grid(grids["me"], "max_metric", EPS_SWEEP)
+        est_e = estimate_from_grid(grids["e"], "two_sided")
+        est_me = estimate_from_grid(grids["me"], "max_metric")
         ok &= est_e.extrapolated == est_me.extrapolated
         ok &= [p.slope for p in est_e.per_epsilon_slopes] == \
             [p.slope for p in est_me.per_epsilon_slopes]
@@ -230,9 +230,9 @@ def _direct_block_separated(cloud, n, eps):
 
 def test_criterion_8_shift_entropy(shift_system):
     cloud, spec, orbits = shift_system
-    grid = count_grid(spec, orbits, cloud, list(range(1, 7)),
+    grid = count_grid(spec, orbits, list(range(1, 7)),
                       [2.0 ** -3, 2.0 ** -4], variants=("two_sided",))
-    est = estimate_from_grid(grid, "two_sided", [2.0 ** -3, 2.0 ** -4])
+    est = estimate_from_grid(grid, "two_sided")
     ok = abs(est.extrapolated - LOG2) <= 0.2 * LOG2
     _verdict("8a", ok, f"full-shift entropy {est.extrapolated:.4f} within 20% "
                        f"of log 2")
@@ -248,7 +248,7 @@ def test_criterion_8_count_oracle_as_stated(shift_system):
     observed = {}
     for n in range(1, 7):
         g = build_relation(spec, orbits, n, 2.0 ** -4, "two_sided")
-        solver = max_separated(g, mode="greedy").cardinality
+        solver = max_separated(g, exact_threshold=0).cardinality
         sep = _direct_block_separated(cloud, n, 2.0 ** -4)
         oracle = len(oracles.shift_first_fit_separated(cloud.points, sep))
         observed[n] = (solver, oracle)
@@ -284,7 +284,7 @@ def span_grid_201():
 def test_criterion_10_span_bracket_as_stated(span_grid_201):
     cloud, orbits = span_grid_201
     g = build_relation(LINE, orbits, 1, 0.1, "one_sided")
-    res = min_spanning(g, mode="exact")
+    res = min_spanning(g, exact_threshold=g.size)
     oracle = oracles.interval_min_cover(g.cover)
     ok = res.cardinality == oracle and res.cardinality in (20, 21, 22)
     _verdict("10a", ok, f"one_sided exact minimum cover at eps=0.1 in "
@@ -296,7 +296,7 @@ def test_criterion_10_large_eps_minimum_is_one(span_grid_201):
     ok = True
     for eps in (1.0, 1.5):
         g = build_relation(LINE, orbits, 1, eps, "one_sided")
-        ok &= min_spanning(g, mode="exact").cardinality == 1
+        ok &= min_spanning(g, exact_threshold=g.size).cardinality == 1
     _verdict("10b", ok, "one_sided minimum cover is 1 for eps >= 1")
 
 

@@ -192,6 +192,59 @@ def test_threads_flag_does_not_change_output(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+# legacy solver.mode spellings, each next to the exact_threshold it stands for
+# on the 48-point cloud
+MODE_FOLDS = [
+    ("solver:\n  mode: greedy\n", "solver:\n  exact_threshold: 0\n"),
+    ("solver:\n  mode: exact\n  exact_threshold: 8\n",
+     "solver:\n  exact_threshold: 48\n"),
+    ("solver:\n  mode: auto\n  exact_threshold: 8\n",
+     "solver:\n  exact_threshold: 8\n"),
+]
+
+
+@pytest.mark.parametrize("legacy,threshold", MODE_FOLDS,
+                         ids=["greedy", "exact", "auto"])
+def test_solver_mode_reads_as_exact_threshold(tmp_path, legacy, threshold):
+    outs = []
+    for name, solver in (("legacy", legacy), ("threshold", threshold)):
+        outs.append(tmp_path / name)
+        cfg = _write(tmp_path, DOUBLING_CONFIG + solver, name=f"{name}.yaml",
+                     out=outs[-1])
+        assert main(["counts", "--config", cfg]) == 0
+    for name in ("counts.csv", "counts.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_exact_threshold_flag_overrides_solver_mode(tmp_path):
+    out_flag, out_plain = tmp_path / "flag", tmp_path / "plain"
+    greedy = _write(tmp_path, DOUBLING_CONFIG + "solver:\n  mode: greedy\n",
+                    name="greedy.yaml", out=out_flag)
+    plain = _write(tmp_path, DOUBLING_CONFIG, name="plain.yaml", out=out_plain)
+    assert main(["counts", "--config", greedy, "--exact-threshold", "64"]) == 0
+    assert main(["counts", "--config", plain]) == 0
+    rows = (out_flag / "counts.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[5] for r in rows} == {"exact_bnb"}
+    for name in ("counts.csv", "counts.json"):
+        assert (out_flag / name).read_bytes() == (out_plain / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("solver,flag", [
+    ("solver:\n  exact_threshold: -3\n", []),
+    ("", ["--exact-threshold", "-3"]),
+], ids=["config", "flag"])
+def test_negative_exact_threshold_is_config_error(tmp_path, solver, flag):
+    cfg = _write(tmp_path, DOUBLING_CONFIG + solver, out=tmp_path / "out")
+    assert main(["counts", "--config", cfg, *flag]) == 3
+
+
+def test_unknown_solver_mode_is_config_error(tmp_path):
+    cfg = _write(tmp_path, DOUBLING_CONFIG + "solver:\n  mode: solve-harder\n",
+                 out=tmp_path / "out")
+    with pytest.raises(ConfigError, match="solver mode"):
+        load_config(cfg)
+
+
 def test_example_config_parses(tmp_path):
     from qme.config import EXAMPLE_CONFIG, parse_config
     import yaml

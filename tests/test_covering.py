@@ -152,22 +152,20 @@ def test_max_separated_witness_spans():
     # a maximal separated set in the two_sided pairing is itself a cover
     for seed in range(12):
         g = _random_relation(seed + 77)
-        exact = max_separated(g, mode="exact")
+        exact = max_separated(g, exact_threshold=g.size)
         assert is_valid_cover(g.cover, exact.witness)
-        greedy = max_separated(g, mode="greedy")
+        greedy = max_separated(g, exact_threshold=0)
         assert is_valid_cover(g.cover, greedy.witness)
 
 
 def test_solver_modes_and_flags():
     g = _random_relation(3)
-    auto = min_spanning(g, mode="auto", exact_threshold=64)
+    auto = min_spanning(g, exact_threshold=64)
     assert auto.method == "exact_bnb" and auto.optimal
-    forced = min_spanning(g, mode="greedy")
+    forced = min_spanning(g, exact_threshold=0)
     assert forced.method == "greedy" and not forced.optimal
-    small = min_spanning(g, mode="auto", exact_threshold=2)
+    small = min_spanning(g, exact_threshold=2)
     assert small.method == "greedy"
-    with pytest.raises(ValueError):
-        min_spanning(g, mode="solve-harder")
 
 
 # --- frozen 1-D instances ----------------------------------------------------
@@ -180,12 +178,12 @@ def test_one_sided_cover_201_grid():
     cloud = grid1d(0.0, 1.0, 201)
     orbits = _identity_orbits(cloud)
     g = build_relation(LINE, orbits, 1, 0.1, "one_sided")
-    res = min_spanning(g, mode="exact")
+    res = min_spanning(g, exact_threshold=g.size)
     assert res.optimal and is_valid_cover(g.cover, res.witness)
     assert res.cardinality == oracles.interval_min_cover(g.cover) == 6
 
     g_wide = build_relation(LINE, orbits, 1, 1.0, "one_sided")
-    assert min_spanning(g_wide, mode="exact").cardinality == 1
+    assert min_spanning(g_wide, exact_threshold=g_wide.size).cardinality == 1
 
 
 def test_two_sided_cover_201_grid_needs_every_point():
@@ -194,7 +192,7 @@ def test_two_sided_cover_201_grid_needs_every_point():
     cloud = grid1d(0.0, 1.0, 201)
     orbits = _identity_orbits(cloud)
     g = build_relation(LINE, orbits, 1, 0.1, "two_sided")
-    assert min_spanning(g, mode="greedy").cardinality == 201
+    assert min_spanning(g, exact_threshold=0).cardinality == 201
 
 
 def test_one_sided_separated_101_grid():
@@ -202,7 +200,7 @@ def test_one_sided_separated_101_grid():
     cloud = grid1d(0.0, 1.0, 101)
     orbits = _identity_orbits(cloud)
     g = build_relation(LINE, orbits, 1, 0.4, "one_sided")
-    res = max_separated(g, mode="exact")
+    res = max_separated(g, exact_threshold=g.size)
     assert res.cardinality == oracles.interval_max_separated(g.cover) == 3
     assert is_separated_set(g.cover, res.witness)
 
@@ -213,7 +211,7 @@ def test_one_sided_separated_101_grid():
 def doubling_grid():
     cloud = circle_grid(48)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 4)
-    return cloud, orbits, count_grid(ARC, orbits, cloud, [1, 2, 3, 4],
+    return cloud, orbits, count_grid(ARC, orbits, [1, 2, 3, 4],
                                      [0.5, 0.25, 0.125, 0.0625])
 
 
@@ -256,13 +254,15 @@ def test_count_grid_validates_schedules():
     cloud = circle_grid(8)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 2)
     with pytest.raises(ValueError):
-        count_grid(ARC, orbits, cloud, [2, 1], [0.5])
+        count_grid(ARC, orbits, [2, 1], [0.5])
     with pytest.raises(ValueError):
-        count_grid(ARC, orbits, cloud, [1, 2], [])
+        count_grid(ARC, orbits, [1, 2], [])
     with pytest.raises(ValueError):
-        count_grid(ARC, orbits, cloud, [1, 3], [0.5])  # beyond n_max
+        count_grid(ARC, orbits, [1, 3], [0.5])  # beyond n_max
     with pytest.raises(ValueError):
-        count_grid(ARC, orbits, cloud, [1], [0.5], variants=("sideways",))
+        count_grid(ARC, orbits, [1], [0.5], variants=("sideways",))
+    with pytest.raises(ValueError):
+        count_grid(ARC, orbits, [0, 1], [0.5])  # n below 1
 
 
 # --- theorem-shaped properties on random instances ---------------------------
@@ -290,8 +290,8 @@ def test_sandwich_battery_random_instances(seed):
 
     def solve(variant, scale):
         g = build_relation(spec, orbits, n, scale, variant)
-        return (min_spanning(g, mode="exact").cardinality,
-                max_separated(g, mode="exact").cardinality)
+        return (min_spanning(g, exact_threshold=g.size).cardinality,
+                max_separated(g, exact_threshold=g.size).cardinality)
 
     r1, s1 = solve("two_sided", eps)
     r1_half, _ = solve("two_sided", eps / 2.0)
@@ -303,7 +303,7 @@ def test_sandwich_battery_random_instances(seed):
 
     from qme import symmetrize_mean, symmetrize_max
     g_de = build_relation(symmetrize_mean(spec), orbits, n, eps, "two_sided")
-    r_de = min_spanning(g_de, mode="exact").cardinality
+    r_de = min_spanning(g_de, exact_threshold=g_de.size).cardinality
     r1_double, _ = solve("two_sided", 2.0 * eps)
     assert r1_double <= r_de <= r1
 
@@ -336,9 +336,9 @@ def test_sandwich_battery_asymmetric_blocks():
             for variant in ("two_sided", "one_sided"):
                 g = build_relation(spec, orbits, n, eps, variant)
                 gh = build_relation(spec, orbits, n, eps / 2.0, variant)
-                r = min_spanning(g, mode="exact").cardinality
-                s = max_separated(g, mode="exact").cardinality
-                r_half = min_spanning(gh, mode="exact").cardinality
+                r = min_spanning(g, exact_threshold=g.size).cardinality
+                s = max_separated(g, exact_threshold=g.size).cardinality
+                r_half = min_spanning(gh, exact_threshold=gh.size).cardinality
                 assert r <= s <= r_half
                 counts[variant] = (r, s)
             assert counts["one_sided"][0] <= counts["two_sided"][0]

@@ -99,14 +99,14 @@ def test_shift_blocks_counts_and_estimate():
     bq = QuasiMetricSpec(kind="block_prefix")
     shift = MapSpec(kind="shift_left")
     orbits = build_orbits(shift, cloud, 6)
-    grid = count_grid(bq, orbits, cloud, list(range(1, 7)),
+    grid = count_grid(bq, orbits, list(range(1, 7)),
                       [2.0 ** -3, 2.0 ** -4], variants=("two_sided",))
     # separated blocks are exactly those differing within the first
     # n + log2(1/eps) - 1 symbols
     for n in range(1, 7):
         assert grid.cell(n, 2.0 ** -4).get("s1").cardinality == 2 ** min(n + 3, 10)
         assert grid.cell(n, 2.0 ** -3).get("s1").cardinality == 2 ** min(n + 2, 10)
-    est = estimate_from_grid(grid, "two_sided", [2.0 ** -3, 2.0 ** -4])
+    est = estimate_from_grid(grid, "two_sided")
     assert abs(est.extrapolated - LOG2) <= 0.2 * LOG2
 
 
@@ -251,7 +251,7 @@ def test_slope_drop_across_scales_is_flagged():
              for e in (0.5, 0.25) for i, n in enumerate((1, 2, 3, 4))}
     grid = CountGrid(cloud_size=1000, n_list=[1, 2, 3, 4],
                      eps_list=[0.5, 0.25], variants=("two_sided",), cells=cells)
-    est = estimate_from_grid(grid, "two_sided", [0.5, 0.25])
+    est = estimate_from_grid(grid, "two_sided")
     assert est.per_epsilon_slopes[0].slope == pytest.approx(LOG2, abs=1e-9)
     assert est.per_epsilon_slopes[1].slope == 0.0
     assert not est.stabilized
@@ -263,7 +263,7 @@ def test_estimate_invariant_under_rescaling():
     # matched schedules agree exactly
     from qme import scaled
     cloud = circle_grid(64)
-    kw = dict(n_list=[2, 3, 4, 5], mode="exact", exact_threshold=64)
+    kw = dict(n_list=[2, 3, 4, 5], exact_threshold=64)
     base = estimate_entropy(MapSpec(kind="doubling"), cloud, ARC, "two_sided",
                             eps_list=[0.25, 0.125], **kw)
     rescaled = estimate_entropy(MapSpec(kind="doubling"), cloud,

@@ -67,7 +67,7 @@ def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 4) -> Orbi
     for _ in range(1, n_max):
         idx = perm[idx]
         steps.append(cloud.points[idx])
-    return OrbitTable(images=np.stack(steps, axis=1), n_max=n_max, snap_mode="exact")
+    return OrbitTable(images=np.stack(steps, axis=1), snap_mode="exact")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -101,11 +101,11 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     cloud = grid1d(0.0, 1.0, 20)
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     orbits = build_orbits(MapSpec(kind="tent"), cloud, 4)
-    args = (spec, orbits, cloud, [1, 2, 4], [0.5, 0.25, 0.125])
-    tiny = [count_grid(*args, mode=mode).to_dict() for mode in ("greedy", "exact")]
+    args = (spec, orbits, [1, 2, 4], [0.5, 0.25, 0.125])
+    tiny = [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
     monkeypatch.setattr(qm, "ROW_TILE", 256)
     monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 64)
-    assert tiny == [count_grid(*args, mode=mode).to_dict() for mode in ("greedy", "exact")]
+    assert tiny == [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
 
 
 def test_nearest_snap_matches_full_matrix():
