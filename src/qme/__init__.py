@@ -31,12 +31,7 @@ from .covering import (
     CellCounts,
     CountGrid,
     CountResult,
-    RelationGraph,
-    bowen_matrix,
-    build_relation,
     count_grid,
-    max_separated,
-    min_spanning,
 )
 from .entropy import (
     EntropyEstimate,

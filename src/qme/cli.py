@@ -186,8 +186,10 @@ def cmd_compare(args) -> int:
 
 def cmd_power(args) -> int:
     cfg = _prepare(args)
-    _require_fit_window(cfg)
     m = args.m if args.m is not None else cfg.power_m
+    if m < 1:
+        raise ConfigError("-m must be >= 1")
+    _require_fit_window(cfg)
     report = power_rule_check(cfg.map_spec, m, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, exact_threshold=cfg.exact_threshold,
                               snap_mode=cfg.snap_mode,

@@ -289,6 +289,10 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if cfg.exact_threshold < 0:
         raise ConfigError("solver.exact_threshold must be >= 0")
+    if cfg.triple_budget < 1:
+        raise ConfigError("validate.triple_budget must be >= 1")
+    if cfg.power_m < 1:
+        raise ConfigError("power.m must be >= 1")
     if mode != "auto":  # legacy spelling of the threshold
         cfg.exact_threshold = 0 if mode == "greedy" else len(cloud)
     return cfg

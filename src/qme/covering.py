@@ -1,7 +1,8 @@
 """Minimal spanning and maximal separated cardinalities on threshold relations.
 
-``bowen_stream`` grows the orbit-maximized matrix D_n[x, y] =
-max_{i<n} e(T^i x, T^i y) once over an ascending n schedule, in row tiles;
+``count_grid`` is the one path from (spec, orbits, schedule) to counts. It
+validates the schedule, grows the orbit-maximized matrix D_n[x, y] =
+max_{i<n} e(T^i x, T^i y) once over the ascending n schedule, in row tiles;
 each (n, variant) symmetrizes D_n once, in cache-sized blocks, and each eps
 thresholds it:
 
@@ -9,7 +10,8 @@ thresholds it:
 ``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
 
 The max symmetrization gives the same two_sided relation; the entropy module
-checks that per cell (``relations_identical``) and reuses the two_sided counts.
+checks that per cell, after ``count_grid`` has validated the same schedule,
+and reuses the two_sided counts.
 
 Separation is the off-diagonal complement of cover for the matching pairing,
 so a minimal spanning set is a minimum dominating set of the cover graph and a
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,23 +36,14 @@ from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, with_transpose
 
 __all__ = [
     "VARIANTS",
-    "RelationGraph",
     "CountResult",
     "CellCounts",
     "CountGrid",
-    "bowen_stream",
-    "bowen_matrix",
-    "build_relation",
-    "relations_identical",
     "greedy_cover",
     "exact_cover",
     "greedy_separated",
     "exact_separated",
-    "min_spanning",
-    "max_separated",
     "count_grid",
-    "is_valid_cover",
-    "is_separated_set",
 ]
 
 VARIANTS = ("two_sided", "one_sided")
@@ -63,12 +56,12 @@ QUANTITIES = ("r1", "s1", "r2", "s2")
 QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2")}
 
 
-def bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
-                 n_list: Sequence) -> Iterator[tuple]:
-    """Yield (n, D_n) over an ascending n schedule. D_n is one preallocated
-    matrix, filled and then max-accumulated in row tiles, so no full-size
-    pairwise matrix is ever built; it is updated in place for the next n:
-    copy it to keep it past the next step."""
+def _bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
+                  n_list: Sequence) -> Iterator[tuple]:
+    """Yield (n, D_n) over an ascending n schedule, which the caller has
+    validated. D_n is one preallocated matrix, filled and then max-accumulated
+    in row tiles, so no full-size pairwise matrix is ever built; it is updated
+    in place for the next n: copy it to keep it past the next step."""
     size = orbits.images.shape[0]
     dist = np.empty((size, size))
     done = 0
@@ -86,10 +79,11 @@ def bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
 
 
 def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarray:
-    """Full matrix of orbit-maximized distances: M[x, y] = max_{i<n} e(T^i x, T^i y)."""
+    """Full matrix of orbit-maximized distances: M[x, y] = max_{i<n} e(T^i x, T^i y).
+    No pipeline path calls it; perfbench/tracing.py still wraps this name."""
     if not 1 <= n <= orbits.n_max:
         raise ValueError(f"n must be in 1..{orbits.n_max}, got {n}")
-    return next(bowen_stream(spec, orbits, [n]))[1]
+    return next(_bowen_stream(spec, orbits, [n]))[1]
 
 
 def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> Iterator:
@@ -107,56 +101,20 @@ def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> Iterator:
         yield np.less_equal(sym, eps, out=cover)
 
 
-def relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
-                        orbits: OrbitTable, n_list: Sequence,
-                        eps_list: Sequence) -> bool:
+def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
+                         orbits: OrbitTable, n_list: Sequence,
+                         eps_list: Sequence) -> bool:
     """Whether two distance rules give the same two_sided relation at every
-    (n, eps) cell. Each rule runs its own Bowen stream."""
-    streams = zip(bowen_stream(spec_a, orbits, n_list),
-                  bowen_stream(spec_b, orbits, n_list))
+    (n, eps) cell of a schedule that ``count_grid`` has validated. Each rule
+    runs its own Bowen stream."""
+    streams = zip(_bowen_stream(spec_a, orbits, n_list),
+                  _bowen_stream(spec_b, orbits, n_list))
     for (_, dist_a), (_, dist_b) in streams:
         pairs = zip(_covers(dist_a, "two_sided", eps_list),
                     _covers(dist_b, "two_sided", eps_list))
         if not all(np.array_equal(a, b) for a, b in pairs):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class RelationGraph:
-    """Cover adjacency at one (n, eps) cell; separation is its complement."""
-
-    n: int
-    eps: float
-    variant: str
-    cover: np.ndarray  # (N, N) bool, symmetric, all-true diagonal
-
-    def __post_init__(self):
-        c = self.cover
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("cover adjacency must be square")
-        if not np.all(np.diagonal(c)):
-            raise ValueError("cover adjacency must include the diagonal")
-
-    @property
-    def size(self) -> int:
-        return self.cover.shape[0]
-
-    @property
-    def separation(self) -> np.ndarray:
-        """Mutual-separation adjacency: complement of cover off the diagonal."""
-        sep = ~self.cover
-        np.fill_diagonal(sep, False)
-        return sep
-
-
-def build_relation(spec: QuasiMetricSpec, orbits: OrbitTable, n: int, eps: float,
-                   variant: str) -> RelationGraph:
-    """Threshold the orbit-maximized distances into a cover relation."""
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    cover = next(_covers(bowen_matrix(spec, orbits, n), variant, [eps]))
-    return RelationGraph(n=n, eps=eps, variant=variant, cover=cover)
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +323,6 @@ def _solve(cover: np.ndarray, separated: bool, exact_threshold: int) -> CountRes
     return CountResult(len(ids), tuple(ids), "greedy", False)
 
 
-def min_spanning(graph: RelationGraph,
-                 exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
-    """Smallest set of cloud points covering every cloud point."""
-    return _solve(graph.cover, False, exact_threshold)
-
-
-def max_separated(graph: RelationGraph,
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountResult:
-    """Largest set of cloud points that is pairwise separated."""
-    return _solve(graph.cover, True, exact_threshold)
-
-
-def is_valid_cover(cover: np.ndarray, witness: Iterable) -> bool:
-    ids = list(witness)
-    if not ids:
-        return cover.shape[0] == 0
-    return bool(cover[:, ids].any(axis=1).all())
-
-
-def is_separated_set(cover: np.ndarray, witness: Iterable) -> bool:
-    ids = list(witness)
-    sub = cover[np.ix_(ids, ids)].copy()
-    np.fill_diagonal(sub, False)
-    return not bool(sub.any())
-
-
 # ---------------------------------------------------------------------------
 # count grids
 # ---------------------------------------------------------------------------
@@ -494,7 +426,7 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     table's cloud: exactly when it has at most ``exact_threshold`` points
     (0: always greedy), else greedily.
 
-    D_n comes from one ``bowen_stream`` over the ascending n schedule; each
+    D_n comes from one Bowen stream over the ascending n schedule; each
     (n, variant) symmetrizes it once and each (n, eps, variant) cell is solved
     in schedule order and merged by coordinates.
     """
@@ -513,7 +445,7 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
     cells = {}
-    for n, dist in bowen_stream(spec, orbits, n_list):
+    for n, dist in _bowen_stream(spec, orbits, n_list):
         parts = {eps: {} for eps in eps_list}
         for variant in variants:
             r, s = QUANTITY_PAIRS[variant]

@@ -32,8 +32,8 @@ from .covering import (
     CountGrid,
     DEFAULT_EXACT_THRESHOLD,
     bowen_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
+    _relations_identical,
     count_grid,
-    relations_identical,
 )
 from .dynamics import MapSpec, OrbitTable, PointCloud, build_orbits, iterate_map
 from .quasimetric import QuasiMetricSpec, symmetrize_max, symmetrize_mean
@@ -246,8 +246,10 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
     """({variant: CountGrid}, relations_identical or None) for the variants.
 
     two_sided and one_sided share one grid; mean_metric solves its own (a
-    Bowen max of means is not a function of D_n); max_metric reuses the
-    two_sided grid when the relation identity check holds, else solves its own.
+    Bowen max of means is not a function of D_n); max_metric always solves
+    the two_sided grid first, which validates and normalizes the schedule the
+    relation identity check then runs on, and reuses that grid when the check
+    holds, else solves its own.
     """
     for v in variants:
         if v not in ENTROPY_VARIANTS:
@@ -266,7 +268,8 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
     identical = None
     if "max_metric" in variants:
         me_spec = symmetrize_max(spec)
-        identical = relations_identical(spec, me_spec, orbits, n_list, eps_list)
+        identical = _relations_identical(spec, me_spec, orbits,
+                                         grid_e.n_list, grid_e.eps_list)
         grids["max_metric"] = grid_e if identical else count_grid(
             me_spec, orbits, n_list, eps_list,
             exact_threshold=exact_threshold, variants=("two_sided",))
@@ -280,17 +283,15 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                      n_burn: int = DEFAULT_N_BURN,
                      window_size: int = 0,
                      saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                     stability_tol: float = DEFAULT_STABILITY_TOL,
-                     orbits: Optional[OrbitTable] = None) -> EntropyEstimate:
+                     stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
     """Estimate the entropy of a map over a cloud for one variant.
 
-    Builds the orbit table (unless one is supplied), counts spanning/separated
+    Builds the orbit table of the cloud, counts spanning/separated
     cardinalities over the schedule under the variant's distance rule, fits
     per-scale growth slopes and extrapolates at the smallest scale.
     """
-    if orbits is None:
-        orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
-                              snap_mode=snap_mode, qspec=spec)
+    orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
+                          snap_mode=snap_mode, qspec=spec)
     grids, _ = variant_grids(spec, orbits, (variant,), n_list, eps_list,
                              exact_threshold=exact_threshold)
     return estimate_from_grid(grids[variant], variant, n_burn=n_burn,

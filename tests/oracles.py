@@ -9,6 +9,8 @@ bit.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from qme.quasimetric import pairwise, symmetrize_max
@@ -71,6 +73,20 @@ def brute_max_separated(cover: np.ndarray) -> int:
         if ok:
             best = size
     return best
+
+
+def is_valid_cover(cover: np.ndarray, witness: Iterable) -> bool:
+    ids = list(witness)
+    if not ids:
+        return cover.shape[0] == 0
+    return bool(cover[:, ids].any(axis=1).all())
+
+
+def is_separated_set(cover: np.ndarray, witness: Iterable) -> bool:
+    ids = list(witness)
+    sub = cover[np.ix_(ids, ids)].copy()
+    np.fill_diagonal(sub, False)
+    return not bool(sub.any())
 
 
 def _contiguous_ranges(cover: np.ndarray):
@@ -151,6 +167,11 @@ def naive_symmetrized(dist: np.ndarray, variant: str) -> np.ndarray:
     """max(D, D^T) for two_sided, min(D, D^T) for one_sided, via a full transpose."""
     op = {"two_sided": np.maximum, "one_sided": np.minimum}[variant]
     return op(dist, dist.T)
+
+
+def relation(spec, orbits, n: int, eps: float, variant: str) -> np.ndarray:
+    """Cover relation of one variant at one (n, eps) cell, untiled."""
+    return naive_symmetrized(naive_bowen(spec, orbits, n), variant) <= eps
 
 
 def naive_snap(map_spec, cloud, n_max: int, qspec) -> tuple:

@@ -16,22 +16,18 @@ from qme import (
     MapSpec,
     QuasiMetricSpec,
     build_orbits,
-    build_relation,
     check_axioms,
     circle_grid,
     count_grid,
     estimate_entropy,
     grid1d,
     index_cloud,
-    max_separated,
-    min_spanning,
     power_rule_check,
     symbol_blocks,
     symmetrize_max,
     symmetrize_mean,
 )
 from qme.cli import main
-from qme.covering import bowen_matrix
 from qme.entropy import estimate_from_grid
 
 import oracles
@@ -122,10 +118,8 @@ def test_criterion_3_variant_ordering(sweep):
     two_point = QuasiMetricSpec(kind="matrix",
                                 matrix=np.array([[0.0, 1.0], [2.0, 0.0]]))
     orbits2 = build_orbits(MapSpec(kind="identity"), index_cloud(2), 1)
-    g_and = build_relation(two_point, orbits2, 1, 1.5, "two_sided")
-    g_or = build_relation(two_point, orbits2, 1, 1.5, "one_sided")
-    r1 = min_spanning(g_and, exact_threshold=g_and.size).cardinality
-    r2 = min_spanning(g_or, exact_threshold=g_or.size).cardinality
+    cell = count_grid(two_point, orbits2, [1], [1.5], exact_threshold=2).cell(1, 1.5)
+    r1, r2 = cell.r1.cardinality, cell.r2.cardinality
     ok &= (r2 == 1 and r1 == 2)
     _verdict(3, ok, "one_sided counts never exceed two_sided counts; "
                     f"strict gap witnessed (r2={r2} < r1={r1} at eps=1.5)")
@@ -137,8 +131,8 @@ def test_criterion_4_max_metric_identity(sweep):
     for label, (cloud, spec, orbits, grids) in systems.items():
         me_spec = symmetrize_max(spec)
         for n in N_SWEEP:
-            de = bowen_matrix(spec, orbits, n)
-            dme = bowen_matrix(me_spec, orbits, n)
+            de = oracles.naive_bowen(spec, orbits, n)
+            dme = oracles.naive_bowen(me_spec, orbits, n)
             for eps in EPS_SWEEP:
                 cov_e = (de <= eps) & (de.T <= eps)
                 cov_me = (dme <= eps) & (dme.T <= eps)
@@ -246,9 +240,10 @@ def test_criterion_8_count_oracle_as_stated(shift_system):
     cloud, spec, orbits = shift_system
     ok = True
     observed = {}
+    grid = count_grid(spec, orbits, list(range(1, 7)), [2.0 ** -4],
+                      exact_threshold=0, variants=("two_sided",))
     for n in range(1, 7):
-        g = build_relation(spec, orbits, n, 2.0 ** -4, "two_sided")
-        solver = max_separated(g, exact_threshold=0).cardinality
+        solver = grid.cell(n, 2.0 ** -4).s1.cardinality
         sep = _direct_block_separated(cloud, n, 2.0 ** -4)
         oracle = len(oracles.shift_first_fit_separated(cloud.points, sep))
         observed[n] = (solver, oracle)
@@ -283,9 +278,10 @@ def span_grid_201():
                           "one-sided balls have width 2*eps")
 def test_criterion_10_span_bracket_as_stated(span_grid_201):
     cloud, orbits = span_grid_201
-    g = build_relation(LINE, orbits, 1, 0.1, "one_sided")
-    res = min_spanning(g, exact_threshold=g.size)
-    oracle = oracles.interval_min_cover(g.cover)
+    res = count_grid(LINE, orbits, [1], [0.1], exact_threshold=len(cloud),
+                     variants=("one_sided",)).cell(1, 0.1).r2
+    oracle = oracles.interval_min_cover(
+        oracles.relation(LINE, orbits, 1, 0.1, "one_sided"))
     ok = res.cardinality == oracle and res.cardinality in (20, 21, 22)
     _verdict("10a", ok, f"one_sided exact minimum cover at eps=0.1 in "
                         f"{{20,21,22}} (solver=oracle={res.cardinality})")
@@ -293,10 +289,9 @@ def test_criterion_10_span_bracket_as_stated(span_grid_201):
 
 def test_criterion_10_large_eps_minimum_is_one(span_grid_201):
     cloud, orbits = span_grid_201
-    ok = True
-    for eps in (1.0, 1.5):
-        g = build_relation(LINE, orbits, 1, eps, "one_sided")
-        ok &= min_spanning(g, exact_threshold=g.size).cardinality == 1
+    grid = count_grid(LINE, orbits, [1], [1.5, 1.0], exact_threshold=len(cloud),
+                      variants=("one_sided",))
+    ok = all(grid.cell(1, eps).r2.cardinality == 1 for eps in (1.0, 1.5))
     _verdict("10b", ok, "one_sided minimum cover is 1 for eps >= 1")
 
 
@@ -323,11 +318,11 @@ def test_criterion_11_greedy_exact_oracle():
                                                   len(positive) // 10 + 1)))])
         orbits = build_orbits(MapSpec(kind="identity"), cloud, 1)
         variant = ("two_sided", "one_sided")[int(rng.integers(0, 2))]
-        g = build_relation(spec, orbits, 1, eps, variant)
-        exact_c, _ = exact_cover(g.cover)
-        exact_s, _ = exact_separated(g.cover)
-        ok &= len(greedy_cover(g.cover)) >= len(exact_c)
-        ok &= len(greedy_separated(g.cover)) <= len(exact_s)
+        cover = oracles.relation(spec, orbits, 1, eps, variant)
+        exact_c, _ = exact_cover(cover)
+        exact_s, _ = exact_separated(cover)
+        ok &= len(greedy_cover(cover)) >= len(exact_c)
+        ok &= len(greedy_separated(cover)) <= len(exact_s)
         checked += 1
     _verdict(11, ok and checked == 200,
              f"greedy cover >= exact and greedy separated <= exact on "

@@ -229,13 +229,16 @@ def test_exact_threshold_flag_overrides_solver_mode(tmp_path):
         assert (out_flag / name).read_bytes() == (out_plain / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("solver,flag", [
-    ("solver:\n  exact_threshold: -3\n", []),
-    ("", ["--exact-threshold", "-3"]),
-], ids=["config", "flag"])
-def test_negative_exact_threshold_is_config_error(tmp_path, solver, flag):
-    cfg = _write(tmp_path, DOUBLING_CONFIG + solver, out=tmp_path / "out")
-    assert main(["counts", "--config", cfg, *flag]) == 3
+@pytest.mark.parametrize("command,section,flag", [
+    ("counts", "solver:\n  exact_threshold: -3\n", []),
+    ("counts", "", ["--exact-threshold", "-3"]),
+    ("power", "power:\n  m: 0\n", []),
+    ("power", "", ["-m", "0"]),
+    ("validate", "validate:\n  triple_budget: 0\n", []),
+], ids=["config", "flag", "power_m_config", "power_m_flag", "triple_budget_config"])
+def test_negative_exact_threshold_is_config_error(tmp_path, command, section, flag):
+    cfg = _write(tmp_path, DOUBLING_CONFIG + section, out=tmp_path / "out")
+    assert main([command, "--config", cfg, *flag]) == 3
 
 
 def test_unknown_solver_mode_is_config_error(tmp_path):

@@ -1,4 +1,9 @@
-"""Relations, greedy/exact solvers, count grids and their invariants."""
+"""Relations, greedy/exact solvers, count grids and their invariants.
+
+Counts come from ``count_grid``; a test that needs a cover matrix takes the
+untiled reference ``oracles.relation`` (bit-identical to the pipeline's covers,
+see test_tiling.py) and calls the solvers on it directly.
+"""
 import numpy as np
 import pytest
 
@@ -6,27 +11,24 @@ from qme import (
     MapSpec,
     QuasiMetricSpec,
     build_orbits,
-    build_relation,
-    bowen_matrix,
     circle_grid,
     count_grid,
     custom_cloud,
     grid1d,
     index_cloud,
-    max_separated,
-    min_spanning,
     scaled,
 )
 from qme.covering import (
+    QUANTITIES,
+    QUANTITY_PAIRS,
     exact_cover,
     exact_separated,
     greedy_cover,
     greedy_separated,
-    is_separated_set,
-    is_valid_cover,
 )
 
 import oracles
+from oracles import is_separated_set, is_valid_cover
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -38,106 +40,105 @@ def _identity_orbits(cloud, n_max=1):
     return build_orbits(IDENTITY, cloud, n_max)
 
 
+def _counts(spec, orbits, n, eps, variant, exact_threshold):
+    """(spanning, separated) CountResults of one variant at one (n, eps) cell."""
+    cell = count_grid(spec, orbits, [n], [eps], exact_threshold=exact_threshold,
+                      variants=(variant,)).cell(n, eps)
+    return tuple(cell.get(q) for q in QUANTITY_PAIRS[variant])
+
+
 # --- relations ---------------------------------------------------------------
 
 def test_two_point_relation_at_threshold():
+    # e(0, 1) = 1 <= 1.5 < 2 = e(1, 0): the pair is close one way only
     orbits = _identity_orbits(index_cloud(2))
-    g_and = build_relation(TWO_POINT, orbits, 1, 1.5, "two_sided")
-    g_or = build_relation(TWO_POINT, orbits, 1, 1.5, "one_sided")
-    assert not g_and.cover[0, 1] and not g_and.cover[1, 0]
-    assert g_or.cover[0, 1] and g_or.cover[1, 0]
+    cell = count_grid(TWO_POINT, orbits, [1], [1.5], exact_threshold=2).cell(1, 1.5)
+    assert cell.r1.cardinality == cell.s1.cardinality == 2
+    assert cell.r2.cardinality == cell.s2.cardinality == 1
 
 
 def test_identity_map_relation_independent_of_n():
     cloud = grid1d(0.0, 1.0, 21)
     orbits = _identity_orbits(cloud, n_max=3)
-    for variant in ("two_sided", "one_sided"):
-        g1 = build_relation(LINE, orbits, 1, 0.25, variant)
-        g3 = build_relation(LINE, orbits, 3, 0.25, variant)
-        assert np.array_equal(g1.cover, g3.cover)
+    for threshold in (len(cloud), 0):
+        grid = count_grid(LINE, orbits, [1, 3], [0.25], exact_threshold=threshold)
+        for q in QUANTITIES:
+            assert grid.cell(1, 0.25).get(q) == grid.cell(3, 0.25).get(q)
 
 
 def test_huge_eps_gives_all_true_cover():
+    # one separated point means every pair is covered
     cloud = grid1d(0.0, 1.0, 12)
     orbits = _identity_orbits(cloud)
-    g = build_relation(LINE, orbits, 1, 10.0, "two_sided")
-    assert g.cover.all()
-    assert min_spanning(g).cardinality == 1
-    assert max_separated(g).cardinality == 1
+    r1, s1 = _counts(LINE, orbits, 1, 10.0, "two_sided", 64)
+    assert r1.cardinality == 1
+    assert s1.cardinality == 1
 
 
 def test_eps_below_min_spacing_gives_identity_cover():
+    # a cover needs every point only when no point covers another
     cloud = grid1d(0.0, 1.0, 12)
     orbits = _identity_orbits(cloud)
-    g = build_relation(QuasiMetricSpec(kind="euclidean"), orbits, 1, 1e-9, "two_sided")
-    assert np.array_equal(g.cover, np.eye(12, dtype=bool))
-    assert min_spanning(g).cardinality == 12
-    assert max_separated(g).cardinality == 12
+    r1, s1 = _counts(QuasiMetricSpec(kind="euclidean"), orbits, 1, 1e-9,
+                     "two_sided", 64)
+    assert r1.cardinality == 12
+    assert s1.cardinality == 12
 
 
-def test_relation_symmetry_and_separation_complement():
+def test_relation_symmetric_with_full_diagonal():
     rng = np.random.default_rng(5)
     pts = np.sort(rng.random(15)).reshape(-1, 1)
     cloud = custom_cloud(pts)
     orbits = _identity_orbits(cloud)
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     for variant in ("two_sided", "one_sided"):
-        g = build_relation(spec, orbits, 1, 0.3, variant)
-        assert np.array_equal(g.cover, g.cover.T)
-        assert np.all(np.diagonal(g.cover))
-        sep = g.separation
-        off = ~np.eye(15, dtype=bool)
-        assert np.array_equal(sep[off], ~g.cover[off])
-        assert not sep.diagonal().any()
-
-
-def test_relation_rejects_bad_inputs():
-    orbits = _identity_orbits(index_cloud(2))
-    with pytest.raises(ValueError):
-        build_relation(TWO_POINT, orbits, 1, 0.0, "two_sided")
-    with pytest.raises(ValueError):
-        build_relation(TWO_POINT, orbits, 2, 0.5, "two_sided")
-    with pytest.raises(ValueError):
-        build_relation(TWO_POINT, orbits, 1, 0.5, "diagonal")
+        cover = oracles.relation(spec, orbits, 1, 0.3, variant)
+        assert np.array_equal(cover, cover.T)
+        assert np.all(np.diagonal(cover))
 
 
 # --- solvers vs oracles ------------------------------------------------------
 
-def _random_relation(seed, size=None):
+def _random_case(seed):
+    """(spec, orbits, n, eps, variant) of a random weighted_asym cell at n = 1."""
     rng = np.random.default_rng(seed)
-    n = size or int(rng.integers(6, 15))
+    n = int(rng.integers(6, 15))
     pts = rng.integers(0, 2 ** 16, size=n)
     pts = np.unique(pts).astype(float) / 2 ** 16
     cloud = custom_cloud(pts.reshape(-1, 1))
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     orbits = _identity_orbits(cloud)
-    dists = bowen_matrix(spec, orbits, 1)
+    dists = oracles.naive_bowen(spec, orbits, 1)
     positive = dists[dists > 0]
     eps = float(np.quantile(positive, rng.uniform(0.2, 0.7)))
     variant = ("two_sided", "one_sided")[int(rng.integers(0, 2))]
-    return build_relation(spec, orbits, 1, eps, variant)
+    return spec, orbits, 1, eps, variant
+
+
+def _random_relation(seed):
+    return oracles.relation(*_random_case(seed))
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_exact_solvers_match_brute_force(seed):
-    g = _random_relation(seed)
-    cover_ids, _ = exact_cover(g.cover)
-    sep_ids, _ = exact_separated(g.cover)
-    assert is_valid_cover(g.cover, cover_ids)
-    assert is_separated_set(g.cover, sep_ids)
-    assert len(cover_ids) == oracles.brute_min_cover(g.cover)
-    assert len(sep_ids) == oracles.brute_max_separated(g.cover)
+    cover = _random_relation(seed)
+    cover_ids, _ = exact_cover(cover)
+    sep_ids, _ = exact_separated(cover)
+    assert is_valid_cover(cover, cover_ids)
+    assert is_separated_set(cover, sep_ids)
+    assert len(cover_ids) == oracles.brute_min_cover(cover)
+    assert len(sep_ids) == oracles.brute_max_separated(cover)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_greedy_brackets_exact(seed):
-    g = _random_relation(seed + 1000)
-    ge_cover = greedy_cover(g.cover)
-    ge_sep = greedy_separated(g.cover)
-    assert is_valid_cover(g.cover, ge_cover)
-    assert is_separated_set(g.cover, ge_sep)
-    assert len(ge_cover) >= len(exact_cover(g.cover)[0])
-    assert len(ge_sep) <= len(exact_separated(g.cover)[0])
+    cover = _random_relation(seed + 1000)
+    ge_cover = greedy_cover(cover)
+    ge_sep = greedy_separated(cover)
+    assert is_valid_cover(cover, ge_cover)
+    assert is_separated_set(cover, ge_sep)
+    assert len(ge_cover) >= len(exact_cover(cover)[0])
+    assert len(ge_sep) <= len(exact_separated(cover)[0])
 
 
 def test_greedy_ties_break_by_lowest_id():
@@ -151,20 +152,20 @@ def test_greedy_ties_break_by_lowest_id():
 def test_max_separated_witness_spans():
     # a maximal separated set in the two_sided pairing is itself a cover
     for seed in range(12):
-        g = _random_relation(seed + 77)
-        exact = max_separated(g, exact_threshold=g.size)
-        assert is_valid_cover(g.cover, exact.witness)
-        greedy = max_separated(g, exact_threshold=0)
-        assert is_valid_cover(g.cover, greedy.witness)
+        case = _random_case(seed + 77)
+        cover = oracles.relation(*case)
+        for threshold in (len(cover), 0):  # exact, then greedy
+            _, sep = _counts(*case, threshold)
+            assert is_valid_cover(cover, sep.witness)
 
 
 def test_solver_modes_and_flags():
-    g = _random_relation(3)
-    auto = min_spanning(g, exact_threshold=64)
+    case = _random_case(3)
+    auto, _ = _counts(*case, exact_threshold=64)
     assert auto.method == "exact_bnb" and auto.optimal
-    forced = min_spanning(g, exact_threshold=0)
+    forced, _ = _counts(*case, exact_threshold=0)
     assert forced.method == "greedy" and not forced.optimal
-    small = min_spanning(g, exact_threshold=2)
+    small, _ = _counts(*case, exact_threshold=2)
     assert small.method == "greedy"
 
 
@@ -177,13 +178,13 @@ def test_one_sided_cover_201_grid():
     # rational arithmetic). The interval sweep is the independent oracle.
     cloud = grid1d(0.0, 1.0, 201)
     orbits = _identity_orbits(cloud)
-    g = build_relation(LINE, orbits, 1, 0.1, "one_sided")
-    res = min_spanning(g, exact_threshold=g.size)
-    assert res.optimal and is_valid_cover(g.cover, res.witness)
-    assert res.cardinality == oracles.interval_min_cover(g.cover) == 6
+    res, _ = _counts(LINE, orbits, 1, 0.1, "one_sided", len(cloud))
+    cover = oracles.relation(LINE, orbits, 1, 0.1, "one_sided")
+    assert res.optimal and is_valid_cover(cover, res.witness)
+    assert res.cardinality == oracles.interval_min_cover(cover) == 6
 
-    g_wide = build_relation(LINE, orbits, 1, 1.0, "one_sided")
-    assert min_spanning(g_wide, exact_threshold=g_wide.size).cardinality == 1
+    wide, _ = _counts(LINE, orbits, 1, 1.0, "one_sided", len(cloud))
+    assert wide.cardinality == 1
 
 
 def test_two_sided_cover_201_grid_needs_every_point():
@@ -191,18 +192,18 @@ def test_two_sided_cover_201_grid_needs_every_point():
     # is two-sided close and the minimum cover is the whole cloud
     cloud = grid1d(0.0, 1.0, 201)
     orbits = _identity_orbits(cloud)
-    g = build_relation(LINE, orbits, 1, 0.1, "two_sided")
-    assert min_spanning(g, exact_threshold=0).cardinality == 201
+    res, _ = _counts(LINE, orbits, 1, 0.1, "two_sided", 0)
+    assert res.cardinality == 201
 
 
 def test_one_sided_separated_101_grid():
     # points pairwise farther than 0.4 in both directions on [0, 1]: exactly 3
     cloud = grid1d(0.0, 1.0, 101)
     orbits = _identity_orbits(cloud)
-    g = build_relation(LINE, orbits, 1, 0.4, "one_sided")
-    res = max_separated(g, exact_threshold=g.size)
-    assert res.cardinality == oracles.interval_max_separated(g.cover) == 3
-    assert is_separated_set(g.cover, res.witness)
+    _, res = _counts(LINE, orbits, 1, 0.4, "one_sided", len(cloud))
+    cover = oracles.relation(LINE, orbits, 1, 0.4, "one_sided")
+    assert res.cardinality == oracles.interval_max_separated(cover) == 3
+    assert is_separated_set(cover, res.witness)
 
 
 # --- count grids -------------------------------------------------------------
@@ -217,13 +218,11 @@ def doubling_grid():
 
 def test_count_grid_single_cell_matches_direct_solvers(doubling_grid):
     cloud, orbits, grid = doubling_grid
-    g_and = build_relation(ARC, orbits, 2, 0.25, "two_sided")
-    g_or = build_relation(ARC, orbits, 2, 0.25, "one_sided")
     cell = grid.cell(2, 0.25)
-    assert cell.r1.cardinality == min_spanning(g_and).cardinality
-    assert cell.s1.cardinality == max_separated(g_and).cardinality
-    assert cell.r2.cardinality == min_spanning(g_or).cardinality
-    assert cell.s2.cardinality == max_separated(g_or).cardinality
+    for variant, (r, s) in QUANTITY_PAIRS.items():
+        cover = oracles.relation(ARC, orbits, 2, 0.25, variant)
+        assert cell.get(r).cardinality == len(exact_cover(cover)[0])
+        assert cell.get(s).cardinality == len(exact_separated(cover)[0])
 
 
 def test_count_grid_monotone_without_diagnostics(doubling_grid):
@@ -258,6 +257,8 @@ def test_count_grid_validates_schedules():
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1, 2], [])
     with pytest.raises(ValueError):
+        count_grid(ARC, orbits, [1], [0.0])  # eps not above 0
+    with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1, 3], [0.5])  # beyond n_max
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1], [0.5], variants=("sideways",))
@@ -288,10 +289,9 @@ def _random_system(seed):
 def test_sandwich_battery_random_instances(seed):
     spec, orbits, cloud, n, eps = _random_system(seed)
 
-    def solve(variant, scale):
-        g = build_relation(spec, orbits, n, scale, variant)
-        return (min_spanning(g, exact_threshold=g.size).cardinality,
-                max_separated(g, exact_threshold=g.size).cardinality)
+    def solve(variant, scale, rule=spec):
+        r, s = _counts(rule, orbits, n, scale, variant, len(cloud))
+        return r.cardinality, s.cardinality
 
     r1, s1 = solve("two_sided", eps)
     r1_half, _ = solve("two_sided", eps / 2.0)
@@ -302,14 +302,13 @@ def test_sandwich_battery_random_instances(seed):
     assert r2 <= r1 and s2 <= s1
 
     from qme import symmetrize_mean, symmetrize_max
-    g_de = build_relation(symmetrize_mean(spec), orbits, n, eps, "two_sided")
-    r_de = min_spanning(g_de, exact_threshold=g_de.size).cardinality
+    r_de, _ = solve("two_sided", eps, rule=symmetrize_mean(spec))
     r1_double, _ = solve("two_sided", 2.0 * eps)
     assert r1_double <= r_de <= r1
 
-    g_me = build_relation(symmetrize_max(spec), orbits, n, eps, "two_sided")
-    g_e = build_relation(spec, orbits, n, eps, "two_sided")
-    assert np.array_equal(g_me.cover, g_e.cover)
+    cover_me = oracles.relation(symmetrize_max(spec), orbits, n, eps, "two_sided")
+    cover_e = oracles.relation(spec, orbits, n, eps, "two_sided")
+    assert np.array_equal(cover_me, cover_e)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -317,9 +316,9 @@ def test_scaling_rescales_cells(seed):
     spec, orbits, cloud, n, eps = _random_system(seed + 500)
     doubled = scaled(spec, 2.0)
     for variant in ("two_sided", "one_sided"):
-        g_scaled = build_relation(doubled, orbits, n, eps, variant)
-        g_matched = build_relation(spec, orbits, n, eps / 2.0, variant)
-        assert np.array_equal(g_scaled.cover, g_matched.cover)
+        cover_scaled = oracles.relation(doubled, orbits, n, eps, variant)
+        cover_matched = oracles.relation(spec, orbits, n, eps / 2.0, variant)
+        assert np.array_equal(cover_scaled, cover_matched)
 
 
 def test_sandwich_battery_asymmetric_blocks():
@@ -334,12 +333,10 @@ def test_sandwich_battery_asymmetric_blocks():
         for eps in (0.5, 0.25):
             counts = {}
             for variant in ("two_sided", "one_sided"):
-                g = build_relation(spec, orbits, n, eps, variant)
-                gh = build_relation(spec, orbits, n, eps / 2.0, variant)
-                r = min_spanning(g, exact_threshold=g.size).cardinality
-                s = max_separated(g, exact_threshold=g.size).cardinality
-                r_half = min_spanning(gh, exact_threshold=gh.size).cardinality
-                assert r <= s <= r_half
+                r, s = (c.cardinality for c in
+                        _counts(spec, orbits, n, eps, variant, len(cloud)))
+                r_half, _ = _counts(spec, orbits, n, eps / 2.0, variant, len(cloud))
+                assert r <= s <= r_half.cardinality
                 counts[variant] = (r, s)
             assert counts["one_sided"][0] <= counts["two_sided"][0]
             assert counts["one_sided"][1] <= counts["two_sided"][1]

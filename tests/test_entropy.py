@@ -18,7 +18,8 @@ from qme import (
     power_rule_check,
     symbol_blocks,
 )
-from qme.entropy import estimate_from_grid
+import qme.entropy
+from qme.entropy import estimate_from_grid, variant_grids
 
 ARC = QuasiMetricSpec(kind="circle_arc")
 LINE = QuasiMetricSpec(kind="asym_line")
@@ -85,6 +86,27 @@ def test_max_metric_estimate_identical_to_two_sided():
     assert [(p.eps, p.slope, p.residual) for p in a.per_epsilon_slopes] == \
         [(p.eps, p.slope, p.residual) for p in b.per_epsilon_slopes]
     assert a.counts == b.counts
+
+
+@pytest.mark.parametrize("n_list", [[3, 1], [0, 1]], ids=["descending", "n_zero"])
+def test_max_metric_only_schedule_checked_before_identity(monkeypatch, n_list):
+    # the relation identity check trusts its schedule; the two_sided grid
+    # that max_metric solves first must reject a bad one
+    def unreachable(*args):
+        raise AssertionError("identity check ran on an unchecked schedule")
+
+    monkeypatch.setattr(qme.entropy, "_relations_identical", unreachable)
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
+    with pytest.raises(ValueError):
+        variant_grids(ARC, orbits, ("max_metric",), n_list, [0.5])
+
+
+def test_max_metric_identity_checked_on_the_grid_schedule():
+    # float orbit lengths are valid count_grid input; the identity check
+    # takes the schedule count_grid normalized
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
+    grids, identical = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
+    assert identical and grids["max_metric"].n_list == [1, 3]
 
 
 def test_doubling_quick_estimate_near_log2():

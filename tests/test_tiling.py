@@ -20,7 +20,7 @@ from qme import (
     pairwise,
     symbol_blocks,
 )
-from qme.covering import _covers, bowen_stream
+from qme.covering import _bowen_stream, _covers
 from qme.dynamics import OrbitTable
 
 import oracles
@@ -77,7 +77,7 @@ def test_bowen_stream_and_covers_match_full_matrix(kind):
         spec, cloud = _case(kind, size, rng)
         orbits = _permutation_orbits(cloud, rng)
         for n_list in SCHEDULES:
-            for n, dist in bowen_stream(spec, orbits, n_list):
+            for n, dist in _bowen_stream(spec, orbits, n_list):
                 assert _same_bits(dist, oracles.naive_bowen(spec, orbits, n)), (size, n)
                 for variant, op in OPS.items():
                     ref = oracles.naive_symmetrized(dist, variant)

@@ -17,7 +17,10 @@ Runs:
 - ``asym`` and ``tiles``: the asymmetric and multi-tile configurations of
   ``tests/test_golden.py``, with the commands its golden cases run;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
-  workload, with the command lines ``perfbench/workloads.py`` builds for them.
+  workload, with the command lines ``perfbench/workloads.py`` builds for them;
+- ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
+  ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
+  configuration errors, exit code 3).
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
 
 import test_golden  # noqa: E402  (golden configurations)
 import workloads  # noqa: E402  (perfbench input generator)
+import yaml  # noqa: E402
 from qme.config import EXAMPLE_CONFIG  # noqa: E402
 
 COMMANDS = ("validate", "counts", "entropy", "compare", "power")
@@ -49,13 +53,31 @@ def run_cli(argv: list, case_dir: str) -> None:
         fh.write(f"{proc.returncode}\n")
 
 
-def capture_config(text: str, commands, dest: str, scratch: str) -> None:
-    config = os.path.join(scratch, os.path.basename(dest) + ".yaml")
+def write_config(text: str, name: str, scratch: str) -> str:
+    config = os.path.join(scratch, name + ".yaml")
     with open(config, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return config
+
+
+def capture_config(text: str, commands, dest: str, scratch: str) -> None:
+    config = write_config(text, os.path.basename(dest), scratch)
     for command in commands:
         case_dir = os.path.join(dest, command)
         run_cli([command, "--config", config, "--out", case_dir], case_dir)
+
+
+def capture_errors(dest: str, scratch: str) -> None:
+    """Help text and the exit codes of rejected inputs."""
+    doc = yaml.safe_load(EXAMPLE_CONFIG)
+    doc["validate"]["triple_budget"] = 0
+    example = write_config(EXAMPLE_CONFIG, "errors_example", scratch)
+    no_budget = write_config(yaml.safe_dump(doc), "errors_no_budget", scratch)
+    run_cli(["--help"], os.path.join(dest, "help"))
+    case_dir = os.path.join(dest, "power_m_0")
+    run_cli(["power", "--config", example, "-m", "0", "--out", case_dir], case_dir)
+    case_dir = os.path.join(dest, "triple_budget_0")
+    run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir)
 
 
 def main(argv=None) -> int:
@@ -79,6 +101,7 @@ def main(argv=None) -> int:
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
                 case_dir = os.path.join(out_root, workload, instance["name"])
                 run_cli(workloads.cli_argv(instance, case_dir), case_dir)
+        capture_errors(os.path.join(out_root, "errors"), scratch)
     return 0
 
 
