@@ -86,17 +86,17 @@ def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarra
     return next(_bowen_stream(spec, orbits, [n]))[1]
 
 
-def _covers(dist: np.ndarray, variant: str, eps_list: Sequence) -> Iterator:
+def _covers(dist: np.ndarray, variant: str, eps_list: Sequence,
+            cover: np.ndarray) -> Iterator:
     """Yield the cover relation of one variant at each eps from one
     symmetrized D_n, built block by block against its transpose. The cover
-    is one bool buffer, overwritten at the next eps."""
+    is the caller's bool buffer, overwritten at the next eps."""
     if variant == "two_sided":
         sym = with_transpose(np.maximum, dist)
     elif variant == "one_sided":
         sym = with_transpose(np.minimum, dist)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    cover = np.empty(sym.shape, dtype=bool)
     for eps in eps_list:
         yield np.less_equal(sym, eps, out=cover)
 
@@ -105,14 +105,33 @@ def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
                          orbits: OrbitTable, n_list: Sequence,
                          eps_list: Sequence) -> bool:
     """Whether two distance rules give the same two_sided relation at every
-    (n, eps) cell of a schedule that ``count_grid`` has validated. Each rule
-    runs its own Bowen stream."""
-    streams = zip(_bowen_stream(spec_a, orbits, n_list),
-                  _bowen_stream(spec_b, orbits, n_list))
-    for (_, dist_a), (_, dist_b) in streams:
-        pairs = zip(_covers(dist_a, "two_sided", eps_list),
-                    _covers(dist_b, "two_sided", eps_list))
-        if not all(np.array_equal(a, b) for a, b in pairs):
+    (n, eps) cell of a schedule that ``count_grid`` has validated.
+
+    An entry's cover bits at every eps are fixed by its bin, the number of
+    eps values below max(D_n, D_n^T) there. Binning is monotone, so the bin
+    of a Bowen max is the max of the per-step bins of max(e, e^T). Each rule
+    therefore keeps one small-integer bin matrix, grown from one step's
+    pairwise matrix at a time, and no D_n, symmetrized matrix or cover is
+    built."""
+    edges = np.sort(np.asarray(eps_list, dtype=float))
+    size = orbits.images.shape[0]
+    step = np.empty((size, size))
+    bins = np.zeros((2, size, size), dtype=np.min_scalar_type(len(edges)))
+
+    def max_bin(block, block_t, out):
+        np.maximum(out, np.searchsorted(edges, np.maximum(block, block_t)),
+                   out=out, casting="unsafe")
+
+    done = 0
+    for n in n_list:
+        for i in range(done, n):
+            pts = orbits.iterate_points(i)
+            for k, spec in enumerate((spec_a, spec_b)):
+                for rows in row_tiles(size):
+                    step[rows] = pairwise(spec, pts[rows], pts)
+                with_transpose(max_bin, step, out=bins[k])
+        done = n
+        if not np.array_equal(bins[0], bins[1]):
             return False
     return True
 
@@ -445,17 +464,19 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
     cells = {}
+    size = orbits.images.shape[0]
+    cover = np.empty((size, size), dtype=bool)
     for n, dist in _bowen_stream(spec, orbits, n_list):
         parts = {eps: {} for eps in eps_list}
         for variant in variants:
             r, s = QUANTITY_PAIRS[variant]
-            for eps, cover in zip(eps_list, _covers(dist, variant, eps_list)):
+            for eps, _ in zip(eps_list, _covers(dist, variant, eps_list, cover)):
                 parts[eps][r] = _solve(cover, False, exact_threshold)
                 parts[eps][s] = _solve(cover, True, exact_threshold)
         for eps in eps_list:
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 
-    grid = CountGrid(cloud_size=orbits.images.shape[0], n_list=n_list,
+    grid = CountGrid(cloud_size=size, n_list=n_list,
                      eps_list=eps_list, variants=tuple(variants), cells=cells)
     grid.diagnostics.extend(_monotonicity_diagnostics(grid))
     return grid

@@ -239,31 +239,43 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
 
     ``nearest`` mode needs the run's distance rule to measure snap distances;
     it keeps every orbit on the cloud, for rules (matrix-backed) or maps that
-    do not close over arbitrary coordinates. It snaps in row tiles, so only a
-    tile of snap distances is alive at a time.
+    do not close over arbitrary coordinates. It snaps once per table: the
+    map's image of every cloud point is snapped in one pass of row tiles, so
+    only a tile of snap distances is alive at a time, and the snapped map is
+    then an index map of the cloud that later steps follow by lookup. The map
+    acts on each point alone, so T(pts[idx]) is T(pts)[idx] bit for bit and
+    the table equals snapping every step's images afresh.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if snap_mode not in ("exact", "nearest"):
         raise ValueError(f"unknown snap mode {snap_mode!r}")
+    if snap_mode == "nearest" and qspec is None:
+        raise ValueError("nearest snapping needs a quasi-metric spec")
     pts = cloud.points
     n_pts, dim = pts.shape
     images = np.empty((n_pts, n_max, dim))
     images[:, 0, :] = pts
     snap_err = 0.0
-    if snap_mode == "nearest" and qspec is None:
-        raise ValueError("nearest snapping needs a quasi-metric spec")
-    sym = symmetrize_max(qspec) if snap_mode == "nearest" else None
-    for i in range(1, n_max):
-        raw = map_spec.apply(images[:, i - 1, :])
-        if snap_mode == "exact":
-            images[:, i, :] = raw
-        else:
-            for rows in row_tiles(n_pts):
-                dist = pairwise(sym, raw[rows], pts)
-                nearest = np.argmin(dist, axis=1)  # argmin takes the lowest id on ties
-                err = dist[np.arange(dist.shape[0]), nearest]
-                snap_err = max(snap_err, float(err.max()))
-                images[rows, i, :] = pts[nearest]
+    if snap_mode == "exact":
+        for i in range(1, n_max):
+            images[:, i, :] = map_spec.apply(images[:, i - 1, :])
+    elif n_max > 1:
+        # step[j]: id of the cloud point nearest to T(pts[j]), ties to the
+        # lowest id (argmin); err[j]: that snap distance
+        sym = symmetrize_max(qspec)
+        raw = map_spec.apply(pts)
+        step = np.empty(n_pts, dtype=np.intp)
+        err = np.empty(n_pts)
+        for rows in row_tiles(n_pts):
+            dist = pairwise(sym, raw[rows], pts)
+            step[rows] = np.argmin(dist, axis=1)
+            err[rows] = dist[np.arange(dist.shape[0]), step[rows]]
+        # step 1 snaps every cloud point; later steps snap a subset of them
+        snap_err = float(err.max())
+        idx = np.arange(n_pts)
+        for i in range(1, n_max):
+            idx = step[idx]
+            images[:, i, :] = pts[idx]
     images.setflags(write=False)
     return OrbitTable(images=images, snap_mode=snap_mode, snap_error=snap_err)

@@ -184,12 +184,14 @@ def row_tiles(n: int) -> list:
     return [slice(r, r + ROW_TILE) for r in range(0, n, ROW_TILE)]
 
 
-def with_transpose(op, D: np.ndarray) -> np.ndarray:
+def with_transpose(op, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """op(D, D^T) for a square matrix, computed block by block so the
-    transposed read stays in cache. Each entry gets the same elementwise op
-    on the same operands as ``op(D, D.T)``, so the values are identical."""
+    transposed read stays in cache, into ``out`` when given (op gets each
+    block of it as ``out=``). Each entry gets the same elementwise op on the
+    same operands as ``op(D, D.T)``, so the values are identical."""
     n = D.shape[0]
-    out = np.empty_like(D)
+    if out is None:
+        out = np.empty_like(D)
     b = TRANSPOSE_BLOCK
     for i in range(0, n, b):
         for j in range(0, n, b):

@@ -4,6 +4,8 @@ Counts come from ``count_grid``; a test that needs a cover matrix takes the
 untiled reference ``oracles.relation`` (bit-identical to the pipeline's covers,
 see test_tiling.py) and calls the solvers on it directly.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from qme import (
     grid1d,
     index_cloud,
     scaled,
+    symmetrize_max,
 )
 from qme.covering import (
     QUANTITIES,
     QUANTITY_PAIRS,
+    _relations_identical,
     exact_cover,
     exact_separated,
     greedy_cover,
@@ -340,3 +344,26 @@ def test_sandwich_battery_asymmetric_blocks():
                 counts[variant] = (r, s)
             assert counts["one_sided"][0] <= counts["two_sided"][0]
             assert counts["one_sided"][1] <= counts["two_sided"][1]
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_check_peak_within_count_grid_peak():
+    # max_metric's identity check runs next to the two_sided count grid; it
+    # keeps one step matrix and two small-integer bin matrices, where the
+    # grid keeps D_n, its symmetrization and a cover
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(1024), 5)
+    n_list, eps_list = [2, 3, 4, 5], [0.125, 0.0625, 0.03125]
+    grid_peak = _traced_peak(lambda: count_grid(
+        ARC, orbits, n_list, eps_list, exact_threshold=0, variants=("two_sided",)))
+    check_peak = _traced_peak(lambda: _relations_identical(
+        ARC, symmetrize_max(ARC), orbits, n_list, eps_list))
+    assert check_peak <= grid_peak

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import qme.dynamics
+
 from qme import (
     MapSpec,
     QuasiMetricSpec,
@@ -11,6 +13,7 @@ from qme import (
     custom_cloud,
     grid1d,
     iterate_map,
+    pairwise,
     symbol_blocks,
 )
 from qme.dynamics import DYADIC_QUANTUM, PointCloud
@@ -199,3 +202,34 @@ def test_nearest_snap_keeps_orbit_on_cloud():
         assert set(float(v) for v in orbits.iterate_points(i)[:, 0]) <= coords
     # snapping error is at most half the grid spacing for an interval map
     assert 0.0 < orbits.snap_error <= 0.5 / 32 + 1e-12
+
+
+def test_nearest_snap_measures_one_square_per_table(monkeypatch):
+    # perfbench reports these entries as dynamics.snap_entries: one N x N
+    # snap pass per orbit table, whatever its length; none for n_max = 1
+    entries = []
+
+    def counting(spec, a, b):
+        out = pairwise(spec, a, b)
+        entries.append(out.size)
+        return out
+
+    monkeypatch.setattr(qme.dynamics, "pairwise", counting)
+    cloud = grid1d(0.0, 1.0, 300)  # two 256-row tiles
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    for n_max in range(1, 9):
+        entries.clear()
+        build_orbits(MapSpec(kind="logistic", r=4.0), cloud, n_max,
+                     snap_mode="nearest", qspec=spec)
+        assert sum(entries) == (len(cloud) ** 2 if n_max >= 2 else 0), n_max
+
+
+def test_nearest_snap_single_step_never_applies_map():
+    cloud = grid1d(-2.0, 2.0, 9)  # outside the logistic map's domain
+    logistic = MapSpec(kind="logistic", r=4.0)
+    euc = QuasiMetricSpec(kind="euclidean")
+    orbits = build_orbits(logistic, cloud, 1, snap_mode="nearest", qspec=euc)
+    assert np.array_equal(orbits.iterate_points(0), cloud.points)
+    assert orbits.snap_error == 0.0
+    with pytest.raises(ValueError, match="outside"):
+        build_orbits(logistic, cloud, 2, snap_mode="nearest", qspec=euc)

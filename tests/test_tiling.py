@@ -6,6 +6,7 @@ exactly one tile, and multiples of a tile plus or minus one.
 """
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qme.quasimetric as qm
 from qme import (
@@ -18,9 +19,12 @@ from qme import (
     grid1d,
     index_cloud,
     pairwise,
+    scaled,
     symbol_blocks,
+    symmetrize_max,
+    symmetrize_mean,
 )
-from qme.covering import _bowen_stream, _covers
+from qme.covering import _bowen_stream, _covers, _relations_identical
 from qme.dynamics import OrbitTable
 
 import oracles
@@ -82,7 +86,7 @@ def test_bowen_stream_and_covers_match_full_matrix(kind):
                 for variant, op in OPS.items():
                     ref = oracles.naive_symmetrized(dist, variant)
                     assert _same_bits(qm.with_transpose(op, dist), ref), (size, n)
-                    covers = _covers(dist, variant, EPS)
+                    covers = _covers(dist, variant, EPS, np.empty(dist.shape, dtype=bool))
                     for eps, cover in zip(EPS, covers):
                         assert np.array_equal(cover, ref <= eps), (size, n, eps)
 
@@ -132,3 +136,83 @@ def test_nearest_snap_tie_across_tile_boundary_keeps_lowest_id():
     assert orbits.snap_error == 0.125
     images, err = oracles.naive_snap(shift, cloud, 3, spec)
     assert _same_bits(orbits.images, images) and err == orbits.snap_error
+
+
+# nearest snapping: rules and maps of the property test below; the
+# one-dimensional maps need one-dimensional clouds, so 2-D euclidean clouds
+# go with shift_left
+SNAP_RULES = {
+    "weighted_asym": QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0),
+    "asym_line": QuasiMetricSpec(kind="asym_line"),
+    "circle_arc": QuasiMetricSpec(kind="circle_arc"),
+    "euclidean_2d": QuasiMetricSpec(kind="euclidean"),
+}
+SNAP_MAPS = {
+    "tent": MapSpec(kind="tent"),
+    "logistic": MapSpec(kind="logistic", r=4.0),
+    "doubling": MapSpec(kind="doubling"),
+    "shift_left": MapSpec(kind="shift_left"),
+}
+
+
+@st.composite
+def snap_cases(draw):
+    """(rule, map, cloud, n_max): up to 20 distinct points of the 1/64
+    lattice of [0, 1] (of [0, 1]^2 for euclidean_2d), in drawn order."""
+    rule = draw(st.sampled_from(sorted(SNAP_RULES)))
+    if rule == "euclidean_2d":
+        map_kind = "shift_left"
+        coord = st.tuples(st.integers(0, 64), st.integers(0, 64))
+    else:
+        map_kind = draw(st.sampled_from(sorted(SNAP_MAPS)))
+        coord = st.integers(0, 64).map(lambda k: (k,))
+    ks = draw(st.lists(coord, min_size=1, max_size=20, unique=True))
+    ks = draw(st.permutations(ks))
+    cloud = custom_cloud(np.array(ks, dtype=float) / 64.0)
+    return rule, map_kind, cloud, draw(st.integers(1, 8))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(snap_cases())
+def test_nearest_snap_matches_stepwise_snapping(case):
+    rule, map_kind, cloud, n_max = case
+    spec, map_spec = SNAP_RULES[rule], SNAP_MAPS[map_kind]
+    orbits = build_orbits(map_spec, cloud, n_max, snap_mode="nearest", qspec=spec)
+    images, err = oracles.naive_snap(map_spec, cloud, n_max, spec)
+    assert _same_bits(orbits.images, images)
+    assert orbits.snap_error == err
+
+
+def test_nearest_snap_index_map_reaches_cycle_and_fixed_points():
+    # doubling sends 2/3 to 4/3 - 1, an ulp below 1/3, and 1/3 to 2/3, so the
+    # snapped map has the 2-cycle 2/3 <-> 1/3; 0 is fixed, and 0.9 goes to
+    # 0.8, which snaps back to 0.9
+    cloud = custom_cloud([[2.0 / 3.0], [0.0], [0.9], [1.0 / 3.0]])
+    spec = QuasiMetricSpec(kind="circle_arc")
+    doubling = MapSpec(kind="doubling")
+    orbits = build_orbits(doubling, cloud, 7, snap_mode="nearest", qspec=spec)
+    walk = orbits.images[:, :, 0]
+    assert np.array_equal(walk[0], [2.0 / 3.0, 1.0 / 3.0] * 3 + [2.0 / 3.0])
+    assert np.all(walk[1] == 0.0) and np.all(walk[2] == 0.9)
+    images, err = oracles.naive_snap(doubling, cloud, 7, spec)
+    assert _same_bits(orbits.images, images) and orbits.snap_error == err
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_relations_identical_matches_full_covers(kind):
+    rng = np.random.default_rng(5)
+    seen = set()
+    for size in SIZES:
+        spec, cloud = _case(kind, size, rng)
+        orbits = _permutation_orbits(cloud, rng)
+        for other in (symmetrize_max(spec), symmetrize_mean(spec), scaled(spec, 1.5)):
+            for n_list in SCHEDULES:
+                expected = all(np.array_equal(
+                    oracles.relation(spec, orbits, n, eps, "two_sided"),
+                    oracles.relation(other, orbits, n, eps, "two_sided"))
+                    for n in n_list for eps in EPS)
+                got = _relations_identical(spec, other, orbits, n_list, EPS)
+                assert got == expected, (size, other.kind, n_list)
+                seen.add(got)
+    assert seen == {True, False}

@@ -16,6 +16,11 @@ Runs:
 - ``example``: all five commands on ``qme.config.EXAMPLE_CONFIG``;
 - ``asym`` and ``tiles``: the asymmetric and multi-tile configurations of
   ``tests/test_golden.py``, with the commands its golden cases run;
+- ``snap_ties``: ``counts`` and ``power`` on a shuffled 300-point custom
+  cloud under ``asym_line`` with the tent map and nearest snapping. Every
+  pair of distinct points is at max-symmetrized distance 1 there, so an
+  image that is not a cloud point ties with every point and snaps to the
+  lowest id, the first row of the CSV;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
@@ -34,11 +39,21 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
 
 import test_golden  # noqa: E402  (golden configurations)
 import workloads  # noqa: E402  (perfbench input generator)
+import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 from qme.config import EXAMPLE_CONFIG  # noqa: E402
 
 COMMANDS = ("validate", "counts", "entropy", "compare", "power")
 WORKLOAD_SEED = 1
+
+SNAP_TIES_CONFIG = """\
+map: {kind: tent}
+cloud: {kind: custom, path: snap_ties.csv}
+qmetric: {kind: asym_line}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [1.0, 0.5, 0.25, 0.125]}
+orbits: {snap_mode: nearest}
+output: {format: both}
+"""
 
 
 def run_cli(argv: list, case_dir: str) -> None:
@@ -65,6 +80,16 @@ def capture_config(text: str, commands, dest: str, scratch: str) -> None:
     for command in commands:
         case_dir = os.path.join(dest, command)
         run_cli([command, "--config", config, "--out", case_dir], case_dir)
+
+
+def capture_snap_ties(dest: str, scratch: str) -> None:
+    """Nearest snapping decided by lowest-id ties on a cloud whose ids are
+    not in coordinate order."""
+    rng = np.random.default_rng(7)
+    pts = rng.choice(1025, size=300, replace=False) / 1024.0  # in random order
+    with open(os.path.join(scratch, "snap_ties.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{float(x)!r}\n" for x in pts)
+    capture_config(SNAP_TIES_CONFIG, ("counts", "power"), dest, scratch)
 
 
 def capture_errors(dest: str, scratch: str) -> None:
@@ -96,6 +121,7 @@ def main(argv=None) -> int:
                        os.path.join(out_root, "example"), scratch)
         for (subdir, config), commands in golden.items():
             capture_config(config, commands, os.path.join(out_root, subdir), scratch)
+        capture_snap_ties(os.path.join(out_root, "snap_ties"), scratch)
         for workload in workloads.GENERATORS:
             inputs = os.path.join(scratch, workload)
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
