@@ -21,7 +21,10 @@ require a symmetric cover, as built here, and read its rows.
 Both problems get a deterministic greedy solver and an exact branch-and-bound
 solver (bitset based). Greedy covers never undershoot the optimum and greedy
 separated sets never overshoot it; the exact solver is the oracle for both.
-All tie-breaking is by lowest point id, so results are reproducible.
+The exact cover search stops once its incumbent meets a certified floor: the
+packing bound, or, where greedy exceeds that, the ceiling of a packing-LP dual
+solved by a small numpy simplex and checked in integer arithmetic. All
+tie-breaking is by lowest point id, so results are reproducible.
 """
 from __future__ import annotations
 
@@ -179,30 +182,91 @@ def _column_masks(cover: np.ndarray) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+# Pivots the packing simplex may take per cell. Every basic solution is
+# feasible, so a cell that runs out still gets a valid (weaker) floor.
+LP_PIVOT_BUDGET = 512
+_LP_TOL = 1e-9
+# The certified dual is summed in integers on the 2^-30 lattice.
+_DUAL_SCALE = 1 << 30
+
+
+def _packing_lp(cover: np.ndarray) -> np.ndarray:
+    """A basic feasible solution of the fractional packing LP: maximise sum(y)
+    subject to y >= 0 and, for every ball y' (column of the cover), the load
+    sum_x cover[x, y'] y[x] <= 1. It is the dual of the dominating-set
+    relaxation, so sum(y) bounds every cover from below.
+
+    Dense primal simplex with Bland's rule (lowest-index entering column,
+    ratio ties to the lowest-index basic variable), started at the feasible
+    origin (b = 1, no phase 1) and cut after LP_PIVOT_BUDGET pivots."""
+    n = cover.shape[0]
+    tab = np.zeros((n + 1, 2 * n + 1))
+    tab[:n, :n] = cover.T
+    tab[:n, n:2 * n] = np.eye(n)
+    tab[:n, -1] = 1.0
+    tab[n, :n] = -1.0  # reduced costs of the objective row
+    basis = np.arange(n, 2 * n)
+    for _ in range(LP_PIVOT_BUDGET):
+        entering = np.flatnonzero(tab[n, :-1] < -_LP_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(tab[:n, j] > _LP_TOL)
+        if rows.size == 0:  # unbounded only through rounding: y <= 1 holds
+            break
+        ratios = tab[rows, -1] / tab[rows, j]
+        ties = rows[ratios <= ratios.min() + _LP_TOL]
+        r = ties[np.argmin(basis[ties])]
+        tab[r] /= tab[r, j]
+        pivot_col = tab[:, j].copy()
+        pivot_col[r] = 0.0
+        tab -= np.outer(pivot_col, tab[r])
+        basis[r] = j
+    y = np.zeros(n)
+    structural = basis < n
+    y[basis[structural]] = tab[:n, -1][structural]
+    return y
+
+
+def _certified_floor(cover: np.ndarray, y: np.ndarray) -> int:
+    """A lower bound on every cover's size from any candidate dual y, proved
+    in integers: y is clipped at 0, floored to the 2^-30 lattice (after
+    scaling to entries <= 1, which keeps int64 products exact) and divided,
+    rounding down, by its largest ball load when that exceeds 1. Every load
+    is then <= 1 exactly, and every point lies in a ball of any cover, so
+    sum(y) <= sum of the cover's ball loads <= its size: ceil(sum(y)) is
+    returned."""
+    y = np.where(np.isfinite(y) & (y > 0), y, 0.0)
+    y = y / max(1.0, float(y.max()))
+    yi = np.floor(y * _DUAL_SCALE).astype(np.int64)
+    load = int((yi @ cover.astype(np.int64)).max())
+    if load > _DUAL_SCALE:
+        yi = yi * _DUAL_SCALE // load
+    return -(-int(yi.sum()) // _DUAL_SCALE)
+
+
 def exact_cover(cover: np.ndarray) -> tuple:
     """Minimum dominating set of the cover graph.
 
     Branch and bound: a greedy solution provides the upper bound; a packing of
     points no two of which share a candidate coverer provides the lower bound.
     Branching fixes the uncovered point with the fewest candidate coverers and
-    tries its coverers in order of decreasing fresh coverage.
+    tries its coverers in order of decreasing fresh coverage; the incumbent
+    changes only on strict improvement.
 
-    Returns (sorted point ids, nodes explored).
+    The search stops as soon as the incumbent reaches a certified floor: the
+    root packing bound, raised, when greedy exceeds it, by the certified
+    packing-LP dual (``_packing_lp``, ``_certified_floor``). A valid floor only
+    cuts the search after the first optimum it would keep, so the result is
+    the unfloored search's.
+
+    Returns (sorted point ids, nodes explored, root included).
     """
     n = cover.shape[0]
     full = (1 << n) - 1
     covmask = _column_masks(cover)  # also the coverers of each point
-
-    # union of coverage reachable through any coverer of x, for the lower bound
-    blocked = []
-    for x in range(n):
-        acc = 0
-        m = covmask[x]
-        while m:
-            y = (m & -m).bit_length() - 1
-            acc |= covmask[y]
-            m &= m - 1
-        blocked.append(acc)
+    # points sharing a coverer with x (two hops), for the lower bound
+    blocked = _column_masks((cover.astype(np.int32) @ cover) > 0)
 
     best = greedy_cover(cover)
     best_len = len(best)
@@ -215,6 +279,12 @@ def exact_cover(cover: np.ndarray) -> tuple:
             lb += 1
             rem &= ~blocked[x]
         return lb
+
+    floor = lower_bound(full)
+    if best_len > floor:
+        floor = max(floor, _certified_floor(cover, _packing_lp(cover)))
+    if best_len <= floor:
+        return sorted(best), 1
 
     nodes = 0
     chosen: list = []
@@ -252,6 +322,8 @@ def exact_cover(cover: np.ndarray) -> tuple:
             chosen.append(y)
             descend(covered | covmask[y])
             chosen.pop()
+            if best_len <= floor:
+                return
 
     descend(0)
     return sorted(best), nodes
@@ -329,7 +401,7 @@ class CountResult:
     witness: tuple
     method: str  # exact_bnb | greedy
     optimal: bool
-    nodes: int = 0
+    nodes: int = 0  # branch-and-bound nodes explored, root included; 0 for greedy
 
 
 def _solve(cover: np.ndarray, separated: bool, exact_threshold: int) -> CountResult:

@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qme import (
     MapSpec,
@@ -21,9 +22,12 @@ from qme import (
     scaled,
     symmetrize_max,
 )
+from qme import covering
 from qme.covering import (
     QUANTITIES,
     QUANTITY_PAIRS,
+    _certified_floor,
+    _packing_lp,
     _relations_identical,
     exact_cover,
     exact_separated,
@@ -171,6 +175,118 @@ def test_solver_modes_and_flags():
     assert forced.method == "greedy" and not forced.optimal
     small, _ = _counts(*case, exact_threshold=2)
     assert small.method == "greedy"
+
+
+# --- certified LP-dual floor -------------------------------------------------
+
+def _cover_from_edges(n, edges):
+    cover = np.eye(n, dtype=bool)
+    for i, j in edges:
+        cover[i, j] = cover[j, i] = True
+    return cover
+
+
+@st.composite
+def graphs(draw):
+    """Symmetric reflexive bool covers on 1..16 points."""
+    n = draw(st.integers(1, 16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return _cover_from_edges(n, edges)
+
+
+def _packing_bound(cover):
+    """Size of the lowest-id greedy set of points no two of which share a
+    coverer: the branch and bound's root lower bound."""
+    chosen = []
+    for x in range(cover.shape[0]):
+        if not any((cover[x] & cover[y]).any() for y in chosen):
+            chosen.append(x)
+    return len(chosen)
+
+
+def _exact_cover_with_budget(cover, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "LP_PIVOT_BUDGET", budget)
+        return exact_cover(cover)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_certified_floor_sound_and_exact_cover_optimal(cover):
+    opt = oracles.brute_min_cover(cover)
+    assert _certified_floor(cover, _packing_lp(cover)) <= opt
+    ids, nodes = exact_cover(cover)
+    assert len(ids) == opt and nodes >= 1
+    assert is_valid_cover(cover, ids)
+    # the floor only stops the search early: packing bound alone, same witness
+    assert _exact_cover_with_budget(cover, 0)[0] == ids
+
+
+# 16 points where the packing bound (4) < certified floor = optimum (6) <
+# greedy (7): without the LP the search must prove 6 optimal by exhaustion
+REGRESSION_EDGES = [(0, 1), (0, 5), (0, 8), (0, 10), (1, 11), (2, 8), (3, 8),
+                    (3, 12), (4, 10), (4, 14), (5, 10), (6, 10), (6, 13), (7, 15),
+                    (9, 12), (10, 14), (10, 15), (11, 14), (12, 15), (13, 14)]
+
+
+def _floor_cases():
+    """The regression graph and ten weighted_asym relations."""
+    return ([_cover_from_edges(16, REGRESSION_EDGES)]
+            + [_random_relation(seed) for seed in range(10)])
+
+
+def test_lp_floor_closes_gap_between_packing_and_greedy():
+    cover = _cover_from_edges(16, REGRESSION_EDGES)
+    floor = _certified_floor(cover, _packing_lp(cover))
+    assert _packing_bound(cover) == 4
+    assert floor == oracles.brute_min_cover(cover) == 6
+    assert len(greedy_cover(cover)) == 7
+    ids, nodes = exact_cover(cover)
+    ids_unfloored, nodes_unfloored = _exact_cover_with_budget(cover, 0)
+    assert ids == ids_unfloored and len(ids) == 6
+    assert 10 * nodes <= nodes_unfloored
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_exhausted_pivot_budget_keeps_optimum_and_witness(budget):
+    for cover in _floor_cases():
+        ids, _ = exact_cover(cover)
+        assert _exact_cover_with_budget(cover, budget)[0] == ids
+        assert len(ids) == oracles.brute_min_cover(cover)
+
+
+def test_closed_at_root_reads_one_node():
+    assert exact_cover(np.ones((5, 5), dtype=bool)) == ([0], 1)
+    # on the 4-cycle greedy is optimal and the packing bound is not; the LP
+    # floor (4/3, rounded up) closes the cell at the root
+    cycle = _cover_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert _packing_bound(cycle) == 1 and len(greedy_cover(cycle)) == 2
+    assert _exact_cover_with_budget(cycle, 0)[1] > 1
+    assert exact_cover(cycle) == ([0, 1], 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 16])
+def test_certifier_all_ones_on_complete_graph_gives_one(n):
+    assert _certified_floor(np.ones((n, n), dtype=bool), np.ones(n)) == 1
+
+
+def test_certifier_never_exceeds_optimum_on_bad_duals():
+    rng = np.random.default_rng(11)
+    for cover in _floor_cases():
+        n = cover.shape[0]
+        opt = oracles.brute_min_cover(cover)
+        duals = [
+            rng.normal(size=n),                       # negative entries
+            np.full(n, 5.0),                          # every load above 1
+            rng.uniform(0.0, 3.0, size=n),
+            np.where(rng.random(n) < 0.5, -1e300, 1e300),
+            np.full(n, np.nan),
+            np.zeros(n),
+            np.ones(n),
+        ]
+        for y in duals:
+            assert 0 <= _certified_floor(cover, y) <= opt
 
 
 # --- frozen 1-D instances ----------------------------------------------------

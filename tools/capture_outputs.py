@@ -23,6 +23,9 @@ Runs:
   lowest id, the first row of the CSV;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
+- ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
+  Their ``compare`` runs write no witnesses; ``counts.json`` holds every
+  exactly solved cell's witness, ``optimal`` flag and node count;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
   configuration errors, exit code 3).
@@ -45,6 +48,8 @@ from qme.config import EXAMPLE_CONFIG  # noqa: E402
 
 COMMANDS = ("validate", "counts", "entropy", "compare", "power")
 WORKLOAD_SEED = 1
+# workloads whose inputs also run ``counts``, to capture exact witnesses
+COUNTS_WORKLOADS = ("asym_exact",)
 
 SNAP_TIES_CONFIG = """\
 map: {kind: tent}
@@ -127,6 +132,11 @@ def main(argv=None) -> int:
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
                 case_dir = os.path.join(out_root, workload, instance["name"])
                 run_cli(workloads.cli_argv(instance, case_dir), case_dir)
+                if workload in COUNTS_WORKLOADS:
+                    case_dir = os.path.join(out_root, workload + "_counts",
+                                            instance["name"])
+                    run_cli(workloads.cli_argv({**instance, "command": ["counts"]},
+                                               case_dir), case_dir)
         capture_errors(os.path.join(out_root, "errors"), scratch)
     return 0
 
