@@ -1,13 +1,20 @@
 """Minimal spanning and maximal separated cardinalities on threshold relations.
 
 ``count_grid`` is the one path from (spec, orbits, schedule) to counts. It
-validates the schedule, grows the orbit-maximized matrix D_n[x, y] =
-max_{i<n} e(T^i x, T^i y) once over the ascending n schedule, in row tiles;
-each (n, variant) symmetrizes D_n once, in cache-sized blocks, and each eps
-thresholds it:
+validates the schedule and grows the orbit-maximized distances D_n[x, y] =
+max_{i<n} e(T^i x, T^i y) over the ascending n schedule. Each (n, variant)
+gives one symmetric relation per eps:
 
 ``two_sided``  y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
 ``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
+
+D_n only grows with n, so a pair whose symmetrized value exceeds the largest
+scheduled eps is never a cover edge again. The orbit steps before the first
+scheduled n are computed in row tiles of the upper triangle, in both
+directions, keeping only the live pairs; later steps evaluate e on the live
+pairs alone. Each (n, variant) builds one CSR relation at the largest eps, and
+each eps filters it by value. Values are maxima of the same elementwise
+evaluations as a dense D_n, so every relation is the dense one bit for bit.
 
 The max symmetrization gives the same two_sided relation; the entropy module
 checks that per cell, after ``count_grid`` has validated the same schedule,
@@ -15,16 +22,17 @@ and reuses the two_sided counts.
 
 Separation is the off-diagonal complement of cover for the matching pairing,
 so a minimal spanning set is a minimum dominating set of the cover graph and a
-maximal separated set is a maximum independent set of the same graph. Solvers
-require a symmetric cover, as built here, and read its rows.
+maximal separated set is a maximum independent set of the same graph. The
+solvers take a symmetric :class:`Relation`, as built here, and read its rows.
 
 Both problems get a deterministic greedy solver and an exact branch-and-bound
-solver (bitset based). Greedy covers never undershoot the optimum and greedy
-separated sets never overshoot it; the exact solver is the oracle for both.
-The exact cover search stops once its incumbent meets a certified floor: the
-packing bound, or, where greedy exceeds that, the ceiling of a packing-LP dual
-solved by a small numpy simplex and checked in integer arithmetic. All
-tie-breaking is by lowest point id, so results are reproducible.
+solver (bitset based, on the relation made dense). Greedy covers never
+undershoot the optimum and greedy separated sets never overshoot it; the exact
+solver is the oracle for both. The exact cover search stops once its incumbent
+meets a certified floor: the packing bound, or, where greedy exceeds that, the
+ceiling of a packing-LP dual solved by a small numpy simplex and checked in
+integer arithmetic. All tie-breaking is by lowest point id, so results are
+reproducible.
 """
 from __future__ import annotations
 
@@ -35,10 +43,11 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, with_transpose
+from .quasimetric import QuasiMetricSpec, paired, pairwise, row_tiles
 
 __all__ = [
     "VARIANTS",
+    "Relation",
     "CountResult",
     "CellCounts",
     "CountGrid",
@@ -50,6 +59,8 @@ __all__ = [
 ]
 
 VARIANTS = ("two_sided", "one_sided")
+# variant -> the symmetrization of (D_n, D_n^T) its relation thresholds
+SYMMETRIZE = {"two_sided": np.maximum, "one_sided": np.minimum}
 
 DEFAULT_EXACT_THRESHOLD = 64
 
@@ -59,26 +70,144 @@ QUANTITIES = ("r1", "s1", "r2", "s2")
 QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2")}
 
 
-def _bowen_stream(spec: QuasiMetricSpec, orbits: OrbitTable,
-                  n_list: Sequence) -> Iterator[tuple]:
-    """Yield (n, D_n) over an ascending n schedule, which the caller has
-    validated. D_n is one preallocated matrix, filled and then max-accumulated
-    in row tiles, so no full-size pairwise matrix is ever built; it is updated
-    in place for the next n: copy it to keep it past the next step."""
+@dataclass(frozen=True, eq=False)
+class Relation:
+    """A symmetric cover relation in CSR form: row x lists, in increasing
+    order, every y with x ~ y, x itself included."""
+
+    indptr: np.ndarray   # int64, one more than the number of points
+    indices: np.ndarray  # int32
+
+    @property
+    def size(self) -> int:
+        return len(self.indptr) - 1
+
+    def dense(self) -> np.ndarray:
+        """The relation as an N x N bool matrix."""
+        cover = np.zeros((self.size, self.size), dtype=bool)
+        cover[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = True
+        return cover
+
+
+# ---------------------------------------------------------------------------
+# live Bowen pairs and their relations
+# ---------------------------------------------------------------------------
+
+def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
+                op, eps_max: float, level=np.asarray) -> Iterator[tuple]:
+    """Yield (n, chunks) over an ascending n schedule, which the caller has
+    validated. chunks holds the live pairs x < y, those with
+    op(D_n[x, y], D_n[y, x]) <= eps_max, one chunk per ROW_TILE x ROW_TILE
+    block of the upper triangle in row-major block order. A chunk is
+    (x, y, fwd, bwd): int32 ids sorted by (x, y) and the levels
+    fwd = level(D_n[x, y]), bwd = level(D_n[y, x]). ``level`` is monotone:
+    the distances themselves (``np.asarray`` keeps them), or their eps bins.
+    The list is updated in place for the next n: copy it to keep it past the
+    next step."""
     size = orbits.images.shape[0]
-    dist = np.empty((size, size))
-    done = 0
-    for n in n_list:
+    limit = level(eps_max)
+    chunks = []
+    for rows in row_tiles(size):
+        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, limit, level)
+    done = n_list[0]
+    yield done, chunks
+    for n in n_list[1:]:
         for i in range(done, n):
             pts = orbits.iterate_points(i)
-            for rows in row_tiles(size):
-                tile = pairwise(spec, pts[rows], pts)
-                if i == 0:
-                    dist[rows] = tile
-                else:
-                    np.maximum(dist[rows], tile, out=dist[rows])
+            for k, chunk in enumerate(chunks):
+                chunks[k] = _advance(spec, pts, chunk, op, limit, level)
         done = n
-        yield n, dist
+        yield n, chunks
+
+
+def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
+                rows: slice, op, limit, level) -> list:
+    """Live-pair chunks of the rows' blocks on and right of the diagonal,
+    from orbit steps 0..steps-1 evaluated in both directions."""
+    lo = rows.start
+    fwd = bwd = None
+    for i in range(steps):
+        pts = orbits.iterate_points(i)
+        fwd = _max_into(fwd, level(pairwise(spec, pts[rows], pts[lo:])))  # D[x, y], y >= lo
+        bwd = _max_into(bwd, level(pairwise(spec, pts[lo:], pts[rows])))  # D[y, x]
+    chunks = []
+    for cols in row_tiles(fwd.shape[1]):
+        f, b = fwd[:, cols], bwd[cols].T
+        live = op(f, b) <= limit
+        if cols.start == 0:
+            live = np.triu(live, 1)  # the diagonal block: pairs x < y only
+        x, y = np.nonzero(live)
+        chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + (lo + cols.start),
+                       f[live], b[live]))
+    return chunks
+
+
+def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
+    return step if acc is None else np.maximum(acc, step, out=acc)
+
+
+def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, op,
+             limit, level) -> tuple:
+    """One more orbit step on a chunk's pairs, keeping those still live."""
+    x, y, fwd, bwd = chunk
+    px, py = pts[x], pts[y]
+    np.maximum(fwd, level(paired(spec, px, py)), out=fwd)
+    np.maximum(bwd, level(paired(spec, py, px)), out=bwd)
+    live = op(fwd, bwd) <= limit
+    return x[live], y[live], fwd[live], bwd[live]
+
+
+def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
+    """(indptr, indices, values): the relation op(D_n, D_n^T) <= eps_max in
+    CSR form with each entry's value, the diagonal (value 0) included.
+
+    Row r holds its entries left of the diagonal, then r, then those right of
+    it. Chunks come in row-major block order, sorted by (x, y), so both sides
+    of every row receive their columns in increasing order."""
+    left = np.zeros(size, dtype=np.int64)
+    right = np.zeros(size, dtype=np.int64)
+    for x, y, fwd, bwd in chunks:
+        close = op(fwd, bwd) <= eps_max
+        np.add.at(right, x[close], 1)
+        np.add.at(left, y[close], 1)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(left + right + 1, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    values = np.empty(indptr[-1])
+    diagonal = indptr[:-1] + left
+    indices[diagonal] = np.arange(size)
+    values[diagonal] = 0.0
+    left_fill, right_fill = indptr[:-1].copy(), diagonal + 1
+    for x, y, fwd, bwd in chunks:
+        value = op(fwd, bwd)
+        close = value <= eps_max
+        x, y, value = x[close], y[close], value[close]
+        _append(right_fill, x, y, value, indices, values)
+        _append(left_fill, y, x, value, indices, values)
+    return indptr, indices, values
+
+
+def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            vals: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
+    """Write entries at fill[row] onward, in their given order within each
+    row, and advance fill."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    pos = fill[rows] + (np.arange(len(rows)) - np.searchsorted(rows, rows))
+    indices[pos] = cols[order]
+    values[pos] = vals[order]
+    np.add.at(fill, rows, 1)
+
+
+def _within(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+            eps: float) -> Relation:
+    """The entries of a valued CSR relation at most eps."""
+    close = values <= eps
+    # no row is empty (each holds its diagonal), as reduceat needs
+    counts = np.add.reduceat(close, indptr[:-1], dtype=np.int64)
+    ptr = np.zeros_like(indptr)
+    np.cumsum(counts, out=ptr[1:])
+    return Relation(ptr, indices[close])
 
 
 def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarray:
@@ -86,22 +215,11 @@ def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarra
     No pipeline path calls it; perfbench/tracing.py still wraps this name."""
     if not 1 <= n <= orbits.n_max:
         raise ValueError(f"n must be in 1..{orbits.n_max}, got {n}")
-    return next(_bowen_stream(spec, orbits, [n]))[1]
-
-
-def _covers(dist: np.ndarray, variant: str, eps_list: Sequence,
-            cover: np.ndarray) -> Iterator:
-    """Yield the cover relation of one variant at each eps from one
-    symmetrized D_n, built block by block against its transpose. The cover
-    is the caller's bool buffer, overwritten at the next eps."""
-    if variant == "two_sided":
-        sym = with_transpose(np.maximum, dist)
-    elif variant == "one_sided":
-        sym = with_transpose(np.minimum, dist)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    for eps in eps_list:
-        yield np.less_equal(sym, eps, out=cover)
+    dist = pairwise(spec, orbits.iterate_points(0), orbits.iterate_points(0))
+    for i in range(1, n):
+        pts = orbits.iterate_points(i)
+        np.maximum(dist, pairwise(spec, pts, pts), out=dist)
+    return dist
 
 
 def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
@@ -110,32 +228,25 @@ def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
     """Whether two distance rules give the same two_sided relation at every
     (n, eps) cell of a schedule that ``count_grid`` has validated.
 
-    An entry's cover bits at every eps are fixed by its bin, the number of
-    eps values below max(D_n, D_n^T) there. Binning is monotone, so the bin
-    of a Bowen max is the max of the per-step bins of max(e, e^T). Each rule
-    therefore keeps one small-integer bin matrix, grown from one step's
-    pairwise matrix at a time, and no D_n, symmetrized matrix or cover is
-    built."""
+    A pair's cover bits at every eps are fixed by its bin, the number of eps
+    values below max(D_n, D_n^T) there. Binning is monotone, so each rule
+    keeps a live-pair stream of one-byte bins of D_n in both directions, and
+    the bin of their max is the max of their bins. Pairs above the largest
+    eps are in no relation, so the rules agree at n exactly when they have the
+    same live pairs with the same bins."""
     edges = np.sort(np.asarray(eps_list, dtype=float))
-    size = orbits.images.shape[0]
-    step = np.empty((size, size))
-    bins = np.zeros((2, size, size), dtype=np.min_scalar_type(len(edges)))
+    dtype = np.min_scalar_type(len(edges))
 
-    def max_bin(block, block_t, out):
-        np.maximum(out, np.searchsorted(edges, np.maximum(block, block_t)),
-                   out=out, casting="unsafe")
+    def eps_bins(dist):
+        return np.searchsorted(edges, dist).astype(dtype)
 
-    done = 0
-    for n in n_list:
-        for i in range(done, n):
-            pts = orbits.iterate_points(i)
-            for k, spec in enumerate((spec_a, spec_b)):
-                for rows in row_tiles(size):
-                    step[rows] = pairwise(spec, pts[rows], pts)
-                with_transpose(max_bin, step, out=bins[k])
-        done = n
-        if not np.array_equal(bins[0], bins[1]):
-            return False
+    streams = [_live_pairs(spec, orbits, n_list, np.maximum, edges[-1], eps_bins)
+               for spec in (spec_a, spec_b)]
+    for (_, chunks_a), (_, chunks_b) in zip(*streams):
+        for (xa, ya, fa, ba), (xb, yb, fb, bb) in zip(chunks_a, chunks_b):
+            if not (np.array_equal(xa, xb) and np.array_equal(ya, yb)
+                    and np.array_equal(np.maximum(fa, ba), np.maximum(fb, bb))):
+                return False
     return True
 
 
@@ -143,32 +254,44 @@ def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
 # greedy solvers (numpy, deterministic)
 # ---------------------------------------------------------------------------
 
-def greedy_cover(cover: np.ndarray) -> list:
+def greedy_cover(rel: Relation) -> list:
     """Repeatedly pick the point covering the most uncovered points; ties go to
-    the lowest id. Always terminates: every point covers itself."""
-    n = cover.shape[0]
-    uncovered = np.ones(n, dtype=bool)
-    gains = cover.sum(axis=0).astype(np.int64)
+    the lowest id. Always terminates: every point covers itself.
+
+    Once no point covers two uncovered points, the uncovered points have
+    pairwise disjoint rows, so the remaining picks are the lowest id of each
+    uncovered point's row, in id order; they are taken in one step."""
+    indptr, indices = rel.indptr, rel.indices
+    gains = np.diff(indptr)
+    uncovered = np.ones(rel.size, dtype=bool)
     picks = []
-    while uncovered.any():
+    while True:
         y = int(np.argmax(gains))
-        newly = uncovered & cover[y]
+        if gains[y] < 2:
+            break
+        row = indices[indptr[y]:indptr[y + 1]]
+        newly = row[uncovered[row]]
+        uncovered[newly] = False
         picks.append(y)
-        uncovered &= ~cover[y]
-        gains -= cover[newly, :].sum(axis=0, dtype=np.int64)
+        np.subtract.at(gains, np.concatenate(
+            [indices[indptr[x]:indptr[x + 1]] for x in newly.tolist()]), 1)
+    picks += np.sort(indices[indptr[:-1][uncovered]]).tolist()
     return picks
 
 
-def greedy_separated(cover: np.ndarray) -> list:
-    """Insert points in id order, keeping pairwise separation."""
-    n = cover.shape[0]
-    conflicted = np.zeros(n, dtype=bool)
-    picks = []
-    for x in range(n):
+def greedy_separated(rel: Relation) -> list:
+    """Insert points in id order, keeping pairwise separation. A point whose
+    row holds only itself conflicts with nothing and is always kept, so the
+    scan visits only the others."""
+    indptr, indices = rel.indptr, rel.indices
+    degree = np.diff(indptr)
+    conflicted = np.zeros(rel.size, dtype=bool)
+    picks = np.flatnonzero(degree == 1).tolist()
+    for x in np.flatnonzero(degree > 1).tolist():
         if not conflicted[x]:
             picks.append(x)
-            conflicted |= cover[x]
-    return picks
+            conflicted[indices[indptr[x]:indptr[x + 1]]] = True
+    return sorted(picks)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +368,7 @@ def _certified_floor(cover: np.ndarray, y: np.ndarray) -> int:
     return -(-int(yi.sum()) // _DUAL_SCALE)
 
 
-def exact_cover(cover: np.ndarray) -> tuple:
+def exact_cover(rel: Relation) -> tuple:
     """Minimum dominating set of the cover graph.
 
     Branch and bound: a greedy solution provides the upper bound; a packing of
@@ -262,13 +385,14 @@ def exact_cover(cover: np.ndarray) -> tuple:
 
     Returns (sorted point ids, nodes explored, root included).
     """
+    cover = rel.dense()
     n = cover.shape[0]
     full = (1 << n) - 1
     covmask = _column_masks(cover)  # also the coverers of each point
     # points sharing a coverer with x (two hops), for the lower bound
     blocked = _column_masks((cover.astype(np.int32) @ cover) > 0)
 
-    best = greedy_cover(cover)
+    best = greedy_cover(rel)
     best_len = len(best)
 
     def lower_bound(uncov: int) -> int:
@@ -329,16 +453,16 @@ def exact_cover(cover: np.ndarray) -> tuple:
     return sorted(best), nodes
 
 
-def exact_separated(cover: np.ndarray) -> tuple:
+def exact_separated(rel: Relation) -> tuple:
     """Maximum independent set of the cover graph.
 
     Branch and bound seeded with the greedy id-order set; pruning uses a greedy
     clique-cover bound on the remaining candidates. Returns (sorted ids, nodes).
     """
-    n = cover.shape[0]
-    adj = [m & ~(1 << x) for x, m in enumerate(_column_masks(cover))]
+    n = rel.size
+    adj = [m & ~(1 << x) for x, m in enumerate(_column_masks(rel.dense()))]
 
-    best = greedy_separated(cover)
+    best = greedy_separated(rel)
     best_len = len(best)
     nodes = 0
     chosen: list = []
@@ -404,13 +528,13 @@ class CountResult:
     nodes: int = 0  # branch-and-bound nodes explored, root included; 0 for greedy
 
 
-def _solve(cover: np.ndarray, separated: bool, exact_threshold: int) -> CountResult:
+def _solve(rel: Relation, separated: bool, exact_threshold: int) -> CountResult:
     """Minimal spanning set, or maximal separated set when ``separated``;
-    exact when the cover has at most ``exact_threshold`` points, else greedy."""
-    if cover.shape[0] <= exact_threshold:
-        ids, nodes = exact_separated(cover) if separated else exact_cover(cover)
+    exact when the relation has at most ``exact_threshold`` points, else greedy."""
+    if rel.size <= exact_threshold:
+        ids, nodes = exact_separated(rel) if separated else exact_cover(rel)
         return CountResult(len(ids), tuple(ids), "exact_bnb", True, nodes)
-    ids = greedy_separated(cover) if separated else sorted(greedy_cover(cover))
+    ids = greedy_separated(rel) if separated else sorted(greedy_cover(rel))
     return CountResult(len(ids), tuple(ids), "greedy", False)
 
 
@@ -509,6 +633,15 @@ class CountGrid:
         }
 
 
+def _relations(chunks: list, size: int, variant: str,
+               eps_list: Sequence) -> Iterator[tuple]:
+    """Yield (eps, Relation) of one variant at each eps, from one valued CSR
+    relation built at the largest eps."""
+    csr = _relation_values(chunks, size, SYMMETRIZE[variant], max(eps_list))
+    for eps in eps_list:
+        yield eps, _within(*csr, eps)
+
+
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
                n_list: Sequence, eps_list: Sequence, *,
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
@@ -517,9 +650,11 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     table's cloud: exactly when it has at most ``exact_threshold`` points
     (0: always greedy), else greedily.
 
-    D_n comes from one Bowen stream over the ascending n schedule; each
-    (n, variant) symmetrizes it once and each (n, eps, variant) cell is solved
-    in schedule order and merged by coordinates.
+    D_n grows over the ascending n schedule on the pairs live at the
+    largest eps, in the broader one_sided sense when that variant is asked
+    for; each (n, variant) builds one CSR relation from them, and each
+    (n, eps, variant) cell is solved in schedule order and merged by
+    coordinates.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -537,14 +672,15 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
 
     cells = {}
     size = orbits.images.shape[0]
-    cover = np.empty((size, size), dtype=bool)
-    for n, dist in _bowen_stream(spec, orbits, n_list):
+    eps_max = max(eps_list)
+    live_op = SYMMETRIZE["one_sided" if "one_sided" in variants else "two_sided"]
+    for n, chunks in _live_pairs(spec, orbits, n_list, live_op, eps_max):
         parts = {eps: {} for eps in eps_list}
         for variant in variants:
             r, s = QUANTITY_PAIRS[variant]
-            for eps, _ in zip(eps_list, _covers(dist, variant, eps_list, cover)):
-                parts[eps][r] = _solve(cover, False, exact_threshold)
-                parts[eps][s] = _solve(cover, True, exact_threshold)
+            for eps, rel in _relations(chunks, size, variant, eps_list):
+                parts[eps][r] = _solve(rel, False, exact_threshold)
+                parts[eps][s] = _solve(rel, True, exact_threshold)
         for eps in eps_list:
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 

@@ -1,8 +1,10 @@
 """Quasi-metric distance rules: asymmetric distances that keep the triangle
 inequality but may drop symmetry.
 
-A distance rule is described by a :class:`QuasiMetricSpec` and evaluated either
-pointwise (:func:`evaluate`) or as a full pairwise matrix (:func:`pairwise`).
+A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
+elementwise on paired points (:func:`paired`), which is the one set of
+per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`) or
+one pair (:func:`evaluate`).
 Axiom validation, the two symmetrizations (mean and max), ball membership and
 the dynamical (orbit-maximized) distance all live here.
 
@@ -36,6 +38,7 @@ __all__ = [
     "BallSpec",
     "evaluate",
     "pairwise",
+    "paired",
     "check_axioms",
     "symmetrize_mean",
     "symmetrize_max",
@@ -60,10 +63,11 @@ DEFAULT_SEED = 1234
 
 # N x N passes work on cache-sized pieces: pairwise matrices are built
 # ROW_TILE rows per call (8 MB temporaries at N = 4096 instead of 128 MB),
-# and a matrix meets its transpose in TRANSPOSE_BLOCK x TRANSPOSE_BLOCK
-# blocks. Measured at N = 4096 on a 2-core Xeon VM, a max(D, D^T) pass took
-# 0.16-0.18 s in 64-wide blocks against 0.47 s with the naive transpose, and
-# 32-, 48-, 96-, 128- and 256-wide blocks were slower.
+# covering keeps its live pairs in ROW_TILE x ROW_TILE blocks, and a matrix
+# meets its transpose in TRANSPOSE_BLOCK x TRANSPOSE_BLOCK blocks. Measured
+# at N = 4096 on a 2-core Xeon VM, a max(D, D^T) pass took 0.16-0.18 s in
+# 64-wide blocks against 0.47 s with the naive transpose, and 32-, 48-, 96-,
+# 128- and 256-wide blocks were slower.
 ROW_TILE = 256
 TRANSPOSE_BLOCK = 64
 
@@ -120,61 +124,66 @@ def pairwise(spec: QuasiMetricSpec, a, b) -> np.ndarray:
     """Evaluate e on every pair: returns M with M[i, j] = e(a[i], b[j]).
 
     ``a`` and ``b`` are arrays of shape (n, d) and (m, d); for ``matrix`` specs
-    the single coordinate is the point index into the lookup table.
+    the single coordinate is the point index into the lookup table. It is the
+    broadcast of :func:`paired`, so each entry is that elementwise value.
     """
     A = _as_points(a)
     B = _as_points(b)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    return paired(spec, A[:, None, :], B[None, :, :])
+
+
+def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
+    """Evaluate e elementwise: e(a[k], b[k]) over the broadcast of the leading
+    axes of ``a`` and ``b``, whose last axis holds the coordinates (the point
+    index for ``matrix`` specs)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     kind = spec.kind
 
     if kind == "mean_of":
-        fwd = pairwise(spec.base, A, B)
-        bwd = pairwise(spec.base, B, A)
-        return (fwd + bwd.T) / 2.0
+        return (paired(spec.base, a, b) + paired(spec.base, b, a)) / 2.0
     if kind == "max_of":
-        fwd = pairwise(spec.base, A, B)
-        bwd = pairwise(spec.base, B, A)
-        return np.maximum(fwd, bwd.T)
+        return np.maximum(paired(spec.base, a, b), paired(spec.base, b, a))
     if kind == "scaled":
-        return spec.factor * pairwise(spec.base, A, B)
+        return spec.factor * paired(spec.base, a, b)
 
     if kind == "asym_line":
-        if A.shape[1] != 1:
+        if a.shape[-1] != 1:
             raise ValueError("asym_line is one-dimensional")
-        diff = B[:, 0][None, :] - A[:, 0][:, None]
+        diff = b[..., 0] - a[..., 0]
         return np.where(diff >= 0.0, diff, 1.0)
 
     if kind == "euclidean":
-        if A.shape[1] == 1:
-            return np.abs(B[:, 0][None, :] - A[:, 0][:, None])
-        acc = np.zeros((A.shape[0], B.shape[0]))
-        for k in range(A.shape[1]):
-            d = B[:, k][None, :] - A[:, k][:, None]
-            acc += d * d
+        if a.shape[-1] == 1:
+            return np.abs(b[..., 0] - a[..., 0])
+        acc = 0.0
+        for k in range(a.shape[-1]):
+            d = b[..., k] - a[..., k]
+            acc = acc + d * d
         return np.sqrt(acc)
 
     if kind == "circle_arc":
-        if A.shape[1] != 1:
+        if a.shape[-1] != 1:
             raise ValueError("circle_arc is one-dimensional")
-        d = np.abs(B[:, 0][None, :] - A[:, 0][:, None])
+        d = np.abs(b[..., 0] - a[..., 0])
         return np.minimum(d, 1.0 - d)
 
     if kind == "weighted_asym":
-        acc = np.zeros((A.shape[0], B.shape[0]))
-        for k in range(A.shape[1]):
-            d = B[:, k][None, :] - A[:, k][:, None]
-            acc += spec.alpha * np.maximum(d, 0.0) + spec.beta * np.maximum(-d, 0.0)
+        acc = 0.0
+        for k in range(a.shape[-1]):
+            d = b[..., k] - a[..., k]
+            acc = acc + (spec.alpha * np.maximum(d, 0.0)
+                         + spec.beta * np.maximum(-d, 0.0))
         return acc
 
     if kind == "matrix":
         m = spec.matrix
-        ia = _matrix_indices(A, m.shape[0])
-        ib = _matrix_indices(B, m.shape[0])
-        return m[ia[:, None], ib[None, :]]
+        return m[_matrix_indices(a, m.shape[0]), _matrix_indices(b, m.shape[0])]
 
     if kind in ("block_prefix", "block_prefix_asym"):
-        return _block_pairwise(A, B, asym=(kind == "block_prefix_asym"))
+        return _block_paired(a, b, asym=(kind == "block_prefix_asym"))
 
     raise AssertionError(f"unhandled kind {kind!r}")
 
@@ -200,7 +209,7 @@ def with_transpose(op, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.nd
 
 
 def _matrix_indices(pts: np.ndarray, size: int) -> np.ndarray:
-    idx = pts[:, 0]
+    idx = pts[..., 0]
     ints = np.rint(idx).astype(int)
     if np.any(np.abs(idx - ints) > 0.0):
         raise ValueError("matrix spec expects integer index coordinates")
@@ -209,15 +218,16 @@ def _matrix_indices(pts: np.ndarray, size: int) -> np.ndarray:
     return ints
 
 
-def _block_pairwise(A: np.ndarray, B: np.ndarray, asym: bool) -> np.ndarray:
+def _block_paired(a: np.ndarray, b: np.ndarray, asym: bool) -> np.ndarray:
     # first index where the symbol sequences disagree; equal blocks get 0
-    neq = A[:, None, :] != B[None, :, :]
-    differs = neq.any(axis=2)
-    first = np.argmax(neq, axis=2)
+    neq = a != b
+    differs = neq.any(axis=-1)
+    first = np.argmax(neq, axis=-1)
     out = np.where(differs, np.power(2.0, -first.astype(float)), 0.0)
     if asym:
-        av = np.take_along_axis(A, first, axis=1)            # A[i, first[i, j]]
-        bv = B[np.arange(B.shape[0])[None, :], first]        # B[j, first[i, j]]
+        at_first = first[..., None]
+        av = np.take_along_axis(a, at_first, axis=-1)[..., 0]  # a[k, first[k]]
+        bv = np.take_along_axis(b, at_first, axis=-1)[..., 0]  # b[k, first[k]]
         out = out * np.where(differs & (av > bv), 2.0, 1.0)
     return out
 

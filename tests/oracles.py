@@ -3,9 +3,11 @@
 Everything here recomputes answers from first principles (exhaustive subset
 enumeration, 1-D sweep arguments, direct per-pair definitions) without touching
 the branch-and-bound or the vectorized distance matrices, so tests can compare
-two routes that share no code. The exception is the last section: untiled,
-full-matrix forms of the tiled N x N passes, which must agree with them bit for
-bit.
+two routes that share no code. Two parts are references that the pipeline
+must match exactly: the dense greedy solvers, which the CSR solvers must follow
+pick for pick (``csr`` turns a dense cover into the solvers' relation type),
+and the last section's untiled, full-matrix forms of the tiled and live-pair
+passes, which must agree with them bit for bit.
 """
 from __future__ import annotations
 
@@ -13,7 +15,46 @@ from typing import Iterable
 
 import numpy as np
 
+from qme.covering import Relation
 from qme.quasimetric import pairwise, symmetrize_max
+
+
+def csr(cover: np.ndarray) -> Relation:
+    """The solvers' relation type for a dense bool cover matrix."""
+    cover = np.asarray(cover, dtype=bool)
+    counts = cover.sum(axis=1)
+    indptr = np.zeros(cover.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return Relation(indptr, np.nonzero(cover)[1].astype(np.int32))
+
+
+def dense_greedy_cover(cover: np.ndarray) -> list:
+    """Reference greedy cover on a dense symmetric cover: repeatedly pick the
+    point covering the most uncovered points; ties go to the lowest id."""
+    n = cover.shape[0]
+    uncovered = np.ones(n, dtype=bool)
+    gains = cover.sum(axis=0).astype(np.int64)
+    picks = []
+    while uncovered.any():
+        y = int(np.argmax(gains))
+        newly = uncovered & cover[y]
+        picks.append(y)
+        uncovered &= ~cover[y]
+        gains -= cover[newly, :].sum(axis=0, dtype=np.int64)
+    return picks
+
+
+def dense_greedy_separated(cover: np.ndarray) -> list:
+    """Reference greedy separated set on a dense cover: insert points in id
+    order, keeping pairwise separation."""
+    n = cover.shape[0]
+    conflicted = np.zeros(n, dtype=bool)
+    picks = []
+    for x in range(n):
+        if not conflicted[x]:
+            picks.append(x)
+            conflicted |= cover[x]
+    return picks
 
 
 def brute_min_cover(cover: np.ndarray) -> int:
@@ -152,6 +193,57 @@ def shift_first_fit_separated(blocks: np.ndarray, separated_fn) -> list:
 
 
 # --- untiled references for the tiled N x N passes ---------------------------
+
+def formula_pairwise(spec, a, b) -> np.ndarray:
+    """Full distance matrix from per-kind two-dimensional formulas, written
+    independently of the elementwise ``paired`` that ``pairwise`` broadcasts."""
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
+    kind = spec.kind
+    if kind == "mean_of":
+        return (formula_pairwise(spec.base, A, B)
+                + formula_pairwise(spec.base, B, A).T) / 2.0
+    if kind == "max_of":
+        return np.maximum(formula_pairwise(spec.base, A, B),
+                          formula_pairwise(spec.base, B, A).T)
+    if kind == "scaled":
+        return spec.factor * formula_pairwise(spec.base, A, B)
+    if kind == "asym_line":
+        diff = B[:, 0][None, :] - A[:, 0][:, None]
+        return np.where(diff >= 0.0, diff, 1.0)
+    if kind == "euclidean":
+        if A.shape[1] == 1:
+            return np.abs(B[:, 0][None, :] - A[:, 0][:, None])
+        acc = np.zeros((A.shape[0], B.shape[0]))
+        for k in range(A.shape[1]):
+            d = B[:, k][None, :] - A[:, k][:, None]
+            acc += d * d
+        return np.sqrt(acc)
+    if kind == "circle_arc":
+        d = np.abs(B[:, 0][None, :] - A[:, 0][:, None])
+        return np.minimum(d, 1.0 - d)
+    if kind == "weighted_asym":
+        acc = np.zeros((A.shape[0], B.shape[0]))
+        for k in range(A.shape[1]):
+            d = B[:, k][None, :] - A[:, k][:, None]
+            acc += spec.alpha * np.maximum(d, 0.0) + spec.beta * np.maximum(-d, 0.0)
+        return acc
+    if kind == "matrix":
+        ia = np.rint(A[:, 0]).astype(int)
+        ib = np.rint(B[:, 0]).astype(int)
+        return spec.matrix[ia[:, None], ib[None, :]]
+    if kind in ("block_prefix", "block_prefix_asym"):
+        neq = A[:, None, :] != B[None, :, :]
+        differs = neq.any(axis=2)
+        first = np.argmax(neq, axis=2)
+        out = np.where(differs, np.power(2.0, -first.astype(float)), 0.0)
+        if kind == "block_prefix_asym":
+            av = np.take_along_axis(A, first, axis=1)            # A[i, first[i, j]]
+            bv = B[np.arange(B.shape[0])[None, :], first]        # B[j, first[i, j]]
+            out = out * np.where(differs & (av > bv), 2.0, 1.0)
+        return out
+    raise ValueError(f"unknown kind {kind!r}")
+
 
 def naive_bowen(spec, orbits, n: int) -> np.ndarray:
     """D_n from one full-matrix pairwise call and one maximum per orbit step."""

@@ -319,10 +319,10 @@ def test_criterion_11_greedy_exact_oracle():
         orbits = build_orbits(MapSpec(kind="identity"), cloud, 1)
         variant = ("two_sided", "one_sided")[int(rng.integers(0, 2))]
         cover = oracles.relation(spec, orbits, 1, eps, variant)
-        exact_c, _ = exact_cover(cover)
-        exact_s, _ = exact_separated(cover)
-        ok &= len(greedy_cover(cover)) >= len(exact_c)
-        ok &= len(greedy_separated(cover)) <= len(exact_s)
+        exact_c, _ = exact_cover(oracles.csr(cover))
+        exact_s, _ = exact_separated(oracles.csr(cover))
+        ok &= len(greedy_cover(oracles.csr(cover))) >= len(exact_c)
+        ok &= len(greedy_separated(oracles.csr(cover))) <= len(exact_s)
         checked += 1
     _verdict(11, ok and checked == 200,
              f"greedy cover >= exact and greedy separated <= exact on "

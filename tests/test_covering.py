@@ -1,8 +1,9 @@
 """Relations, greedy/exact solvers, count grids and their invariants.
 
 Counts come from ``count_grid``; a test that needs a cover matrix takes the
-untiled reference ``oracles.relation`` (bit-identical to the pipeline's covers,
-see test_tiling.py) and calls the solvers on it directly.
+untiled reference ``oracles.relation`` (bit-identical to the pipeline's
+relations, see test_tiling.py) and calls the solvers on it directly, in the
+solvers' CSR form ``oracles.csr``.
 """
 import tracemalloc
 
@@ -36,7 +37,7 @@ from qme.covering import (
 )
 
 import oracles
-from oracles import is_separated_set, is_valid_cover
+from oracles import csr, is_separated_set, is_valid_cover
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -130,8 +131,8 @@ def _random_relation(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_exact_solvers_match_brute_force(seed):
     cover = _random_relation(seed)
-    cover_ids, _ = exact_cover(cover)
-    sep_ids, _ = exact_separated(cover)
+    cover_ids, _ = exact_cover(csr(cover))
+    sep_ids, _ = exact_separated(csr(cover))
     assert is_valid_cover(cover, cover_ids)
     assert is_separated_set(cover, sep_ids)
     assert len(cover_ids) == oracles.brute_min_cover(cover)
@@ -141,20 +142,20 @@ def test_exact_solvers_match_brute_force(seed):
 @pytest.mark.parametrize("seed", range(25))
 def test_greedy_brackets_exact(seed):
     cover = _random_relation(seed + 1000)
-    ge_cover = greedy_cover(cover)
-    ge_sep = greedy_separated(cover)
+    ge_cover = greedy_cover(csr(cover))
+    ge_sep = greedy_separated(csr(cover))
     assert is_valid_cover(cover, ge_cover)
     assert is_separated_set(cover, ge_sep)
-    assert len(ge_cover) >= len(exact_cover(cover)[0])
-    assert len(ge_sep) <= len(exact_separated(cover)[0])
+    assert len(ge_cover) >= len(exact_cover(csr(cover))[0])
+    assert len(ge_sep) <= len(exact_separated(csr(cover))[0])
 
 
 def test_greedy_ties_break_by_lowest_id():
     cover = np.eye(4, dtype=bool)
     cover[0, 1] = cover[1, 0] = True
     cover[2, 3] = cover[3, 2] = True
-    assert greedy_cover(cover) == [0, 2]
-    assert greedy_separated(cover) == [0, 2]
+    assert greedy_cover(csr(cover)) == [0, 2]
+    assert greedy_separated(csr(cover)) == [0, 2]
 
 
 def test_max_separated_witness_spans():
@@ -175,6 +176,24 @@ def test_solver_modes_and_flags():
     assert forced.method == "greedy" and not forced.optimal
     small, _ = _counts(*case, exact_threshold=2)
     assert small.method == "greedy"
+
+
+@st.composite
+def sized_graphs(draw):
+    """Symmetric reflexive bool covers on 1..64 points at any edge density,
+    from none (every point alone) to complete."""
+    n = draw(st.integers(1, 64))
+    density = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T | np.eye(n, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized_graphs())
+def test_csr_greedy_solvers_match_dense_references(cover):
+    assert greedy_cover(csr(cover)) == oracles.dense_greedy_cover(cover)
+    assert greedy_separated(csr(cover)) == oracles.dense_greedy_separated(cover)
 
 
 # --- certified LP-dual floor -------------------------------------------------
@@ -208,7 +227,7 @@ def _packing_bound(cover):
 def _exact_cover_with_budget(cover, budget):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "LP_PIVOT_BUDGET", budget)
-        return exact_cover(cover)
+        return exact_cover(csr(cover))
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,7 +235,7 @@ def _exact_cover_with_budget(cover, budget):
 def test_certified_floor_sound_and_exact_cover_optimal(cover):
     opt = oracles.brute_min_cover(cover)
     assert _certified_floor(cover, _packing_lp(cover)) <= opt
-    ids, nodes = exact_cover(cover)
+    ids, nodes = exact_cover(csr(cover))
     assert len(ids) == opt and nodes >= 1
     assert is_valid_cover(cover, ids)
     # the floor only stops the search early: packing bound alone, same witness
@@ -241,8 +260,8 @@ def test_lp_floor_closes_gap_between_packing_and_greedy():
     floor = _certified_floor(cover, _packing_lp(cover))
     assert _packing_bound(cover) == 4
     assert floor == oracles.brute_min_cover(cover) == 6
-    assert len(greedy_cover(cover)) == 7
-    ids, nodes = exact_cover(cover)
+    assert len(greedy_cover(csr(cover))) == 7
+    ids, nodes = exact_cover(csr(cover))
     ids_unfloored, nodes_unfloored = _exact_cover_with_budget(cover, 0)
     assert ids == ids_unfloored and len(ids) == 6
     assert 10 * nodes <= nodes_unfloored
@@ -251,19 +270,19 @@ def test_lp_floor_closes_gap_between_packing_and_greedy():
 @pytest.mark.parametrize("budget", [0, 1])
 def test_exhausted_pivot_budget_keeps_optimum_and_witness(budget):
     for cover in _floor_cases():
-        ids, _ = exact_cover(cover)
+        ids, _ = exact_cover(csr(cover))
         assert _exact_cover_with_budget(cover, budget)[0] == ids
         assert len(ids) == oracles.brute_min_cover(cover)
 
 
 def test_closed_at_root_reads_one_node():
-    assert exact_cover(np.ones((5, 5), dtype=bool)) == ([0], 1)
+    assert exact_cover(csr(np.ones((5, 5), dtype=bool))) == ([0], 1)
     # on the 4-cycle greedy is optimal and the packing bound is not; the LP
     # floor (4/3, rounded up) closes the cell at the root
     cycle = _cover_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert _packing_bound(cycle) == 1 and len(greedy_cover(cycle)) == 2
+    assert _packing_bound(cycle) == 1 and len(greedy_cover(csr(cycle))) == 2
     assert _exact_cover_with_budget(cycle, 0)[1] > 1
-    assert exact_cover(cycle) == ([0, 1], 1)
+    assert exact_cover(csr(cycle)) == ([0, 1], 1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 16])
@@ -341,8 +360,8 @@ def test_count_grid_single_cell_matches_direct_solvers(doubling_grid):
     cell = grid.cell(2, 0.25)
     for variant, (r, s) in QUANTITY_PAIRS.items():
         cover = oracles.relation(ARC, orbits, 2, 0.25, variant)
-        assert cell.get(r).cardinality == len(exact_cover(cover)[0])
-        assert cell.get(s).cardinality == len(exact_separated(cover)[0])
+        assert cell.get(r).cardinality == len(exact_cover(csr(cover))[0])
+        assert cell.get(s).cardinality == len(exact_separated(csr(cover))[0])
 
 
 def test_count_grid_monotone_without_diagnostics(doubling_grid):

@@ -27,9 +27,9 @@ output: {format: both}
 """
 
 # 300 points exceed both tile sizes of the N x N passes (256-row pairwise
-# tiles, 64-wide transpose blocks) and are a multiple of neither, so these
-# files cross tile boundaries in the Bowen stream, the symmetrization and
-# nearest snapping.
+# tiles and 256 x 256 live-pair blocks, 64-wide transpose blocks) and are a
+# multiple of neither, so these files cross tile boundaries in the live-pair
+# Bowen distances, their relations and nearest snapping.
 TILE_CONFIG = """\
 map: {kind: logistic, r: 4.0}
 cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 300}

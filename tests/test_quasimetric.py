@@ -18,10 +18,11 @@ from qme import (
     index_cloud,
     pairwise,
     scaled,
+    symbol_blocks,
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.quasimetric import load_matrix_csv
+from qme.quasimetric import load_matrix_csv, paired
 
 import oracles
 
@@ -275,6 +276,47 @@ def test_orbit_distance_keeps_triangle_inequality():
         D = oracles.naive_bowen(ARC, orbits, n)
         for y in range(len(cloud)):
             assert np.all(D <= D[:, y][:, None] + D[y, :][None, :])
+
+
+def _formula_cases() -> list:
+    """(name, spec, points) for every kind, base and derived, with one- and
+    two-dimensional points where the kind takes both."""
+    rng = np.random.default_rng(3)
+    line = rng.choice(1025, size=(9, 1), replace=False) / 1024.0
+    plane = rng.choice(1025, size=(9, 2), replace=False) / 1024.0
+    table = rng.integers(1, 64, size=(9, 9)) / 64.0
+    np.fill_diagonal(table, 0.0)
+    blocks = symbol_blocks(3, 3).points[rng.choice(27, size=9, replace=False)]
+    hinge = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    block_asym = QuasiMetricSpec(kind="block_prefix_asym")
+    return [
+        ("asym_line", LINE, line),
+        ("euclidean_1d", QuasiMetricSpec(kind="euclidean"), line),
+        ("euclidean_2d", QuasiMetricSpec(kind="euclidean"), plane),
+        ("circle_arc", ARC, line),
+        ("weighted_asym_1d", hinge, line),
+        ("weighted_asym_2d", hinge, plane),
+        ("matrix", QuasiMetricSpec(kind="matrix", matrix=table), index_cloud(9).points),
+        ("block_prefix", QuasiMetricSpec(kind="block_prefix"), blocks),
+        ("block_prefix_asym", block_asym, blocks),
+        ("mean_of", symmetrize_mean(hinge), plane),
+        ("max_of", symmetrize_max(block_asym), blocks),
+        ("scaled", scaled(symmetrize_mean(LINE), 1.5), line),
+    ]
+
+
+@pytest.mark.parametrize("name, spec, pts", [pytest.param(*case, id=case[0])
+                                             for case in _formula_cases()])
+def test_pairwise_is_paired_broadcast_and_matches_formulas(name, spec, pts):
+    # pairwise on unequal, overlapping point sets is bit for bit the per-kind
+    # two-dimensional formulas, and every entry is paired on that pair alone
+    a, b = pts[:5], pts[3:]
+    full = pairwise(spec, a, b)
+    ref = oracles.formula_pairwise(spec, a, b)
+    assert full.dtype == ref.dtype and full.shape == ref.shape == (5, 6)
+    assert full.tobytes() == ref.tobytes(), name
+    i, j = np.nonzero(np.ones(full.shape, dtype=bool))
+    assert paired(spec, a[i], b[j]).tobytes() == full[i, j].tobytes(), name
 
 
 def test_scaled_spec_scales_distances():

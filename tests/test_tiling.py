@@ -1,9 +1,12 @@
-"""Tiled N x N passes equal their untiled references bit for bit.
+"""Tiled and live-pair passes equal their untiled references bit for bit.
 
-The tile constants are shrunk to 3-row pairwise tiles and 2 x 2 transpose
-blocks, so clouds of 1 to 20 points cover every layout: smaller than a tile,
-exactly one tile, and multiples of a tile plus or minus one.
+The tile constants are shrunk to 3-row pairwise tiles (so 3 x 3 live-pair
+chunks) and 2 x 2 transpose blocks, so clouds of 1 to 20 points cover every
+layout: smaller than a tile, exactly one tile, and multiples of a tile plus or
+minus one.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +17,7 @@ from qme import (
     QuasiMetricSpec,
     build_orbits,
     check_axioms,
+    circle_grid,
     count_grid,
     custom_cloud,
     grid1d,
@@ -24,16 +28,17 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.covering import _bowen_stream, _covers, _relations_identical
+from qme.covering import SYMMETRIZE, _live_pairs, _relations, _relations_identical
 from qme.dynamics import OrbitTable
 
 import oracles
 
 SIZES = range(1, 21)
 KINDS = ("weighted_asym", "asym_line", "matrix", "block_prefix_asym")
-SCHEDULES = ([1, 2, 4], [3, 4])
-EPS = [1.0, 0.5, 0.25, 0.125]
-OPS = {"two_sided": np.maximum, "one_sided": np.minimum}
+# [1, 4, 7] leaves gaps, so pairs die between scheduled n
+SCHEDULES = ([1, 2, 4], [3, 4], [1, 4, 7])
+EPS = [0.25, 1.0, 0.125, 0.5]  # unsorted: the largest is not last
+VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
 
 
 @pytest.fixture(autouse=True)
@@ -63,7 +68,7 @@ def _case(kind: str, size: int, rng: np.random.Generator) -> tuple:
     return QuasiMetricSpec(kind=kind), custom_cloud(pts)
 
 
-def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 4) -> OrbitTable:
+def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 7) -> OrbitTable:
     """Orbit table of a random permutation of the cloud, which is a map of it."""
     perm = rng.permutation(len(cloud))
     idx = np.arange(len(cloud))
@@ -75,20 +80,25 @@ def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 4) -> Orbi
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_bowen_stream_and_covers_match_full_matrix(kind):
+def test_live_pair_relations_match_full_matrix(kind):
     rng = np.random.default_rng(7)
     for size in SIZES:
         spec, cloud = _case(kind, size, rng)
         orbits = _permutation_orbits(cloud, rng)
         for n_list in SCHEDULES:
-            for n, dist in _bowen_stream(spec, orbits, n_list):
-                assert _same_bits(dist, oracles.naive_bowen(spec, orbits, n)), (size, n)
-                for variant, op in OPS.items():
-                    ref = oracles.naive_symmetrized(dist, variant)
-                    assert _same_bits(qm.with_transpose(op, dist), ref), (size, n)
-                    covers = _covers(dist, variant, EPS, np.empty(dist.shape, dtype=bool))
-                    for eps, cover in zip(EPS, covers):
-                        assert np.array_equal(cover, ref <= eps), (size, n, eps)
+            for variants in VARIANT_SETS:
+                live_op = SYMMETRIZE[variants[-1]]
+                for n, chunks in _live_pairs(spec, orbits, n_list, live_op, max(EPS)):
+                    dist = oracles.naive_bowen(spec, orbits, n)
+                    for x, y, fwd, bwd in chunks:
+                        assert np.all(x < y)
+                        assert _same_bits(fwd, dist[x, y]) and _same_bits(bwd, dist[y, x])
+                    for variant in variants:
+                        for eps, rel in _relations(chunks, size, variant, EPS):
+                            ref = oracles.relation(spec, orbits, n, eps, variant)
+                            assert np.array_equal(rel.dense(), ref), (size, n, eps)
+                            rows = np.split(rel.indices, rel.indptr[1:-1])
+                            assert all(np.all(np.diff(row) > 0) for row in rows)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -110,6 +120,23 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     monkeypatch.setattr(qm, "ROW_TILE", 256)
     monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 64)
     assert tiny == [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
+
+
+def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
+    # a sparse schedule on 2048 points: the live pairs, their relations and
+    # one row tile of both directions stay below a single N x N float64
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    size = 2048
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(size), 7)
+    arc = QuasiMetricSpec(kind="circle_arc")
+    tracemalloc.start()
+    try:
+        count_grid(arc, orbits, [3, 5, 7], [2.0 ** -5, 2.0 ** -6, 2.0 ** -7],
+                   exact_threshold=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * size * 8
 
 
 def test_nearest_snap_matches_full_matrix():

@@ -21,6 +21,12 @@ Runs:
   pair of distinct points is at max-symmetrized distance 1 there, so an
   image that is not a cloud point ties with every point and snaps to the
   lowest id, the first row of the CSV;
+- ``pruning``: ``counts`` and ``entropy`` with both variants on a 600-point
+  grid (three row tiles) under the tent map and the hinge rule, over the
+  gapped n schedule 1, 4, 7 and an eps list whose largest value comes first
+  (the configuration requires each eps to halve). Pairs above the largest
+  eps leave the live set between scheduled n, and one_sided keeps pairs that
+  two_sided drops;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
@@ -57,6 +63,17 @@ cloud: {kind: custom, path: snap_ties.csv}
 qmetric: {kind: asym_line}
 schedule: {n_list: [1, 2, 3, 4], eps_list: [1.0, 0.5, 0.25, 0.125]}
 orbits: {snap_mode: nearest}
+output: {format: both}
+"""
+
+
+PRUNING_CONFIG = """\
+map: {kind: tent}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 600}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 4, 7], eps_list: [0.25, 0.125, 0.0625]}
+variants: [two_sided, one_sided]
+fit: {n_burn: 1}
 output: {format: both}
 """
 
@@ -127,6 +144,8 @@ def main(argv=None) -> int:
         for (subdir, config), commands in golden.items():
             capture_config(config, commands, os.path.join(out_root, subdir), scratch)
         capture_snap_ties(os.path.join(out_root, "snap_ties"), scratch)
+        capture_config(PRUNING_CONFIG, ("counts", "entropy"),
+                       os.path.join(out_root, "pruning"), scratch)
         for workload in workloads.GENERATORS:
             inputs = os.path.join(scratch, workload)
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
