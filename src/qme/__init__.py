@@ -6,7 +6,6 @@ from .quasimetric import (
     BallSpec,
     QuasiMetricSpec,
     ball_members,
-    bowen_distance,
     check_axioms,
     evaluate,
     pairwise,

@@ -131,8 +131,8 @@ def cmd_entropy(args) -> int:
     _require_fit_window(cfg)
     orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
-    grids, _ = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
-                             cfg.eps_list, exact_threshold=cfg.exact_threshold)
+    grids = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
+                          cfg.eps_list, exact_threshold=cfg.exact_threshold)
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:

@@ -1,9 +1,9 @@
 """Minimal spanning and maximal separated cardinalities on threshold relations.
 
 ``count_grid`` is the one path from (spec, orbits, schedule) to counts. It
-validates the schedule and grows the orbit-maximized distances D_n[x, y] =
-max_{i<n} e(T^i x, T^i y) over the ascending n schedule. Each (n, variant)
-gives one symmetric relation per eps:
+validates the schedule (n strictly increasing, eps strictly decreasing) and
+grows the orbit-maximized distances D_n[x, y] = max_{i<n} e(T^i x, T^i y)
+over the n schedule. Each (n, variant) gives one symmetric relation per eps:
 
 ``two_sided``  y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
 ``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
@@ -16,9 +16,9 @@ pairs alone. Each (n, variant) builds one CSR relation at the largest eps, and
 each eps filters it by value. Values are maxima of the same elementwise
 evaluations as a dense D_n, so every relation is the dense one bit for bit.
 
-The max symmetrization gives the same two_sided relation; the entropy module
-checks that per cell, after ``count_grid`` has validated the same schedule,
-and reuses the two_sided counts.
+The max symmetrization's Bowen distance is max_i max(e(T^i x, T^i y),
+e(T^i y, T^i x)) = max(D_n, D_n^T), so its relation is the two_sided one by
+definition; the entropy module reuses the two_sided counts for it.
 
 Separation is the off-diagonal complement of cover for the matching pairing,
 so a minimal spanning set is a minimum dominating set of the cover graph and a
@@ -94,46 +94,43 @@ class Relation:
 # ---------------------------------------------------------------------------
 
 def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
-                op, eps_max: float, level=np.asarray) -> Iterator[tuple]:
+                op, eps_max: float) -> Iterator[tuple]:
     """Yield (n, chunks) over an ascending n schedule, which the caller has
     validated. chunks holds the live pairs x < y, those with
     op(D_n[x, y], D_n[y, x]) <= eps_max, one chunk per ROW_TILE x ROW_TILE
     block of the upper triangle in row-major block order. A chunk is
-    (x, y, fwd, bwd): int32 ids sorted by (x, y) and the levels
-    fwd = level(D_n[x, y]), bwd = level(D_n[y, x]). ``level`` is monotone:
-    the distances themselves (``np.asarray`` keeps them), or their eps bins.
-    The list is updated in place for the next n: copy it to keep it past the
-    next step."""
+    (x, y, fwd, bwd): int32 ids sorted by (x, y) and the distances
+    fwd = D_n[x, y], bwd = D_n[y, x]. The list is updated in place for the
+    next n: copy it to keep it past the next step."""
     size = orbits.images.shape[0]
-    limit = level(eps_max)
     chunks = []
     for rows in row_tiles(size):
-        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, limit, level)
+        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, eps_max)
     done = n_list[0]
     yield done, chunks
     for n in n_list[1:]:
         for i in range(done, n):
             pts = orbits.iterate_points(i)
             for k, chunk in enumerate(chunks):
-                chunks[k] = _advance(spec, pts, chunk, op, limit, level)
+                chunks[k] = _advance(spec, pts, chunk, op, eps_max)
         done = n
         yield n, chunks
 
 
 def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
-                rows: slice, op, limit, level) -> list:
+                rows: slice, op, eps_max: float) -> list:
     """Live-pair chunks of the rows' blocks on and right of the diagonal,
     from orbit steps 0..steps-1 evaluated in both directions."""
     lo = rows.start
     fwd = bwd = None
     for i in range(steps):
         pts = orbits.iterate_points(i)
-        fwd = _max_into(fwd, level(pairwise(spec, pts[rows], pts[lo:])))  # D[x, y], y >= lo
-        bwd = _max_into(bwd, level(pairwise(spec, pts[lo:], pts[rows])))  # D[y, x]
+        fwd = _max_into(fwd, pairwise(spec, pts[rows], pts[lo:]))  # D[x, y], y >= lo
+        bwd = _max_into(bwd, pairwise(spec, pts[lo:], pts[rows]))  # D[y, x]
     chunks = []
     for cols in row_tiles(fwd.shape[1]):
         f, b = fwd[:, cols], bwd[cols].T
-        live = op(f, b) <= limit
+        live = op(f, b) <= eps_max
         if cols.start == 0:
             live = np.triu(live, 1)  # the diagonal block: pairs x < y only
         x, y = np.nonzero(live)
@@ -147,13 +144,13 @@ def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
 
 
 def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, op,
-             limit, level) -> tuple:
+             eps_max: float) -> tuple:
     """One more orbit step on a chunk's pairs, keeping those still live."""
     x, y, fwd, bwd = chunk
     px, py = pts[x], pts[y]
-    np.maximum(fwd, level(paired(spec, px, py)), out=fwd)
-    np.maximum(bwd, level(paired(spec, py, px)), out=bwd)
-    live = op(fwd, bwd) <= limit
+    np.maximum(fwd, paired(spec, px, py), out=fwd)
+    np.maximum(bwd, paired(spec, py, px), out=bwd)
+    live = op(fwd, bwd) <= eps_max
     return x[live], y[live], fwd[live], bwd[live]
 
 
@@ -220,34 +217,6 @@ def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarra
         pts = orbits.iterate_points(i)
         np.maximum(dist, pairwise(spec, pts, pts), out=dist)
     return dist
-
-
-def _relations_identical(spec_a: QuasiMetricSpec, spec_b: QuasiMetricSpec,
-                         orbits: OrbitTable, n_list: Sequence,
-                         eps_list: Sequence) -> bool:
-    """Whether two distance rules give the same two_sided relation at every
-    (n, eps) cell of a schedule that ``count_grid`` has validated.
-
-    A pair's cover bits at every eps are fixed by its bin, the number of eps
-    values below max(D_n, D_n^T) there. Binning is monotone, so each rule
-    keeps a live-pair stream of one-byte bins of D_n in both directions, and
-    the bin of their max is the max of their bins. Pairs above the largest
-    eps are in no relation, so the rules agree at n exactly when they have the
-    same live pairs with the same bins."""
-    edges = np.sort(np.asarray(eps_list, dtype=float))
-    dtype = np.min_scalar_type(len(edges))
-
-    def eps_bins(dist):
-        return np.searchsorted(edges, dist).astype(dtype)
-
-    streams = [_live_pairs(spec, orbits, n_list, np.maximum, edges[-1], eps_bins)
-               for spec in (spec_a, spec_b)]
-    for (_, chunks_a), (_, chunks_b) in zip(*streams):
-        for (xa, ya, fa, ba), (xb, yb, fb, bb) in zip(chunks_a, chunks_b):
-            if not (np.array_equal(xa, xb) and np.array_equal(ya, yb)
-                    and np.array_equal(np.maximum(fa, ba), np.maximum(fb, bb))):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +633,8 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError("n_list must be strictly increasing from n >= 1")
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be > 0")
+    if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
@@ -695,13 +666,12 @@ def _monotonicity_diagnostics(grid: CountGrid) -> list:
     as n grows (at fixed eps). Certain for exact cells; greedy violations are
     reported as informational."""
     notes = []
-    eps_desc = sorted(grid.eps_list, reverse=True)
     for q in QUANTITIES:
         vals = grid.counts(q)
         if not vals:
             continue
         for n in grid.n_list:
-            for hi, lo in zip(eps_desc, eps_desc[1:]):
+            for hi, lo in zip(grid.eps_list, grid.eps_list[1:]):
                 if vals[(n, hi)] > vals[(n, lo)]:
                     notes.append(f"{q} increased with eps at n={n}: "
                                  f"{vals[(n, hi)]} @eps={hi} > {vals[(n, lo)]} @eps={lo}")

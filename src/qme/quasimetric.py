@@ -5,8 +5,8 @@ A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
 elementwise on paired points (:func:`paired`), which is the one set of
 per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`) or
 one pair (:func:`evaluate`).
-Axiom validation, the two symmetrizations (mean and max), ball membership and
-the dynamical (orbit-maximized) distance all live here.
+Axiom validation, the two symmetrizations (mean and max) and ball membership
+also live here; orbit-maximized (Bowen) distances are built in ``covering``.
 
 Built-in kinds
 --------------
@@ -44,7 +44,6 @@ __all__ = [
     "symmetrize_max",
     "scaled",
     "ball_members",
-    "bowen_distance",
     "load_matrix_csv",
 ]
 
@@ -388,21 +387,6 @@ def ball_members(spec: QuasiMetricSpec, cloud, ball: BallSpec) -> set:
     else:
         mask = inside(from_center) & inside(to_center)
     return set(int(i) for i in np.nonzero(mask)[0])
-
-
-def bowen_distance(spec: QuasiMetricSpec, orbits, x: int, y: int, n: int) -> float:
-    """Orbit-maximized distance max_{0 <= i < n} e(T^i x, T^i y).
-
-    Asymmetric in general; the n = 1 case reduces to the base rule.
-    """
-    if not 1 <= n <= orbits.n_max:
-        raise ValueError(f"n must be in 1..{orbits.n_max}, got {n}")
-    best = 0.0
-    for i in range(n):
-        v = evaluate(spec, orbits.images[x, i], orbits.images[y, i])
-        if v > best:
-            best = v
-    return best
 
 
 def load_matrix_csv(path) -> QuasiMetricSpec:

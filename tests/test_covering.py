@@ -5,8 +5,6 @@ untiled reference ``oracles.relation`` (bit-identical to the pipeline's
 relations, see test_tiling.py) and calls the solvers on it directly, in the
 solvers' CSR form ``oracles.csr``.
 """
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +19,6 @@ from qme import (
     grid1d,
     index_cloud,
     scaled,
-    symmetrize_max,
 )
 from qme import covering
 from qme.covering import (
@@ -29,7 +26,6 @@ from qme.covering import (
     QUANTITY_PAIRS,
     _certified_floor,
     _packing_lp,
-    _relations_identical,
     exact_cover,
     exact_separated,
     greedy_cover,
@@ -403,6 +399,10 @@ def test_count_grid_validates_schedules():
         count_grid(ARC, orbits, [1], [0.5], variants=("sideways",))
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [0, 1], [0.5])  # n below 1
+    with pytest.raises(ValueError):
+        count_grid(ARC, orbits, [1], [0.125, 0.25])  # eps ascending
+    with pytest.raises(ValueError):
+        count_grid(ARC, orbits, [1], [0.25, 0.25, 0.125])  # eps repeated
 
 
 # --- theorem-shaped properties on random instances ---------------------------
@@ -479,26 +479,3 @@ def test_sandwich_battery_asymmetric_blocks():
                 counts[variant] = (r, s)
             assert counts["one_sided"][0] <= counts["two_sided"][0]
             assert counts["one_sided"][1] <= counts["two_sided"][1]
-
-
-def _traced_peak(fn) -> int:
-    """Peak bytes that numpy and Python allocate while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_identity_check_peak_within_count_grid_peak():
-    # max_metric's identity check runs next to the two_sided count grid; it
-    # keeps one step matrix and two small-integer bin matrices, where the
-    # grid keeps D_n, its symmetrization and a cover
-    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(1024), 5)
-    n_list, eps_list = [2, 3, 4, 5], [0.125, 0.0625, 0.03125]
-    grid_peak = _traced_peak(lambda: count_grid(
-        ARC, orbits, n_list, eps_list, exact_threshold=0, variants=("two_sided",)))
-    check_peak = _traced_peak(lambda: _relations_identical(
-        ARC, symmetrize_max(ARC), orbits, n_list, eps_list))
-    assert check_peak <= grid_peak

@@ -18,7 +18,6 @@ from qme import (
     power_rule_check,
     symbol_blocks,
 )
-import qme.entropy
 from qme.entropy import estimate_from_grid, variant_grids
 
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -89,24 +88,31 @@ def test_max_metric_estimate_identical_to_two_sided():
 
 
 @pytest.mark.parametrize("n_list", [[3, 1], [0, 1]], ids=["descending", "n_zero"])
-def test_max_metric_only_schedule_checked_before_identity(monkeypatch, n_list):
-    # the relation identity check trusts its schedule; the two_sided grid
-    # that max_metric solves first must reject a bad one
-    def unreachable(*args):
-        raise AssertionError("identity check ran on an unchecked schedule")
-
-    monkeypatch.setattr(qme.entropy, "_relations_identical", unreachable)
+def test_max_metric_only_schedule_checked_before_identity(n_list):
+    # max_metric alone still solves the two_sided grid, which rejects a bad
+    # schedule
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
     with pytest.raises(ValueError):
         variant_grids(ARC, orbits, ("max_metric",), n_list, [0.5])
 
 
 def test_max_metric_identity_checked_on_the_grid_schedule():
-    # float orbit lengths are valid count_grid input; the identity check
-    # takes the schedule count_grid normalized
+    # max_metric reuses the two_sided grid itself, with the schedule
+    # count_grid normalized from float orbit lengths
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
-    grids, identical = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
-    assert identical and grids["max_metric"].n_list == [1, 3]
+    grids = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
+    assert grids["max_metric"] is grids["two_sided"]
+    assert grids["max_metric"].n_list == [1, 3]
+
+
+def test_ascending_eps_rejected_by_estimate_and_compare():
+    # fits and halving checks read eps from largest to smallest
+    kw = dict(n_list=[1, 2, 3], eps_list=[0.125, 0.25])
+    with pytest.raises(ValueError):
+        estimate_entropy(MapSpec(kind="doubling"), circle_grid(32), ARC,
+                         "two_sided", **kw)
+    with pytest.raises(ValueError):
+        compare_theorems(MapSpec(kind="doubling"), circle_grid(32), ARC, **kw)
 
 
 def test_doubling_quick_estimate_near_log2():

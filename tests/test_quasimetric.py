@@ -8,7 +8,6 @@ from qme import (
     MapSpec,
     QuasiMetricSpec,
     ball_members,
-    bowen_distance,
     build_orbits,
     check_axioms,
     circle_grid,
@@ -200,41 +199,33 @@ def test_ball_errors(line_grid):
 def test_bowen_distance_n1_equals_base():
     cloud = grid1d(0.0, 1.0, 9)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 3)
+    D = oracles.naive_bowen(LINE, orbits, 1)
     for x in range(len(cloud)):
         for y in range(len(cloud)):
-            assert bowen_distance(LINE, orbits, x, y, 1) == \
-                evaluate(LINE, cloud.points[x], cloud.points[y])
+            assert D[x, y] == evaluate(LINE, cloud.points[x], cloud.points[y])
 
 
 def test_bowen_distance_identity_map_flat_in_n():
     cloud = grid1d(0.0, 1.0, 9)
     orbits = build_orbits(MapSpec(kind="identity"), cloud, 5)
     for n in range(1, 6):
-        assert bowen_distance(LINE, orbits, 1, 6, n) == \
+        assert oracles.naive_bowen(LINE, orbits, n)[1, 6] == \
             evaluate(LINE, cloud.points[1], cloud.points[6])
 
 
 def test_bowen_distance_doubling_example():
     cloud = custom_cloud([[0.0], [0.1]])
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 3)
-    assert bowen_distance(ARC, orbits, 0, 1, 3) == 0.4
+    assert oracles.naive_bowen(ARC, orbits, 3)[0, 1] == 0.4
 
 
 def test_bowen_distance_monotone_in_n():
     cloud = circle_grid(16)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 6)
+    dists = [oracles.naive_bowen(ARC, orbits, n) for n in range(1, 7)]
     for x, y in [(0, 1), (3, 11), (5, 5)]:
-        vals = [bowen_distance(ARC, orbits, x, y, n) for n in range(1, 7)]
+        vals = [D[x, y] for D in dists]
         assert vals == sorted(vals)
-
-
-def test_bowen_distance_rejects_bad_n():
-    cloud = circle_grid(4)
-    orbits = build_orbits(MapSpec(kind="identity"), cloud, 2)
-    with pytest.raises(ValueError):
-        bowen_distance(ARC, orbits, 0, 1, 3)
-    with pytest.raises(ValueError):
-        bowen_distance(ARC, orbits, 0, 1, 0)
 
 
 # --- properties --------------------------------------------------------------

@@ -21,12 +21,14 @@ Runs:
   pair of distinct points is at max-symmetrized distance 1 there, so an
   image that is not a cloud point ties with every point and snaps to the
   lowest id, the first row of the CSV;
-- ``pruning``: ``counts`` and ``entropy`` with both variants on a 600-point
-  grid (three row tiles) under the tent map and the hinge rule, over the
-  gapped n schedule 1, 4, 7 and an eps list whose largest value comes first
-  (the configuration requires each eps to halve). Pairs above the largest
-  eps leave the live set between scheduled n, and one_sided keeps pairs that
-  two_sided drops;
+- ``pruning``: ``counts``, ``entropy`` (both variants) and ``compare`` on a
+  600-point grid (three row tiles) under the tent map and the hinge rule,
+  over the gapped n schedule 1, 4, 7 and an eps list whose largest value
+  comes first (the configuration requires each eps to halve). Pairs above
+  the largest eps leave the live set between scheduled n, and one_sided
+  keeps pairs that two_sided drops. ``compare`` adds the max_metric counts,
+  the mean_metric grid and ``relations_identical`` on the same cloud; it
+  exits 1 there, on its estimate checks;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
@@ -144,7 +146,7 @@ def main(argv=None) -> int:
         for (subdir, config), commands in golden.items():
             capture_config(config, commands, os.path.join(out_root, subdir), scratch)
         capture_snap_ties(os.path.join(out_root, "snap_ties"), scratch)
-        capture_config(PRUNING_CONFIG, ("counts", "entropy"),
+        capture_config(PRUNING_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "pruning"), scratch)
         for workload in workloads.GENERATORS:
             inputs = os.path.join(scratch, workload)
