@@ -7,7 +7,6 @@ from .quasimetric import (
     QuasiMetricSpec,
     ball_members,
     check_axioms,
-    evaluate,
     pairwise,
     scaled,
     symmetrize_max,

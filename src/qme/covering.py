@@ -12,9 +12,15 @@ D_n only grows with n, so a pair whose symmetrized value exceeds the largest
 scheduled eps is never a cover edge again. The orbit steps before the first
 scheduled n are computed in row tiles of the upper triangle, in both
 directions, keeping only the live pairs; later steps evaluate e on the live
-pairs alone. Each (n, variant) builds one CSR relation at the largest eps, and
-each eps filters it by value. Values are maxima of the same elementwise
-evaluations as a dense D_n, so every relation is the dense one bit for bit.
+pairs alone. Each (n, variant) builds one valued CSR relation at the largest
+eps, whose own arrays are that eps's relation, and each smaller eps filters it
+by value. Values are maxima of the same elementwise evaluations as a dense
+D_n, so every relation is the dense one bit for bit.
+
+Each distinct relation is solved once per grid, keyed by its arrays' content.
+Expanding maps repeat relations: on a doubling circle the relation at
+(n, 2^-k) depends only on n + k, so of the 40 cells of n = 2..9 and
+eps = 2^-3..2^-7 only 12 relations are distinct.
 
 The max symmetrization's Bowen distance is max_i max(e(T^i x, T^i y),
 e(T^i y, T^i x)) = max(D_n, D_n^T), so its relation is the two_sided one by
@@ -160,13 +166,15 @@ def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
 
     Row r holds its entries left of the diagonal, then r, then those right of
     it. Chunks come in row-major block order, sorted by (x, y), so both sides
-    of every row receive their columns in increasing order."""
+    of every row receive their columns in increasing order: a chunk's x rows
+    already ascend, and its y rows are put in ascending order by a stable
+    sort, which keeps each row's x columns ascending."""
     left = np.zeros(size, dtype=np.int64)
     right = np.zeros(size, dtype=np.int64)
     for x, y, fwd, bwd in chunks:
         close = op(fwd, bwd) <= eps_max
-        np.add.at(right, x[close], 1)
-        np.add.at(left, y[close], 1)
+        right += np.bincount(x[close], minlength=size)
+        left += np.bincount(y[close], minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(left + right + 1, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
@@ -178,22 +186,28 @@ def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
     for x, y, fwd, bwd in chunks:
         value = op(fwd, bwd)
         close = value <= eps_max
+        if not close.any():
+            continue
         x, y, value = x[close], y[close], value[close]
         _append(right_fill, x, y, value, indices, values)
-        _append(left_fill, y, x, value, indices, values)
+        # a chunk's y span is under ROW_TILE wide, so its offsets fit in
+        # uint16, which numpy's stable argsort orders by radix sort
+        order = np.argsort((y - y.min()).astype(np.uint16), kind="stable")
+        _append(left_fill, y[order], x[order], value[order], indices, values)
     return indptr, indices, values
 
 
 def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             vals: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
-    """Write entries at fill[row] onward, in their given order within each
-    row, and advance fill."""
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
-    pos = fill[rows] + (np.arange(len(rows)) - np.searchsorted(rows, rows))
-    indices[pos] = cols[order]
-    values[pos] = vals[order]
-    np.add.at(fill, rows, 1)
+    """Write entries, whose rows ascend, at fill[row] onward in their given
+    order within each row, and advance fill."""
+    base = rows[0]
+    counts = np.bincount(rows - base)
+    first = np.cumsum(counts) - counts  # each row's first position in rows
+    pos = fill[rows] + (np.arange(len(rows)) - first[rows - base])
+    indices[pos] = cols
+    values[pos] = vals
+    fill[base:base + len(counts)] += counts
 
 
 def _within(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
@@ -605,10 +619,23 @@ class CountGrid:
 def _relations(chunks: list, size: int, variant: str,
                eps_list: Sequence) -> Iterator[tuple]:
     """Yield (eps, Relation) of one variant at each eps, from one valued CSR
-    relation built at the largest eps."""
-    csr = _relation_values(chunks, size, SYMMETRIZE[variant], max(eps_list))
+    relation built at the largest eps, whose own arrays are that eps's
+    relation."""
+    eps_max = max(eps_list)
+    indptr, indices, values = _relation_values(chunks, size, SYMMETRIZE[variant], eps_max)
     for eps in eps_list:
-        yield eps, _within(*csr, eps)
+        if eps == eps_max:
+            yield eps, Relation(indptr, indices)
+        else:
+            yield eps, _within(indptr, indices, values, eps)
+
+
+def _content_key(rel: Relation) -> tuple:
+    """A key equal for relations with equal arrays. Two different relations
+    share it only if their indptr and indices bytes both collide under the
+    builtin 64-bit SipHash at once, which non-adversarial data does not do."""
+    return (len(rel.indptr), len(rel.indices),
+            hash(rel.indptr.tobytes()), hash(rel.indices.tobytes()))
 
 
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
@@ -623,7 +650,10 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     largest eps, in the broader one_sided sense when that variant is asked
     for; each (n, variant) builds one CSR relation from them, and each
     (n, eps, variant) cell is solved in schedule order and merged by
-    coordinates.
+    coordinates. Each distinct relation is solved once per call: a cell
+    whose relation has the arrays of an earlier one (``_content_key``)
+    reuses that cell's results, witness, method, optimal flag and nodes
+    included.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -645,13 +675,17 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     size = orbits.images.shape[0]
     eps_max = max(eps_list)
     live_op = SYMMETRIZE["one_sided" if "one_sided" in variants else "two_sided"]
+    solved = {}  # _content_key -> (cover, separated) CountResults
     for n, chunks in _live_pairs(spec, orbits, n_list, live_op, eps_max):
         parts = {eps: {} for eps in eps_list}
         for variant in variants:
             r, s = QUANTITY_PAIRS[variant]
             for eps, rel in _relations(chunks, size, variant, eps_list):
-                parts[eps][r] = _solve(rel, False, exact_threshold)
-                parts[eps][s] = _solve(rel, True, exact_threshold)
+                key = _content_key(rel)
+                if key not in solved:
+                    solved[key] = (_solve(rel, False, exact_threshold),
+                                   _solve(rel, True, exact_threshold))
+                parts[eps][r], parts[eps][s] = solved[key]
         for eps in eps_list:
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 

@@ -3,8 +3,7 @@ inequality but may drop symmetry.
 
 A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
 elementwise on paired points (:func:`paired`), which is the one set of
-per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`) or
-one pair (:func:`evaluate`).
+per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`).
 Axiom validation, the two symmetrizations (mean and max) and ball membership
 also live here; orbit-maximized (Bowen) distances are built in ``covering``.
 
@@ -36,7 +35,6 @@ __all__ = [
     "QuasiMetricSpec",
     "AxiomReport",
     "BallSpec",
-    "evaluate",
     "pairwise",
     "paired",
     "check_axioms",
@@ -192,14 +190,13 @@ def row_tiles(n: int) -> list:
     return [slice(r, r + ROW_TILE) for r in range(0, n, ROW_TILE)]
 
 
-def with_transpose(op, D: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def with_transpose(op, D: np.ndarray) -> np.ndarray:
     """op(D, D^T) for a square matrix, computed block by block so the
-    transposed read stays in cache, into ``out`` when given (op gets each
-    block of it as ``out=``). Each entry gets the same elementwise op on the
-    same operands as ``op(D, D.T)``, so the values are identical."""
+    transposed read stays in cache (op gets each block of the result as
+    ``out=``). Each entry gets the same elementwise op on the same operands
+    as ``op(D, D.T)``, so the values are identical."""
     n = D.shape[0]
-    if out is None:
-        out = np.empty_like(D)
+    out = np.empty_like(D)
     b = TRANSPOSE_BLOCK
     for i in range(0, n, b):
         for j in range(0, n, b):
@@ -229,11 +226,6 @@ def _block_paired(a: np.ndarray, b: np.ndarray, asym: bool) -> np.ndarray:
         bv = np.take_along_axis(b, at_first, axis=-1)[..., 0]  # b[k, first[k]]
         out = out * np.where(differs & (av > bv), 2.0, 1.0)
     return out
-
-
-def evaluate(spec: QuasiMetricSpec, x, y) -> float:
-    """Single evaluation e(x, y) for coordinate vectors x, y."""
-    return float(pairwise(spec, _as_points(x), _as_points(y))[0, 0])
 
 
 def symmetrize_mean(spec: QuasiMetricSpec) -> QuasiMetricSpec:

@@ -7,7 +7,8 @@ two routes that share no code. Two parts are references that the pipeline
 must match exactly: the dense greedy solvers, which the CSR solvers must follow
 pick for pick (``csr`` turns a dense cover into the solvers' relation type),
 and the last section's untiled, full-matrix forms of the tiled and live-pair
-passes, which must agree with them bit for bit.
+passes, which must agree with them bit for bit. ``evaluate``, the one-pair
+form of ``pairwise``, lives here because only tests need it.
 """
 from __future__ import annotations
 
@@ -17,6 +18,11 @@ import numpy as np
 
 from qme.covering import Relation
 from qme.quasimetric import pairwise, symmetrize_max
+
+
+def evaluate(spec, x, y) -> float:
+    """Single evaluation e(x, y) for coordinate vectors x, y."""
+    return float(pairwise(spec, x, y)[0, 0])
 
 
 def csr(cover: np.ndarray) -> Relation:

@@ -21,6 +21,7 @@ from qme import (
     scaled,
 )
 from qme import covering
+from qme.dynamics import OrbitTable
 from qme.covering import (
     QUANTITIES,
     QUANTITY_PAIRS,
@@ -403,6 +404,80 @@ def test_count_grid_validates_schedules():
         count_grid(ARC, orbits, [1], [0.125, 0.25])  # eps ascending
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1], [0.25, 0.25, 0.125])  # eps repeated
+
+
+# --- one solve per distinct relation ------------------------------------------
+
+def _counted(monkeypatch, names) -> dict:
+    """Patch covering's solvers of the given names to count their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(rel, name=name, solver=getattr(covering, name)):
+            calls[name] += 1
+            return solver(rel)
+        monkeypatch.setattr(covering, name, counted)
+    return calls
+
+
+def _oracle_cells(spec, orbits, n_list, eps_list, variants) -> dict:
+    return {(n, eps, v): oracles.relation(spec, orbits, n, eps, v)
+            for n in n_list for eps in eps_list for v in variants}
+
+
+def _assert_cells_solved_alone(grid, cells, exact_threshold):
+    for (n, eps, variant), cover in cells.items():
+        r, s = QUANTITY_PAIRS[variant]
+        cell = grid.cell(n, eps)
+        assert cell.get(r) == covering._solve(csr(cover), False, exact_threshold)
+        assert cell.get(s) == covering._solve(csr(cover), True, exact_threshold)
+
+
+def test_count_grid_solves_each_distinct_greedy_relation_once(monkeypatch):
+    # on the 2^-20 lattice doubling is exact, and D_{n+1} = 2 D_n on close
+    # pairs, so the relation at (n, 2^-k) depends only on n + k
+    rng = np.random.default_rng(3)
+    idx = np.sort(rng.choice(1 << 20, size=512, replace=False))
+    orbits = build_orbits(MapSpec(kind="doubling"), custom_cloud(idx / 2.0 ** 20), 6)
+    n_list, eps_list = [2, 3, 4, 5, 6], [2.0 ** -k for k in range(3, 7)]
+    cells = _oracle_cells(ARC, orbits, n_list, eps_list, covering.VARIANTS)
+    distinct = len({cover.tobytes() for cover in cells.values()})
+    calls = _counted(monkeypatch, ("greedy_cover", "greedy_separated"))
+    grid = count_grid(ARC, orbits, n_list, eps_list, exact_threshold=0)
+    assert distinct < len(cells)
+    assert calls == {"greedy_cover": distinct, "greedy_separated": distinct}
+    _assert_cells_solved_alone(grid, cells, 0)
+
+
+def test_count_grid_solves_each_distinct_exact_relation_once(monkeypatch):
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    orbits = build_orbits(MapSpec(kind="tent"), grid1d(0.0, 1.0, 12), 4)
+    n_list, eps_list = [1, 2, 3, 4], [1.0, 0.5, 0.25, 0.125]
+    cells = _oracle_cells(spec, orbits, n_list, eps_list, covering.VARIANTS)
+    distinct = len({cover.tobytes() for cover in cells.values()})
+    calls = _counted(monkeypatch, ("exact_cover", "exact_separated"))
+    grid = count_grid(spec, orbits, n_list, eps_list)
+    assert distinct < len(cells)
+    assert calls == {"exact_cover": distinct, "exact_separated": distinct}
+    _assert_cells_solved_alone(grid, cells, covering.DEFAULT_EXACT_THRESHOLD)
+
+
+def test_relations_differing_only_in_indices_are_both_solved():
+    # T^i x = x + i (mod 6); e is 1 inside the triangles {0, 1, 2} and
+    # {3, 4, 5}, 2 on the edges 2-3 and 5-0, and 3 elsewhere. At (1, 1) the
+    # relation is the two triangles, at (2, 2) the 6-cycle 0-1-2-3-4-5-0:
+    # three entries per row in both, so only the indices tell them apart
+    m = np.full((6, 6), 3.0)
+    for x, y, value in [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1),
+                        (4, 5, 1), (2, 3, 2), (5, 0, 2)]:
+        m[x, y] = m[y, x] = value
+    np.fill_diagonal(m, 0.0)
+    points = index_cloud(6).points
+    orbits = OrbitTable(images=np.stack([points, np.roll(points, -1, axis=0)], axis=1),
+                        snap_mode="exact")
+    grid = count_grid(QuasiMetricSpec(kind="matrix", matrix=m), orbits, [1, 2],
+                      [2.0, 1.0], variants=("two_sided",))
+    assert grid.cell(1, 1.0).s1.cardinality == 2
+    assert grid.cell(2, 2.0).s1.cardinality == 3
 
 
 # --- theorem-shaped properties on random instances ---------------------------

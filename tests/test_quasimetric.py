@@ -12,7 +12,6 @@ from qme import (
     check_axioms,
     circle_grid,
     custom_cloud,
-    evaluate,
     grid1d,
     index_cloud,
     pairwise,
@@ -24,6 +23,7 @@ from qme import (
 from qme.quasimetric import load_matrix_csv, paired
 
 import oracles
+from oracles import evaluate
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")

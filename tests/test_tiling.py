@@ -26,7 +26,7 @@ from qme import (
     symbol_blocks,
     symmetrize_max,
 )
-from qme.covering import SYMMETRIZE, _live_pairs, _relations
+from qme.covering import SYMMETRIZE, _live_pairs, _relation_values, _relations
 from qme.dynamics import OrbitTable
 
 import oracles
@@ -97,6 +97,53 @@ def test_live_pair_relations_match_full_matrix(kind):
                             assert np.array_equal(rel.dense(), ref), (size, n, eps)
                             rows = np.split(rel.indices, rel.indptr[1:-1])
                             assert all(np.all(np.diff(row) > 0) for row in rows)
+
+
+def _lexsort_csr(chunks: list, size: int, op, eps_max: float) -> tuple:
+    """(indptr, indices, values) of the chunks' relation op <= eps_max, both
+    directions and the diagonal, ordered by one lexsort on (row, column)."""
+    x = np.concatenate([c[0] for c in chunks])
+    y = np.concatenate([c[1] for c in chunks])
+    value = np.concatenate([op(c[2], c[3]) for c in chunks])
+    keep = value <= eps_max
+    diagonal = np.arange(size)
+    rows = np.concatenate([x[keep], y[keep], diagonal])
+    cols = np.concatenate([y[keep], x[keep], diagonal])
+    vals = np.concatenate([value[keep], value[keep], np.zeros(size)])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return indptr, cols[order].astype(np.int32), vals[order]
+
+
+@st.composite
+def matrix_cases(draw):
+    """(spec, size, eps_max): an asymmetric matrix rule with off-diagonal
+    values on the 1/8 lattice of [1/8, 2], and an eps_max from 0 (no live
+    pair, every chunk empty) to 2 (every pair live)."""
+    size = draw(st.integers(1, 20))
+    m = np.array(draw(st.lists(st.integers(1, 16), min_size=size * size,
+                               max_size=size * size)), dtype=float).reshape(size, size)
+    np.fill_diagonal(m, 0.0)
+    spec = QuasiMetricSpec(kind="matrix", matrix=m / 8.0)
+    return spec, size, draw(st.integers(0, 16)) / 8.0
+
+
+@pytest.mark.parametrize("row_tile", [3, 256])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=matrix_cases())
+def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
+    monkeypatch.setattr(qm, "ROW_TILE", row_tile)
+    spec, size, eps_max = case
+    orbits = OrbitTable(images=index_cloud(size).points[:, None, :], snap_mode="exact")
+    # the one_sided live set, read as one_sided and as two_sided, which
+    # drops the pairs close in one direction only
+    [(_, chunks)] = _live_pairs(spec, orbits, [1], np.minimum, eps_max)
+    for op in (np.minimum, np.maximum):
+        csr = _relation_values(chunks, size, op, eps_max)
+        ref = _lexsort_csr(chunks, size, op, eps_max)
+        assert all(_same_bits(a, b) for a, b in zip(csr, ref))
 
 
 @pytest.mark.parametrize("kind", KINDS)
