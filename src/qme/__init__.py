@@ -3,9 +3,7 @@ minimal spanning and maximal separated set counts."""
 
 from .quasimetric import (
     AxiomReport,
-    BallSpec,
     QuasiMetricSpec,
-    ball_members,
     check_axioms,
     pairwise,
     scaled,

@@ -10,12 +10,16 @@ over the n schedule. Each (n, variant) gives one symmetric relation per eps:
 
 D_n only grows with n, so a pair whose symmetrized value exceeds the largest
 scheduled eps is never a cover edge again. The orbit steps before the first
-scheduled n are computed in row tiles of the upper triangle, in both
-directions, keeping only the live pairs; later steps evaluate e on the live
-pairs alone. Each (n, variant) builds one valued CSR relation at the largest
-eps, whose own arrays are that eps's relation, and each smaller eps filters it
-by value. Values are maxima of the same elementwise evaluations as a dense
-D_n, so every relation is the dense one bit for bit.
+scheduled n are computed in row tiles of the upper triangle, keeping only the
+live pairs; later steps evaluate e on the live pairs alone. Both directions
+are evaluated, except for a rule symmetric by construction
+(``quasimetric.is_symmetric``): there D_n = D_n^T bit for bit, so each pair
+is evaluated once, both symmetrizations are D_n itself, and the two variants
+share one relation. Each n builds one valued CSR relation per variant (one in
+all for a symmetric rule) at the largest eps, whose own arrays are that eps's
+relation, and each smaller eps filters it by value. Values are maxima of the
+same elementwise evaluations as a dense D_n, so every relation is the dense
+one bit for bit.
 
 Each distinct relation is solved once per grid, keyed by its arrays' content.
 Expanding maps repeat relations: on a doubling circle the relation at
@@ -49,7 +53,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import QuasiMetricSpec, paired, pairwise, row_tiles
+from .quasimetric import QuasiMetricSpec, is_symmetric, paired, pairwise, row_tiles
 
 __all__ = [
     "VARIANTS",
@@ -106,12 +110,14 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     op(D_n[x, y], D_n[y, x]) <= eps_max, one chunk per ROW_TILE x ROW_TILE
     block of the upper triangle in row-major block order. A chunk is
     (x, y, fwd, bwd): int32 ids sorted by (x, y) and the distances
-    fwd = D_n[x, y], bwd = D_n[y, x]. The list is updated in place for the
-    next n: copy it to keep it past the next step."""
+    fwd = D_n[x, y], bwd = D_n[y, x]. For a symmetric rule bwd is the same
+    array object as fwd. The list is updated in place for the next n: copy
+    it to keep it past the next step."""
     size = orbits.images.shape[0]
+    symmetric = is_symmetric(spec)
     chunks = []
     for rows in row_tiles(size):
-        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, eps_max)
+        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, eps_max, symmetric)
     done = n_list[0]
     yield done, chunks
     for n in n_list[1:]:
@@ -124,24 +130,27 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
 
 
 def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
-                rows: slice, op, eps_max: float) -> list:
+                rows: slice, op, eps_max: float, symmetric: bool) -> list:
     """Live-pair chunks of the rows' blocks on and right of the diagonal,
-    from orbit steps 0..steps-1 evaluated in both directions."""
+    from orbit steps 0..steps-1 evaluated in both directions, or in one when
+    the rule is ``symmetric``, whose chunks then alias bwd to fwd."""
     lo = rows.start
     fwd = bwd = None
     for i in range(steps):
         pts = orbits.iterate_points(i)
         fwd = _max_into(fwd, pairwise(spec, pts[rows], pts[lo:]))  # D[x, y], y >= lo
-        bwd = _max_into(bwd, pairwise(spec, pts[lo:], pts[rows]))  # D[y, x]
+        if not symmetric:
+            bwd = _max_into(bwd, pairwise(spec, pts[lo:], pts[rows]))  # D[y, x]
     chunks = []
     for cols in row_tiles(fwd.shape[1]):
-        f, b = fwd[:, cols], bwd[cols].T
-        live = op(f, b) <= eps_max
+        f = fwd[:, cols]
+        b = f if symmetric else bwd[cols].T
+        live = _symmetrized(op, f, b) <= eps_max
         if cols.start == 0:
             live = np.triu(live, 1)  # the diagonal block: pairs x < y only
         x, y = np.nonzero(live)
         chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + (lo + cols.start),
-                       f[live], b[live]))
+                       *_kept(f, b, live)))
     return chunks
 
 
@@ -149,15 +158,30 @@ def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
     return step if acc is None else np.maximum(acc, step, out=acc)
 
 
+def _symmetrized(op, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """op(fwd, bwd), which is fwd itself when bwd is fwd: min and max of a
+    value with itself are that value."""
+    return fwd if bwd is fwd else op(fwd, bwd)
+
+
+def _kept(fwd: np.ndarray, bwd: np.ndarray, live: np.ndarray) -> tuple:
+    """(fwd[live], bwd[live]), the second the first when bwd is fwd."""
+    f = fwd[live]
+    return f, f if bwd is fwd else bwd[live]
+
+
 def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, op,
              eps_max: float) -> tuple:
-    """One more orbit step on a chunk's pairs, keeping those still live."""
+    """One more orbit step on a chunk's pairs, keeping those still live; a
+    chunk whose bwd is its fwd (a symmetric rule) is evaluated one way and
+    stays aliased."""
     x, y, fwd, bwd = chunk
     px, py = pts[x], pts[y]
     np.maximum(fwd, paired(spec, px, py), out=fwd)
-    np.maximum(bwd, paired(spec, py, px), out=bwd)
-    live = op(fwd, bwd) <= eps_max
-    return x[live], y[live], fwd[live], bwd[live]
+    if bwd is not fwd:
+        np.maximum(bwd, paired(spec, py, px), out=bwd)
+    live = _symmetrized(op, fwd, bwd) <= eps_max
+    return (x[live], y[live], *_kept(fwd, bwd, live))
 
 
 def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
@@ -172,7 +196,7 @@ def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
     left = np.zeros(size, dtype=np.int64)
     right = np.zeros(size, dtype=np.int64)
     for x, y, fwd, bwd in chunks:
-        close = op(fwd, bwd) <= eps_max
+        close = _symmetrized(op, fwd, bwd) <= eps_max
         right += np.bincount(x[close], minlength=size)
         left += np.bincount(y[close], minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
@@ -184,7 +208,7 @@ def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
     values[diagonal] = 0.0
     left_fill, right_fill = indptr[:-1].copy(), diagonal + 1
     for x, y, fwd, bwd in chunks:
-        value = op(fwd, bwd)
+        value = _symmetrized(op, fwd, bwd)
         close = value <= eps_max
         if not close.any():
             continue
@@ -648,7 +672,8 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
 
     D_n grows over the ascending n schedule on the pairs live at the
     largest eps, in the broader one_sided sense when that variant is asked
-    for; each (n, variant) builds one CSR relation from them, and each
+    for; each (n, variant) builds one CSR relation from them (one for both
+    variants when the rule is symmetric by construction), and each
     (n, eps, variant) cell is solved in schedule order and merged by
     coordinates. Each distinct relation is solved once per call: a cell
     whose relation has the arrays of an earlier one (``_content_key``)
@@ -675,17 +700,24 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     size = orbits.images.shape[0]
     eps_max = max(eps_list)
     live_op = SYMMETRIZE["one_sided" if "one_sided" in variants else "two_sided"]
+    # variant whose relation is built -> the variants that threshold it: a
+    # symmetric rule's D_n is D_n^T, so all of them share the first's
+    shared = {}
+    symmetric = is_symmetric(spec)
+    for variant in variants:
+        shared.setdefault(variants[0] if symmetric else variant, []).append(variant)
     solved = {}  # _content_key -> (cover, separated) CountResults
     for n, chunks in _live_pairs(spec, orbits, n_list, live_op, eps_max):
         parts = {eps: {} for eps in eps_list}
-        for variant in variants:
-            r, s = QUANTITY_PAIRS[variant]
-            for eps, rel in _relations(chunks, size, variant, eps_list):
+        for built, users in shared.items():
+            for eps, rel in _relations(chunks, size, built, eps_list):
                 key = _content_key(rel)
                 if key not in solved:
                     solved[key] = (_solve(rel, False, exact_threshold),
                                    _solve(rel, True, exact_threshold))
-                parts[eps][r], parts[eps][s] = solved[key]
+                for variant in users:
+                    r, s = QUANTITY_PAIRS[variant]
+                    parts[eps][r], parts[eps][s] = solved[key]
         for eps in eps_list:
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
 

@@ -246,7 +246,9 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
     two_sided, one_sided and max_metric share one grid on ``spec``: the max
     symmetrization's Bowen distance is max(D_n, D_n^T), so its relation is
     the two_sided one. mean_metric solves its own (a Bowen max of means is
-    not a function of D_n).
+    not a function of D_n). The mean symmetrization is symmetric by
+    construction, so its grid evaluates the base rule twice per live pair
+    and step (once each way), not four times.
     """
     for v in variants:
         if v not in ENTROPY_VARIANTS:

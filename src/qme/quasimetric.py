@@ -4,8 +4,9 @@ inequality but may drop symmetry.
 A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
 elementwise on paired points (:func:`paired`), which is the one set of
 per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`).
-Axiom validation, the two symmetrizations (mean and max) and ball membership
-also live here; orbit-maximized (Bowen) distances are built in ``covering``.
+Axiom validation, the symmetry test and the two symmetrizations (mean and
+max) also live here; orbit-maximized (Bowen) distances are built in
+``covering``.
 
 Built-in kinds
 --------------
@@ -34,14 +35,13 @@ import numpy as np
 __all__ = [
     "QuasiMetricSpec",
     "AxiomReport",
-    "BallSpec",
     "pairwise",
     "paired",
+    "is_symmetric",
     "check_axioms",
     "symmetrize_mean",
     "symmetrize_max",
     "scaled",
-    "ball_members",
     "load_matrix_csv",
 ]
 
@@ -55,6 +55,9 @@ _BASE_KINDS = {
     "block_prefix_asym",
 }
 _DERIVED_KINDS = {"mean_of", "max_of", "scaled"}
+# kinds whose formula gives e(x, y) == e(y, x) bit for bit: negation, abs,
+# squaring, + and max are exact or commutative in IEEE arithmetic
+_SYMMETRIC_KINDS = {"euclidean", "circle_arc", "block_prefix", "mean_of", "max_of"}
 
 DEFAULT_SEED = 1234
 
@@ -183,6 +186,22 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
         return _block_paired(a, b, asym=(kind == "block_prefix_asym"))
 
     raise AssertionError(f"unhandled kind {kind!r}")
+
+
+def is_symmetric(spec: QuasiMetricSpec) -> bool:
+    """True when the rule is symmetric by construction, so that
+    ``paired(spec, a, b)`` equals ``paired(spec, b, a)`` for every input:
+    ``euclidean``, ``circle_arc``, ``block_prefix``, the two symmetrizations
+    of any base, ``scaled`` of a symmetric base, and a ``matrix`` equal to its
+    transpose. Other rules may be symmetric on a given cloud; that is not
+    looked for."""
+    if spec.kind in _SYMMETRIC_KINDS:
+        return True
+    if spec.kind == "scaled":
+        return is_symmetric(spec.base)
+    if spec.kind == "matrix":
+        return bool(np.array_equal(spec.matrix, spec.matrix.T))
+    return False
 
 
 def row_tiles(n: int) -> list:
@@ -336,49 +355,6 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
         exhaustive=exhaustive,
         triples_checked=triples_checked,
     )
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Membership predicate for a ball around a cloud point.
-
-    ``side`` is ``right`` (distance measured from the center: e(p, x)),
-    ``left`` (toward the center: e(x, p)) or ``two_sided`` (both). Open balls
-    compare with ``<``, closed balls with ``<=``.
-    """
-
-    center: int
-    radius: float
-    side: str = "two_sided"
-    closed: bool = False
-
-    def __post_init__(self):
-        if self.side not in ("right", "left", "two_sided"):
-            raise ValueError(f"unknown ball side {self.side!r}")
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be > 0")
-
-
-def ball_members(spec: QuasiMetricSpec, cloud, ball: BallSpec) -> set:
-    """Ids of cloud points inside the ball."""
-    pts = cloud.points
-    n = pts.shape[0]
-    if not (0 <= ball.center < n):
-        raise IndexError(f"unknown center id {ball.center}")
-    center = pts[ball.center:ball.center + 1]
-    from_center = pairwise(spec, center, pts)[0]   # e(p, x)
-    to_center = pairwise(spec, pts, center)[:, 0]  # e(x, p)
-
-    def inside(vals):
-        return vals <= ball.radius if ball.closed else vals < ball.radius
-
-    if ball.side == "right":
-        mask = inside(from_center)
-    elif ball.side == "left":
-        mask = inside(to_center)
-    else:
-        mask = inside(from_center) & inside(to_center)
-    return set(int(i) for i in np.nonzero(mask)[0])
 
 
 def load_matrix_csv(path) -> QuasiMetricSpec:

@@ -8,21 +8,66 @@ must match exactly: the dense greedy solvers, which the CSR solvers must follow
 pick for pick (``csr`` turns a dense cover into the solvers' relation type),
 and the last section's untiled, full-matrix forms of the tiled and live-pair
 passes, which must agree with them bit for bit. ``evaluate``, the one-pair
-form of ``pairwise``, lives here because only tests need it.
+form of ``pairwise``, and ball membership (``BallSpec``, ``ball_members``)
+live here because only tests need them.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from qme.covering import Relation
-from qme.quasimetric import pairwise, symmetrize_max
+from qme.quasimetric import QuasiMetricSpec, pairwise, symmetrize_max
 
 
 def evaluate(spec, x, y) -> float:
     """Single evaluation e(x, y) for coordinate vectors x, y."""
     return float(pairwise(spec, x, y)[0, 0])
+
+
+@dataclass(frozen=True)
+class BallSpec:
+    """Membership predicate for a ball around a cloud point.
+
+    ``side`` is ``right`` (distance measured from the center: e(p, x)),
+    ``left`` (toward the center: e(x, p)) or ``two_sided`` (both). Open balls
+    compare with ``<``, closed balls with ``<=``.
+    """
+
+    center: int
+    radius: float
+    side: str = "two_sided"
+    closed: bool = False
+
+    def __post_init__(self):
+        if self.side not in ("right", "left", "two_sided"):
+            raise ValueError(f"unknown ball side {self.side!r}")
+        if not self.radius > 0.0:
+            raise ValueError("ball radius must be > 0")
+
+
+def ball_members(spec: QuasiMetricSpec, cloud, ball: BallSpec) -> set:
+    """Ids of cloud points inside the ball."""
+    pts = cloud.points
+    n = pts.shape[0]
+    if not (0 <= ball.center < n):
+        raise IndexError(f"unknown center id {ball.center}")
+    center = pts[ball.center:ball.center + 1]
+    from_center = pairwise(spec, center, pts)[0]   # e(p, x)
+    to_center = pairwise(spec, pts, center)[:, 0]  # e(x, p)
+
+    def inside(vals):
+        return vals <= ball.radius if ball.closed else vals < ball.radius
+
+    if ball.side == "right":
+        mask = inside(from_center)
+    elif ball.side == "left":
+        mask = inside(to_center)
+    else:
+        mask = inside(from_center) & inside(to_center)
+    return set(int(i) for i in np.nonzero(mask)[0])
 
 
 def csr(cover: np.ndarray) -> Relation:

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qme import (
-    BallSpec,
     MapSpec,
     QuasiMetricSpec,
-    ball_members,
     build_orbits,
     check_axioms,
     circle_grid,
@@ -20,10 +18,10 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.quasimetric import load_matrix_csv, paired
+from qme.quasimetric import is_symmetric, load_matrix_csv, paired
 
 import oracles
-from oracles import evaluate
+from oracles import BallSpec, ball_members, evaluate
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -316,6 +314,74 @@ def test_scaled_spec_scales_distances():
     assert np.array_equal(pairwise(scaled(LINE, 2.0), pts, pts), 2.0 * D)
     with pytest.raises(ValueError):
         scaled(LINE, 0.0)
+
+
+# --- symmetry by construction ------------------------------------------------
+
+HINGE = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+# name -> (rule, coordinates per point); block_prefix points are symbol blocks
+SYMMETRIC_RULES = {
+    "circle_arc": (ARC, 1),
+    "euclidean_1d": (QuasiMetricSpec(kind="euclidean"), 1),
+    "euclidean_2d": (QuasiMetricSpec(kind="euclidean"), 2),
+    "block_prefix": (QuasiMetricSpec(kind="block_prefix"), 4),
+    "mean_of_weighted_asym": (symmetrize_mean(HINGE), 2),
+    "max_of_weighted_asym": (symmetrize_max(HINGE), 2),
+    "mean_of_asym_line": (symmetrize_mean(LINE), 1),
+    "max_of_asym_line": (symmetrize_max(LINE), 1),
+    "scaled_circle_arc": (scaled(ARC, 0.3), 1),
+}
+
+
+@st.composite
+def symmetric_cases(draw):
+    """(name, spec, a, b): a rule symmetric by construction and two arrays of
+    1 to 8 points each, paired row by row. Real coordinates are any floats of
+    [0, 1], so the rounding of every subtraction is exercised; the symmetric
+    matrix has any off-diagonal values of [0, 8]."""
+    name = draw(st.sampled_from(sorted(SYMMETRIC_RULES) + ["matrix"]))
+    count = draw(st.integers(1, 8))
+    if name == "matrix":
+        size = draw(st.integers(1, 6))
+        m = np.zeros((size, size))
+        for i in range(size):
+            for j in range(i + 1, size):
+                m[i, j] = m[j, i] = draw(st.floats(0.0, 8.0))
+        spec = QuasiMetricSpec(kind="matrix", matrix=m)
+        coord, dim = st.integers(0, size - 1).map(float), 1
+    elif name == "block_prefix":
+        spec, dim = SYMMETRIC_RULES[name]
+        coord = st.integers(0, 2).map(float)
+    else:
+        spec, dim = SYMMETRIC_RULES[name]
+        coord = st.floats(0.0, 1.0)
+    points = st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                      min_size=count, max_size=count)
+    return name, spec, np.array(draw(points)), np.array(draw(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_cases())
+def test_is_symmetric_rules_are_symmetric_bit_for_bit(case):
+    # the live-pair Bowen stream evaluates these rules in one direction only
+    name, spec, a, b = case
+    assert is_symmetric(spec), name
+    assert paired(spec, a, b).tobytes() == paired(spec, b, a).tobytes(), name
+
+
+def test_is_symmetric_rejects_asymmetric_rules():
+    line = np.array([[0.0], [0.5]])
+    blocks = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for spec, pts in [
+        (LINE, line),
+        (HINGE, line),
+        (QuasiMetricSpec(kind="block_prefix_asym"), blocks),
+        (TWO_POINT, index_cloud(2).points),
+        (scaled(HINGE, 2.0), line),
+    ]:
+        assert not is_symmetric(spec), spec.kind
+        D = pairwise(spec, pts, pts)
+        assert D[0, 1] != D[1, 0], spec.kind  # asymmetric on these points
 
 
 # --- matrix CSV --------------------------------------------------------------

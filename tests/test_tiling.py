@@ -25,14 +25,19 @@ from qme import (
     pairwise,
     symbol_blocks,
     symmetrize_max,
+    symmetrize_mean,
 )
 from qme.covering import SYMMETRIZE, _live_pairs, _relation_values, _relations
 from qme.dynamics import OrbitTable
+from qme.quasimetric import is_symmetric
 
 import oracles
 
 SIZES = range(1, 21)
 KINDS = ("weighted_asym", "asym_line", "matrix", "block_prefix_asym")
+# rules symmetric by construction, whose live pairs are evaluated one way
+SYMMETRIC_KINDS = ("circle_arc", "euclidean_2d", "block_prefix", "matrix_symmetric",
+                   "mean_of_weighted_asym")
 # [1, 4, 7] leaves gaps, so pairs die between scheduled n
 SCHEDULES = ([1, 2, 4], [3, 4], [1, 4, 7])
 EPS = [0.25, 1.0, 0.125, 0.5]  # unsorted: the largest is not last
@@ -50,19 +55,26 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _case(kind: str, size: int, rng: np.random.Generator) -> tuple:
-    """(spec, cloud) for an asymmetric rule on a cloud of the given size."""
-    if kind == "matrix":
+    """(spec, cloud) for a rule of KINDS or SYMMETRIC_KINDS on a cloud of the
+    given size."""
+    if kind in ("matrix", "matrix_symmetric"):
         m = rng.integers(1, 64, size=(size, size)) / 64.0
+        if kind == "matrix_symmetric":
+            m = np.maximum(m, m.T)
         np.fill_diagonal(m, 0.0)
         return QuasiMetricSpec(kind="matrix", matrix=m), index_cloud(size)
-    if kind == "block_prefix_asym":
+    if kind in ("block_prefix", "block_prefix_asym"):
         blocks = symbol_blocks(3, 3).points
         picks = rng.choice(len(blocks), size=size, replace=False)
         return QuasiMetricSpec(kind=kind), custom_cloud(blocks[picks])
-    if kind == "weighted_asym":
+    if kind in ("weighted_asym", "mean_of_weighted_asym", "euclidean_2d"):
         pts = rng.choice(1025, size=(size, 2), replace=False) / 1024.0
-        return QuasiMetricSpec(kind=kind, alpha=0.5, beta=2.0), custom_cloud(pts)
-    pts = rng.choice(1025, size=size, replace=False) / 1024.0
+        hinge = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+        spec = {"weighted_asym": hinge,
+                "mean_of_weighted_asym": symmetrize_mean(hinge),
+                "euclidean_2d": QuasiMetricSpec(kind="euclidean")}[kind]
+        return spec, custom_cloud(pts)
+    pts = rng.choice(1025, size=size, replace=False) / 1024.0  # asym_line, circle_arc
     return QuasiMetricSpec(kind=kind), custom_cloud(pts)
 
 
@@ -77,11 +89,14 @@ def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 7) -> Orbi
     return OrbitTable(images=np.stack(steps, axis=1), snap_mode="exact")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + SYMMETRIC_KINDS)
 def test_live_pair_relations_match_full_matrix(kind):
     rng = np.random.default_rng(7)
     for size in SIZES:
         spec, cloud = _case(kind, size, rng)
+        # an asymmetric kind may draw a symmetric matrix (size 1, say)
+        symmetric = is_symmetric(spec)
+        assert symmetric or kind not in SYMMETRIC_KINDS
         orbits = _permutation_orbits(cloud, rng)
         for n_list in SCHEDULES:
             for variants in VARIANT_SETS:
@@ -89,6 +104,7 @@ def test_live_pair_relations_match_full_matrix(kind):
                 for n, chunks in _live_pairs(spec, orbits, n_list, live_op, max(EPS)):
                     dist = oracles.naive_bowen(spec, orbits, n)
                     for x, y, fwd, bwd in chunks:
+                        assert (bwd is fwd) == symmetric
                         assert np.all(x < y)
                         assert _same_bits(fwd, dist[x, y]) and _same_bits(bwd, dist[y, x])
                     for variant in variants:
@@ -97,6 +113,24 @@ def test_live_pair_relations_match_full_matrix(kind):
                             assert np.array_equal(rel.dense(), ref), (size, n, eps)
                             rows = np.split(rel.indices, rel.indptr[1:-1])
                             assert all(np.all(np.diff(row) > 0) for row in rows)
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+def test_symmetric_rule_variants_share_one_relation(kind):
+    # count_grid builds one relation per n for both variants of a symmetric
+    # rule; each variant solved alone gives the same cells
+    rng = np.random.default_rng(13)
+    eps_desc = sorted(EPS, reverse=True)
+    for size in (1, 7, 20):
+        spec, cloud = _case(kind, size, rng)
+        orbits = _permutation_orbits(cloud, rng)
+        both = count_grid(spec, orbits, [1, 4, 7], eps_desc)
+        alone = [count_grid(spec, orbits, [1, 4, 7], eps_desc, variants=(v,))
+                 for v in ("two_sided", "one_sided")]
+        for key, cell in both.cells.items():
+            assert (cell.r1, cell.s1) == (alone[0].cells[key].r1, alone[0].cells[key].s1)
+            assert (cell.r2, cell.s2) == (alone[1].cells[key].r2, alone[1].cells[key].s2)
+            assert (cell.r1, cell.s1) == (cell.r2, cell.s2)
 
 
 def _lexsort_csr(chunks: list, size: int, op, eps_max: float) -> tuple:

@@ -29,6 +29,11 @@ Runs:
   keeps pairs that two_sided drops. ``compare`` adds the max_metric counts,
   the mean_metric grid and ``relations_identical`` on the same cloud; it
   exits 1 there, on its estimate checks;
+- ``symmetric``: ``counts``, ``entropy`` (all four variants) and ``compare``
+  on a 600-point circle grid (three row tiles) under the doubling map and
+  ``circle_arc``, over the gapped n schedule 1, 4, 7. The rule is symmetric,
+  so each live pair is evaluated once and both pairings, the max_metric
+  counts and the ``mean_of`` grid come from one direction's distances;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
@@ -75,6 +80,17 @@ cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 600}
 qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
 schedule: {n_list: [1, 4, 7], eps_list: [0.25, 0.125, 0.0625]}
 variants: [two_sided, one_sided]
+fit: {n_burn: 1}
+output: {format: both}
+"""
+
+
+SYMMETRIC_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: circle_grid, count: 600}
+qmetric: {kind: circle_arc}
+schedule: {n_list: [1, 4, 7], eps_list: [0.25, 0.125, 0.0625]}
+variants: [two_sided, one_sided, mean_metric, max_metric]
 fit: {n_burn: 1}
 output: {format: both}
 """
@@ -148,6 +164,8 @@ def main(argv=None) -> int:
         capture_snap_ties(os.path.join(out_root, "snap_ties"), scratch)
         capture_config(PRUNING_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "pruning"), scratch)
+        capture_config(SYMMETRIC_CONFIG, ("counts", "entropy", "compare"),
+                       os.path.join(out_root, "symmetric"), scratch)
         for workload in workloads.GENERATORS:
             inputs = os.path.join(scratch, workload)
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
