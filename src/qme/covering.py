@@ -10,9 +10,11 @@ over the n schedule. Each (n, variant) gives one symmetric relation per eps:
 
 D_n only grows with n, so a pair whose symmetrized value exceeds the largest
 scheduled eps is never a cover edge again. The orbit steps before the first
-scheduled n are computed in row tiles of the upper triangle, keeping only the
-live pairs; later steps evaluate e on the live pairs alone. Both directions
-are evaluated, except for a rule symmetric by construction
+scheduled n are computed over the upper triangle in ROW_TILE x ROW_TILE
+blocks, each filled from pairwise sub-blocks of at most PAIR_BLOCK entries
+into buffers reused along its row tile, keeping only the live pairs; later
+steps evaluate e on the live pairs alone. Both directions are evaluated,
+except for a rule symmetric by construction
 (``quasimetric.is_symmetric``): there D_n = D_n^T bit for bit, so each pair
 is evaluated once, both symmetrizations are D_n itself, and the two variants
 share one relation. Each n builds one valued CSR relation per variant (one in
@@ -53,7 +55,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import QuasiMetricSpec, is_symmetric, paired, pairwise, row_tiles
+from .quasimetric import QuasiMetricSpec, is_symmetric, pair_blocks, paired, pairwise, row_tiles
 
 __all__ = [
     "VARIANTS",
@@ -133,24 +135,36 @@ def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
                 rows: slice, op, eps_max: float, symmetric: bool) -> list:
     """Live-pair chunks of the rows' blocks on and right of the diagonal,
     from orbit steps 0..steps-1 evaluated in both directions, or in one when
-    the rule is ``symmetric``, whose chunks then alias bwd to fwd."""
-    lo = rows.start
-    fwd = bwd = None
-    for i in range(steps):
-        pts = orbits.iterate_points(i)
-        fwd = _max_into(fwd, pairwise(spec, pts[rows], pts[lo:]))  # D[x, y], y >= lo
-        if not symmetric:
-            bwd = _max_into(bwd, pairwise(spec, pts[lo:], pts[rows]))  # D[y, x]
+    the rule is ``symmetric``, whose chunks then alias bwd to fwd.
+
+    Each block's D_n[x, y] and D_n[y, x] are filled from pairwise calls of
+    at most PAIR_BLOCK entries (``pair_blocks``) into buffers that the row
+    tile reuses; the diagonal block is the widest."""
+    lo, height = rows.start, rows.stop - rows.start
+    fbuf = np.empty((height, height))
+    bbuf = fbuf if symmetric else np.empty((height, height))
     chunks = []
-    for cols in row_tiles(fwd.shape[1]):
-        f = fwd[:, cols]
-        b = f if symmetric else bwd[cols].T
-        live = _symmetrized(op, f, b) <= eps_max
-        if cols.start == 0:
+    for cols in row_tiles(orbits.images.shape[0], lo):
+        width = cols.stop - cols.start
+        fwd = fbuf[:, :width]
+        bwd = fwd if symmetric else bbuf[:, :width]
+        for r, c in pair_blocks(height, width):
+            f = b = None
+            for i in range(steps):
+                pts = orbits.iterate_points(i)
+                px, py = pts[rows][r], pts[cols][c]
+                f = _max_into(f, pairwise(spec, px, py))  # D[x, y]
+                if not symmetric:
+                    b = _max_into(b, pairwise(spec, py, px))  # D[y, x]
+            fwd[r, c] = f
+            if not symmetric:
+                bwd[r, c] = b.T
+        live = _symmetrized(op, fwd, bwd) <= eps_max
+        if cols.start == lo:
             live = np.triu(live, 1)  # the diagonal block: pairs x < y only
         x, y = np.nonzero(live)
-        chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + (lo + cols.start),
-                       *_kept(f, b, live)))
+        chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + cols.start,
+                       *_kept(fwd, bwd, live)))
     return chunks
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quasimetric import QuasiMetricSpec, pairwise, row_tiles, symmetrize_max
+from .quasimetric import QuasiMetricSpec, pair_blocks, pairwise, symmetrize_max
 
 __all__ = [
     "PointCloud",
@@ -240,11 +240,12 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
     ``nearest`` mode needs the run's distance rule to measure snap distances;
     it keeps every orbit on the cloud, for rules (matrix-backed) or maps that
     do not close over arbitrary coordinates. It snaps once per table: the
-    map's image of every cloud point is snapped in one pass of row tiles, so
-    only a tile of snap distances is alive at a time, and the snapped map is
-    then an index map of the cloud that later steps follow by lookup. The map
-    acts on each point alone, so T(pts[idx]) is T(pts)[idx] bit for bit and
-    the table equals snapping every step's images afresh.
+    map's image of every cloud point is snapped in one pass over blocks of
+    at most PAIR_BLOCK (image, point) pairs, keeping a running minimum and
+    argmin per image, and the snapped map is then an index map of the cloud
+    that later steps follow by lookup. The map acts on each point alone, so
+    T(pts[idx]) is T(pts)[idx] bit for bit and the table equals snapping
+    every step's images afresh.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -262,15 +263,19 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
             images[:, i, :] = map_spec.apply(images[:, i - 1, :])
     elif n_max > 1:
         # step[j]: id of the cloud point nearest to T(pts[j]), ties to the
-        # lowest id (argmin); err[j]: that snap distance
+        # lowest id; err[j]: that snap distance. A row's blocks come in
+        # column order and a later one wins only when strictly closer
         sym = symmetrize_max(qspec)
         raw = map_spec.apply(pts)
         step = np.empty(n_pts, dtype=np.intp)
         err = np.empty(n_pts)
-        for rows in row_tiles(n_pts):
-            dist = pairwise(sym, raw[rows], pts)
-            step[rows] = np.argmin(dist, axis=1)
-            err[rows] = dist[np.arange(dist.shape[0]), step[rows]]
+        for r, c in pair_blocks(n_pts, n_pts):
+            dist = pairwise(sym, raw[r], pts[c])
+            near = np.argmin(dist, axis=1)
+            low = dist[np.arange(dist.shape[0]), near]
+            closer = low < err[r] if c.start else slice(None)
+            step[r][closer] = near[closer] + c.start
+            err[r][closer] = low[closer]
         # step 1 snaps every cloud point; later steps snap a subset of them
         snap_err = float(err.max())
         idx = np.arange(n_pts)

@@ -61,14 +61,18 @@ _SYMMETRIC_KINDS = {"euclidean", "circle_arc", "block_prefix", "mean_of", "max_o
 
 DEFAULT_SEED = 1234
 
-# N x N passes work on cache-sized pieces: pairwise matrices are built
-# ROW_TILE rows per call (8 MB temporaries at N = 4096 instead of 128 MB),
-# covering keeps its live pairs in ROW_TILE x ROW_TILE blocks, and a matrix
-# meets its transpose in TRANSPOSE_BLOCK x TRANSPOSE_BLOCK blocks. Measured
-# at N = 4096 on a 2-core Xeon VM, a max(D, D^T) pass took 0.16-0.18 s in
-# 64-wide blocks against 0.47 s with the naive transpose, and 32-, 48-, 96-,
-# 128- and 256-wide blocks were slower.
+# N x N passes work on cache-sized pieces. Covering keeps its live pairs in
+# ROW_TILE x ROW_TILE blocks, and each pairwise call of an N x N pass returns
+# at most PAIR_BLOCK entries, at most ROW_TILE wide (32 x 256): its 64 KB
+# float64 temporaries stay in L2 and, below glibc's 128 KB mmap threshold,
+# reuse heap pages instead of faulting fresh ones in. On a 2-core Xeon VM,
+# snap_power (N = 2048, fresh processes, medians of 8) took 1.56 s at 8192
+# entries, 1.55-1.58 s at 4096 and 16384 (25k minor faults), 1.68 s at 32768
+# (87k) and 2.00 s in 256 x 256 blocks (169k). A matrix meets its transpose
+# in 64-wide blocks: a max(D, D^T) pass at N = 4096 took 0.16-0.18 s against
+# 0.47 s with the naive transpose; 32- to 256-wide blocks were slower.
 ROW_TILE = 256
+PAIR_BLOCK = 8192
 TRANSPOSE_BLOCK = 64
 
 
@@ -204,9 +208,18 @@ def is_symmetric(spec: QuasiMetricSpec) -> bool:
     return False
 
 
-def row_tiles(n: int) -> list:
-    """Row slices of at most ROW_TILE rows that cover 0..n-1 in order."""
-    return [slice(r, r + ROW_TILE) for r in range(0, n, ROW_TILE)]
+def row_tiles(n: int, start: int = 0) -> list:
+    """Slices of at most ROW_TILE indices that cover start..n-1 in order."""
+    return [slice(r, min(r + ROW_TILE, n)) for r in range(start, n, ROW_TILE)]
+
+
+def pair_blocks(rows: int, cols: int) -> list:
+    """Slices (r, c) that cover a rows x cols array (cols > 0) in row-major
+    order, each block at most ROW_TILE columns wide and PAIR_BLOCK entries."""
+    width = min(cols, ROW_TILE, PAIR_BLOCK)
+    height = PAIR_BLOCK // width
+    return [(slice(r, min(r + height, rows)), slice(c, min(c + width, cols)))
+            for r in range(0, rows, height) for c in range(0, cols, width)]
 
 
 def with_transpose(op, D: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Tiled and live-pair passes equal their untiled references bit for bit.
 
 The tile constants are shrunk to 3-row pairwise tiles (so 3 x 3 live-pair
-chunks) and 2 x 2 transpose blocks, so clouds of 1 to 20 points cover every
-layout: smaller than a tile, exactly one tile, and multiples of a tile plus or
-minus one.
+chunks), pairwise sub-blocks of 2 entries, which do not divide a tile (so
+every tile has partial sub-blocks), and 2 x 2 transpose blocks, so clouds of 1
+to 20 points cover every layout: smaller than a tile, exactly one tile, and
+multiples of a tile plus or minus one.
 """
 import tracemalloc
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qme.covering
+import qme.dynamics
 import qme.quasimetric as qm
 from qme import (
     MapSpec,
@@ -47,6 +50,7 @@ VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
 @pytest.fixture(autouse=True)
 def tiny_tiles(monkeypatch):
     monkeypatch.setattr(qm, "ROW_TILE", 3)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 2)
     monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 2)
 
 
@@ -197,14 +201,17 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     args = (spec, orbits, [1, 2, 4], [0.5, 0.25, 0.125])
     tiny = [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
     monkeypatch.setattr(qm, "ROW_TILE", 256)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
     monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 64)
     assert tiny == [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
 
 
 def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
-    # a sparse schedule on 2048 points: the live pairs, their relations and
-    # one row tile of both directions stay below a single N x N float64
+    # a sparse schedule on 2048 points: the live pairs, their relations, one
+    # row tile's block buffers and one pairwise sub-block stay below a single
+    # N x N float64
     monkeypatch.setattr(qm, "ROW_TILE", 256)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
     size = 2048
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(size), 7)
     arc = QuasiMetricSpec(kind="circle_arc")
@@ -216,6 +223,47 @@ def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < size * size * 8
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (3, 3), (3, 2), (7, 1), (2, 7)])
+def test_pair_blocks_cover_each_entry_once(rows, cols):
+    seen = np.zeros((rows, cols), dtype=int)
+    for r, c in qm.pair_blocks(rows, cols):
+        assert 0 < seen[r, c].size <= qm.PAIR_BLOCK
+        seen[r, c] += 1
+    assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("kind", ["weighted_asym", "circle_arc"])
+def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
+    # at the default constants, no pairwise call of the tile phase or of
+    # nearest snapping returns more than PAIR_BLOCK entries, and together
+    # they evaluate the entries of row-tile strips: rows * (N - lo) per row
+    # tile, orbit step and direction (one for a symmetric rule), and N^2 for
+    # the snap table
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    entries = {"covering": [], "dynamics": []}
+
+    def counted(module):
+        def wrapped(spec, a, b):
+            out = qm.pairwise(spec, a, b)
+            entries[module].append(out.size)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(qme.covering, "pairwise", counted("covering"))
+    monkeypatch.setattr(qme.dynamics, "pairwise", counted("dynamics"))
+    size = 600
+    spec = QuasiMetricSpec(kind=kind, alpha=0.5, beta=2.0)
+    orbits = build_orbits(MapSpec(kind="logistic", r=3.7), grid1d(0.0, 1.0, size), 4,
+                          snap_mode="nearest", qspec=spec)
+    count_grid(spec, orbits, [2, 4], [0.25, 0.125], exact_threshold=0)
+    strips = sum(min(256, size - lo) * (size - lo) for lo in range(0, size, 256))
+    directions = 1 if is_symmetric(spec) else 2
+    assert sum(entries["dynamics"]) == size * size
+    assert sum(entries["covering"]) == 2 * directions * strips
+    assert max(entries["dynamics"] + entries["covering"]) <= 8192
 
 
 def test_nearest_snap_matches_full_matrix():
@@ -231,7 +279,8 @@ def test_nearest_snap_matches_full_matrix():
 
 def test_nearest_snap_tie_across_tile_boundary_keeps_lowest_id():
     # every image lands exactly halfway between grid points k/8 and (k+1)/8;
-    # with 3-row tiles the candidates 2|3 and 5|6 straddle a tile boundary
+    # with 2-wide snap blocks the candidates 1|2, 3|4, 5|6 and 7|8 straddle
+    # a block boundary
     cloud = grid1d(0.0, 1.0, 9)
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     shift = MapSpec(kind="affine", a=1.0, b=1.0 / 16)
