@@ -9,19 +9,20 @@ over the n schedule. Each (n, variant) gives one symmetric relation per eps:
 ``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
 
 D_n only grows with n, so a pair whose symmetrized value exceeds the largest
-scheduled eps is never a cover edge again. The orbit steps before the first
+scheduled eps is never a cover edge again. The tests D_n <= eps are all a
+relation reads, so each live pair keeps the eps bin of each direction,
+bin(v) = #{k : v <= eps_k}, in one byte (two past 255 eps): the relation at
+eps_k is bin > k, the bin of a max is the min of the bins, and every
+comparison is the float one, made once. The orbit steps before the first
 scheduled n are computed over the upper triangle in ROW_TILE x ROW_TILE
 blocks, each filled from pairwise sub-blocks of at most PAIR_BLOCK entries
-into buffers reused along its row tile, keeping only the live pairs; later
-steps evaluate e on the live pairs alone. Both directions are evaluated,
-except for a rule symmetric by construction
-(``quasimetric.is_symmetric``): there D_n = D_n^T bit for bit, so each pair
-is evaluated once, both symmetrizations are D_n itself, and the two variants
-share one relation. Each n builds one valued CSR relation per variant (one in
-all for a symmetric rule) at the largest eps, whose own arrays are that eps's
-relation, and each smaller eps filters it by value. Values are maxima of the
-same elementwise evaluations as a dense D_n, so every relation is the dense
-one bit for bit.
+into two block buffers per grid; later steps evaluate e on the live pairs
+alone and lower their bins. Both directions are evaluated, except for a rule
+symmetric by construction (``quasimetric.is_symmetric``): there
+D_n = D_n^T bit for bit, so each pair is evaluated once and both variants
+share its one bin. Each n builds one CSR relation of the live pairs with a
+bin column per variant (one for a symmetric rule), and each eps keeps the
+entries above its bin.
 
 Each distinct relation is solved once per grid, keyed by its arrays' content.
 Expanding maps repeat relations: on a doubling circle the relation at
@@ -71,8 +72,9 @@ __all__ = [
 ]
 
 VARIANTS = ("two_sided", "one_sided")
-# variant -> the symmetrization of (D_n, D_n^T) its relation thresholds
-SYMMETRIZE = {"two_sided": np.maximum, "one_sided": np.minimum}
+# variant -> how it combines the eps bins of D_n and D_n^T: bins fall as
+# values rise, so max(D_n, D_n^T) takes the min bin and min(...) the max
+BIN_OP = {"two_sided": np.minimum, "one_sided": np.maximum}
 
 DEFAULT_EXACT_THRESHOLD = 64
 
@@ -105,49 +107,74 @@ class Relation:
 # live Bowen pairs and their relations
 # ---------------------------------------------------------------------------
 
+class _EpsBins:
+    """bin(v) = #{k : v <= eps_k} for a strictly decreasing eps schedule, in
+    the smallest unsigned integer type that holds its length K."""
+
+    def __init__(self, eps_list: Sequence):
+        self.eps = list(eps_list)
+        self.top = len(self.eps)  # the bin of 0, every point's to itself
+        self.dtype = np.min_scalar_type(self.top)
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """One comparison pass per eps, stopping at the first eps no value
+        is within: cheaper than np.searchsorted, whose branches mispredict
+        on unsorted values, for the few eps a halving schedule spans."""
+        bins = np.zeros(len(values), dtype=self.dtype)
+        for eps in self.eps:
+            close = values <= eps
+            if not close.any():
+                break
+            bins += close
+        return bins
+
+
 def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
-                op, eps_max: float) -> Iterator[tuple]:
+                bins: _EpsBins, live: str) -> Iterator[tuple]:
     """Yield (n, chunks) over an ascending n schedule, which the caller has
-    validated. chunks holds the live pairs x < y, those with
-    op(D_n[x, y], D_n[y, x]) <= eps_max, one chunk per ROW_TILE x ROW_TILE
+    validated. chunks holds the live pairs x < y, those in the ``live``
+    variant's relation at the largest eps, one chunk per ROW_TILE x ROW_TILE
     block of the upper triangle in row-major block order. A chunk is
-    (x, y, fwd, bwd): int32 ids sorted by (x, y) and the distances
-    fwd = D_n[x, y], bwd = D_n[y, x]. For a symmetric rule bwd is the same
-    array object as fwd. The list is updated in place for the next n: copy
-    it to keep it past the next step."""
-    size = orbits.images.shape[0]
+    (x, y, fbin, bbin): int32 ids sorted by (x, y) and the eps bins of
+    D_n[x, y] and D_n[y, x], so BIN_OP[live](fbin, bbin) > 0 throughout. For
+    a symmetric rule bbin is the same array object as fbin. The list is
+    updated in place for the next n: copy it to keep it past the next step."""
     symmetric = is_symmetric(spec)
+    tiles = row_tiles(orbits.images.shape[0])
+    side = tiles[0].stop  # the widest block, the first
+    fbuf = np.empty((side, side))
+    bbuf = fbuf if symmetric else np.empty((side, side))
     chunks = []
-    for rows in row_tiles(size):
-        chunks += _tile_pairs(spec, orbits, n_list[0], rows, op, eps_max, symmetric)
+    for rows in tiles:
+        chunks += _tile_pairs(spec, orbits, n_list[0], rows, bins, live, fbuf, bbuf)
     done = n_list[0]
     yield done, chunks
     for n in n_list[1:]:
         for i in range(done, n):
             pts = orbits.iterate_points(i)
             for k, chunk in enumerate(chunks):
-                chunks[k] = _advance(spec, pts, chunk, op, eps_max)
+                chunks[k] = _advance(spec, pts, chunk, bins, live)
         done = n
         yield n, chunks
 
 
-def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
-                rows: slice, op, eps_max: float, symmetric: bool) -> list:
+def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int, rows: slice,
+                bins: _EpsBins, live: str, fbuf: np.ndarray, bbuf: np.ndarray) -> list:
     """Live-pair chunks of the rows' blocks on and right of the diagonal,
     from orbit steps 0..steps-1 evaluated in both directions, or in one when
-    the rule is ``symmetric``, whose chunks then alias bwd to fwd.
+    the rule is symmetric (``bbuf is fbuf``), whose chunks then alias bbin to
+    fbin.
 
     Each block's D_n[x, y] and D_n[y, x] are filled from pairwise calls of
-    at most PAIR_BLOCK entries (``pair_blocks``) into buffers that the row
-    tile reuses; the diagonal block is the widest."""
+    at most PAIR_BLOCK entries (``pair_blocks``) into the grid's block
+    buffers, and only the live pairs' values are binned."""
     lo, height = rows.start, rows.stop - rows.start
-    fbuf = np.empty((height, height))
-    bbuf = fbuf if symmetric else np.empty((height, height))
+    symmetric = bbuf is fbuf
     chunks = []
     for cols in row_tiles(orbits.images.shape[0], lo):
         width = cols.stop - cols.start
-        fwd = fbuf[:, :width]
-        bwd = fwd if symmetric else bbuf[:, :width]
+        fwd = fbuf[:height, :width]
+        bwd = fwd if symmetric else bbuf[:height, :width]
         for r, c in pair_blocks(height, width):
             f = b = None
             for i in range(steps):
@@ -159,12 +186,15 @@ def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int,
             fwd[r, c] = f
             if not symmetric:
                 bwd[r, c] = b.T
-        live = _symmetrized(op, fwd, bwd) <= eps_max
+        close = fwd <= bins.eps[0]  # bin > 0, so BIN_OP combines directions
+        if not symmetric:
+            close = BIN_OP[live](close, bwd <= bins.eps[0])
         if cols.start == lo:
-            live = np.triu(live, 1)  # the diagonal block: pairs x < y only
-        x, y = np.nonzero(live)
+            close = np.triu(close, 1)  # the diagonal block: pairs x < y only
+        x, y = np.nonzero(close)
+        fbin = bins.of(fwd[close])
         chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + cols.start,
-                       *_kept(fwd, bwd, live)))
+                       fbin, fbin if symmetric else bins.of(bwd[close])))
     return chunks
 
 
@@ -172,35 +202,36 @@ def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
     return step if acc is None else np.maximum(acc, step, out=acc)
 
 
-def _symmetrized(op, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """op(fwd, bwd), which is fwd itself when bwd is fwd: min and max of a
-    value with itself are that value."""
-    return fwd if bwd is fwd else op(fwd, bwd)
+def _symmetrized(op, fbin: np.ndarray, bbin: np.ndarray) -> np.ndarray:
+    """op(fbin, bbin), which is fbin itself when bbin is fbin: min and max of
+    a value with itself are that value."""
+    return fbin if bbin is fbin else op(fbin, bbin)
 
 
-def _kept(fwd: np.ndarray, bwd: np.ndarray, live: np.ndarray) -> tuple:
-    """(fwd[live], bwd[live]), the second the first when bwd is fwd."""
-    f = fwd[live]
-    return f, f if bwd is fwd else bwd[live]
-
-
-def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, op,
-             eps_max: float) -> tuple:
+def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple,
+             bins: _EpsBins, live: str) -> tuple:
     """One more orbit step on a chunk's pairs, keeping those still live; a
-    chunk whose bwd is its fwd (a symmetric rule) is evaluated one way and
+    chunk whose bbin is its fbin (a symmetric rule) is evaluated one way and
     stays aliased."""
-    x, y, fwd, bwd = chunk
+    x, y, fbin, bbin = chunk
+    if not len(x):
+        return chunk
     px, py = pts[x], pts[y]
-    np.maximum(fwd, paired(spec, px, py), out=fwd)
-    if bwd is not fwd:
-        np.maximum(bwd, paired(spec, py, px), out=bwd)
-    live = _symmetrized(op, fwd, bwd) <= eps_max
-    return (x[live], y[live], *_kept(fwd, bwd, live))
+    np.minimum(fbin, bins.of(paired(spec, px, py)), out=fbin)
+    if bbin is not fbin:
+        np.minimum(bbin, bins.of(paired(spec, py, px)), out=bbin)
+    keep = _symmetrized(BIN_OP[live], fbin, bbin) > 0
+    if keep.all():
+        return chunk
+    f = fbin[keep]
+    return x[keep], y[keep], f, f if bbin is fbin else bbin[keep]
 
 
-def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
-    """(indptr, indices, values): the relation op(D_n, D_n^T) <= eps_max in
-    CSR form with each entry's value, the diagonal (value 0) included.
+def _relation_values(chunks: list, size: int, bins: _EpsBins, ops: Sequence) -> tuple:
+    """(indptr, indices, columns): every pair of the chunks in both
+    directions, and the diagonal, as a CSR relation, with one bin column per
+    op: columns[j] holds each entry's ops[j](fbin, bbin), and the diagonal's
+    top bin.
 
     Row r holds its entries left of the diagonal, then r, then those right of
     it. Chunks come in row-major block order, sorted by (x, y), so both sides
@@ -209,34 +240,33 @@ def _relation_values(chunks: list, size: int, op, eps_max: float) -> tuple:
     sort, which keeps each row's x columns ascending."""
     left = np.zeros(size, dtype=np.int64)
     right = np.zeros(size, dtype=np.int64)
-    for x, y, fwd, bwd in chunks:
-        close = _symmetrized(op, fwd, bwd) <= eps_max
-        right += np.bincount(x[close], minlength=size)
-        left += np.bincount(y[close], minlength=size)
+    for x, y, _, _ in chunks:
+        right += np.bincount(x, minlength=size)
+        left += np.bincount(y, minlength=size)
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(left + right + 1, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    values = np.empty(indptr[-1])
+    columns = [np.empty(indptr[-1], dtype=bins.dtype) for _ in ops]
     diagonal = indptr[:-1] + left
     indices[diagonal] = np.arange(size)
-    values[diagonal] = 0.0
+    for column in columns:
+        column[diagonal] = bins.top
     left_fill, right_fill = indptr[:-1].copy(), diagonal + 1
-    for x, y, fwd, bwd in chunks:
-        value = _symmetrized(op, fwd, bwd)
-        close = value <= eps_max
-        if not close.any():
+    for x, y, fbin, bbin in chunks:
+        if not len(x):
             continue
-        x, y, value = x[close], y[close], value[close]
-        _append(right_fill, x, y, value, indices, values)
+        vals = [_symmetrized(op, fbin, bbin) for op in ops]
+        _append(right_fill, x, y, vals, indices, columns)
         # a chunk's y span is under ROW_TILE wide, so its offsets fit in
         # uint16, which numpy's stable argsort orders by radix sort
         order = np.argsort((y - y.min()).astype(np.uint16), kind="stable")
-        _append(left_fill, y[order], x[order], value[order], indices, values)
-    return indptr, indices, values
+        _append(left_fill, y[order], x[order], [v[order] for v in vals],
+                indices, columns)
+    return indptr, indices, columns
 
 
-def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            vals: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
+def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: list,
+            indices: np.ndarray, columns: list) -> None:
     """Write entries, whose rows ascend, at fill[row] onward in their given
     order within each row, and advance fill."""
     base = rows[0]
@@ -244,18 +274,26 @@ def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     first = np.cumsum(counts) - counts  # each row's first position in rows
     pos = fill[rows] + (np.arange(len(rows)) - first[rows - base])
     indices[pos] = cols
-    values[pos] = vals
+    for column, v in zip(columns, vals):
+        column[pos] = v
     fill[base:base + len(counts)] += counts
 
 
-def _within(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
-            eps: float) -> Relation:
-    """The entries of a valued CSR relation at most eps."""
-    close = values <= eps
-    # no row is empty (each holds its diagonal), as reduceat needs
-    counts = np.add.reduceat(close, indptr[:-1], dtype=np.int64)
+def _within(indptr: np.ndarray, indices: np.ndarray, column: np.ndarray,
+            k: int) -> Relation:
+    """The entries of a binned CSR relation whose bin exceeds k: the
+    relation at eps_k. The arrays themselves when every entry does."""
+    close = column > k
+    if close.all():
+        return Relation(indptr, indices)
+    # reduceat casts all of its input to int64, so rows are counted a row
+    # tile at a time; no row is empty (each holds its diagonal), as it needs
     ptr = np.zeros_like(indptr)
-    np.cumsum(counts, out=ptr[1:])
+    for rows in row_tiles(len(indptr) - 1):
+        starts = indptr[rows]
+        ptr[rows.start + 1:rows.stop + 1] = np.add.reduceat(
+            close[starts[0]:indptr[rows.stop]], starts - starts[0])
+    np.cumsum(ptr, out=ptr)
     return Relation(ptr, indices[close])
 
 
@@ -654,18 +692,17 @@ class CountGrid:
         }
 
 
-def _relations(chunks: list, size: int, variant: str,
-               eps_list: Sequence) -> Iterator[tuple]:
-    """Yield (eps, Relation) of one variant at each eps, from one valued CSR
-    relation built at the largest eps, whose own arrays are that eps's
-    relation."""
-    eps_max = max(eps_list)
-    indptr, indices, values = _relation_values(chunks, size, SYMMETRIZE[variant], eps_max)
-    for eps in eps_list:
-        if eps == eps_max:
-            yield eps, Relation(indptr, indices)
-        else:
-            yield eps, _within(indptr, indices, values, eps)
+def _relations(chunks: list, size: int, bins: _EpsBins,
+               groups: Sequence) -> Iterator[tuple]:
+    """Yield (k, variants, Relation) at each eps_k of the schedule for each
+    group of variants that share one relation, from one binned CSR relation
+    of all live pairs with a bin column per group. A symmetric rule's chunks
+    alias bbin to fbin, so one group holds all its variants."""
+    indptr, indices, columns = _relation_values(
+        chunks, size, bins, [BIN_OP[variants[0]] for variants in groups])
+    for k in range(bins.top):
+        for variants, column in zip(groups, columns):
+            yield k, variants, _within(indptr, indices, column, k)
 
 
 def _content_key(rel: Relation) -> tuple:
@@ -686,13 +723,11 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
 
     D_n grows over the ascending n schedule on the pairs live at the
     largest eps, in the broader one_sided sense when that variant is asked
-    for; each (n, variant) builds one CSR relation from them (one for both
-    variants when the rule is symmetric by construction), and each
-    (n, eps, variant) cell is solved in schedule order and merged by
-    coordinates. Each distinct relation is solved once per call: a cell
-    whose relation has the arrays of an earlier one (``_content_key``)
-    reuses that cell's results, witness, method, optimal flag and nodes
-    included.
+    for; each n builds one binned CSR relation from them for all variants,
+    and each (n, eps, variant) cell is solved in schedule order. Each
+    distinct relation is solved once per call: a cell whose relation has the
+    arrays of an earlier one (``_content_key``) reuses that cell's results,
+    witness, method, optimal flag and nodes included.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -704,36 +739,29 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError("eps values must be > 0")
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
+    if not variants or any(v not in VARIANTS for v in variants):
+        raise ValueError(f"variants must be a nonempty subset of {VARIANTS}, got {variants!r}")
     if n_list[-1] > orbits.n_max:
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
     cells = {}
     size = orbits.images.shape[0]
-    eps_max = max(eps_list)
-    live_op = SYMMETRIZE["one_sided" if "one_sided" in variants else "two_sided"]
-    # variant whose relation is built -> the variants that threshold it: a
-    # symmetric rule's D_n is D_n^T, so all of them share the first's
-    shared = {}
-    symmetric = is_symmetric(spec)
-    for variant in variants:
-        shared.setdefault(variants[0] if symmetric else variant, []).append(variant)
+    bins = _EpsBins(eps_list)
+    live = "one_sided" if "one_sided" in variants else "two_sided"
+    groups = [tuple(variants)] if is_symmetric(spec) else [(v,) for v in variants]
     solved = {}  # _content_key -> (cover, separated) CountResults
-    for n, chunks in _live_pairs(spec, orbits, n_list, live_op, eps_max):
-        parts = {eps: {} for eps in eps_list}
-        for built, users in shared.items():
-            for eps, rel in _relations(chunks, size, built, eps_list):
-                key = _content_key(rel)
-                if key not in solved:
-                    solved[key] = (_solve(rel, False, exact_threshold),
-                                   _solve(rel, True, exact_threshold))
-                for variant in users:
-                    r, s = QUANTITY_PAIRS[variant]
-                    parts[eps][r], parts[eps][s] = solved[key]
-        for eps in eps_list:
-            cells[(n, eps)] = CellCounts(n=n, eps=eps, **parts[eps])
+    for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
+        parts = [{} for _ in eps_list]
+        for k, users, rel in _relations(chunks, size, bins, groups):
+            key = _content_key(rel)
+            if key not in solved:
+                solved[key] = (_solve(rel, False, exact_threshold),
+                               _solve(rel, True, exact_threshold))
+            for variant in users:
+                r, s = QUANTITY_PAIRS[variant]
+                parts[k][r], parts[k][s] = solved[key]
+        for eps, part in zip(eps_list, parts):
+            cells[(n, eps)] = CellCounts(n=n, eps=eps, **part)
 
     grid = CountGrid(cloud_size=size, n_list=n_list,
                      eps_list=eps_list, variants=tuple(variants), cells=cells)

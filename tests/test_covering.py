@@ -399,6 +399,8 @@ def test_count_grid_validates_schedules():
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1], [0.5], variants=("sideways",))
     with pytest.raises(ValueError):
+        count_grid(ARC, orbits, [1], [0.5], variants=())
+    with pytest.raises(ValueError):
         count_grid(ARC, orbits, [0, 1], [0.5])  # n below 1
     with pytest.raises(ValueError):
         count_grid(ARC, orbits, [1], [0.125, 0.25])  # eps ascending

@@ -30,7 +30,13 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.covering import SYMMETRIZE, _live_pairs, _relation_values, _relations
+from qme.covering import (
+    BIN_OP,
+    _EpsBins,
+    _live_pairs,
+    _relation_values,
+    _relations,
+)
 from qme.dynamics import OrbitTable
 from qme.quasimetric import is_symmetric
 
@@ -44,6 +50,7 @@ SYMMETRIC_KINDS = ("circle_arc", "euclidean_2d", "block_prefix", "matrix_symmetr
 # [1, 4, 7] leaves gaps, so pairs die between scheduled n
 SCHEDULES = ([1, 2, 4], [3, 4], [1, 4, 7])
 EPS = [0.25, 1.0, 0.125, 0.5]  # unsorted: the largest is not last
+EPS_DESC = sorted(EPS, reverse=True)
 VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
 
 
@@ -56,6 +63,13 @@ def tiny_tiles(monkeypatch):
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bins_of(values: np.ndarray, bins: _EpsBins, eps_desc) -> np.ndarray:
+    """The eps bins of values by their definition, #{k : v <= eps_k}, in the
+    bins' dtype."""
+    within = np.asarray(values)[:, None] <= np.asarray(eps_desc)[None, :]
+    return within.sum(axis=1).astype(bins.dtype)
 
 
 def _case(kind: str, size: int, rng: np.random.Generator) -> tuple:
@@ -102,19 +116,24 @@ def test_live_pair_relations_match_full_matrix(kind):
         symmetric = is_symmetric(spec)
         assert symmetric or kind not in SYMMETRIC_KINDS
         orbits = _permutation_orbits(cloud, rng)
+        bins = _EpsBins(EPS_DESC)
         for n_list in SCHEDULES:
             for variants in VARIANT_SETS:
-                live_op = SYMMETRIZE[variants[-1]]
-                for n, chunks in _live_pairs(spec, orbits, n_list, live_op, max(EPS)):
+                live = variants[-1]
+                for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
                     dist = oracles.naive_bowen(spec, orbits, n)
-                    for x, y, fwd, bwd in chunks:
-                        assert (bwd is fwd) == symmetric
+                    for x, y, fbin, bbin in chunks:
+                        assert (bbin is fbin) == symmetric
                         assert np.all(x < y)
-                        assert _same_bits(fwd, dist[x, y]) and _same_bits(bwd, dist[y, x])
-                    for variant in variants:
-                        for eps, rel in _relations(chunks, size, variant, EPS):
-                            ref = oracles.relation(spec, orbits, n, eps, variant)
-                            assert np.array_equal(rel.dense(), ref), (size, n, eps)
+                        assert _same_bits(fbin, _bins_of(dist[x, y], bins, EPS_DESC))
+                        assert _same_bits(bbin, _bins_of(dist[y, x], bins, EPS_DESC))
+                        assert np.all(BIN_OP[live](fbin, bbin) > 0)
+                    # the variant groups count_grid builds relations for
+                    groups = [variants] if symmetric else [(v,) for v in variants]
+                    for k, users, rel in _relations(chunks, size, bins, groups):
+                        for variant in users:
+                            ref = oracles.relation(spec, orbits, n, EPS_DESC[k], variant)
+                            assert np.array_equal(rel.dense(), ref), (size, n, k)
                             rows = np.split(rel.indices, rel.indptr[1:-1])
                             assert all(np.all(np.diff(row) > 0) for row in rows)
 
@@ -137,34 +156,38 @@ def test_symmetric_rule_variants_share_one_relation(kind):
             assert (cell.r1, cell.s1) == (cell.r2, cell.s2)
 
 
-def _lexsort_csr(chunks: list, size: int, op, eps_max: float) -> tuple:
-    """(indptr, indices, values) of the chunks' relation op <= eps_max, both
-    directions and the diagonal, ordered by one lexsort on (row, column)."""
+def _lexsort_csr(chunks: list, size: int, ops: list, top: int) -> tuple:
+    """(indptr, indices, columns) of every chunk pair in both directions and
+    the diagonal, ordered by one lexsort on (row, column); columns[j] holds
+    each entry's ops[j](fbin, bbin), and the diagonal's top bin."""
     x = np.concatenate([c[0] for c in chunks])
     y = np.concatenate([c[1] for c in chunks])
-    value = np.concatenate([op(c[2], c[3]) for c in chunks])
-    keep = value <= eps_max
     diagonal = np.arange(size)
-    rows = np.concatenate([x[keep], y[keep], diagonal])
-    cols = np.concatenate([y[keep], x[keep], diagonal])
-    vals = np.concatenate([value[keep], value[keep], np.zeros(size)])
+    rows = np.concatenate([x, y, diagonal])
+    cols = np.concatenate([y, x, diagonal])
     order = np.lexsort((cols, rows))
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return indptr, cols[order].astype(np.int32), vals[order]
+    columns = []
+    for op in ops:
+        value = np.concatenate([op(c[2], c[3]) for c in chunks])
+        columns.append(np.concatenate([value, value, np.full(size, top, value.dtype)])[order])
+    return indptr, cols[order].astype(np.int32), columns
 
 
 @st.composite
 def matrix_cases(draw):
-    """(spec, size, eps_max): an asymmetric matrix rule with off-diagonal
-    values on the 1/8 lattice of [1/8, 2], and an eps_max from 0 (no live
-    pair, every chunk empty) to 2 (every pair live)."""
+    """(spec, size, eps_desc): an asymmetric matrix rule with off-diagonal
+    values on the 1/8 lattice of [1/8, 2], and a decreasing eps schedule on
+    the same lattice whose largest eps runs from 0 (no live pair, every
+    chunk empty) to 2 (every pair live)."""
     size = draw(st.integers(1, 20))
     m = np.array(draw(st.lists(st.integers(1, 16), min_size=size * size,
                                max_size=size * size)), dtype=float).reshape(size, size)
     np.fill_diagonal(m, 0.0)
     spec = QuasiMetricSpec(kind="matrix", matrix=m / 8.0)
-    return spec, size, draw(st.integers(0, 16)) / 8.0
+    eps = draw(st.lists(st.integers(0, 16), min_size=1, max_size=4, unique=True))
+    return spec, size, [e / 8.0 for e in sorted(eps, reverse=True)]
 
 
 @pytest.mark.parametrize("row_tile", [3, 256])
@@ -173,15 +196,98 @@ def matrix_cases(draw):
 @given(case=matrix_cases())
 def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
     monkeypatch.setattr(qm, "ROW_TILE", row_tile)
-    spec, size, eps_max = case
+    spec, size, eps_desc = case
     orbits = OrbitTable(images=index_cloud(size).points[:, None, :], snap_mode="exact")
-    # the one_sided live set, read as one_sided and as two_sided, which
-    # drops the pairs close in one direction only
-    [(_, chunks)] = _live_pairs(spec, orbits, [1], np.minimum, eps_max)
-    for op in (np.minimum, np.maximum):
-        csr = _relation_values(chunks, size, op, eps_max)
-        ref = _lexsort_csr(chunks, size, op, eps_max)
-        assert all(_same_bits(a, b) for a, b in zip(csr, ref))
+    # the one_sided live set, binned as one_sided and as two_sided, which
+    # puts the pairs close in one direction only in bin 0
+    bins = _EpsBins(eps_desc)
+    [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, "one_sided")
+    ops = [BIN_OP["one_sided"], BIN_OP["two_sided"]]
+    indptr, indices, columns = _relation_values(chunks, size, bins, ops)
+    ref_indptr, ref_indices, ref_columns = _lexsort_csr(chunks, size, ops, bins.top)
+    assert _same_bits(indptr, ref_indptr) and _same_bits(indices, ref_indices)
+    assert all(_same_bits(a, b) for a, b in zip(columns, ref_columns))
+    assert len(columns) == 2
+
+
+def test_count_grid_many_eps_matches_oracle_relations():
+    # 300 eps take two-byte bins; the matrix and the eps share the 1/256
+    # lattice, so many distances equal an eps exactly
+    rng = np.random.default_rng(3)
+    size = 9
+    m = rng.integers(1, 301, size=(size, size)) / 256.0
+    np.fill_diagonal(m, 0.0)
+    spec = QuasiMetricSpec(kind="matrix", matrix=m)
+    orbits = _permutation_orbits(index_cloud(size), rng, n_max=3)
+    eps_desc = [(300 - k) / 256.0 for k in range(300)]
+    assert _EpsBins(eps_desc).dtype == np.uint16
+    grid = count_grid(spec, orbits, [1, 3], eps_desc, exact_threshold=size)
+    optimum = {}
+    for (n, eps), cell in grid.cells.items():
+        for variant, (r, s) in (("two_sided", ("r1", "s1")), ("one_sided", ("r2", "s2"))):
+            cover = oracles.relation(spec, orbits, n, eps, variant)
+            key = cover.tobytes()
+            if key not in optimum:
+                optimum[key] = (oracles.brute_min_cover(cover),
+                                oracles.brute_max_separated(cover))
+            assert (cell.get(r).cardinality, cell.get(s).cardinality) == optimum[key], \
+                (n, eps, variant)
+            assert oracles.is_valid_cover(cover, cell.get(r).witness)
+            assert oracles.is_separated_set(cover, cell.get(s).witness)
+    # the relations change across the lattice, not only at its top
+    assert len(optimum) > 10
+
+
+@pytest.mark.parametrize("kind,n_eps", [("weighted_asym", 4), ("weighted_asym", 300),
+                                        ("circle_arc", 4), ("circle_arc", 300)])
+def test_chunk_and_relation_item_sizes(kind, n_eps):
+    # a live pair is two int32 ids and two bins (one when bbin is fbin), a
+    # relation entry an int32 column and one bin: 10, 9 and 5 bytes with
+    # one-byte bins, 12, 10 and 6 with two-byte ones
+    rng = np.random.default_rng(2)
+    spec, cloud = _case(kind, 20, rng)
+    orbits = _permutation_orbits(cloud, rng)
+    bins = _EpsBins([2.0 - k / 256.0 for k in range(n_eps)])
+    width = 1 if n_eps <= 255 else 2
+    assert bins.dtype == np.dtype(f"uint{8 * width}")
+    symmetric = is_symmetric(spec)
+    for _, chunks in _live_pairs(spec, orbits, [1, 2], bins, "one_sided"):
+        assert sum(len(c[0]) for c in chunks) > 0
+        for x, y, fbin, bbin in chunks:
+            assert x.dtype == y.dtype == np.int32
+            assert fbin.dtype == bbin.dtype == bins.dtype
+            arrays = {id(a): a for a in (x, y, fbin, bbin)}.values()
+            assert sum(a.itemsize for a in arrays) == 8 + (1 if symmetric else 2) * width
+        indptr, indices, columns = _relation_values(chunks, len(cloud), bins,
+                                                    [BIN_OP["one_sided"]])
+        assert indptr.dtype == np.int64 and indices.dtype == np.int32
+        assert indices.itemsize + columns[0].itemsize == 4 + width
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_both_pairings_build_one_relation_per_n(monkeypatch, kind):
+    # count_grid builds one binned CSR per n for both pairings of an
+    # asymmetric rule, with a bin column per pairing; each pairing solved
+    # alone gives the same cells
+    builds = []
+
+    def counted(chunks, size, bins, ops):
+        builds.append(len(ops))
+        return _relation_values(chunks, size, bins, ops)
+
+    monkeypatch.setattr(qme.covering, "_relation_values", counted)
+    rng = np.random.default_rng(17)
+    for size in (1, 7, 20):
+        spec, cloud = _case(kind, size, rng)
+        orbits = _permutation_orbits(cloud, rng)
+        builds.clear()
+        both = count_grid(spec, orbits, [1, 4, 7], EPS_DESC)
+        assert builds == [1 if is_symmetric(spec) else 2] * 3
+        alone = [count_grid(spec, orbits, [1, 4, 7], EPS_DESC, variants=(v,))
+                 for v in ("two_sided", "one_sided")]
+        for key, cell in both.cells.items():
+            assert (cell.r1, cell.s1) == (alone[0].cells[key].r1, alone[0].cells[key].s1)
+            assert (cell.r2, cell.s2) == (alone[1].cells[key].r2, alone[1].cells[key].s2)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -34,6 +34,12 @@ Runs:
   ``circle_arc``, over the gapped n schedule 1, 4, 7. The rule is symmetric,
   so each live pair is evaluated once and both pairings, the max_metric
   counts and the ``mean_of`` grid come from one direction's distances;
+- ``many_eps``: ``counts`` and ``compare`` on the 33-point grid of the
+  ``asym`` case (tent map, hinge rule), both pairings, over 300 halving eps
+  from 1/2 down. More than 255 eps take two-byte bins. The grid's orbits
+  stay on the 1/32 lattice, so many distances equal an eps exactly, and
+  below 1/64 every relation is the diagonal alone. ``compare`` exits 1
+  there, on ``sandwich_one_sided_upper`` at n=2, eps=0.5, as in ``asym``;
 - ``<workload>/<instance>``: the seed-1 inputs of every ``perfbench``
   workload, with the command lines ``perfbench/workloads.py`` builds for them;
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
@@ -94,6 +100,17 @@ variants: [two_sided, one_sided, mean_metric, max_metric]
 fit: {n_burn: 1}
 output: {format: both}
 """
+
+
+MANY_EPS_CONFIG = """\
+map: {kind: tent}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 33}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3], eps_list: %s}
+variants: [two_sided, one_sided]
+fit: {n_burn: 1}
+output: {format: both}
+""" % [2.0 ** -k for k in range(1, 301)]
 
 
 def run_cli(argv: list, case_dir: str) -> None:
@@ -166,6 +183,8 @@ def main(argv=None) -> int:
                        os.path.join(out_root, "pruning"), scratch)
         capture_config(SYMMETRIC_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "symmetric"), scratch)
+        capture_config(MANY_EPS_CONFIG, ("counts", "compare"),
+                       os.path.join(out_root, "many_eps"), scratch)
         for workload in workloads.GENERATORS:
             inputs = os.path.join(scratch, workload)
             for instance in workloads.generate(workload, WORKLOAD_SEED, inputs):
