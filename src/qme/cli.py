@@ -5,20 +5,24 @@ grid), ``entropy`` (growth-rate estimates), ``compare`` (inequality and
 identity checks between the estimate variants), ``power`` (composition rule).
 
 Outputs are plain CSV/JSON files written deterministically: two runs with the
-same configuration produce byte-identical files. Exit codes: 0 success,
-1 check failure, 2 precondition or usage warning, 3 configuration error.
+same configuration produce byte-identical files. Every JSON file holds a
+result's fields by name, with ``epsilon`` for ``eps``, and the CSV columns use
+the same names; one function, ``plain``, serializes them all. Exit codes:
+0 success, 1 check failure, 2 precondition or usage warning, 3 configuration
+error.
 Set QME_LOG=debug|info|warning to control verbosity.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 
 from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config
-from .covering import count_grid
+from .covering import QUANTITIES, QUANTITY_PAIRS, count_grid
 from .dynamics import build_orbits
 from .entropy import (
     compare_theorems,
@@ -42,9 +46,29 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_json(path: str, payload: dict) -> None:
+def plain(result):
+    """The JSON form of a result. A dataclass becomes the dict of its fields
+    that are not None, with ``eps`` named ``"epsilon"``; a dict keyed by
+    (n, eps) tuples becomes the list of its values in insertion order, and a
+    float key becomes its repr; tuples and lists become lists. Every other
+    value passes through unchanged."""
+    if dataclasses.is_dataclass(result):
+        return {("epsilon" if f.name == "eps" else f.name): plain(v)
+                for f in dataclasses.fields(result)
+                if (v := getattr(result, f.name)) is not None}
+    if isinstance(result, dict):
+        if result and isinstance(next(iter(result)), tuple):
+            return [plain(v) for v in result.values()]
+        return {(repr(k) if isinstance(k, float) else k): plain(v)
+                for k, v in result.items()}
+    if isinstance(result, (tuple, list)):
+        return [plain(v) for v in result]
+    return result
+
+
+def _write_json(path: str, result) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(json.dumps(plain(result), indent=2, sort_keys=True))
         fh.write("\n")
     log.info("wrote %s", path)
 
@@ -83,7 +107,7 @@ def _prepare(args) -> RunConfig:
 def cmd_validate(args) -> int:
     cfg = _prepare(args)
     report = check_axioms(cfg.qspec, cfg.cloud, cfg.triple_budget, seed=cfg.seed)
-    _write_json(os.path.join(cfg.out_dir, "axiom_report.json"), report.to_dict())
+    _write_json(os.path.join(cfg.out_dir, "axiom_report.json"), report)
     sampling = "exhaustive" if report.exhaustive else "sampled"
     print(f"axioms on {len(cfg.cloud)} points ({sampling}, "
           f"{report.triples_checked} triples):")
@@ -114,11 +138,14 @@ def cmd_counts(args) -> int:
     grid = count_grid(cfg.qspec, orbits, cfg.n_list, cfg.eps_list,
                       exact_threshold=cfg.exact_threshold)
     if cfg.out_format in ("csv", "both"):
+        variant_of = {q: v for v, pair in QUANTITY_PAIRS.items() for q in pair}
         _write_csv(os.path.join(cfg.out_dir, "counts.csv"),
                    ["n", "epsilon", "variant", "quantity", "cardinality",
-                    "method", "optimal"], grid.to_rows())
+                    "method", "optimal"],
+                   [{**cell, **cell[q], "variant": variant_of[q], "quantity": q}
+                    for cell in plain(grid.cells) for q in QUANTITIES if q in cell])
     if cfg.out_format in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "counts.json"), grid.to_dict())
+        _write_json(os.path.join(cfg.out_dir, "counts.json"), grid)
     print(f"count grid: {len(grid.cells)} cells over n={cfg.n_list} "
           f"eps={cfg.eps_list}")
     for note in grid.diagnostics:
@@ -141,17 +168,15 @@ def cmd_entropy(args) -> int:
                                  saturation_fraction=cfg.saturation_fraction,
                                  stability_tol=cfg.stability_tol)
         estimates[variant] = est
-        for p in est.per_epsilon_slopes:
-            slope_rows.append({"epsilon": p.eps, "slope": p.slope,
-                               "residual": p.residual, "variant": variant})
+        slope_rows += [{**p, "variant": variant}
+                       for p in plain(est.per_epsilon_slopes)]
         print(f"{variant}: extrapolated={est.extrapolated!r} "
               f"stabilized={est.stabilized}")
         for note in est.diagnostics:
             print(f"  note: {note}")
 
     if cfg.out_format in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "entropy.json"),
-                    {k: v.to_dict() for k, v in estimates.items()})
+        _write_json(os.path.join(cfg.out_dir, "entropy.json"), estimates)
     if cfg.out_format in ("csv", "both"):
         _write_csv(os.path.join(cfg.out_dir, "slopes.csv"),
                    ["epsilon", "slope", "residual", "variant"], slope_rows)
@@ -168,11 +193,11 @@ def cmd_compare(args) -> int:
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
                               saturation_fraction=cfg.saturation_fraction,
                               stability_tol=cfg.stability_tol)
-    _write_json(os.path.join(cfg.out_dir, "compare.json"), report.to_dict())
+    _write_json(os.path.join(cfg.out_dir, "compare.json"), report)
     if cfg.out_format in ("csv", "both"):
         _write_csv(os.path.join(cfg.out_dir, "compare_checks.csv"),
                    ["name", "n", "epsilon", "lhs", "rhs", "ok", "exact"],
-                   [c.to_dict() for c in report.count_checks])
+                   plain(report.count_checks))
     failed = [c for c in report.count_checks if c.exact and not c.ok]
     print(f"count checks: {len(report.count_checks)} "
           f"({len(failed)} binding failures)")
@@ -198,11 +223,11 @@ def cmd_power(args) -> int:
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
                               saturation_fraction=cfg.saturation_fraction,
                               stability_tol=cfg.stability_tol)
-    _write_json(os.path.join(cfg.out_dir, "power.json"), report.to_dict())
+    _write_json(os.path.join(cfg.out_dir, "power.json"), report)
     if cfg.out_format in ("csv", "both"):
         _write_csv(os.path.join(cfg.out_dir, "power_cells.csv"),
                    ["n", "epsilon", "lhs", "rhs", "ok", "exact"],
-                   [c.to_dict() for c in report.cells])
+                   plain(report.cells))
     print(f"composition rule m={m}: uc_declared={report.uc_declared}")
     print(f"cells ok: {sum(c.ok for c in report.cells)}/{len(report.cells)}")
     print(f"estimate: composed={report.estimate_composed.extrapolated!r} "

@@ -56,7 +56,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import QuasiMetricSpec, is_symmetric, pair_blocks, paired, pairwise, row_tiles
+from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, is_symmetric, pair_blocks, paired,
+                          pairwise, row_tiles)
 
 __all__ = [
     "VARIANTS",
@@ -649,48 +650,6 @@ class CountGrid:
                     return False
         return True
 
-    def to_rows(self) -> list:
-        """Flat rows for CSV: n, epsilon, variant, quantity, cardinality, method, optimal."""
-        variant_of = {q: v for v, pair in QUANTITY_PAIRS.items() for q in pair}
-        rows = []
-        for n in self.n_list:
-            for eps in self.eps_list:
-                cell = self.cells[(n, eps)]
-                for q in QUANTITIES:
-                    res = cell.get(q)
-                    if res is None:
-                        continue
-                    rows.append({
-                        "n": n,
-                        "epsilon": eps,
-                        "variant": variant_of[q],
-                        "quantity": q,
-                        "cardinality": res.cardinality,
-                        "method": res.method,
-                        "optimal": res.optimal,
-                    })
-        return rows
-
-    def to_dict(self) -> dict:
-        cells = []
-        for n in self.n_list:
-            for eps in self.eps_list:
-                cell = self.cells[(n, eps)]
-                entry = {"n": n, "epsilon": eps}
-                for q in QUANTITIES:
-                    res = cell.get(q)
-                    if res is not None:
-                        entry[q] = {**vars(res), "witness": list(res.witness)}
-                cells.append(entry)
-        return {
-            "cloud_size": self.cloud_size,
-            "n_list": list(self.n_list),
-            "eps_list": list(self.eps_list),
-            "variants": list(self.variants),
-            "cells": cells,
-            "diagnostics": list(self.diagnostics),
-        }
-
 
 def _relations(chunks: list, size: int, bins: _EpsBins,
                groups: Sequence) -> Iterator[tuple]:
@@ -706,11 +665,13 @@ def _relations(chunks: list, size: int, bins: _EpsBins,
 
 
 def _content_key(rel: Relation) -> tuple:
-    """A key equal for relations with equal arrays. Two different relations
-    share it only if their indptr and indices bytes both collide under the
-    builtin 64-bit SipHash at once, which non-adversarial data does not do."""
+    """A key equal for relations with equal arrays. It holds the builtin
+    64-bit SipHash of each slice of at most PAIR_BLOCK entries, so no array is
+    copied whole; two different relations share it only if some slice pair
+    collides, which non-adversarial data does not do."""
     return (len(rel.indptr), len(rel.indices),
-            hash(rel.indptr.tobytes()), hash(rel.indices.tobytes()))
+            *(hash(a[i:i + PAIR_BLOCK].tobytes()) for a in (rel.indptr, rel.indices)
+              for i in range(0, len(a), PAIR_BLOCK)))
 
 
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,12 +124,6 @@ class PerEpsSlope:
     max_step: float
     dropped_saturated: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {"epsilon": self.eps, "slope": self.slope,
-                "fit_points": self.fit_points, "residual": self.residual,
-                "max_step": self.max_step,
-                "dropped_saturated": list(self.dropped_saturated)}
-
 
 @dataclass
 class EntropyEstimate:
@@ -144,20 +138,6 @@ class EntropyEstimate:
     stabilized: bool = True
     cloud_size: int = 0
     counts: dict = field(default_factory=dict)  # eps -> [(n, primary count)]
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "per_epsilon_slopes": [p.to_dict() for p in self.per_epsilon_slopes],
-            "extrapolated": self.extrapolated,
-            "log_base": self.log_base,
-            "diagnostics": list(self.diagnostics),
-            "spanning_slopes": [p.to_dict() for p in self.spanning_slopes],
-            "stabilized": self.stabilized,
-            "cloud_size": self.cloud_size,
-            "counts": {repr(eps): [[n, c] for n, c in seq]
-                       for eps, seq in self.counts.items()},
-        }
 
 
 def _fit_one_eps(eps: float, seq: list, cloud_size: int, *, n_burn: int,
@@ -309,11 +289,6 @@ class CheckRow:
     ok: bool
     exact: bool  # both sides solved to optimality
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "n": self.n, "epsilon": self.eps,
-                "lhs": self.lhs, "rhs": self.rhs, "ok": self.ok,
-                "exact": self.exact}
-
 
 @dataclass(frozen=True)
 class EstimateCheck:
@@ -322,10 +297,6 @@ class EstimateCheck:
     rhs: float
     tol: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "tol": self.tol, "ok": self.ok}
 
 
 @dataclass
@@ -336,16 +307,6 @@ class TheoremComparison:
     estimates: dict  # variant -> EntropyEstimate
     diagnostics: list
     overall_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "count_checks": [c.to_dict() for c in self.count_checks],
-            "estimate_checks": [c.to_dict() for c in self.estimate_checks],
-            "relations_identical": self.relations_identical,
-            "estimates": {k: v.to_dict() for k, v in self.estimates.items()},
-            "diagnostics": list(self.diagnostics),
-            "overall_ok": self.overall_ok,
-        }
 
 
 def _ineq_rows(name: str, grid_a: CountGrid, qa: str, grid_b: CountGrid, qb: str,
@@ -475,39 +436,19 @@ class PowerCell:
     ok: bool
     exact: bool
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "epsilon": self.eps, "lhs": self.lhs,
-                "rhs": self.rhs, "ok": self.ok, "exact": self.exact}
-
 
 @dataclass
 class PowerRuleReport:
     m: int
     uc_declared: bool
     cells: list
-    estimate_composed: Optional[EntropyEstimate]
-    estimate_base: Optional[EntropyEstimate]
+    estimate_composed: EntropyEstimate
+    estimate_base: EntropyEstimate
     target: float
     tol: float
     estimates_ok: bool
     overall_ok: bool
     diagnostics: list
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "uc_declared": self.uc_declared,
-            "cells": [c.to_dict() for c in self.cells],
-            "estimate_composed": (self.estimate_composed.to_dict()
-                                  if self.estimate_composed else None),
-            "estimate_base": (self.estimate_base.to_dict()
-                              if self.estimate_base else None),
-            "target": self.target,
-            "tol": self.tol,
-            "estimates_ok": self.estimates_ok,
-            "overall_ok": self.overall_ok,
-            "diagnostics": list(self.diagnostics),
-        }
 
 
 def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,

@@ -295,21 +295,6 @@ class AxiomReport:
     def all_ok(self) -> bool:
         return self.nonnegativity_ok and self.identity_ok and self.triangle_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "nonnegativity_ok": bool(self.nonnegativity_ok),
-            "identity_ok": bool(self.identity_ok),
-            "triangle_ok": bool(self.triangle_ok),
-            "violations": [
-                [int(x), int(y), int(z), float(l), float(r)]
-                for (x, y, z, l, r) in self.violations
-            ],
-            "symmetric": bool(self.symmetric),
-            "max_asymmetry": float(self.max_asymmetry),
-            "exhaustive": bool(self.exhaustive),
-            "triples_checked": int(self.triples_checked),
-        }
-
 
 def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
                  seed: int = DEFAULT_SEED) -> AxiomReport:

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from qme.cli import main
+from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
+from qme.cli import main, plain
 from qme.config import ConfigError, load_config
+from qme.entropy import estimate_from_grid
 
 DOUBLING_CONFIG = """\
 map:
@@ -87,6 +89,24 @@ def test_config_loader_validates_pairings(tmp_path):
     cfg = _write(tmp_path, text, out=tmp_path / "out")
     with pytest.raises(ConfigError, match="indices"):
         load_config(cfg)
+
+
+def test_plain_on_a_one_variant_grid():
+    n_list, eps_list = [1, 2, 3, 4], [0.5, 0.25]
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), max(n_list))
+    grid = count_grid(QuasiMetricSpec(kind="circle_arc"), orbits, n_list, eps_list,
+                      variants=("two_sided",))
+    d = plain(grid)
+    assert d["variants"] == ["two_sided"]
+    # cells come out n-major; the one_sided quantities r2/s2 are None and left out
+    assert [(c["n"], c["epsilon"]) for c in d["cells"]] == [
+        (n, eps) for n in n_list for eps in eps_list]
+    assert all(set(c) == {"n", "epsilon", "r1", "s1"} for c in d["cells"])
+    assert all(isinstance(c[q]["witness"], list)
+               for c in d["cells"] for q in ("r1", "s1"))
+    est = plain(estimate_from_grid(grid, "two_sided", n_burn=1))
+    assert list(est["counts"]) == [repr(eps) for eps in eps_list]
+    assert all(isinstance(pair, list) for seq in est["counts"].values() for pair in seq)
 
 
 def test_counts_outputs_and_determinism(tmp_path):

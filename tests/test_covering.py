@@ -5,6 +5,8 @@ untiled reference ``oracles.relation`` (bit-identical to the pipeline's
 relations, see test_tiling.py) and calls the solvers on it directly, in the
 solvers' CSR form ``oracles.csr``.
 """
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from qme import (
     index_cloud,
     scaled,
 )
-from qme import covering
+from qme import cli, covering
 from qme.dynamics import OrbitTable
 from qme.covering import (
     QUANTITIES,
@@ -375,9 +377,25 @@ def test_count_grid_monotone_without_diagnostics(doubling_grid):
             assert seq == sorted(seq)  # counts nondecreasing in n
 
 
-def test_count_grid_rows_schema(doubling_grid):
+# the doubling_grid fixture as a run configuration
+DOUBLING_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: circle_grid, count: 48}
+qmetric: {kind: circle_arc}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [0.5, 0.25, 0.125, 0.0625]}
+"""
+
+
+def test_count_grid_rows_schema(doubling_grid, tmp_path, monkeypatch):
+    # the counts.csv rows that cmd_counts builds from the grid
     _, _, grid = doubling_grid
-    rows = grid.to_rows()
+    monkeypatch.setattr(cli, "count_grid", lambda *args, **kwargs: grid)
+    config = tmp_path / "run.yaml"
+    config.write_text(DOUBLING_CONFIG)
+    assert cli.main(["counts", "--config", str(config), "--out", str(tmp_path),
+                     "--format", "csv"]) == 0
+    with open(tmp_path / "counts.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4 * 4 * 4
     assert set(rows[0]) == {"n", "epsilon", "variant", "quantity",
                             "cardinality", "method", "optimal"}

@@ -18,6 +18,7 @@ from qme import (
     power_rule_check,
     symbol_blocks,
 )
+from qme.cli import plain
 from qme.entropy import estimate_from_grid, variant_grids
 
 ARC = QuasiMetricSpec(kind="circle_arc")
@@ -158,7 +159,7 @@ def test_estimate_stability_flag():
 def test_estimate_serialization_shape():
     est = estimate_entropy(MapSpec(kind="identity"), grid1d(0.0, 1.0, 8), LINE,
                            "two_sided", [1, 2, 3, 4], [0.5, 0.25])
-    d = est.to_dict()
+    d = plain(est)
     assert d["log_base"] == "e"
     assert {"variant", "per_epsilon_slopes", "extrapolated", "log_base",
             "diagnostics", "spanning_slopes", "stabilized", "cloud_size",
@@ -215,7 +216,7 @@ def test_compare_doubling_circle():
 def test_compare_serialization():
     report = compare_theorems(MapSpec(kind="identity"), grid1d(0.0, 1.0, 8),
                               LINE, [1, 2, 3, 4], [0.5, 0.25])
-    d = report.to_dict()
+    d = plain(report)
     assert set(d) == {"count_checks", "estimate_checks", "relations_identical",
                       "estimates", "diagnostics", "overall_ok"}
     assert all(set(c) == {"name", "n", "epsilon", "lhs", "rhs", "ok", "exact"}

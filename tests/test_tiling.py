@@ -30,6 +30,7 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
+from qme.cli import plain
 from qme.covering import (
     BIN_OP,
     _EpsBins,
@@ -305,11 +306,11 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     orbits = build_orbits(MapSpec(kind="tent"), cloud, 4)
     args = (spec, orbits, [1, 2, 4], [0.5, 0.25, 0.125])
-    tiny = [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
+    tiny = [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
     monkeypatch.setattr(qm, "ROW_TILE", 256)
     monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
     monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 64)
-    assert tiny == [count_grid(*args, exact_threshold=t).to_dict() for t in (0, len(cloud))]
+    assert tiny == [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
 
 
 def test_count_grid_peak_below_one_dense_matrix(monkeypatch):

@@ -45,6 +45,11 @@ Runs:
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
   Their ``compare`` runs write no witnesses; ``counts.json`` holds every
   exactly solved cell's witness, ``optimal`` flag and node count;
+- ``violations``: ``validate`` on a 3-point ``indices`` cloud under an inline
+  ``matrix`` rule that breaks the triangle inequality (d(0, 2) = 5 > 1 + 1),
+  once with an exhaustive triple budget (``exhaustive``) and once with a
+  sampled one (``sampled``). Both find violations, so the violation tuples of
+  ``axiom_report.json`` and the printed violation lines are byte-diffed;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
   configuration errors, exit code 3).
@@ -111,6 +116,17 @@ variants: [two_sided, one_sided]
 fit: {n_burn: 1}
 output: {format: both}
 """ % [2.0 ** -k for k in range(1, 301)]
+
+
+VIOLATIONS_CONFIG = """\
+map: {kind: identity}
+cloud: {kind: indices, count: 3}
+qmetric: {kind: matrix, rows: [[0, 1, 5], [1, 0, 1], [5, 1, 0]]}
+schedule: {n_list: [1, 2, 3], eps_list: [0.5, 0.25]}
+validate: {triple_budget: %d}
+"""
+# 3^3 = 27 triples: the first budget checks all of them, the second samples
+VIOLATIONS_BUDGETS = {"exhaustive": 27, "sampled": 26}
 
 
 def run_cli(argv: list, case_dir: str) -> None:
@@ -195,6 +211,9 @@ def main(argv=None) -> int:
                                             instance["name"])
                     run_cli(workloads.cli_argv({**instance, "command": ["counts"]},
                                                case_dir), case_dir)
+        for name, budget in VIOLATIONS_BUDGETS.items():
+            capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
+                           os.path.join(out_root, "violations", name), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
     return 0
 
