@@ -34,7 +34,6 @@ from .entropy import (
     PowerRuleReport,
     TheoremComparison,
     compare_theorems,
-    estimate_entropy,
     growth_rate,
     power_rule_check,
 )

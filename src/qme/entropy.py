@@ -43,7 +43,6 @@ __all__ = [
     "PerEpsSlope",
     "EntropyEstimate",
     "variant_grids",
-    "estimate_entropy",
     "CheckRow",
     "EstimateCheck",
     "TheoremComparison",
@@ -247,30 +246,6 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
             symmetrize_mean(spec), orbits, n_list, eps_list,
             exact_threshold=exact_threshold, variants=("two_sided",))
     return grids
-
-
-def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
-                     variant: str, n_list: Sequence, eps_list: Sequence, *,
-                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     snap_mode: str = "exact",
-                     n_burn: int = DEFAULT_N_BURN,
-                     window_size: int = 0,
-                     saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                     stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
-    """Estimate the entropy of a map over a cloud for one variant.
-
-    Builds the orbit table of the cloud, counts spanning/separated
-    cardinalities over the schedule under the variant's distance rule, fits
-    per-scale growth slopes and extrapolates at the smallest scale.
-    """
-    orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
-                          snap_mode=snap_mode, qspec=spec)
-    grids = variant_grids(spec, orbits, (variant,), n_list, eps_list,
-                          exact_threshold=exact_threshold)
-    return estimate_from_grid(grids[variant], variant, n_burn=n_burn,
-                              window_size=window_size,
-                              saturation_fraction=saturation_fraction,
-                              stability_tol=stability_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,9 @@ DEFAULT_SEED = 1234
 # reuse heap pages instead of faulting fresh ones in. On a 2-core Xeon VM,
 # snap_power (N = 2048, fresh processes, medians of 8) took 1.56 s at 8192
 # entries, 1.55-1.58 s at 4096 and 16384 (25k minor faults), 1.68 s at 32768
-# (87k) and 2.00 s in 256 x 256 blocks (169k). A matrix meets its transpose
-# in 64-wide blocks: a max(D, D^T) pass at N = 4096 took 0.16-0.18 s against
-# 0.47 s with the naive transpose; 32- to 256-wide blocks were slower.
+# (87k) and 2.00 s in 256 x 256 blocks (169k).
 ROW_TILE = 256
 PAIR_BLOCK = 8192
-TRANSPOSE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,20 +219,6 @@ def pair_blocks(rows: int, cols: int) -> list:
             for r in range(0, rows, height) for c in range(0, cols, width)]
 
 
-def with_transpose(op, D: np.ndarray) -> np.ndarray:
-    """op(D, D^T) for a square matrix, computed block by block so the
-    transposed read stays in cache (op gets each block of the result as
-    ``out=``). Each entry gets the same elementwise op on the same operands
-    as ``op(D, D.T)``, so the values are identical."""
-    n = D.shape[0]
-    out = np.empty_like(D)
-    b = TRANSPOSE_BLOCK
-    for i in range(0, n, b):
-        for j in range(0, n, b):
-            op(D[i:i + b, j:j + b], D[j:j + b, i:i + b].T, out=out[i:i + b, j:j + b])
-    return out
-
-
 def _matrix_indices(pts: np.ndarray, size: int) -> np.ndarray:
     idx = pts[..., 0]
     ints = np.rint(idx).astype(int)
@@ -302,9 +285,16 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     inequality on a point cloud.
 
     All |cloud|^3 ordered triples are checked when that count fits within
-    ``triple_budget``; otherwise ``triple_budget`` triples are drawn from a
-    generator seeded with ``seed`` so reports are reproducible. Comparisons are
-    exact; no tolerance is applied.
+    ``triple_budget``; otherwise ``triple_budget`` triples are drawn, with
+    replacement, from a generator seeded with ``seed`` so reports are
+    reproducible. ``triples_checked`` counts the draws, and ``violations``
+    lists each distinct violating triple once. Comparisons are exact; no
+    tolerance is applied.
+
+    Memory does not grow with N^2: e is evaluated in both directions on
+    :func:`pair_blocks` of at most ``PAIR_BLOCK`` pairs, and sampled triples
+    in slices of ``PAIR_BLOCK``, beside the budget x 3 int64 draw. Only the
+    exhaustive mode builds the dense N x N matrix, and N^3 <= budget there.
     """
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
@@ -312,17 +302,23 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cloud must be nonempty")
-    D = pairwise(spec, pts, pts)
 
-    nonneg = bool(np.all(np.isfinite(D)) and np.all(D >= 0.0))
-    diag = np.diagonal(D)
-    off = D[~np.eye(n, dtype=bool)]
-    identity_ok = bool(np.all(diag == 0.0) and (off.size == 0 or np.all(off > 0.0)))
+    nonneg = identity_ok = True
+    max_asym = 0.0
+    for r, c in pair_blocks(n, n):
+        fwd = pairwise(spec, pts[r], pts[c])
+        bwd = pairwise(spec, pts[c], pts[r]).T
+        nonneg = nonneg and bool(np.all(np.isfinite(fwd) & (fwd >= 0.0)))
+        diag = np.arange(r.start, r.stop)[:, None] == np.arange(c.start, c.stop)
+        identity_ok = identity_ok and bool(np.all(np.where(diag, fwd == 0.0, fwd > 0.0)))
+        # np.maximum, unlike max(), carries a NaN block maximum through
+        max_asym = np.maximum(max_asym, np.max(np.abs(fwd - bwd)))
 
     violations = []
     exhaustive = n ** 3 <= triple_budget
     if exhaustive:
         triples_checked = n ** 3
+        D = pairwise(spec, pts, pts)
         for y in range(n):
             rhs = D[:, y][:, None] + D[y, :][None, :]
             bad = D > rhs
@@ -334,20 +330,19 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
         triples_checked = triple_budget
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=(triple_budget, 3))
-        lhs = D[idx[:, 0], idx[:, 2]]
-        rhs = D[idx[:, 0], idx[:, 1]] + D[idx[:, 1], idx[:, 2]]
-        bad = np.nonzero(lhs > rhs)[0]
-        for t in bad.tolist():
-            x, y, z = (int(idx[t, 0]), int(idx[t, 1]), int(idx[t, 2]))
-            violations.append((x, y, z, float(lhs[t]), float(rhs[t])))
+        for s in range(0, triple_budget, PAIR_BLOCK):
+            x, y, z = (pts[idx[s:s + PAIR_BLOCK, k]] for k in range(3))
+            lhs = paired(spec, x, z)
+            rhs = paired(spec, x, y) + paired(spec, y, z)
+            for t in np.nonzero(lhs > rhs)[0].tolist():
+                violations.append((*idx[s + t].tolist(), float(lhs[t]), float(rhs[t])))
 
-    violations.sort()
-    max_asym = float(np.max(np.abs(with_transpose(np.subtract, D)))) if n > 1 else 0.0
+    max_asym = float(max_asym) if n > 1 else 0.0
     return AxiomReport(
         nonnegativity_ok=nonneg,
         identity_ok=identity_ok,
         triangle_ok=not violations,
-        violations=violations,
+        violations=sorted(set(violations)),
         symmetric=(max_asym == 0.0),
         max_asymmetry=max_asym,
         exhaustive=exhaustive,

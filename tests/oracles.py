@@ -7,19 +7,36 @@ two routes that share no code. Two parts are references that the pipeline
 must match exactly: the dense greedy solvers, which the CSR solvers must follow
 pick for pick (``csr`` turns a dense cover into the solvers' relation type),
 and the last section's untiled, full-matrix forms of the tiled and live-pair
-passes, which must agree with them bit for bit. ``evaluate``, the one-pair
-form of ``pairwise``, and ball membership (``BallSpec``, ``ball_members``)
-live here because only tests need them.
+passes, which must agree with them bit for bit, among them ``dense_axioms``,
+the axiom check on the full distance matrix. ``evaluate``, the one-pair form
+of ``pairwise``, ball membership (``BallSpec``, ``ball_members``) and the
+one-call ``estimate_entropy`` live here because only tests need them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from qme.covering import Relation
-from qme.quasimetric import QuasiMetricSpec, pairwise, symmetrize_max
+from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation
+from qme.dynamics import MapSpec, PointCloud, build_orbits
+from qme.entropy import (
+    DEFAULT_N_BURN,
+    DEFAULT_SATURATION_FRACTION,
+    DEFAULT_STABILITY_TOL,
+    EntropyEstimate,
+    estimate_from_grid,
+    variant_grids,
+)
+from qme.quasimetric import (
+    DEFAULT_SEED,
+    AxiomReport,
+    QuasiMetricSpec,
+    _as_points,
+    pairwise,
+    symmetrize_max,
+)
 
 
 def evaluate(spec, x, y) -> float:
@@ -330,3 +347,83 @@ def naive_snap(map_spec, cloud, n_max: int, qspec) -> tuple:
         err = max(err, float(dist[np.arange(len(pts)), nearest].max()))
         images.append(pts[nearest])
     return np.stack(images, axis=1), err
+
+
+def dense_axioms(spec, cloud, triple_budget: int, seed: int = DEFAULT_SEED) -> AxiomReport:
+    """``check_axioms`` on the full N x N matrix D: the identity mask, the
+    off-diagonal copy and max |D - D^T| over whole matrices, sampled triples
+    gathered from D, and every violating draw kept, so a triple drawn twice
+    is listed twice."""
+    if triple_budget < 1:
+        raise ValueError("triple_budget must be >= 1")
+    pts = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
+    n = pts.shape[0]
+    if n == 0:
+        raise ValueError("cloud must be nonempty")
+    D = pairwise(spec, pts, pts)
+
+    nonneg = bool(np.all(np.isfinite(D)) and np.all(D >= 0.0))
+    diag = np.diagonal(D)
+    off = D[~np.eye(n, dtype=bool)]
+    identity_ok = bool(np.all(diag == 0.0) and (off.size == 0 or np.all(off > 0.0)))
+
+    violations = []
+    exhaustive = n ** 3 <= triple_budget
+    if exhaustive:
+        triples_checked = n ** 3
+        for y in range(n):
+            rhs = D[:, y][:, None] + D[y, :][None, :]
+            bad = D > rhs
+            if bad.any():
+                xs, zs = np.nonzero(bad)
+                for x, z in zip(xs.tolist(), zs.tolist()):
+                    violations.append((x, y, z, float(D[x, z]), float(rhs[x, z])))
+    else:
+        triples_checked = triple_budget
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n, size=(triple_budget, 3))
+        lhs = D[idx[:, 0], idx[:, 2]]
+        rhs = D[idx[:, 0], idx[:, 1]] + D[idx[:, 1], idx[:, 2]]
+        bad = np.nonzero(lhs > rhs)[0]
+        for t in bad.tolist():
+            x, y, z = (int(idx[t, 0]), int(idx[t, 1]), int(idx[t, 2]))
+            violations.append((x, y, z, float(lhs[t]), float(rhs[t])))
+
+    violations.sort()
+    max_asym = float(np.max(np.abs(D - D.T))) if n > 1 else 0.0
+    return AxiomReport(
+        nonnegativity_ok=nonneg,
+        identity_ok=identity_ok,
+        triangle_ok=not violations,
+        violations=violations,
+        symmetric=(max_asym == 0.0),
+        max_asymmetry=max_asym,
+        exhaustive=exhaustive,
+        triples_checked=triples_checked,
+    )
+
+
+# --- one-call entropy estimate ----------------------------------------------
+
+def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
+                     variant: str, n_list: Sequence, eps_list: Sequence, *,
+                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+                     snap_mode: str = "exact",
+                     n_burn: int = DEFAULT_N_BURN,
+                     window_size: int = 0,
+                     saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
+                     stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
+    """Estimate the entropy of a map over a cloud for one variant.
+
+    Builds the orbit table of the cloud, counts spanning/separated
+    cardinalities over the schedule under the variant's distance rule, fits
+    per-scale growth slopes and extrapolates at the smallest scale.
+    """
+    orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
+                          snap_mode=snap_mode, qspec=spec)
+    grids = variant_grids(spec, orbits, (variant,), n_list, eps_list,
+                          exact_threshold=exact_threshold)
+    return estimate_from_grid(grids[variant], variant, n_burn=n_burn,
+                              window_size=window_size,
+                              saturation_fraction=saturation_fraction,
+                              stability_tol=stability_tol)

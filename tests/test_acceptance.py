@@ -19,7 +19,6 @@ from qme import (
     check_axioms,
     circle_grid,
     count_grid,
-    estimate_entropy,
     grid1d,
     index_cloud,
     power_rule_check,
@@ -31,6 +30,7 @@ from qme.cli import main
 from qme.entropy import estimate_from_grid
 
 import oracles
+from oracles import estimate_entropy
 
 ARC = QuasiMetricSpec(kind="circle_arc")
 LINE = QuasiMetricSpec(kind="asym_line")

@@ -11,7 +11,6 @@ from qme import (
     circle_grid,
     compare_theorems,
     count_grid,
-    estimate_entropy,
     grid1d,
     growth_rate,
     index_cloud,
@@ -20,6 +19,8 @@ from qme import (
 )
 from qme.cli import plain
 from qme.entropy import estimate_from_grid, variant_grids
+
+from oracles import estimate_entropy
 
 ARC = QuasiMetricSpec(kind="circle_arc")
 LINE = QuasiMetricSpec(kind="asym_line")

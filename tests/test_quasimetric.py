@@ -89,6 +89,21 @@ def test_axioms_triangle_violator_detected():
     assert report.symmetric
 
 
+def test_axioms_sampled_violations_are_distinct():
+    # 26 draws over 27 triples repeat some: each violating triple is listed
+    # once, and only triples the exhaustive check finds
+    spec = QuasiMetricSpec(kind="matrix",
+                           matrix=np.array([[0.0, 1.0, 5.0],
+                                            [1.0, 0.0, 1.0],
+                                            [5.0, 1.0, 0.0]]))
+    sampled = check_axioms(spec, index_cloud(3), triple_budget=26)
+    exhaustive = check_axioms(spec, index_cloud(3), triple_budget=27)
+    assert not sampled.exhaustive and sampled.triples_checked == 26
+    assert sampled.violations
+    assert len(set(sampled.violations)) == len(sampled.violations)
+    assert set(sampled.violations) <= set(exhaustive.violations)
+
+
 def test_axioms_sampled_mode_is_deterministic():
     cloud = grid1d(0.0, 1.0, 64)
     a = check_axioms(LINE, cloud, triple_budget=5_000, seed=7)

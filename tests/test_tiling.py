@@ -1,11 +1,12 @@
 """Tiled and live-pair passes equal their untiled references bit for bit.
 
 The tile constants are shrunk to 3-row pairwise tiles (so 3 x 3 live-pair
-chunks), pairwise sub-blocks of 2 entries, which do not divide a tile (so
-every tile has partial sub-blocks), and 2 x 2 transpose blocks, so clouds of 1
-to 20 points cover every layout: smaller than a tile, exactly one tile, and
-multiples of a tile plus or minus one.
+chunks) and pairwise sub-blocks of 2 entries, which do not divide a tile (so
+every tile has partial sub-blocks), so clouds of 1 to 20 points cover every
+layout: smaller than a tile, exactly one tile, and multiples of a tile plus
+or minus one.
 """
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -25,12 +26,12 @@ from qme import (
     custom_cloud,
     grid1d,
     index_cloud,
-    pairwise,
     symbol_blocks,
     symmetrize_max,
     symmetrize_mean,
 )
 from qme.cli import plain
+from qme.config import DEFAULT_TRIPLE_BUDGET
 from qme.covering import (
     BIN_OP,
     _EpsBins,
@@ -59,7 +60,6 @@ VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
 def tiny_tiles(monkeypatch):
     monkeypatch.setattr(qm, "ROW_TILE", 3)
     monkeypatch.setattr(qm, "PAIR_BLOCK", 2)
-    monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 2)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -293,12 +293,27 @@ def test_both_pairings_build_one_relation_per_n(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_max_asymmetry_matches_full_transpose(kind):
+    # and the whole report matches the full-matrix one, exhaustive (n^3
+    # triples) and sampled (n^3 - 1 draws, each violating triple listed once)
     rng = np.random.default_rng(11)
-    for size in SIZES:
-        spec, cloud = _case(kind, size, rng)
-        D = pairwise(spec, cloud.points, cloud.points)
-        report = check_axioms(spec, cloud, triple_budget=1)
-        assert report.max_asymmetry == float(np.max(np.abs(D - D.T))), size
+    cases = [_case(kind, size, rng) for size in SIZES]
+    if kind == "weighted_asym":
+        # e = inf both ways between -1e308 and 1e308, so D - D^T holds a NaN
+        nan_case = (cases[0][0], custom_cloud([[-1e308], [1e308], [0.0]]))
+        cases.append(nan_case)
+        report = check_axioms(*nan_case, triple_budget=26)
+        assert not report.nonnegativity_ok and not report.symmetric
+        assert np.isnan(report.max_asymmetry)
+    for spec, cloud in cases:
+        size = len(cloud)
+        for budget in (size ** 3, size ** 3 - 1):
+            if budget < 1:
+                continue
+            ref = oracles.dense_axioms(spec, cloud, budget)
+            ref = dataclasses.replace(ref, violations=sorted(set(ref.violations)))
+            # as text, so that a NaN max_asymmetry compares equal
+            assert repr(plain(check_axioms(spec, cloud, budget))) == repr(plain(ref)), \
+                (size, budget)
 
 
 def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
@@ -309,7 +324,6 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     tiny = [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
     monkeypatch.setattr(qm, "ROW_TILE", 256)
     monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
-    monkeypatch.setattr(qm, "TRANSPOSE_BLOCK", 64)
     assert tiny == [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
 
 
@@ -329,6 +343,24 @@ def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < size * size * 8
+
+
+def test_check_axioms_peak_below_one_dense_matrix(monkeypatch):
+    # sampled mode on 2048 points: one block pair of pairwise values, the
+    # budget x 3 int64 draw and one slice of triples stay below a single
+    # N x N float64
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    size = 2048
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    tracemalloc.start()
+    try:
+        report = check_axioms(spec, circle_grid(size), DEFAULT_TRIPLE_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.exhaustive and report.all_ok
     assert peak < size * size * 8
 
 

@@ -50,6 +50,13 @@ Runs:
   once with an exhaustive triple budget (``exhaustive``) and once with a
   sampled one (``sampled``). Both find violations, so the violation tuples of
   ``axiom_report.json`` and the printed violation lines are byte-diffed;
+- ``axioms_offlattice``: ``validate`` under the hinge rule (alpha 0.5, beta
+  2.0) at the default budget of 200,000 sampled triples, on the step-1
+  logistic images ``4x(1 - x)`` of the seed-1 ``snap_power`` cloud,
+  deduplicated and written as a custom CSV. The images leave the 2^-40
+  lattice, so about 1% of the drawn triples break the triangle inequality
+  by one ulp, and the 2,048-point cloud spans 512 distance blocks and 25
+  triple slices: the violation list is long and every entry is byte-diffed;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
   configuration errors, exit code 3).
@@ -128,6 +135,13 @@ validate: {triple_budget: %d}
 # 3^3 = 27 triples: the first budget checks all of them, the second samples
 VIOLATIONS_BUDGETS = {"exhaustive": 27, "sampled": 26}
 
+OFFLATTICE_CONFIG = """\
+map: {kind: identity}
+cloud: {kind: custom, path: offlattice.csv}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3], eps_list: [0.5, 0.25]}
+"""
+
 
 def run_cli(argv: list, case_dir: str) -> None:
     """Run ``qme`` with argv (whose ``--out`` is case_dir) and write its stdout
@@ -163,6 +177,18 @@ def capture_snap_ties(dest: str, scratch: str) -> None:
     with open(os.path.join(scratch, "snap_ties.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{float(x)!r}\n" for x in pts)
     capture_config(SNAP_TIES_CONFIG, ("counts", "power"), dest, scratch)
+
+
+def capture_offlattice(dest: str, scratch: str) -> None:
+    """Axioms on the logistic map's first images of the snap_power cloud,
+    whose distances round off the lattice."""
+    [instance] = workloads.generate("snap_power", WORKLOAD_SEED,
+                                    os.path.join(scratch, "offlattice"))
+    x = np.loadtxt(os.path.join(os.path.dirname(instance["config"]), "cloud.csv"))
+    images = np.unique(4.0 * x * (1.0 - x))
+    with open(os.path.join(scratch, "offlattice.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{float(v)!r}\n" for v in images)
+    capture_config(OFFLATTICE_CONFIG, ("validate",), dest, scratch)
 
 
 def capture_errors(dest: str, scratch: str) -> None:
@@ -214,6 +240,7 @@ def main(argv=None) -> int:
         for name, budget in VIOLATIONS_BUDGETS.items():
             capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
                            os.path.join(out_root, "violations", name), scratch)
+        capture_offlattice(os.path.join(out_root, "axioms_offlattice"), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
     return 0
 
