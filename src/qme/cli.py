@@ -62,6 +62,8 @@ def plain(result):
         return {(repr(k) if isinstance(k, float) else k): plain(v)
                 for k, v in result.items()}
     if isinstance(result, (tuple, list)):
+        if all(type(v) is int for v in result):  # a witness: no recursion per id
+            return list(result)
         return [plain(v) for v in result]
     return result
 

@@ -13,16 +13,17 @@ scheduled eps is never a cover edge again. The tests D_n <= eps are all a
 relation reads, so each live pair keeps the eps bin of each direction,
 bin(v) = #{k : v <= eps_k}, in one byte (two past 255 eps): the relation at
 eps_k is bin > k, the bin of a max is the min of the bins, and every
-comparison is the float one, made once. The orbit steps before the first
-scheduled n are computed over the upper triangle in ROW_TILE x ROW_TILE
-blocks, each filled from pairwise sub-blocks of at most PAIR_BLOCK entries
-into two block buffers per grid; later steps evaluate e on the live pairs
-alone and lower their bins. Both directions are evaluated, except for a rule
-symmetric by construction (``quasimetric.is_symmetric``): there
-D_n = D_n^T bit for bit, so each pair is evaluated once and both variants
-share its one bin. Each n builds one CSR relation of the live pairs with a
-bin column per variant (one for a symmetric rule), and each eps keeps the
-entries above its bin.
+comparison is the float one, made once. Live pairs are kept in chunks, one
+per ROW_TILE x ROW_TILE block of the upper triangle, as one-byte offsets
+inside their block (ROW_TILE <= 256). The orbit steps before the first
+scheduled n are computed block by block, each block filled from pairwise
+sub-blocks of at most PAIR_BLOCK entries into two block buffers per grid;
+later steps evaluate e on the live pairs alone and lower their bins. Both
+directions are evaluated, except for a rule symmetric by construction
+(``quasimetric.is_symmetric``): there D_n = D_n^T bit for bit, so each pair
+is evaluated once and both variants share its one bin. Each (n, eps) builds
+the relation of each pairing straight from the chunks, one row tile at a
+time, with columns in the narrowest unsigned type that holds a point id.
 
 Each distinct relation is solved once per grid, keyed by its arrays' content.
 Expanding maps repeat relations: on a doubling circle the relation at
@@ -91,7 +92,7 @@ class Relation:
     order, every y with x ~ y, x itself included."""
 
     indptr: np.ndarray   # int64, one more than the number of points
-    indices: np.ndarray  # int32
+    indices: np.ndarray  # any integer type; count_grid's is the narrowest unsigned one
 
     @property
     def size(self) -> int:
@@ -130,73 +131,80 @@ class _EpsBins:
         return bins
 
 
+def _blocks(size: int) -> list:
+    """(rows, cols) slices of the ROW_TILE x ROW_TILE blocks on and right of
+    the diagonal, in row-major block order: the blocks of the live-pair
+    chunks, which store block offsets."""
+    return [(rows, cols) for rows in row_tiles(size) for cols in row_tiles(size, rows.start)]
+
+
 def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
                 bins: _EpsBins, live: str) -> Iterator[tuple]:
     """Yield (n, chunks) over an ascending n schedule, which the caller has
     validated. chunks holds the live pairs x < y, those in the ``live``
-    variant's relation at the largest eps, one chunk per ROW_TILE x ROW_TILE
-    block of the upper triangle in row-major block order. A chunk is
-    (x, y, fbin, bbin): int32 ids sorted by (x, y) and the eps bins of
-    D_n[x, y] and D_n[y, x], so BIN_OP[live](fbin, bbin) > 0 throughout. For
-    a symmetric rule bbin is the same array object as fbin. The list is
-    updated in place for the next n: copy it to keep it past the next step."""
+    variant's relation at the largest eps, one chunk per block of
+    ``_blocks`` in its order. A chunk is (xo, yo, fbin, bbin): uint8 offsets
+    of x and y in their block's rows and columns, sorted by (xo, yo), and
+    the eps bins of D_n[x, y] and D_n[y, x], so BIN_OP[live](fbin, bbin) > 0
+    throughout. For a symmetric rule bbin is the same array object as fbin.
+    The list is updated in place for the next n: copy it to keep it past the
+    next step."""
     symmetric = is_symmetric(spec)
-    tiles = row_tiles(orbits.images.shape[0])
-    side = tiles[0].stop  # the widest block, the first
+    size = orbits.images.shape[0]
+    blocks = _blocks(size)
+    side = blocks[0][0].stop  # the widest block, the first
+    if side > 256:
+        raise ValueError(f"block offsets are uint8, so ROW_TILE must be <= 256, got {side}")
     fbuf = np.empty((side, side))
     bbuf = fbuf if symmetric else np.empty((side, side))
-    chunks = []
-    for rows in tiles:
-        chunks += _tile_pairs(spec, orbits, n_list[0], rows, bins, live, fbuf, bbuf)
+    chunks = [_tile_pairs(spec, orbits, n_list[0], rows, cols, bins, live, fbuf, bbuf)
+              for rows, cols in blocks]
     done = n_list[0]
     yield done, chunks
     for n in n_list[1:]:
         for i in range(done, n):
             pts = orbits.iterate_points(i)
-            for k, chunk in enumerate(chunks):
-                chunks[k] = _advance(spec, pts, chunk, bins, live)
+            for k, (chunk, block) in enumerate(zip(chunks, blocks)):
+                chunks[k] = _advance(spec, pts, chunk, block, bins, live)
         done = n
         yield n, chunks
 
 
 def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int, rows: slice,
-                bins: _EpsBins, live: str, fbuf: np.ndarray, bbuf: np.ndarray) -> list:
-    """Live-pair chunks of the rows' blocks on and right of the diagonal,
-    from orbit steps 0..steps-1 evaluated in both directions, or in one when
-    the rule is symmetric (``bbuf is fbuf``), whose chunks then alias bbin to
+                cols: slice, bins: _EpsBins, live: str, fbuf: np.ndarray,
+                bbuf: np.ndarray) -> tuple:
+    """The live-pair chunk of one block on or right of the diagonal, from
+    orbit steps 0..steps-1 evaluated in both directions, or in one when the
+    rule is symmetric (``bbuf is fbuf``), whose chunk then aliases bbin to
     fbin.
 
-    Each block's D_n[x, y] and D_n[y, x] are filled from pairwise calls of
-    at most PAIR_BLOCK entries (``pair_blocks``) into the grid's block
-    buffers, and only the live pairs' values are binned."""
-    lo, height = rows.start, rows.stop - rows.start
+    The block's D_n[x, y] and D_n[y, x] are filled from pairwise calls of at
+    most PAIR_BLOCK entries (``pair_blocks``) into the grid's block buffers,
+    and only the live pairs' values are binned."""
+    height, width = rows.stop - rows.start, cols.stop - cols.start
     symmetric = bbuf is fbuf
-    chunks = []
-    for cols in row_tiles(orbits.images.shape[0], lo):
-        width = cols.stop - cols.start
-        fwd = fbuf[:height, :width]
-        bwd = fwd if symmetric else bbuf[:height, :width]
-        for r, c in pair_blocks(height, width):
-            f = b = None
-            for i in range(steps):
-                pts = orbits.iterate_points(i)
-                px, py = pts[rows][r], pts[cols][c]
-                f = _max_into(f, pairwise(spec, px, py))  # D[x, y]
-                if not symmetric:
-                    b = _max_into(b, pairwise(spec, py, px))  # D[y, x]
-            fwd[r, c] = f
+    fwd = fbuf[:height, :width]
+    bwd = fwd if symmetric else bbuf[:height, :width]
+    for r, c in pair_blocks(height, width):
+        f = b = None
+        for i in range(steps):
+            pts = orbits.iterate_points(i)
+            px, py = pts[rows][r], pts[cols][c]
+            f = _max_into(f, pairwise(spec, px, py))  # D[x, y]
             if not symmetric:
-                bwd[r, c] = b.T
-        close = fwd <= bins.eps[0]  # bin > 0, so BIN_OP combines directions
+                b = _max_into(b, pairwise(spec, py, px))  # D[y, x]
+        fwd[r, c] = f
         if not symmetric:
-            close = BIN_OP[live](close, bwd <= bins.eps[0])
-        if cols.start == lo:
-            close = np.triu(close, 1)  # the diagonal block: pairs x < y only
-        x, y = np.nonzero(close)
-        fbin = bins.of(fwd[close])
-        chunks.append((x.astype(np.int32) + lo, y.astype(np.int32) + cols.start,
-                       fbin, fbin if symmetric else bins.of(bwd[close])))
-    return chunks
+            bwd[r, c] = b.T
+    close = fwd <= bins.eps[0]  # bin > 0, so BIN_OP combines directions
+    if not symmetric:
+        close = BIN_OP[live](close, bwd <= bins.eps[0])
+    if cols.start == rows.start:
+        close = np.triu(close, 1)  # the diagonal block: pairs x < y only
+    xo, yo = np.nonzero(close)
+    fbin = bins.of(fwd[close])
+    return (xo.astype(np.uint8), yo.astype(np.uint8),
+            fbin, fbin if symmetric else bins.of(bwd[close]))
 
 
 def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
@@ -209,15 +217,16 @@ def _symmetrized(op, fbin: np.ndarray, bbin: np.ndarray) -> np.ndarray:
     return fbin if bbin is fbin else op(fbin, bbin)
 
 
-def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple,
+def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
              bins: _EpsBins, live: str) -> tuple:
     """One more orbit step on a chunk's pairs, keeping those still live; a
     chunk whose bbin is its fbin (a symmetric rule) is evaluated one way and
     stays aliased."""
-    x, y, fbin, bbin = chunk
-    if not len(x):
+    xo, yo, fbin, bbin = chunk
+    if not len(xo):
         return chunk
-    px, py = pts[x], pts[y]
+    rows, cols = block
+    px, py = pts[rows][xo], pts[cols][yo]
     np.minimum(fbin, bins.of(paired(spec, px, py)), out=fbin)
     if bbin is not fbin:
         np.minimum(bbin, bins.of(paired(spec, py, px)), out=bbin)
@@ -225,77 +234,48 @@ def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple,
     if keep.all():
         return chunk
     f = fbin[keep]
-    return x[keep], y[keep], f, f if bbin is fbin else bbin[keep]
+    return xo[keep], yo[keep], f, f if bbin is fbin else bbin[keep]
 
 
-def _relation_values(chunks: list, size: int, bins: _EpsBins, ops: Sequence) -> tuple:
-    """(indptr, indices, columns): every pair of the chunks in both
-    directions, and the diagonal, as a CSR relation, with one bin column per
-    op: columns[j] holds each entry's ops[j](fbin, bbin), and the diagonal's
-    top bin.
+def _relation(chunks: list, blocks: list, size: int, op, k: int) -> Relation:
+    """The relation at eps_k of one pairing: every chunk pair whose
+    op(fbin, bbin) exceeds k, in both directions, and the diagonal.
 
-    Row r holds its entries left of the diagonal, then r, then those right of
-    it. Chunks come in row-major block order, sorted by (x, y), so both sides
-    of every row receive their columns in increasing order: a chunk's x rows
-    already ascend, and its y rows are put in ascending order by a stable
-    sort, which keeps each row's x columns ascending."""
-    left = np.zeros(size, dtype=np.int64)
-    right = np.zeros(size, dtype=np.int64)
-    for x, y, _, _ in chunks:
-        right += np.bincount(x, minlength=size)
-        left += np.bincount(y, minlength=size)
+    It is built one row tile R at a time into arrays allocated once from a
+    count pass. A tile gathers the transposed entries of blocks (C, R) for
+    C <= R, then its diagonal, then the entries of blocks (R, C) for C >= R.
+    Blocks come in column order and each chunk is sorted by (xo, yo), so
+    every row receives its columns in increasing order, and a stable sort
+    by row offset (a radix sort on uint8) keeps them so."""
+    # per row tile, the (row offsets, column offsets, column origin, mask)
+    # of the blocks below and right of its diagonal; a full mask is a slice
+    parts = {tile.start: ([], []) for tile in row_tiles(size)}
+    total = size
+    for (xo, yo, fbin, bbin), (rows, cols) in zip(chunks, blocks):
+        mask = _symmetrized(op, fbin, bbin) > k
+        count = np.count_nonzero(mask)
+        if count:
+            mask = mask if count < len(mask) else slice(None)
+            parts[cols.start][0].append((yo, xo, rows.start, mask))  # transposed
+            parts[rows.start][1].append((xo, yo, cols.start, mask))
+            total += 2 * count
     indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(left + right + 1, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    columns = [np.empty(indptr[-1], dtype=bins.dtype) for _ in ops]
-    diagonal = indptr[:-1] + left
-    indices[diagonal] = np.arange(size)
-    for column in columns:
-        column[diagonal] = bins.top
-    left_fill, right_fill = indptr[:-1].copy(), diagonal + 1
-    for x, y, fbin, bbin in chunks:
-        if not len(x):
-            continue
-        vals = [_symmetrized(op, fbin, bbin) for op in ops]
-        _append(right_fill, x, y, vals, indices, columns)
-        # a chunk's y span is under ROW_TILE wide, so its offsets fit in
-        # uint16, which numpy's stable argsort orders by radix sort
-        order = np.argsort((y - y.min()).astype(np.uint16), kind="stable")
-        _append(left_fill, y[order], x[order], [v[order] for v in vals],
-                indices, columns)
-    return indptr, indices, columns
-
-
-def _append(fill: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: list,
-            indices: np.ndarray, columns: list) -> None:
-    """Write entries, whose rows ascend, at fill[row] onward in their given
-    order within each row, and advance fill."""
-    base = rows[0]
-    counts = np.bincount(rows - base)
-    first = np.cumsum(counts) - counts  # each row's first position in rows
-    pos = fill[rows] + (np.arange(len(rows)) - first[rows - base])
-    indices[pos] = cols
-    for column, v in zip(columns, vals):
-        column[pos] = v
-    fill[base:base + len(counts)] += counts
-
-
-def _within(indptr: np.ndarray, indices: np.ndarray, column: np.ndarray,
-            k: int) -> Relation:
-    """The entries of a binned CSR relation whose bin exceeds k: the
-    relation at eps_k. The arrays themselves when every entry does."""
-    close = column > k
-    if close.all():
-        return Relation(indptr, indices)
-    # reduceat casts all of its input to int64, so rows are counted a row
-    # tile at a time; no row is empty (each holds its diagonal), as it needs
-    ptr = np.zeros_like(indptr)
-    for rows in row_tiles(len(indptr) - 1):
-        starts = indptr[rows]
-        ptr[rows.start + 1:rows.stop + 1] = np.add.reduceat(
-            close[starts[0]:indptr[rows.stop]], starts - starts[0])
-    np.cumsum(ptr, out=ptr)
-    return Relation(ptr, indices[close])
+    indices = np.empty(total, dtype=np.min_scalar_type(size - 1))
+    end = 0
+    for tile in row_tiles(size):
+        below, right = parts[tile.start]
+        diagonal = np.arange(tile.stop - tile.start, dtype=np.uint8)
+        entries = below + [(diagonal, diagonal, tile.start, slice(None))] + right
+        offsets = np.concatenate([r[m] for r, _, _, m in entries])
+        order = np.argsort(offsets, kind="stable")
+        columns = np.concatenate([np.add(c[m], origin, dtype=indices.dtype)
+                                  for _, c, origin, m in entries])
+        start, end = end, end + len(order)
+        np.take(columns, order, out=indices[start:end])
+        ptr = indptr[tile.start + 1:tile.stop + 1]
+        np.cumsum(np.bincount(offsets, minlength=len(diagonal)), out=ptr)
+        ptr += start
+    return Relation(indptr, indices)
 
 
 def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarray:
@@ -654,14 +634,13 @@ class CountGrid:
 def _relations(chunks: list, size: int, bins: _EpsBins,
                groups: Sequence) -> Iterator[tuple]:
     """Yield (k, variants, Relation) at each eps_k of the schedule for each
-    group of variants that share one relation, from one binned CSR relation
-    of all live pairs with a bin column per group. A symmetric rule's chunks
-    alias bbin to fbin, so one group holds all its variants."""
-    indptr, indices, columns = _relation_values(
-        chunks, size, bins, [BIN_OP[variants[0]] for variants in groups])
+    group of variants that share one relation, built from the chunks. A
+    symmetric rule's chunks alias bbin to fbin, so one group holds all its
+    variants."""
+    blocks = _blocks(size)
     for k in range(bins.top):
-        for variants, column in zip(groups, columns):
-            yield k, variants, _within(indptr, indices, column, k)
+        for variants in groups:
+            yield k, variants, _relation(chunks, blocks, size, BIN_OP[variants[0]], k)
 
 
 def _content_key(rel: Relation) -> tuple:
@@ -684,11 +663,11 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
 
     D_n grows over the ascending n schedule on the pairs live at the
     largest eps, in the broader one_sided sense when that variant is asked
-    for; each n builds one binned CSR relation from them for all variants,
-    and each (n, eps, variant) cell is solved in schedule order. Each
-    distinct relation is solved once per call: a cell whose relation has the
-    arrays of an earlier one (``_content_key``) reuses that cell's results,
-    witness, method, optimal flag and nodes included.
+    for; each (n, eps) builds one relation from them per group of variants
+    that share it, and each (n, eps, variant) cell is solved in schedule
+    order. Each distinct relation is solved once per call: a cell whose
+    relation has the arrays of an earlier one (``_content_key``) reuses that
+    cell's results, witness, method, optimal flag and nodes included.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -721,6 +700,7 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
             for variant in users:
                 r, s = QUANTITY_PAIRS[variant]
                 parts[k][r], parts[k][s] = solved[key]
+            del rel  # freed before the next relation is built
         for eps, part in zip(eps_list, parts):
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **part)
 

@@ -68,7 +68,8 @@ DEFAULT_SEED = 1234
 # reuse heap pages instead of faulting fresh ones in. On a 2-core Xeon VM,
 # snap_power (N = 2048, fresh processes, medians of 8) took 1.56 s at 8192
 # entries, 1.55-1.58 s at 4096 and 16384 (25k minor faults), 1.68 s at 32768
-# (87k) and 2.00 s in 256 x 256 blocks (169k).
+# (87k) and 2.00 s in 256 x 256 blocks (169k). Covering stores offsets
+# inside a block in one byte, so ROW_TILE must stay at most 256.
 ROW_TILE = 256
 PAIR_BLOCK = 8192
 
@@ -291,10 +292,12 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     lists each distinct violating triple once. Comparisons are exact; no
     tolerance is applied.
 
-    Memory does not grow with N^2: e is evaluated in both directions on
-    :func:`pair_blocks` of at most ``PAIR_BLOCK`` pairs, and sampled triples
-    in slices of ``PAIR_BLOCK``, beside the budget x 3 int64 draw. Only the
-    exhaustive mode builds the dense N x N matrix, and N^3 <= budget there.
+    Memory does not grow with N^2 or with the budget: e is evaluated in both
+    directions on :func:`pair_blocks` of at most ``PAIR_BLOCK`` pairs on and
+    right of the diagonal of each row tile, so each unordered pair is read
+    once outside the diagonal sub-blocks, and sampled triples are drawn and
+    checked in slices of about ``PAIR_BLOCK``. Only the exhaustive mode builds
+    the dense N x N matrix, and N^3 <= budget there.
     """
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
@@ -305,14 +308,20 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
 
     nonneg = identity_ok = True
     max_asym = 0.0
-    for r, c in pair_blocks(n, n):
-        fwd = pairwise(spec, pts[r], pts[c])
-        bwd = pairwise(spec, pts[c], pts[r]).T
-        nonneg = nonneg and bool(np.all(np.isfinite(fwd) & (fwd >= 0.0)))
-        diag = np.arange(r.start, r.stop)[:, None] == np.arange(c.start, c.stop)
-        identity_ok = identity_ok and bool(np.all(np.where(diag, fwd == 0.0, fwd > 0.0)))
-        # np.maximum, unlike max(), carries a NaN block maximum through
-        max_asym = np.maximum(max_asym, np.max(np.abs(fwd - bwd)))
+    for tile in row_tiles(n):
+        lo = tile.start
+        for r, c in pair_blocks(tile.stop - lo, n - lo):
+            if c.stop <= r.start:
+                continue  # below the diagonal: read both ways from above it
+            r, c = slice(lo + r.start, lo + r.stop), slice(lo + c.start, lo + c.stop)
+            fwd = pairwise(spec, pts[r], pts[c])
+            bwd = pairwise(spec, pts[c], pts[r]).T
+            diag = np.arange(r.start, r.stop)[:, None] == np.arange(c.start, c.stop)
+            for e in (fwd, bwd):
+                nonneg = nonneg and bool(np.all(np.isfinite(e) & (e >= 0.0)))
+                identity_ok = identity_ok and bool(np.all(np.where(diag, e == 0.0, e > 0.0)))
+            # np.maximum, unlike max(), carries a NaN block maximum through
+            max_asym = np.maximum(max_asym, np.max(np.abs(fwd - bwd)))
 
     violations = []
     exhaustive = n ** 3 <= triple_budget
@@ -329,13 +338,17 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     else:
         triples_checked = triple_budget
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(triple_budget, 3))
-        for s in range(0, triple_budget, PAIR_BLOCK):
-            x, y, z = (pts[idx[s:s + PAIR_BLOCK, k]] for k in range(3))
+        # numpy's bounded draw restarts its 32-bit buffer at each call, so
+        # slices of an even number of triples draw the integers of one
+        # budget x 3 draw
+        step = PAIR_BLOCK + PAIR_BLOCK % 2
+        for s in range(0, triple_budget, step):
+            idx = rng.integers(0, n, size=(min(step, triple_budget - s), 3))
+            x, y, z = (pts[idx[:, k]] for k in range(3))
             lhs = paired(spec, x, z)
             rhs = paired(spec, x, y) + paired(spec, y, z)
             for t in np.nonzero(lhs > rhs)[0].tolist():
-                violations.append((*idx[s + t].tolist(), float(lhs[t]), float(rhs[t])))
+                violations.append((*idx[t].tolist(), float(lhs[t]), float(rhs[t])))
 
     max_asym = float(max_asym) if n > 1 else 0.0
     return AxiomReport(

@@ -34,9 +34,10 @@ from qme.cli import plain
 from qme.config import DEFAULT_TRIPLE_BUDGET
 from qme.covering import (
     BIN_OP,
+    _blocks,
     _EpsBins,
     _live_pairs,
-    _relation_values,
+    _relation,
     _relations,
 )
 from qme.dynamics import OrbitTable
@@ -123,9 +124,14 @@ def test_live_pair_relations_match_full_matrix(kind):
                 live = variants[-1]
                 for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
                     dist = oracles.naive_bowen(spec, orbits, n)
-                    for x, y, fbin, bbin in chunks:
+                    for (rows, cols), (xo, yo, fbin, bbin) in zip(_blocks(size), chunks):
+                        assert xo.dtype == yo.dtype == np.uint8
+                        assert np.all(xo < rows.stop - rows.start)
+                        assert np.all(yo < cols.stop - cols.start)
+                        x, y = rows.start + xo.astype(int), cols.start + yo.astype(int)
                         assert (bbin is fbin) == symmetric
                         assert np.all(x < y)
+                        assert np.array_equal(np.lexsort((y, x)), np.arange(len(x)))
                         assert _same_bits(fbin, _bins_of(dist[x, y], bins, EPS_DESC))
                         assert _same_bits(bbin, _bins_of(dist[y, x], bins, EPS_DESC))
                         assert np.all(BIN_OP[live](fbin, bbin) > 0)
@@ -135,7 +141,8 @@ def test_live_pair_relations_match_full_matrix(kind):
                         for variant in users:
                             ref = oracles.relation(spec, orbits, n, EPS_DESC[k], variant)
                             assert np.array_equal(rel.dense(), ref), (size, n, k)
-                            rows = np.split(rel.indices, rel.indptr[1:-1])
+                            assert rel.indices.dtype == np.min_scalar_type(size - 1)
+                            rows = np.split(rel.indices.astype(int), rel.indptr[1:-1])
                             assert all(np.all(np.diff(row) > 0) for row in rows)
 
 
@@ -157,23 +164,21 @@ def test_symmetric_rule_variants_share_one_relation(kind):
             assert (cell.r1, cell.s1) == (cell.r2, cell.s2)
 
 
-def _lexsort_csr(chunks: list, size: int, ops: list, top: int) -> tuple:
-    """(indptr, indices, columns) of every chunk pair in both directions and
-    the diagonal, ordered by one lexsort on (row, column); columns[j] holds
-    each entry's ops[j](fbin, bbin), and the diagonal's top bin."""
-    x = np.concatenate([c[0] for c in chunks])
-    y = np.concatenate([c[1] for c in chunks])
+def _lexsort_csr(chunks: list, size: int, op, k: int) -> tuple:
+    """(indptr, indices) of every chunk pair whose op(fbin, bbin) exceeds k,
+    in both directions, and of the diagonal, ordered by one lexsort on
+    (row, column), with the chunks' block offsets mapped to point ids."""
+    ids = [(rows.start + c[0].astype(np.int64), cols.start + c[1].astype(np.int64),
+            op(c[2], c[3]) > k) for (rows, cols), c in zip(_blocks(size), chunks)]
+    x = np.concatenate([x[close] for x, _, close in ids])
+    y = np.concatenate([y[close] for _, y, close in ids])
     diagonal = np.arange(size)
     rows = np.concatenate([x, y, diagonal])
     cols = np.concatenate([y, x, diagonal])
     order = np.lexsort((cols, rows))
     indptr = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    columns = []
-    for op in ops:
-        value = np.concatenate([op(c[2], c[3]) for c in chunks])
-        columns.append(np.concatenate([value, value, np.full(size, top, value.dtype)])[order])
-    return indptr, cols[order].astype(np.int32), columns
+    return indptr, cols[order]
 
 
 @st.composite
@@ -199,16 +204,17 @@ def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
     monkeypatch.setattr(qm, "ROW_TILE", row_tile)
     spec, size, eps_desc = case
     orbits = OrbitTable(images=index_cloud(size).points[:, None, :], snap_mode="exact")
-    # the one_sided live set, binned as one_sided and as two_sided, which
-    # puts the pairs close in one direction only in bin 0
+    # the one_sided live set, built as one_sided and as two_sided relations,
+    # which drops the pairs close in one direction only
     bins = _EpsBins(eps_desc)
     [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, "one_sided")
-    ops = [BIN_OP["one_sided"], BIN_OP["two_sided"]]
-    indptr, indices, columns = _relation_values(chunks, size, bins, ops)
-    ref_indptr, ref_indices, ref_columns = _lexsort_csr(chunks, size, ops, bins.top)
-    assert _same_bits(indptr, ref_indptr) and _same_bits(indices, ref_indices)
-    assert all(_same_bits(a, b) for a, b in zip(columns, ref_columns))
-    assert len(columns) == 2
+    for op in (BIN_OP["one_sided"], BIN_OP["two_sided"]):
+        for k in range(bins.top):
+            rel = _relation(chunks, _blocks(size), size, op, k)
+            ref_indptr, ref_indices = _lexsort_csr(chunks, size, op, k)
+            assert _same_bits(rel.indptr, ref_indptr)
+            assert rel.indices.dtype == np.min_scalar_type(size - 1)
+            assert np.array_equal(rel.indices, ref_indices)
 
 
 def test_count_grid_many_eps_matches_oracle_relations():
@@ -242,9 +248,9 @@ def test_count_grid_many_eps_matches_oracle_relations():
 @pytest.mark.parametrize("kind,n_eps", [("weighted_asym", 4), ("weighted_asym", 300),
                                         ("circle_arc", 4), ("circle_arc", 300)])
 def test_chunk_and_relation_item_sizes(kind, n_eps):
-    # a live pair is two int32 ids and two bins (one when bbin is fbin), a
-    # relation entry an int32 column and one bin: 10, 9 and 5 bytes with
-    # one-byte bins, 12, 10 and 6 with two-byte ones
+    # a live pair is two uint8 block offsets and two bins (one when bbin is
+    # fbin): 4 and 3 bytes with one-byte bins, 6 and 4 with two-byte ones; a
+    # relation entry on 20 points is one uint8 column
     rng = np.random.default_rng(2)
     spec, cloud = _case(kind, 20, rng)
     orbits = _permutation_orbits(cloud, rng)
@@ -254,36 +260,74 @@ def test_chunk_and_relation_item_sizes(kind, n_eps):
     symmetric = is_symmetric(spec)
     for _, chunks in _live_pairs(spec, orbits, [1, 2], bins, "one_sided"):
         assert sum(len(c[0]) for c in chunks) > 0
-        for x, y, fbin, bbin in chunks:
-            assert x.dtype == y.dtype == np.int32
+        for xo, yo, fbin, bbin in chunks:
+            assert xo.dtype == yo.dtype == np.uint8
             assert fbin.dtype == bbin.dtype == bins.dtype
-            arrays = {id(a): a for a in (x, y, fbin, bbin)}.values()
-            assert sum(a.itemsize for a in arrays) == 8 + (1 if symmetric else 2) * width
-        indptr, indices, columns = _relation_values(chunks, len(cloud), bins,
-                                                    [BIN_OP["one_sided"]])
-        assert indptr.dtype == np.int64 and indices.dtype == np.int32
-        assert indices.itemsize + columns[0].itemsize == 4 + width
+            arrays = {id(a): a for a in (xo, yo, fbin, bbin)}.values()
+            assert sum(a.itemsize for a in arrays) == 2 + (1 if symmetric else 2) * width
+        rel = _relation(chunks, _blocks(len(cloud)), len(cloud), BIN_OP["one_sided"], 0)
+        assert rel.indptr.dtype == np.int64 and rel.indices.dtype == np.uint8
+        assert len(rel.indices) > len(cloud)
+
+
+@pytest.mark.parametrize("size,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                        (65536, np.uint16), (65537, np.uint32)])
+def test_relation_index_width(monkeypatch, size, dtype):
+    # hand-built chunks of 256-point blocks holding the pairs (0, 1) and
+    # (size - 2, size - 1): the relation stores its columns in the narrowest
+    # unsigned type that holds size - 1
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    blocks = _blocks(size)
+    pairs = sorted({(0, 1), (size - 2, size - 1)}) if size > 1 else []
+    chunks = []
+    for rows, cols in blocks:
+        offsets = np.array([(x - rows.start, y - cols.start) for x, y in pairs
+                            if rows.start <= x < rows.stop and cols.start <= y < cols.stop],
+                           dtype=np.uint8).reshape(-1, 2)
+        bins = np.ones(len(offsets), dtype=np.uint8)
+        chunks.append((offsets[:, 0], offsets[:, 1], bins, bins))
+    assert sum(len(c[0]) for c in chunks) == len(pairs)
+    rel = _relation(chunks, blocks, size, BIN_OP["two_sided"], 0)
+    assert rel.indices.dtype == dtype and rel.indptr.dtype == np.int64
+    if size <= 257:
+        dense = np.eye(size, dtype=bool)
+        for x, y in pairs:
+            dense[x, y] = dense[y, x] = True
+        assert np.array_equal(rel.dense(), dense)
+    assert rel.indices[rel.indptr[size - 1]:].tolist() == ([size - 2, size - 1] if pairs else [0])
+    assert len(rel.indices) == size + 2 * len(pairs)
+    diagonal = _relation(chunks, blocks, size, BIN_OP["two_sided"], 1)
+    assert np.array_equal(diagonal.indices, np.arange(size))
+
+
+def test_block_offsets_need_row_tiles_of_at_most_256(monkeypatch):
+    monkeypatch.setattr(qm, "ROW_TILE", 257)
+    cloud = grid1d(0.0, 1.0, 300)
+    orbits = build_orbits(MapSpec(kind="tent"), cloud, 1)
+    with pytest.raises(ValueError, match="ROW_TILE"):
+        count_grid(QuasiMetricSpec(kind="circle_arc"), orbits, [1], [0.25])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_both_pairings_build_one_relation_per_n(monkeypatch, kind):
-    # count_grid builds one binned CSR per n for both pairings of an
-    # asymmetric rule, with a bin column per pairing; each pairing solved
-    # alone gives the same cells
+    # count_grid builds, at each n and eps, one relation for both pairings of
+    # a symmetric rule and one per pairing of an asymmetric rule; each
+    # pairing solved alone gives the same cells
     builds = []
 
-    def counted(chunks, size, bins, ops):
-        builds.append(len(ops))
-        return _relation_values(chunks, size, bins, ops)
+    def counted(chunks, blocks, size, op, k):
+        builds.append(k)
+        return _relation(chunks, blocks, size, op, k)
 
-    monkeypatch.setattr(qme.covering, "_relation_values", counted)
+    monkeypatch.setattr(qme.covering, "_relation", counted)
     rng = np.random.default_rng(17)
     for size in (1, 7, 20):
         spec, cloud = _case(kind, size, rng)
         orbits = _permutation_orbits(cloud, rng)
         builds.clear()
         both = count_grid(spec, orbits, [1, 4, 7], EPS_DESC)
-        assert builds == [1 if is_symmetric(spec) else 2] * 3
+        groups = 1 if is_symmetric(spec) else 2
+        assert builds == [k for k in range(len(EPS_DESC)) for _ in range(groups)] * 3
         alone = [count_grid(spec, orbits, [1, 4, 7], EPS_DESC, variants=(v,))
                  for v in ("two_sided", "one_sided")]
         for key, cell in both.cells.items():
@@ -346,6 +390,25 @@ def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
     assert peak < size * size * 8
 
 
+def test_count_grid_peak_on_the_doubling_cloud(monkeypatch):
+    # the 4096-point doubling cloud at n = 2..9, eps = 2^-3..2^-7, greedy: the
+    # peak, set at n = 2, holds the chunks (3 bytes per live pair), one
+    # relation (2 bytes per entry) and one row tile's gathered entries
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    rng = np.random.default_rng([1, 1])
+    cloud = custom_cloud(np.sort(rng.choice(1 << 20, 4096, replace=False)) / 2.0 ** 20)
+    orbits = build_orbits(MapSpec(kind="doubling"), cloud, 9)
+    tracemalloc.start()
+    try:
+        count_grid(QuasiMetricSpec(kind="circle_arc"), orbits, list(range(2, 10)),
+                   [2.0 ** -k for k in range(3, 8)], exact_threshold=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_check_axioms_peak_below_one_dense_matrix(monkeypatch):
     # sampled mode on 2048 points: one block pair of pairwise values, the
     # budget x 3 int64 draw and one slice of triples stay below a single
@@ -362,6 +425,31 @@ def test_check_axioms_peak_below_one_dense_matrix(monkeypatch):
         tracemalloc.stop()
     assert not report.exhaustive and report.all_ok
     assert peak < size * size * 8
+
+
+@pytest.mark.parametrize("tile,block", [(3, 2), (256, 8192)])
+def test_check_axioms_reads_each_pair_once_outside_diagonal_blocks(monkeypatch, tile, block):
+    # both directions of the pairwise blocks on and right of each row tile's
+    # diagonal: every ordered pair at least once, a pair of points in two
+    # row tiles exactly once, and about N^2 evaluations in all, not 2 N^2
+    monkeypatch.setattr(qm, "ROW_TILE", tile)
+    monkeypatch.setattr(qm, "PAIR_BLOCK", block)
+    size = 20 if tile == 3 else 600
+    seen = np.zeros((size, size), dtype=int)
+    evaluate = qm.pairwise
+
+    def counted(spec, a, b):
+        rows, cols = (np.rint(p[:, 0]).astype(int) for p in (a, b))
+        seen[np.ix_(rows, cols)] += 1
+        return evaluate(spec, a, b)
+
+    monkeypatch.setattr(qm, "pairwise", counted)
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    check_axioms(spec, grid1d(0.0, size - 1.0, size), triple_budget=1000)
+    tile_of = np.arange(size) // tile
+    apart = tile_of[:, None] != tile_of[None, :]
+    assert seen.min() == 1 and seen[apart].max() == 1
+    assert seen.sum() <= size * size + size * tile
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 3), (3, 2), (7, 1), (2, 7)])

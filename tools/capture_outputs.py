@@ -57,6 +57,9 @@ Runs:
   lattice, so about 1% of the drawn triples break the triangle inequality
   by one ulp, and the 2,048-point cloud spans 512 distance blocks and 25
   triple slices: the violation list is long and every entry is byte-diffed;
+- ``index_widths``: ``counts`` on circle grids of 256 and 257 points under
+  the tent map and the hinge rule, both pairings. Relation columns take one
+  byte up to 256 points and two beyond, so the boundary is byte-diffed;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
   configuration errors, exit code 3).
@@ -134,6 +137,17 @@ validate: {triple_budget: %d}
 """
 # 3^3 = 27 triples: the first budget checks all of them, the second samples
 VIOLATIONS_BUDGETS = {"exhaustive": 27, "sampled": 26}
+
+INDEX_WIDTHS_CONFIG = """\
+map: {kind: tent}
+cloud: {kind: circle_grid, count: %d}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 3, 5], eps_list: [0.25, 0.125, 0.0625]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
+# the largest point counts whose relation columns fit one byte, and two
+INDEX_WIDTHS_SIZES = (256, 257)
 
 OFFLATTICE_CONFIG = """\
 map: {kind: identity}
@@ -241,6 +255,9 @@ def main(argv=None) -> int:
             capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
                            os.path.join(out_root, "violations", name), scratch)
         capture_offlattice(os.path.join(out_root, "axioms_offlattice"), scratch)
+        for size in INDEX_WIDTHS_SIZES:
+            capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
+                           os.path.join(out_root, "index_widths", str(size)), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
     return 0
 
