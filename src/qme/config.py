@@ -130,17 +130,29 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: 2.0 reads as 2, and 2.5 is refused, not truncated."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
     kind = sec.get("kind")
     try:
         if kind == "grid1d":
-            return dynamics.grid1d(float(sec["lo"]), float(sec["hi"]), int(sec["count"]))
+            return dynamics.grid1d(float(sec["lo"]), float(sec["hi"]),
+                                   _integer(sec["count"], "cloud.count"))
         if kind == "circle_grid":
-            return dynamics.circle_grid(int(sec["count"]))
+            return dynamics.circle_grid(_integer(sec["count"], "cloud.count"))
         if kind == "symbol_blocks":
-            return dynamics.symbol_blocks(int(sec["alphabet"]), int(sec["length"]))
+            return dynamics.symbol_blocks(_integer(sec["alphabet"], "cloud.alphabet"),
+                                          _integer(sec["length"], "cloud.length"))
         if kind == "indices":
-            return dynamics.index_cloud(int(sec["count"]))
+            return dynamics.index_cloud(_integer(sec["count"], "cloud.count"))
         if kind == "custom":
             return dynamics.cloud_from_csv(os.path.join(base_dir, sec["path"]))
     except ConfigError:
@@ -185,7 +197,7 @@ def _build_map(sec: dict) -> MapSpec:
         if name in sec:
             kwargs[name] = float(sec[name])
     if "power" in sec:
-        kwargs["power"] = int(sec["power"])
+        kwargs["power"] = _integer(sec["power"], "map.power")
     if "declared_uniformly_continuous" in sec:
         kwargs["declared_uniformly_continuous"] = bool(sec["declared_uniformly_continuous"])
     try:
@@ -199,7 +211,7 @@ def _validate_schedule(n_list, eps_list):
         raise ConfigError("schedule.n_list must be nonempty")
     if not eps_list:
         raise ConfigError("schedule.eps_list must be nonempty")
-    ns = [int(n) for n in n_list]
+    ns = [_integer(n, "schedule.n_list") for n in n_list]
     if any(n < 1 for n in ns):
         raise ConfigError("n values must be >= 1")
     if sorted(set(ns)) != ns:
@@ -269,19 +281,21 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
             n_list=n_list,
             eps_list=eps_list,
             variants=list(variants),
-            exact_threshold=int(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)),
+            exact_threshold=_integer(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD),
+                                     "solver.exact_threshold"),
             snap_mode=snap,
-            n_burn=int(fit.get("n_burn", DEFAULT_N_BURN)),
-            window_size=int(fit.get("window_size", 0)),
+            n_burn=_integer(fit.get("n_burn", DEFAULT_N_BURN), "fit.n_burn"),
+            window_size=_integer(fit.get("window_size", 0), "fit.window_size"),
             estimator_tol=float(tol.get("estimator_tol", DEFAULT_ESTIMATOR_TOL)),
             power_tol_rel=float(tol.get("power_tol_rel", DEFAULT_POWER_TOL_REL)),
             power_tol_abs=float(tol.get("power_tol_abs", DEFAULT_POWER_TOL_ABS)),
             stability_tol=float(tol.get("stability_tol", DEFAULT_STABILITY_TOL)),
             saturation_fraction=float(tol.get("saturation_fraction",
                                               DEFAULT_SATURATION_FRACTION)),
-            seed=int(seeds.get("base", DEFAULT_SEED)),
-            triple_budget=int(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET)),
-            power_m=int(power.get("m", 2)),
+            seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base"),
+            triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
+                                   "validate.triple_budget"),
+            power_m=_integer(power.get("m", 2), "power.m"),
             out_dir=str(output.get("dir", "out")),
             out_format=fmt,
         )

@@ -15,15 +15,15 @@ bin(v) = #{k : v <= eps_k}, in one byte (two past 255 eps): the relation at
 eps_k is bin > k, the bin of a max is the min of the bins, and every
 comparison is the float one, made once. Live pairs are kept in chunks, one
 per ROW_TILE x ROW_TILE block of the upper triangle, as one-byte offsets
-inside their block (ROW_TILE <= 256). The orbit steps before the first
-scheduled n are computed block by block, each block filled from pairwise
-sub-blocks of at most PAIR_BLOCK entries into two block buffers per grid;
-later steps evaluate e on the live pairs alone and lower their bins. Both
-directions are evaluated, except for a rule symmetric by construction
-(``quasimetric.is_symmetric``): there D_n = D_n^T bit for bit, so each pair
-is evaluated once and both variants share its one bin. Each (n, eps) builds
-the relation of each pairing straight from the chunks, one row tile at a
-time, with columns in the narrowest unsigned type that holds a point id.
+inside their block (ROW_TILE <= 256). Every orbit step evaluates e on a
+chunk's pairs, in slices of at most PAIR_BLOCK, lowers their bins and drops
+the pairs that left the relation; the blocks are advanced one at a time, and
+each starts as all its pairs. Both directions are evaluated, except for a
+rule symmetric by construction (``quasimetric.is_symmetric``): there
+D_n = D_n^T bit for bit, so each pair is evaluated once and both variants
+share its one bin. Each (n, eps) builds the relation of each pairing
+straight from the chunks, one row tile at a time, with columns in the
+narrowest unsigned type that holds a point id.
 
 Each distinct relation is solved once per grid, keyed by its arrays' content.
 Expanding maps repeat relations: on a doubling circle the relation at
@@ -57,8 +57,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, is_symmetric, pair_blocks, paired,
-                          pairwise, row_tiles)
+from .quasimetric import PAIR_BLOCK, QuasiMetricSpec, is_symmetric, paired, pairwise, row_tiles
 
 __all__ = [
     "VARIANTS",
@@ -148,67 +147,41 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     the eps bins of D_n[x, y] and D_n[y, x], so BIN_OP[live](fbin, bbin) > 0
     throughout. For a symmetric rule bbin is the same array object as fbin.
     The list is updated in place for the next n: copy it to keep it past the
-    next step."""
+    next step.
+
+    Each n advances the blocks one at a time through the orbit steps since
+    the previous n. A block starts as all its pairs, so at most one block
+    holds all its pairs at a time."""
     symmetric = is_symmetric(spec)
     size = orbits.images.shape[0]
     blocks = _blocks(size)
     side = blocks[0][0].stop  # the widest block, the first
     if side > 256:
         raise ValueError(f"block offsets are uint8, so ROW_TILE must be <= 256, got {side}")
-    fbuf = np.empty((side, side))
-    bbuf = fbuf if symmetric else np.empty((side, side))
-    chunks = [_tile_pairs(spec, orbits, n_list[0], rows, cols, bins, live, fbuf, bbuf)
-              for rows, cols in blocks]
-    done = n_list[0]
-    yield done, chunks
-    for n in n_list[1:]:
-        for i in range(done, n):
-            pts = orbits.iterate_points(i)
-            for k, (chunk, block) in enumerate(zip(chunks, blocks)):
-                chunks[k] = _advance(spec, pts, chunk, block, bins, live)
+    chunks = [None] * len(blocks)
+    done = 0
+    for n in n_list:
+        for k, block in enumerate(blocks):
+            chunk = chunks[k] or _all_pairs(block, bins, symmetric)
+            for i in range(done, n):
+                chunk = _advance(spec, orbits.iterate_points(i), chunk, block, bins, live)
+            chunks[k] = chunk
         done = n
         yield n, chunks
 
 
-def _tile_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, steps: int, rows: slice,
-                cols: slice, bins: _EpsBins, live: str, fbuf: np.ndarray,
-                bbuf: np.ndarray) -> tuple:
-    """The live-pair chunk of one block on or right of the diagonal, from
-    orbit steps 0..steps-1 evaluated in both directions, or in one when the
-    rule is symmetric (``bbuf is fbuf``), whose chunk then aliases bbin to
-    fbin.
-
-    The block's D_n[x, y] and D_n[y, x] are filled from pairwise calls of at
-    most PAIR_BLOCK entries (``pair_blocks``) into the grid's block buffers,
-    and only the live pairs' values are binned."""
+def _all_pairs(block: tuple, bins: _EpsBins, symmetric: bool) -> tuple:
+    """The chunk of every pair x < y of a block, each at ``bins.top``, the
+    bin of D_0 = 0; a symmetric rule's chunk aliases bbin to fbin."""
+    rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
-    symmetric = bbuf is fbuf
-    fwd = fbuf[:height, :width]
-    bwd = fwd if symmetric else bbuf[:height, :width]
-    for r, c in pair_blocks(height, width):
-        f = b = None
-        for i in range(steps):
-            pts = orbits.iterate_points(i)
-            px, py = pts[rows][r], pts[cols][c]
-            f = _max_into(f, pairwise(spec, px, py))  # D[x, y]
-            if not symmetric:
-                b = _max_into(b, pairwise(spec, py, px))  # D[y, x]
-        fwd[r, c] = f
-        if not symmetric:
-            bwd[r, c] = b.T
-    close = fwd <= bins.eps[0]  # bin > 0, so BIN_OP combines directions
-    if not symmetric:
-        close = BIN_OP[live](close, bwd <= bins.eps[0])
-    if cols.start == rows.start:
-        close = np.triu(close, 1)  # the diagonal block: pairs x < y only
-    xo, yo = np.nonzero(close)
-    fbin = bins.of(fwd[close])
-    return (xo.astype(np.uint8), yo.astype(np.uint8),
-            fbin, fbin if symmetric else bins.of(bwd[close]))
-
-
-def _max_into(acc: Optional[np.ndarray], step: np.ndarray) -> np.ndarray:
-    return step if acc is None else np.maximum(acc, step, out=acc)
+    xo = np.repeat(np.arange(height, dtype=np.uint8), width)
+    yo = np.tile(np.arange(width, dtype=np.uint8), height)
+    if cols.start == rows.start:  # the diagonal block: pairs x < y only
+        upper = xo < yo
+        xo, yo = xo[upper], yo[upper]
+    fbin = np.full(len(xo), bins.top, dtype=bins.dtype)
+    return xo, yo, fbin, fbin if symmetric else fbin.copy()
 
 
 def _symmetrized(op, fbin: np.ndarray, bbin: np.ndarray) -> np.ndarray:
@@ -221,15 +194,18 @@ def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
              bins: _EpsBins, live: str) -> tuple:
     """One more orbit step on a chunk's pairs, keeping those still live; a
     chunk whose bbin is its fbin (a symmetric rule) is evaluated one way and
-    stays aliased."""
+    stays aliased. bin(max(a, b)) = min(bin(a), bin(b)), so lowering the
+    bins by the step's is D_n's running max. e is evaluated on slices of at
+    most PAIR_BLOCK pairs, whose 64 KB float temporaries reuse heap pages."""
     xo, yo, fbin, bbin = chunk
-    if not len(xo):
-        return chunk
     rows, cols = block
-    px, py = pts[rows][xo], pts[cols][yo]
-    np.minimum(fbin, bins.of(paired(spec, px, py)), out=fbin)
-    if bbin is not fbin:
-        np.minimum(bbin, bins.of(paired(spec, py, px)), out=bbin)
+    prow, pcol = pts[rows], pts[cols]
+    for start in range(0, len(xo), PAIR_BLOCK):
+        part = slice(start, start + PAIR_BLOCK)
+        px, py = np.take(prow, xo[part], axis=0), np.take(pcol, yo[part], axis=0)
+        np.minimum(fbin[part], bins.of(paired(spec, px, py)), out=fbin[part])
+        if bbin is not fbin:
+            np.minimum(bbin[part], bins.of(paired(spec, py, px)), out=bbin[part])
     keep = _symmetrized(BIN_OP[live], fbin, bbin) > 0
     if keep.all():
         return chunk

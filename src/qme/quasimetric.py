@@ -62,8 +62,9 @@ _SYMMETRIC_KINDS = {"euclidean", "circle_arc", "block_prefix", "mean_of", "max_o
 DEFAULT_SEED = 1234
 
 # N x N passes work on cache-sized pieces. Covering keeps its live pairs in
-# ROW_TILE x ROW_TILE blocks, and each pairwise call of an N x N pass returns
-# at most PAIR_BLOCK entries, at most ROW_TILE wide (32 x 256): its 64 KB
+# ROW_TILE x ROW_TILE blocks and evaluates e on slices of at most PAIR_BLOCK
+# of them; each pairwise call of nearest snapping and check_axioms returns at
+# most PAIR_BLOCK entries, at most ROW_TILE wide (32 x 256). Their 64 KB
 # float64 temporaries stay in L2 and, below glibc's 128 KB mmap threshold,
 # reuse heap pages instead of faulting fresh ones in. On a 2-core Xeon VM,
 # snap_power (N = 2048, fresh processes, medians of 8) took 1.56 s at 8192
@@ -120,6 +121,14 @@ def _as_points(a) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     return pts
+
+
+def _cloud_points(cloud) -> np.ndarray:
+    """A cloud's (N, d) coordinates: its ``points``, or an array of them in
+    which, as in :class:`PointCloud`, a 1-D array holds N one-dimensional
+    points."""
+    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
 def pairwise(spec: QuasiMetricSpec, a, b) -> np.ndarray:
@@ -301,7 +310,7 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     """
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
-    pts = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
+    pts = _cloud_points(cloud)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cloud must be nonempty")

@@ -33,7 +33,7 @@ from qme.quasimetric import (
     DEFAULT_SEED,
     AxiomReport,
     QuasiMetricSpec,
-    _as_points,
+    _cloud_points,
     pairwise,
     symmetrize_max,
 )
@@ -356,7 +356,7 @@ def dense_axioms(spec, cloud, triple_budget: int, seed: int = DEFAULT_SEED) -> A
     is listed twice."""
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
-    pts = cloud.points if hasattr(cloud, "points") else _as_points(cloud)
+    pts = _cloud_points(cloud)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("cloud must be nonempty")

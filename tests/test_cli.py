@@ -261,6 +261,39 @@ def test_negative_exact_threshold_is_config_error(tmp_path, command, section, fl
     assert main([command, "--config", cfg, *flag]) == 3
 
 
+# (field, old text, new text): a non-integral value is refused, not truncated
+NON_INTEGRAL = [
+    ("schedule.n_list", "n_list: [1, 2, 3, 4]", "n_list: [1, 2.5, 3, 4.7]"),
+    ("power.m", "output:", "power:\n  m: 2.9\noutput:"),
+    ("solver.exact_threshold", "output:", "solver:\n  exact_threshold: 3.5\noutput:"),
+    ("fit.n_burn", "output:", "fit:\n  n_burn: 1.5\noutput:"),
+    ("fit.window_size", "output:", "fit:\n  window_size: 3.5\noutput:"),
+    ("validate.triple_budget", "output:", "validate:\n  triple_budget: 1000.5\noutput:"),
+    ("seeds.base", "output:", "seeds:\n  base: 7.25\noutput:"),
+    ("map.power", "kind: doubling", "kind: doubling\n  power: 1.5"),
+    ("cloud.count", "count: 48", "count: 48.5"),
+]
+
+
+@pytest.mark.parametrize("field,old,new", NON_INTEGRAL, ids=[f for f, _, _ in NON_INTEGRAL])
+def test_non_integral_integer_field_is_config_error(tmp_path, field, old, new):
+    cfg = _write(tmp_path, DOUBLING_CONFIG.replace(old, new), out=tmp_path / "out")
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        load_config(cfg)
+    assert main(["counts", "--config", cfg]) == 3
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    text = (DOUBLING_CONFIG.replace("n_list: [1, 2, 3, 4]", "n_list: [1.0, 2, 3.0, 4]")
+            .replace("count: 48", "count: 48.0")
+            + "power:\n  m: 2.0\nsolver:\n  exact_threshold: 3.0\nseeds:\n  base: 7.0\n")
+    cfg = load_config(_write(tmp_path, text, out=tmp_path / "out"))
+    assert cfg.n_list == [1, 2, 3, 4] and all(type(n) is int for n in cfg.n_list)
+    assert len(cfg.cloud) == 48
+    assert (cfg.power_m, cfg.exact_threshold, cfg.seed) == (2, 3, 7)
+    assert all(type(v) is int for v in (cfg.power_m, cfg.exact_threshold, cfg.seed))
+
+
 def test_unknown_solver_mode_is_config_error(tmp_path):
     cfg = _write(tmp_path, DOUBLING_CONFIG + "solver:\n  mode: solve-harder\n",
                  out=tmp_path / "out")

@@ -71,6 +71,15 @@ def test_axioms_asym_line_exhaustive():
     assert not report.symmetric and report.max_asymmetry > 0.0
 
 
+def test_axioms_read_a_1d_array_as_n_points():
+    # as a PointCloud does: three 1-D points, not one 3-D point
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    report = check_axioms(spec, np.array([0.0, 0.5, 1.0]), triple_budget=1000)
+    assert report == check_axioms(spec, custom_cloud([0.0, 0.5, 1.0]), triple_budget=1000)
+    assert report.exhaustive and report.triples_checked == 27
+    assert not report.symmetric and report.max_asymmetry == 1.5  # e(1, 0) - e(0, 1)
+
+
 def test_axioms_two_point_matrix():
     report = check_axioms(TWO_POINT, index_cloud(2), triple_budget=1000)
     assert report.all_ok

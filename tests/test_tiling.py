@@ -1,10 +1,11 @@
 """Tiled and live-pair passes equal their untiled references bit for bit.
 
-The tile constants are shrunk to 3-row pairwise tiles (so 3 x 3 live-pair
-chunks) and pairwise sub-blocks of 2 entries, which do not divide a tile (so
-every tile has partial sub-blocks), so clouds of 1 to 20 points cover every
-layout: smaller than a tile, exactly one tile, and multiples of a tile plus
-or minus one.
+The tile constants are shrunk to 3-row tiles (so 3 x 3 live-pair chunks)
+and pieces of 2 entries, which do not divide a tile, so the pairwise blocks
+of nearest snapping and the axiom checks, and the slices in which covering
+evaluates a chunk's pairs, end in partial pieces. Clouds of 1 to 20 points
+then cover every layout: smaller than a tile, exactly one tile, and
+multiples of a tile plus or minus one.
 """
 import dataclasses
 import tracemalloc
@@ -61,6 +62,13 @@ VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
 def tiny_tiles(monkeypatch):
     monkeypatch.setattr(qm, "ROW_TILE", 3)
     monkeypatch.setattr(qm, "PAIR_BLOCK", 2)
+    monkeypatch.setattr(qme.covering, "PAIR_BLOCK", 2)
+
+
+def _default_tiles(monkeypatch):
+    monkeypatch.setattr(qm, "ROW_TILE", 256)
+    for module in (qm, qme.covering):
+        monkeypatch.setattr(module, "PAIR_BLOCK", 8192)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -366,17 +374,15 @@ def test_count_grid_same_with_tiny_and_default_tiles(monkeypatch):
     orbits = build_orbits(MapSpec(kind="tent"), cloud, 4)
     args = (spec, orbits, [1, 2, 4], [0.5, 0.25, 0.125])
     tiny = [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
-    monkeypatch.setattr(qm, "ROW_TILE", 256)
-    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    _default_tiles(monkeypatch)
     assert tiny == [plain(count_grid(*args, exact_threshold=t)) for t in (0, len(cloud))]
 
 
 def test_count_grid_peak_below_one_dense_matrix(monkeypatch):
     # a sparse schedule on 2048 points: the live pairs, their relations, one
-    # row tile's block buffers and one pairwise sub-block stay below a single
+    # block's seeded pairs and one slice's temporaries stay below a single
     # N x N float64
-    monkeypatch.setattr(qm, "ROW_TILE", 256)
-    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    _default_tiles(monkeypatch)
     size = 2048
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(size), 7)
     arc = QuasiMetricSpec(kind="circle_arc")
@@ -394,8 +400,7 @@ def test_count_grid_peak_on_the_doubling_cloud(monkeypatch):
     # the 4096-point doubling cloud at n = 2..9, eps = 2^-3..2^-7, greedy: the
     # peak, set at n = 2, holds the chunks (3 bytes per live pair), one
     # relation (2 bytes per entry) and one row tile's gathered entries
-    monkeypatch.setattr(qm, "ROW_TILE", 256)
-    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
+    _default_tiles(monkeypatch)
     rng = np.random.default_rng([1, 1])
     cloud = custom_cloud(np.sort(rng.choice(1 << 20, 4096, replace=False)) / 2.0 ** 20)
     orbits = build_orbits(MapSpec(kind="doubling"), cloud, 9)
@@ -463,34 +468,32 @@ def test_pair_blocks_cover_each_entry_once(rows, cols):
 
 @pytest.mark.parametrize("kind", ["weighted_asym", "circle_arc"])
 def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
-    # at the default constants, no pairwise call of the tile phase or of
-    # nearest snapping returns more than PAIR_BLOCK entries, and together
-    # they evaluate the entries of row-tile strips: rows * (N - lo) per row
-    # tile, orbit step and direction (one for a symmetric rule), and N^2 for
-    # the snap table
-    monkeypatch.setattr(qm, "ROW_TILE", 256)
-    monkeypatch.setattr(qm, "PAIR_BLOCK", 8192)
-    entries = {"covering": [], "dynamics": []}
+    # at the default constants, count_grid makes no pairwise call and no
+    # paired call on more than PAIR_BLOCK pairs, and nearest snapping
+    # evaluates the N^2 entries of the snap table in pieces of at most
+    # PAIR_BLOCK
+    _default_tiles(monkeypatch)
+    entries = {"covering.pairwise": [], "covering.paired": [], "dynamics.pairwise": []}
 
-    def counted(module):
+    def counted(name, func):
         def wrapped(spec, a, b):
-            out = qm.pairwise(spec, a, b)
-            entries[module].append(out.size)
+            out = func(spec, a, b)
+            entries[name].append(out.size)
             return out
         return wrapped
 
-    monkeypatch.setattr(qme.covering, "pairwise", counted("covering"))
-    monkeypatch.setattr(qme.dynamics, "pairwise", counted("dynamics"))
+    monkeypatch.setattr(qme.covering, "pairwise", counted("covering.pairwise", qm.pairwise))
+    monkeypatch.setattr(qme.covering, "paired", counted("covering.paired", qm.paired))
+    monkeypatch.setattr(qme.dynamics, "pairwise", counted("dynamics.pairwise", qm.pairwise))
     size = 600
     spec = QuasiMetricSpec(kind=kind, alpha=0.5, beta=2.0)
     orbits = build_orbits(MapSpec(kind="logistic", r=3.7), grid1d(0.0, 1.0, size), 4,
                           snap_mode="nearest", qspec=spec)
     count_grid(spec, orbits, [2, 4], [0.25, 0.125], exact_threshold=0)
-    strips = sum(min(256, size - lo) * (size - lo) for lo in range(0, size, 256))
-    directions = 1 if is_symmetric(spec) else 2
-    assert sum(entries["dynamics"]) == size * size
-    assert sum(entries["covering"]) == 2 * directions * strips
-    assert max(entries["dynamics"] + entries["covering"]) <= 8192
+    assert entries["covering.pairwise"] == []
+    assert entries["covering.paired"] and max(entries["covering.paired"]) <= 8192
+    assert sum(entries["dynamics.pairwise"]) == size * size
+    assert max(entries["dynamics.pairwise"]) <= 8192
 
 
 def test_nearest_snap_matches_full_matrix():

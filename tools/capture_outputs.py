@@ -34,6 +34,11 @@ Runs:
   ``circle_arc``, over the gapped n schedule 1, 4, 7. The rule is symmetric,
   so each live pair is evaluated once and both pairings, the max_metric
   counts and the ``mean_of`` grid come from one direction's distances;
+- ``late_start``: ``counts`` and ``compare`` on the 600-point grid of
+  ``pruning`` (tent map, hinge rule, both pairings) over the n schedule 4, 6,
+  8. Orbit steps 0..3 run before the first scheduled n, on every pair of
+  every block, and evaluate the asymmetric rule in both directions.
+  ``compare`` exits 1 there, on its estimate checks;
 - ``many_eps``: ``counts`` and ``compare`` on the 33-point grid of the
   ``asym`` case (tent map, hinge rule), both pairings, over 300 halving eps
   from 1/2 down. More than 255 eps take two-byte bins. The grid's orbits
@@ -115,6 +120,9 @@ variants: [two_sided, one_sided, mean_metric, max_metric]
 fit: {n_burn: 1}
 output: {format: both}
 """
+
+
+LATE_START_CONFIG = PRUNING_CONFIG.replace("n_list: [1, 4, 7]", "n_list: [4, 6, 8]")
 
 
 MANY_EPS_CONFIG = """\
@@ -239,6 +247,8 @@ def main(argv=None) -> int:
                        os.path.join(out_root, "pruning"), scratch)
         capture_config(SYMMETRIC_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "symmetric"), scratch)
+        capture_config(LATE_START_CONFIG, ("counts", "compare"),
+                       os.path.join(out_root, "late_start"), scratch)
         capture_config(MANY_EPS_CONFIG, ("counts", "compare"),
                        os.path.join(out_root, "many_eps"), scratch)
         for workload in workloads.GENERATORS:
