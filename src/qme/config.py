@@ -140,6 +140,14 @@ def _integer(value, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(value, name: str) -> float:
+    """value as a float, or a ConfigError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
     kind = sec.get("kind")
     try:
@@ -195,7 +203,7 @@ def _build_map(sec: dict) -> MapSpec:
     kwargs = {}
     for name in ("slope", "r", "a", "b"):
         if name in sec:
-            kwargs[name] = float(sec[name])
+            kwargs[name] = _number(sec[name], f"map.{name}")
     if "power" in sec:
         kwargs["power"] = _integer(sec["power"], "map.power")
     if "declared_uniformly_continuous" in sec:
@@ -207,6 +215,9 @@ def _build_map(sec: dict) -> MapSpec:
 
 
 def _validate_schedule(n_list, eps_list):
+    for name, values in (("n_list", n_list), ("eps_list", eps_list)):
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"schedule.{name} must be a list, got {values!r}")
     if not n_list:
         raise ConfigError("schedule.n_list must be nonempty")
     if not eps_list:
@@ -216,9 +227,9 @@ def _validate_schedule(n_list, eps_list):
         raise ConfigError("n values must be >= 1")
     if sorted(set(ns)) != ns:
         raise ConfigError("n_list must be strictly increasing")
-    eps = [float(e) for e in eps_list]
-    if any(not e > 0.0 for e in eps):
-        raise ConfigError("eps values must be > 0")
+    eps = [_number(e, "schedule.eps_list") for e in eps_list]
+    if not all(0.0 < e < float("inf") for e in eps):
+        raise ConfigError("eps values must be finite and > 0")
     for hi, lo in zip(eps, eps[1:]):
         if lo * 2.0 != hi:
             raise ConfigError(f"eps_list must halve at each step; "
@@ -259,6 +270,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     variants = doc.get("variants", list(ENTROPY_VARIANTS))
     if isinstance(variants, str):
         variants = [variants]
+    if not isinstance(variants, (list, tuple)):
+        raise ConfigError(f"variants must be a list, got {variants!r}")
     for v in variants:
         if v not in ENTROPY_VARIANTS:
             raise ConfigError(f"unknown entropy variant {v!r}")

@@ -21,14 +21,17 @@ the pairs that left the relation; the blocks are advanced one at a time, and
 each starts as all its pairs. Both directions are evaluated, except for a
 rule symmetric by construction (``quasimetric.is_symmetric``): there
 D_n = D_n^T bit for bit, so each pair is evaluated once and both variants
-share its one bin. Each (n, eps) builds the relation of each pairing
-straight from the chunks, one row tile at a time, with columns in the
-narrowest unsigned type that holds a point id.
+share its one bin. Each (n, eps) selects the pairs of each pairing's
+relation from the chunks, as block offsets.
 
-Each distinct relation is solved once per grid, keyed by its arrays' content.
-Expanding maps repeat relations: on a doubling circle the relation at
-(n, 2^-k) depends only on n + k, so of the 40 cells of n = 2..9 and
-eps = 2^-3..2^-7 only 12 relations are distinct.
+Each distinct relation is built and solved once per grid. Block position and
+offsets fix a selection's pairs, and so its relation, so a selection is keyed
+by each chunk's count and a hash of its offsets before anything is built;
+only a new key's relation is built, one row tile at a time, with columns in
+the narrowest unsigned type that holds a point id. Expanding maps repeat
+relations: on a doubling circle the relation at (n, 2^-k) depends only on
+n + k, so of the 40 cells of n = 2..9 and eps = 2^-3..2^-7 only 12 relations
+are distinct and built.
 
 The max symmetrization's Bowen distance is max_i max(e(T^i x, T^i y),
 e(T^i y, T^i x)) = max(D_n, D_n^T), so its relation is the two_sided one by
@@ -213,39 +216,64 @@ def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
     return xo[keep], yo[keep], f, f if bbin is fbin else bbin[keep]
 
 
-def _relation(chunks: list, blocks: list, size: int, op, k: int) -> Relation:
-    """The relation at eps_k of one pairing: every chunk pair whose
-    op(fbin, bbin) exceeds k, in both directions, and the diagonal.
+def _selection(chunks: list, op, k: int) -> list:
+    """The (xo, yo) offsets of each chunk's pairs whose op(fbin, bbin)
+    exceeds k: the pairs of one pairing's relation at eps_k. A chunk whose
+    pairs are all in gives its own arrays, uncopied."""
+    selection = []
+    for xo, yo, fbin, bbin in chunks:
+        if len(xo):
+            keep = _symmetrized(op, fbin, bbin) > k
+            if not keep.all():
+                xo, yo = xo[keep], yo[keep]
+        selection.append((xo, yo))
+    return selection
 
-    It is built one row tile R at a time into arrays allocated once from a
-    count pass. A tile gathers the transposed entries of blocks (C, R) for
-    C <= R, then its diagonal, then the entries of blocks (R, C) for C >= R.
-    Blocks come in column order and each chunk is sorted by (xo, yo), so
-    every row receives its columns in increasing order, and a stable sort
-    by row offset (a radix sort on uint8) keeps them so."""
-    # per row tile, the (row offsets, column offsets, column origin, mask)
-    # of the blocks below and right of its diagonal; a full mask is a slice
+
+def _selection_key(selection: list) -> tuple:
+    """A key equal for equal selections, and so for equal relations: in
+    block order, each chunk's count and, when it has pairs, the builtin
+    64-bit SipHash of its xo and yo bytes. Block position and offsets fix
+    the pairs, so two different relations share it only if some hash pair
+    collides, which non-adversarial data does not do."""
+    key = []
+    for xo, yo in selection:
+        key.append(len(xo))
+        if len(xo):
+            key += hash(xo.tobytes()), hash(yo.tobytes())
+    return tuple(key)
+
+
+def _relation(selection: list, blocks: list, size: int) -> Relation:
+    """The relation of a selection: its pairs in both directions, and the
+    diagonal.
+
+    It is built one row tile R at a time into arrays allocated once from the
+    selection's counts. A tile gathers the transposed entries of blocks
+    (C, R) for C <= R, then its diagonal, then the entries of blocks (R, C)
+    for C >= R. Blocks come in column order and each chunk is sorted by
+    (xo, yo), so every row receives its columns in increasing order, and a
+    stable sort by row offset (a radix sort on uint8) keeps them so."""
+    # per row tile, the (row offsets, column offsets, column origin) of the
+    # blocks below and right of its diagonal
     parts = {tile.start: ([], []) for tile in row_tiles(size)}
     total = size
-    for (xo, yo, fbin, bbin), (rows, cols) in zip(chunks, blocks):
-        mask = _symmetrized(op, fbin, bbin) > k
-        count = np.count_nonzero(mask)
-        if count:
-            mask = mask if count < len(mask) else slice(None)
-            parts[cols.start][0].append((yo, xo, rows.start, mask))  # transposed
-            parts[rows.start][1].append((xo, yo, cols.start, mask))
-            total += 2 * count
+    for (xo, yo), (rows, cols) in zip(selection, blocks):
+        if len(xo):
+            parts[cols.start][0].append((yo, xo, rows.start))  # transposed
+            parts[rows.start][1].append((xo, yo, cols.start))
+            total += 2 * len(xo)
     indptr = np.zeros(size + 1, dtype=np.int64)
     indices = np.empty(total, dtype=np.min_scalar_type(size - 1))
     end = 0
     for tile in row_tiles(size):
         below, right = parts[tile.start]
         diagonal = np.arange(tile.stop - tile.start, dtype=np.uint8)
-        entries = below + [(diagonal, diagonal, tile.start, slice(None))] + right
-        offsets = np.concatenate([r[m] for r, _, _, m in entries])
+        entries = below + [(diagonal, diagonal, tile.start)] + right
+        offsets = np.concatenate([r for r, _, _ in entries])
         order = np.argsort(offsets, kind="stable")
-        columns = np.concatenate([np.add(c[m], origin, dtype=indices.dtype)
-                                  for _, c, origin, m in entries])
+        columns = np.concatenate([np.add(c, origin, dtype=indices.dtype)
+                                  for _, c, origin in entries])
         start, end = end, end + len(order)
         np.take(columns, order, out=indices[start:end])
         ptr = indptr[tile.start + 1:tile.stop + 1]
@@ -607,28 +635,6 @@ class CountGrid:
         return True
 
 
-def _relations(chunks: list, size: int, bins: _EpsBins,
-               groups: Sequence) -> Iterator[tuple]:
-    """Yield (k, variants, Relation) at each eps_k of the schedule for each
-    group of variants that share one relation, built from the chunks. A
-    symmetric rule's chunks alias bbin to fbin, so one group holds all its
-    variants."""
-    blocks = _blocks(size)
-    for k in range(bins.top):
-        for variants in groups:
-            yield k, variants, _relation(chunks, blocks, size, BIN_OP[variants[0]], k)
-
-
-def _content_key(rel: Relation) -> tuple:
-    """A key equal for relations with equal arrays. It holds the builtin
-    64-bit SipHash of each slice of at most PAIR_BLOCK entries, so no array is
-    copied whole; two different relations share it only if some slice pair
-    collides, which non-adversarial data does not do."""
-    return (len(rel.indptr), len(rel.indices),
-            *(hash(a[i:i + PAIR_BLOCK].tobytes()) for a in (rel.indptr, rel.indices)
-              for i in range(0, len(a), PAIR_BLOCK)))
-
-
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
                n_list: Sequence, eps_list: Sequence, *,
                exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
@@ -641,9 +647,11 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     largest eps, in the broader one_sided sense when that variant is asked
     for; each (n, eps) builds one relation from them per group of variants
     that share it, and each (n, eps, variant) cell is solved in schedule
-    order. Each distinct relation is solved once per call: a cell whose
-    relation has the arrays of an earlier one (``_content_key``) reuses that
-    cell's results, witness, method, optimal flag and nodes included.
+    order. Each distinct relation is built and solved once per call: a cell
+    whose selection of live pairs has the key of an earlier one
+    (``_selection_key``) has that cell's relation, so it is not built and
+    reuses that cell's results, witness, method, optimal flag and nodes
+    included.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -664,20 +672,26 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     size = orbits.images.shape[0]
     bins = _EpsBins(eps_list)
     live = "one_sided" if "one_sided" in variants else "two_sided"
+    # a symmetric rule's chunks alias bbin to fbin, so one group of
+    # variants holds them all
     groups = [tuple(variants)] if is_symmetric(spec) else [(v,) for v in variants]
-    solved = {}  # _content_key -> (cover, separated) CountResults
+    blocks = _blocks(size)
+    solved = {}  # _selection_key -> (cover, separated) CountResults
     for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
-        parts = [{} for _ in eps_list]
-        for k, users, rel in _relations(chunks, size, bins, groups):
-            key = _content_key(rel)
-            if key not in solved:
-                solved[key] = (_solve(rel, False, exact_threshold),
-                               _solve(rel, True, exact_threshold))
-            for variant in users:
-                r, s = QUANTITY_PAIRS[variant]
-                parts[k][r], parts[k][s] = solved[key]
-            del rel  # freed before the next relation is built
-        for eps, part in zip(eps_list, parts):
+        for k, eps in enumerate(eps_list):
+            part = {}
+            for users in groups:
+                selection = _selection(chunks, BIN_OP[users[0]], k)
+                key = _selection_key(selection)
+                if key not in solved:
+                    rel = _relation(selection, blocks, size)
+                    solved[key] = (_solve(rel, False, exact_threshold),
+                                   _solve(rel, True, exact_threshold))
+                    del rel  # freed before the next relation is built
+                for variant in users:
+                    r, s = QUANTITY_PAIRS[variant]
+                    part[r], part[s] = solved[key]
+                del selection  # and the selection before the next one is made
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **part)
 
     grid = CountGrid(cloud_size=size, n_list=n_list,

@@ -377,3 +377,27 @@ def test_short_fit_window_is_config_error(tmp_path):
     assert main(["entropy", "--config", cfg]) == 3  # fitting needs 3 points
     assert main(["compare", "--config", cfg]) == 3
     assert main(["power", "--config", cfg, "-m", "2"]) == 3
+
+
+# (case, old text, new text, message): malformed values are configuration
+# errors (exit 3), not crashes (exit 1, the check-failure code)
+MALFORMED = [
+    ("eps_not_a_number", "eps_list: [0.5, 0.25, 0.125, 0.0625]", "eps_list: [0.5, abc]",
+     "schedule.eps_list must be a number"),
+    ("eps_infinite", "eps_list: [0.5, 0.25, 0.125, 0.0625]", "eps_list: [.inf, .inf]",
+     "finite"),
+    ("eps_not_a_list", "eps_list: [0.5, 0.25, 0.125, 0.0625]", "eps_list: 0.5",
+     "schedule.eps_list must be a list"),
+    ("map_parameter_not_a_number", "kind: doubling", "kind: logistic\n  r: abc",
+     "map.r must be a number"),
+    ("variants_not_a_list", "output:", "variants: 5\noutput:", "variants must be a list"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_value_is_config_error(tmp_path, old, new, message):
+    cfg = _write(tmp_path, DOUBLING_CONFIG.replace(old, new), out=tmp_path / "out")
+    with pytest.raises(ConfigError, match=message):
+        load_config(cfg)
+    assert main(["counts", "--config", cfg]) == 3

@@ -439,6 +439,20 @@ def _counted(monkeypatch, names) -> dict:
     return calls
 
 
+def _built(monkeypatch) -> list:
+    """Patch covering's relation build to record each relation it builds,
+    made dense."""
+    built = []
+
+    def counted(selection, blocks, size, build=covering._relation):
+        rel = build(selection, blocks, size)
+        built.append(rel.dense())
+        return rel
+
+    monkeypatch.setattr(covering, "_relation", counted)
+    return built
+
+
 def _oracle_cells(spec, orbits, n_list, eps_list, variants) -> dict:
     return {(n, eps, v): oracles.relation(spec, orbits, n, eps, v)
             for n in n_list for eps in eps_list for v in variants}
@@ -460,11 +474,14 @@ def test_count_grid_solves_each_distinct_greedy_relation_once(monkeypatch):
     orbits = build_orbits(MapSpec(kind="doubling"), custom_cloud(idx / 2.0 ** 20), 6)
     n_list, eps_list = [2, 3, 4, 5, 6], [2.0 ** -k for k in range(3, 7)]
     cells = _oracle_cells(ARC, orbits, n_list, eps_list, covering.VARIANTS)
-    distinct = len({cover.tobytes() for cover in cells.values()})
+    distinct = {cover.tobytes() for cover in cells.values()}
     calls = _counted(monkeypatch, ("greedy_cover", "greedy_separated"))
+    built = _built(monkeypatch)
     grid = count_grid(ARC, orbits, n_list, eps_list, exact_threshold=0)
-    assert distinct < len(cells)
-    assert calls == {"greedy_cover": distinct, "greedy_separated": distinct}
+    assert len(distinct) < len(cells)
+    assert calls == {"greedy_cover": len(distinct), "greedy_separated": len(distinct)}
+    # each distinct relation is built once, and no repeat is built
+    assert sorted(cover.tobytes() for cover in built) == sorted(distinct)
     _assert_cells_solved_alone(grid, cells, 0)
 
 
@@ -473,19 +490,22 @@ def test_count_grid_solves_each_distinct_exact_relation_once(monkeypatch):
     orbits = build_orbits(MapSpec(kind="tent"), grid1d(0.0, 1.0, 12), 4)
     n_list, eps_list = [1, 2, 3, 4], [1.0, 0.5, 0.25, 0.125]
     cells = _oracle_cells(spec, orbits, n_list, eps_list, covering.VARIANTS)
-    distinct = len({cover.tobytes() for cover in cells.values()})
+    distinct = {cover.tobytes() for cover in cells.values()}
     calls = _counted(monkeypatch, ("exact_cover", "exact_separated"))
+    built = _built(monkeypatch)
     grid = count_grid(spec, orbits, n_list, eps_list)
-    assert distinct < len(cells)
-    assert calls == {"exact_cover": distinct, "exact_separated": distinct}
+    assert len(distinct) < len(cells)
+    assert calls == {"exact_cover": len(distinct), "exact_separated": len(distinct)}
+    assert sorted(cover.tobytes() for cover in built) == sorted(distinct)
     _assert_cells_solved_alone(grid, cells, covering.DEFAULT_EXACT_THRESHOLD)
 
 
-def test_relations_differing_only_in_indices_are_both_solved():
+def test_relations_differing_only_in_indices_are_both_solved(monkeypatch):
     # T^i x = x + i (mod 6); e is 1 inside the triangles {0, 1, 2} and
     # {3, 4, 5}, 2 on the edges 2-3 and 5-0, and 3 elsewhere. At (1, 1) the
     # relation is the two triangles, at (2, 2) the 6-cycle 0-1-2-3-4-5-0:
-    # three entries per row in both, so only the indices tell them apart
+    # three entries per row in both, and six pairs in the one block, so only
+    # the offsets tell them apart
     m = np.full((6, 6), 3.0)
     for x, y, value in [(0, 1, 1), (0, 2, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1),
                         (4, 5, 1), (2, 3, 2), (5, 0, 2)]:
@@ -494,10 +514,39 @@ def test_relations_differing_only_in_indices_are_both_solved():
     points = index_cloud(6).points
     orbits = OrbitTable(images=np.stack([points, np.roll(points, -1, axis=0)], axis=1),
                         snap_mode="exact")
+    built = _built(monkeypatch)
     grid = count_grid(QuasiMetricSpec(kind="matrix", matrix=m), orbits, [1, 2],
                       [2.0, 1.0], variants=("two_sided",))
     assert grid.cell(1, 1.0).s1.cardinality == 2
     assert grid.cell(2, 2.0).s1.cardinality == 3
+    six_pairs = [cover for cover in built if cover.sum() == 6 + 2 * 6]
+    assert len(six_pairs) == 2 and not np.array_equal(*six_pairs)
+
+
+def test_relation_shared_across_pairings_is_built_once(monkeypatch):
+    # the hinge rule on the 2^-20 lattice under doubling: the one_sided
+    # relation at eps / 4 is the two_sided one at eps wherever no pair wraps
+    # around the circle, so both pairings reuse one build
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
+    rng = np.random.default_rng(3)
+    idx = np.sort(rng.choice(1 << 20, size=40, replace=False))
+    orbits = build_orbits(MapSpec(kind="doubling"), custom_cloud(idx / 2.0 ** 20), 4)
+    n_list, eps_list = [1, 2, 3, 4], [2.0 ** -k for k in range(2, 7)]
+    cells = _oracle_cells(spec, orbits, n_list, eps_list, covering.VARIANTS)
+    users = {}  # relation -> its (n, eps, variant) cells
+    for cell, cover in cells.items():
+        users.setdefault(cover.tobytes(), []).append(cell)
+    # a two_sided relation, not the diagonal, is a one_sided one at another
+    # (n, eps)
+    diagonal = np.eye(len(idx), dtype=bool).tobytes()
+    assert any(n != m or eps != e
+               for key, shared in users.items() if key != diagonal
+               for n, eps, v in shared if v == "two_sided"
+               for m, e, w in shared if w == "one_sided")
+    built = _built(monkeypatch)
+    grid = count_grid(spec, orbits, n_list, eps_list, exact_threshold=0)
+    assert sorted(cover.tobytes() for cover in built) == sorted(users)
+    _assert_cells_solved_alone(grid, cells, 0)
 
 
 # --- theorem-shaped properties on random instances ---------------------------

@@ -39,7 +39,7 @@ from qme.covering import (
     _EpsBins,
     _live_pairs,
     _relation,
-    _relations,
+    _selection,
 )
 from qme.dynamics import OrbitTable
 from qme.quasimetric import is_symmetric
@@ -145,13 +145,16 @@ def test_live_pair_relations_match_full_matrix(kind):
                         assert np.all(BIN_OP[live](fbin, bbin) > 0)
                     # the variant groups count_grid builds relations for
                     groups = [variants] if symmetric else [(v,) for v in variants]
-                    for k, users, rel in _relations(chunks, size, bins, groups):
-                        for variant in users:
-                            ref = oracles.relation(spec, orbits, n, EPS_DESC[k], variant)
-                            assert np.array_equal(rel.dense(), ref), (size, n, k)
-                            assert rel.indices.dtype == np.min_scalar_type(size - 1)
-                            rows = np.split(rel.indices.astype(int), rel.indptr[1:-1])
-                            assert all(np.all(np.diff(row) > 0) for row in rows)
+                    for k in range(bins.top):
+                        for users in groups:
+                            selection = _selection(chunks, BIN_OP[users[0]], k)
+                            rel = _relation(selection, _blocks(size), size)
+                            for variant in users:
+                                ref = oracles.relation(spec, orbits, n, EPS_DESC[k], variant)
+                                assert np.array_equal(rel.dense(), ref), (size, n, k)
+                                assert rel.indices.dtype == np.min_scalar_type(size - 1)
+                                rows = np.split(rel.indices.astype(int), rel.indptr[1:-1])
+                                assert all(np.all(np.diff(row) > 0) for row in rows)
 
 
 @pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
@@ -218,7 +221,7 @@ def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
     [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, "one_sided")
     for op in (BIN_OP["one_sided"], BIN_OP["two_sided"]):
         for k in range(bins.top):
-            rel = _relation(chunks, _blocks(size), size, op, k)
+            rel = _relation(_selection(chunks, op, k), _blocks(size), size)
             ref_indptr, ref_indices = _lexsort_csr(chunks, size, op, k)
             assert _same_bits(rel.indptr, ref_indptr)
             assert rel.indices.dtype == np.min_scalar_type(size - 1)
@@ -273,7 +276,8 @@ def test_chunk_and_relation_item_sizes(kind, n_eps):
             assert fbin.dtype == bbin.dtype == bins.dtype
             arrays = {id(a): a for a in (xo, yo, fbin, bbin)}.values()
             assert sum(a.itemsize for a in arrays) == 2 + (1 if symmetric else 2) * width
-        rel = _relation(chunks, _blocks(len(cloud)), len(cloud), BIN_OP["one_sided"], 0)
+        rel = _relation(_selection(chunks, BIN_OP["one_sided"], 0), _blocks(len(cloud)),
+                        len(cloud))
         assert rel.indptr.dtype == np.int64 and rel.indices.dtype == np.uint8
         assert len(rel.indices) > len(cloud)
 
@@ -295,7 +299,7 @@ def test_relation_index_width(monkeypatch, size, dtype):
         bins = np.ones(len(offsets), dtype=np.uint8)
         chunks.append((offsets[:, 0], offsets[:, 1], bins, bins))
     assert sum(len(c[0]) for c in chunks) == len(pairs)
-    rel = _relation(chunks, blocks, size, BIN_OP["two_sided"], 0)
+    rel = _relation(_selection(chunks, BIN_OP["two_sided"], 0), blocks, size)
     assert rel.indices.dtype == dtype and rel.indptr.dtype == np.int64
     if size <= 257:
         dense = np.eye(size, dtype=bool)
@@ -304,7 +308,7 @@ def test_relation_index_width(monkeypatch, size, dtype):
         assert np.array_equal(rel.dense(), dense)
     assert rel.indices[rel.indptr[size - 1]:].tolist() == ([size - 2, size - 1] if pairs else [0])
     assert len(rel.indices) == size + 2 * len(pairs)
-    diagonal = _relation(chunks, blocks, size, BIN_OP["two_sided"], 1)
+    diagonal = _relation(_selection(chunks, BIN_OP["two_sided"], 1), blocks, size)
     assert np.array_equal(diagonal.indices, np.arange(size))
 
 
@@ -318,16 +322,17 @@ def test_block_offsets_need_row_tiles_of_at_most_256(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_both_pairings_build_one_relation_per_n(monkeypatch, kind):
-    # count_grid builds, at each n and eps, one relation for both pairings of
-    # a symmetric rule and one per pairing of an asymmetric rule; each
-    # pairing solved alone gives the same cells
+    # count_grid selects, at each n and eps, one relation's pairs for both
+    # pairings of a symmetric rule and one per pairing of an asymmetric rule
+    # (and builds only the selections it has not seen); each pairing solved
+    # alone gives the same cells
     builds = []
 
-    def counted(chunks, blocks, size, op, k):
+    def counted(chunks, op, k):
         builds.append(k)
-        return _relation(chunks, blocks, size, op, k)
+        return _selection(chunks, op, k)
 
-    monkeypatch.setattr(qme.covering, "_relation", counted)
+    monkeypatch.setattr(qme.covering, "_selection", counted)
     rng = np.random.default_rng(17)
     for size in (1, 7, 20):
         spec, cloud = _case(kind, size, rng)

@@ -39,6 +39,12 @@ Runs:
   8. Orbit steps 0..3 run before the first scheduled n, on every pair of
   every block, and evaluate the asymmetric rule in both directions.
   ``compare`` exits 1 there, on its estimate checks;
+- ``repeats_asym``: ``counts``, both pairings, on 600 sorted distinct
+  points of the 2^-20 lattice of [0, 1) (three row tiles) under the doubling
+  map and the hinge rule, with n = 1..8 and eps = 2^-2..2^-6. Of the 80
+  (cell, pairing) relations 53 are distinct: a relation repeats across n,
+  and the two_sided one at eps equals the one_sided one at eps / 4, so
+  results are reused across cells and across the two pairings;
 - ``many_eps``: ``counts`` and ``compare`` on the 33-point grid of the
   ``asym`` case (tent map, hinge rule), both pairings, over 300 halving eps
   from 1/2 down. More than 255 eps take two-byte bins. The grid's orbits
@@ -125,6 +131,16 @@ output: {format: both}
 LATE_START_CONFIG = PRUNING_CONFIG.replace("n_list: [1, 4, 7]", "n_list: [4, 6, 8]")
 
 
+REPEATS_ASYM_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: custom, path: repeats_asym.csv}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3, 4, 5, 6, 7, 8], eps_list: [0.25, 0.125, 0.0625, 0.03125, 0.015625]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
+
+
 MANY_EPS_CONFIG = """\
 map: {kind: tent}
 cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 33}
@@ -201,6 +217,16 @@ def capture_snap_ties(dest: str, scratch: str) -> None:
     capture_config(SNAP_TIES_CONFIG, ("counts", "power"), dest, scratch)
 
 
+def capture_repeats_asym(dest: str, scratch: str) -> None:
+    """Relations that repeat across n and across the two pairings of an
+    asymmetric rule."""
+    rng = np.random.default_rng(3)
+    pts = np.sort(rng.choice(1 << 20, size=600, replace=False)) / 2.0 ** 20
+    with open(os.path.join(scratch, "repeats_asym.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{float(x)!r}\n" for x in pts)
+    capture_config(REPEATS_ASYM_CONFIG, ("counts",), dest, scratch)
+
+
 def capture_offlattice(dest: str, scratch: str) -> None:
     """Axioms on the logistic map's first images of the snap_power cloud,
     whose distances round off the lattice."""
@@ -249,6 +275,7 @@ def main(argv=None) -> int:
                        os.path.join(out_root, "symmetric"), scratch)
         capture_config(LATE_START_CONFIG, ("counts", "compare"),
                        os.path.join(out_root, "late_start"), scratch)
+        capture_repeats_asym(os.path.join(out_root, "repeats_asym"), scratch)
         capture_config(MANY_EPS_CONFIG, ("counts", "compare"),
                        os.path.join(out_root, "many_eps"), scratch)
         for workload in workloads.GENERATORS:
