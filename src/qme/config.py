@@ -148,6 +148,15 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
+def _tolerance(sec: dict, key: str, default: float) -> float:
+    """tolerances.<key> as a float >= 0. A NaN fails every comparison, so it
+    would fail checks or drop the saturation filter without a word."""
+    value = _number(sec.get(key, default), f"tolerances.{key}")
+    if not value >= 0:
+        raise ConfigError(f"tolerances.{key} must be >= 0, got {value!r}")
+    return value
+
+
 def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
     kind = sec.get("kind")
     try:
@@ -299,12 +308,12 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
             snap_mode=snap,
             n_burn=_integer(fit.get("n_burn", DEFAULT_N_BURN), "fit.n_burn"),
             window_size=_integer(fit.get("window_size", 0), "fit.window_size"),
-            estimator_tol=float(tol.get("estimator_tol", DEFAULT_ESTIMATOR_TOL)),
-            power_tol_rel=float(tol.get("power_tol_rel", DEFAULT_POWER_TOL_REL)),
-            power_tol_abs=float(tol.get("power_tol_abs", DEFAULT_POWER_TOL_ABS)),
-            stability_tol=float(tol.get("stability_tol", DEFAULT_STABILITY_TOL)),
-            saturation_fraction=float(tol.get("saturation_fraction",
-                                              DEFAULT_SATURATION_FRACTION)),
+            estimator_tol=_tolerance(tol, "estimator_tol", DEFAULT_ESTIMATOR_TOL),
+            power_tol_rel=_tolerance(tol, "power_tol_rel", DEFAULT_POWER_TOL_REL),
+            power_tol_abs=_tolerance(tol, "power_tol_abs", DEFAULT_POWER_TOL_ABS),
+            stability_tol=_tolerance(tol, "stability_tol", DEFAULT_STABILITY_TOL),
+            saturation_fraction=_tolerance(tol, "saturation_fraction",
+                                           DEFAULT_SATURATION_FRACTION),
             seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base"),
             triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
                                    "validate.triple_budget"),

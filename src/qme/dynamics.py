@@ -73,8 +73,10 @@ class PointCloud:
             raise ValueError("cloud coordinates must be finite")
         if self.kind not in _CLOUD_KINDS:
             raise ValueError(f"unknown cloud kind {self.kind!r}")
-        uniq = np.unique(pts, axis=0)
-        if uniq.shape[0] != pts.shape[0]:
+        # rows sorted lexicographically put equal rows side by side; float ==
+        # (not np.unique, which imports numpy.ma) also takes 0.0 == -0.0
+        rows = pts[np.lexsort(pts.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("duplicate coordinates in cloud; identity axiom "
                              "would be unverifiable")
         pts.setflags(write=False)

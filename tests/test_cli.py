@@ -401,3 +401,27 @@ def test_malformed_value_is_config_error(tmp_path, old, new, message):
     with pytest.raises(ConfigError, match=message):
         load_config(cfg)
     assert main(["counts", "--config", cfg]) == 3
+
+
+TOLERANCES = ("estimator_tol", "power_tol_rel", "power_tol_abs", "stability_tol",
+              "saturation_fraction")
+
+
+@pytest.mark.parametrize("value", [".nan", "-0.01", "-.inf"], ids=["nan", "negative", "minus_inf"])
+@pytest.mark.parametrize("field", TOLERANCES)
+def test_nan_or_negative_tolerance_is_config_error(tmp_path, field, value):
+    # a NaN tolerance fails every comparison it enters: compare would exit 1,
+    # the check-failure code, and a NaN saturation_fraction drops no cell
+    cfg = _write(tmp_path, DOUBLING_CONFIG + f"tolerances:\n  {field}: {value}\n",
+                 out=tmp_path / "out")
+    with pytest.raises(ConfigError, match=f"tolerances.{field} must be >= 0"):
+        load_config(cfg)
+    assert main(["compare", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("field", TOLERANCES)
+def test_zero_and_positive_tolerances_parse(tmp_path, field):
+    for value in (0, 0.3, 2):
+        cfg = _write(tmp_path, DOUBLING_CONFIG + f"tolerances:\n  {field}: {value}\n",
+                     out=tmp_path / "out")
+        assert getattr(load_config(cfg), field) == value

@@ -191,8 +191,131 @@ def sized_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(sized_graphs())
 def test_csr_greedy_solvers_match_dense_references(cover):
-    assert greedy_cover(csr(cover)) == oracles.dense_greedy_cover(cover)
+    # greedy_cover takes tied picks in batches: its contract is the sorted set
+    assert greedy_cover(csr(cover)) == sorted(oracles.dense_greedy_cover(cover))
     assert greedy_separated(csr(cover)) == oracles.dense_greedy_separated(cover)
+
+
+# --- batched greedy cover passes ---------------------------------------------
+
+class _PassCounter:
+    """Stands in for numpy inside covering and counts greedy_cover's passes:
+    each pass gathers the rows its first pick covers with one np.concatenate."""
+
+    def __init__(self):
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, arrays):
+        self.passes += 1
+        return np.concatenate(arrays)
+
+
+def _passes(monkeypatch, rel) -> tuple:
+    """(greedy_cover(rel), the number of passes it took)."""
+    counter = _PassCounter()
+    monkeypatch.setattr(covering, "np", counter)
+    return greedy_cover(rel), counter.passes
+
+
+def _narrow(rel):
+    """The relation with columns in the narrowest unsigned type, as count_grid
+    builds them (uint8 up to 256 points)."""
+    return covering.Relation(rel.indptr, rel.indices.astype(np.min_scalar_type(rel.size - 1)))
+
+
+def _union(blocks, seed=None) -> np.ndarray:
+    """The disjoint union of square bool covers; with a seed, its ids shuffled."""
+    size = sum(len(b) for b in blocks)
+    cover = np.zeros((size, size), dtype=bool)
+    at = 0
+    for block in blocks:
+        cover[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    if seed is not None:
+        order = np.random.default_rng(seed).permutation(size)
+        cover = cover[np.ix_(order, order)]
+    return cover
+
+
+def _clique(m):
+    return np.ones((m, m), dtype=bool)
+
+
+def _star(m):
+    cover = np.eye(m, dtype=bool)
+    cover[0, :] = cover[:, 0] = True
+    return cover
+
+
+def _path(m):
+    ids = np.arange(m)
+    return np.abs(ids[:, None] - ids[None, :]) <= 1
+
+
+def _cycle(m):
+    gap = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
+    return (gap <= 1) | (gap == m - 1)
+
+
+def _tied_covers():
+    """100-600-point covers whose points tie at their gains: disjoint unions of
+    equal blocks, in block order and shuffled, and relations of circle grids."""
+    unions = {
+        "pairs": [_clique(2)] * 128,  # 256 points: one-byte columns up to id 255
+        "cliques": [_clique(3)] * 100,
+        "stars": [_star(5)] * 60,
+        "paths": [_path(10)] * 40,
+        "cycles": [_cycle(20)] * 30,
+        "mixed": [_clique(4)] * 25 + [_star(6)] * 25 + [_path(7)] * 20 + [_cycle(9)] * 20,
+    }
+    for name, blocks in unions.items():
+        yield name, _union(blocks)
+        yield f"{name}_shuffled", _union(blocks, seed=len(name))
+    doubling = MapSpec(kind="doubling")
+    for count in (128, 256, 257, 600):
+        orbits = build_orbits(doubling, circle_grid(count), 3)
+        for n, width in ((1, 1), (1, 3), (1, 10), (2, 2), (3, 5)):
+            yield (f"circle{count}_n{n}_w{width}",
+                   oracles.relation(ARC, orbits, n, width / count, "two_sided"))
+
+
+@pytest.mark.parametrize("cover", [pytest.param(cover, id=name) for name, cover in _tied_covers()])
+def test_batched_greedy_cover_is_the_sequential_set(cover):
+    expected = sorted(oracles.dense_greedy_cover(cover))
+    assert greedy_cover(csr(cover)) == expected
+    assert greedy_cover(_narrow(csr(cover))) == expected
+
+
+def test_equal_cliques_are_covered_in_a_few_passes(monkeypatch):
+    # every point ties at gain 3 and its row is 3 of the 300 entries, so a
+    # pass's prefix holds 100 candidates: the first point of each of 34
+    # cliques beside the first pick's. 100 picks take 3 passes, not 100.
+    picks, passes = _passes(monkeypatch, csr(_union([_clique(3)] * 100)))
+    assert picks == list(range(0, 300, 3))
+    assert passes == 3
+
+
+def test_batch_picks_out_of_sequential_order(monkeypatch):
+    # a=0, w=1, z=2, q=3, p=4 and the shared points s1=8, s2=9 start at gain
+    # 3; w and z share s1, z and q share s2, and the other points are leaves
+    a, w, z, q, p, a1, a2, w1, s1, s2, q1, p1, p2 = range(13)
+    edges = [(a, a1), (a, a2), (w, w1), (w, s1), (z, s1), (z, s2), (q, s2), (q, q1),
+             (p, p1), (p, p2)]
+    cover = np.eye(13, dtype=bool)
+    for x, y in edges:
+        cover[x, y] = cover[y, x] = True
+    # one point at a time: a, then w (z falls to gain 2), q, p, and z last,
+    # alone in its row
+    assert oracles.dense_greedy_cover(cover) == [a, w, q, p, z]
+    # pass 1 picks a, then, of w, z, q, p (s1 and s2 are past the 13-entry
+    # prefix), w and p: z shares s1 with w and q shares s2 with z, lower ids.
+    # Pass 2 picks q, still at gain 3, after p; z comes from the last step.
+    picks, passes = _passes(monkeypatch, csr(cover))
+    assert picks == [a, w, z, q, p]
+    assert passes == 2
 
 
 # --- certified LP-dual floor -------------------------------------------------

@@ -41,6 +41,28 @@ def test_duplicate_coordinates_rejected():
         custom_cloud([[0.0], [1.0], [0.0]])
 
 
+@pytest.mark.parametrize("points", [
+    [0.0, 1.0, 0.0],                          # 1-D
+    [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],     # 2-D, not adjacent
+    [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]],     # 2-D, equal first columns
+    [[0.0], [1.0], [-0.0]],                   # signed zero
+    [[0.5, -0.0], [0.5, 0.0]],
+])
+def test_duplicate_rows_rejected(points):
+    with pytest.raises(ValueError, match="duplicate"):
+        custom_cloud(points)
+
+
+@pytest.mark.parametrize("points", [
+    [0.0, 1.0, 0.5],
+    [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[0.0]],
+])
+def test_distinct_coordinates_accepted(points):
+    assert len(custom_cloud(points)) == len(points)
+
+
 def test_empty_cloud_rejected():
     with pytest.raises(ValueError):
         PointCloud(points=np.zeros((0, 1)))

@@ -56,6 +56,11 @@ Runs:
 - ``asym_exact_counts/<instance>``: ``counts`` on the same asym_exact inputs.
   Their ``compare`` runs write no witnesses; ``counts.json`` holds every
   exactly solved cell's witness, ``optimal`` flag and node count;
+- ``doubling_counts``: ``counts`` on the seed-1 doubling_greedy cloud (4096
+  points, ``circle_arc``) with both pairings, which share the symmetric
+  rule's relations. Its ``entropy`` run writes no witnesses; here every
+  cell's greedy cover and separated set is byte-diffed, on fine relations
+  where many points tie at the largest gain;
 - ``violations``: ``validate`` on a 3-point ``indices`` cloud under an inline
   ``matrix`` rule that breaks the triangle inequality (d(0, 2) = 5 > 1 + 1),
   once with an exhaustive triple budget (``exhaustive``) and once with a
@@ -227,6 +232,20 @@ def capture_repeats_asym(dest: str, scratch: str) -> None:
     capture_config(REPEATS_ASYM_CONFIG, ("counts",), dest, scratch)
 
 
+def capture_doubling_counts(dest: str, scratch: str) -> None:
+    """Greedy witnesses of both pairings on the doubling_greedy cloud."""
+    [instance] = workloads.generate("doubling_greedy", WORKLOAD_SEED,
+                                    os.path.join(scratch, "doubling_counts"))
+    with open(instance["config"], encoding="utf-8") as fh:
+        text = fh.read()
+    both = text.replace("variants: [two_sided]", "variants: [two_sided, one_sided]")
+    if both == text:
+        raise RuntimeError("doubling_greedy config has no 'variants: [two_sided]' line")
+    with open(instance["config"], "w", encoding="utf-8") as fh:
+        fh.write(both)
+    run_cli(workloads.cli_argv({**instance, "command": ["counts"]}, dest), dest)
+
+
 def capture_offlattice(dest: str, scratch: str) -> None:
     """Axioms on the logistic map's first images of the snap_power cloud,
     whose distances round off the lattice."""
@@ -288,6 +307,7 @@ def main(argv=None) -> int:
                                             instance["name"])
                     run_cli(workloads.cli_argv({**instance, "command": ["counts"]},
                                                case_dir), case_dir)
+        capture_doubling_counts(os.path.join(out_root, "doubling_counts"), scratch)
         for name, budget in VIOLATIONS_BUDGETS.items():
             capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
                            os.path.join(out_root, "violations", name), scratch)
