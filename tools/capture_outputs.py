@@ -3,6 +3,7 @@
 Usage::
 
     PYTHONPATH=src python tools/capture_outputs.py OUTDIR
+    PYTHONPATH=src python tools/capture_outputs.py --digests
 
 OUTDIR must not exist yet. For every run below the script writes
 ``OUTDIR/<case>/<command>/``: ``stdout.txt``, ``exit_code.txt`` and every file
@@ -10,6 +11,12 @@ the command wrote. ``qme`` is imported from ``PYTHONPATH`` (each run is a
 ``python -m qme.cli`` child that inherits it), so the same script captures
 another checkout by pointing ``PYTHONPATH`` at its ``src``;
 ``diff -r OUT_A OUT_B`` then shows every output that differs.
+
+``--digests`` captures into a temporary directory and rewrites
+``tests/golden/capture_digests.json``, one SHA-256 per captured file, which
+``tests/test_capture_digests.py`` compares on every test run. Regenerate it
+only with a change that alters outputs on purpose, and name the files whose
+digests changed.
 
 Runs:
 
@@ -27,13 +34,14 @@ Runs:
   comes first (the configuration requires each eps to halve). Pairs above
   the largest eps leave the live set between scheduled n, and one_sided
   keeps pairs that two_sided drops. ``compare`` adds the max_metric counts,
-  the mean_metric grid and ``relations_identical`` on the same cloud; it
-  exits 1 there, on its estimate checks;
+  the mean_metric pairing, whose pairs stay live while their mean is within
+  the largest eps, and ``relations_identical`` on the same cloud; it exits 1
+  there, on its estimate checks;
 - ``symmetric``: ``counts``, ``entropy`` (all four variants) and ``compare``
   on a 600-point circle grid (three row tiles) under the doubling map and
   ``circle_arc``, over the gapped n schedule 1, 4, 7. The rule is symmetric,
-  so each live pair is evaluated once and both pairings, the max_metric
-  counts and the ``mean_of`` grid come from one direction's distances;
+  so each live pair is evaluated once and all three pairings and the
+  max_metric counts come from one direction's distances and one eps bin;
 - ``late_start``: ``counts`` and ``compare`` on the 600-point grid of
   ``pruning`` (tent map, hinge rule, both pairings) over the n schedule 4, 6,
   8. Orbit steps 0..3 run before the first scheduled n, on every pair of
@@ -57,10 +65,11 @@ Runs:
   Their ``compare`` runs write no witnesses; ``counts.json`` holds every
   exactly solved cell's witness, ``optimal`` flag and node count;
 - ``doubling_counts``: ``counts`` on the seed-1 doubling_greedy cloud (4096
-  points, ``circle_arc``) with both pairings, which share the symmetric
-  rule's relations. Its ``entropy`` run writes no witnesses; here every
-  cell's greedy cover and separated set is byte-diffed, on fine relations
-  where many points tie at the largest gain;
+  points, ``circle_arc``). ``counts`` solves both pairings, which share the
+  symmetric rule's relations, whatever the config's ``variants``. Its
+  ``entropy`` run writes no witnesses; here every cell's greedy cover and
+  separated set is byte-diffed, on fine relations where many points tie at
+  the largest gain;
 - ``violations``: ``validate`` on a 3-point ``indices`` cloud under an inline
   ``matrix`` rule that breaks the triangle inequality (d(0, 2) = 5 > 1 + 1),
   once with an exhaustive triple budget (``exhaustive``) and once with a
@@ -82,6 +91,8 @@ Runs:
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -96,6 +107,7 @@ import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 from qme.config import EXAMPLE_CONFIG  # noqa: E402
 
+DIGESTS = os.path.join(ROOT, "tests", "golden", "capture_digests.json")
 COMMANDS = ("validate", "counts", "entropy", "compare", "power")
 WORKLOAD_SEED = 1
 # workloads whose inputs also run ``counts``, to capture exact witnesses
@@ -236,13 +248,6 @@ def capture_doubling_counts(dest: str, scratch: str) -> None:
     """Greedy witnesses of both pairings on the doubling_greedy cloud."""
     [instance] = workloads.generate("doubling_greedy", WORKLOAD_SEED,
                                     os.path.join(scratch, "doubling_counts"))
-    with open(instance["config"], encoding="utf-8") as fh:
-        text = fh.read()
-    both = text.replace("variants: [two_sided]", "variants: [two_sided, one_sided]")
-    if both == text:
-        raise RuntimeError("doubling_greedy config has no 'variants: [two_sided]' line")
-    with open(instance["config"], "w", encoding="utf-8") as fh:
-        fh.write(both)
     run_cli(workloads.cli_argv({**instance, "command": ["counts"]}, dest), dest)
 
 
@@ -271,13 +276,8 @@ def capture_errors(dest: str, scratch: str) -> None:
     run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or os.path.exists(args[0]):
-        print("usage: capture_outputs.py OUTDIR (a directory that does not exist yet)",
-              file=sys.stderr)
-        return 2
-    out_root = os.path.abspath(args[0])
+def capture(out_root: str) -> None:
+    """Run every case into out_root."""
     golden = {}
     for config, subdir, command, _, _ in test_golden.CASES:
         if subdir:
@@ -316,6 +316,41 @@ def main(argv=None) -> int:
             capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
                            os.path.join(out_root, "index_widths", str(size)), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
+
+
+def digests(root: str) -> dict:
+    """{path relative to root, with / separators: SHA-256 hex digest} of
+    every file under root, sorted by path."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out[os.path.relpath(path, root).replace(os.sep, "/")] = digest
+    return dict(sorted(out.items()))
+
+
+def write_digests() -> None:
+    """Capture into a temporary directory and rewrite DIGESTS from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out_root = os.path.join(tmp, "capture")
+        capture(out_root)
+        found = digests(out_root)
+    with open(DIGESTS, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(found, indent=1) + "\n")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args == ["--digests"]:
+        write_digests()
+        return 0
+    if len(args) != 1 or os.path.exists(args[0]):
+        print("usage: capture_outputs.py OUTDIR (a directory that does not exist yet)\n"
+              "       capture_outputs.py --digests", file=sys.stderr)
+        return 2
+    capture(os.path.abspath(args[0]))
     return 0
 
 
