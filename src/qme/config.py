@@ -206,9 +206,6 @@ def _build_qmetric(sec: dict, base_dir: str) -> QuasiMetricSpec:
 
 
 def _build_map(sec: dict) -> MapSpec:
-    kind = sec.get("kind")
-    if kind not in ("identity", "doubling", "tent", "logistic", "shift_left", "affine"):
-        raise ConfigError(f"unknown map kind {kind!r}")
     kwargs = {}
     for name in ("slope", "r", "a", "b"):
         if name in sec:
@@ -218,8 +215,8 @@ def _build_map(sec: dict) -> MapSpec:
     if "declared_uniformly_continuous" in sec:
         kwargs["declared_uniformly_continuous"] = bool(sec["declared_uniformly_continuous"])
     try:
-        return MapSpec(kind=kind, **kwargs)
-    except ValueError as exc:
+        return MapSpec(kind=sec.get("kind"), **kwargs)
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
         raise ConfigError(f"bad map: {exc}") from exc
 
 

@@ -3,26 +3,31 @@
 ``count_grid`` is the one path from (spec, orbits, schedule) to counts. It
 validates the schedule (n strictly increasing, eps strictly decreasing) and
 grows the orbit-maximized distances D_n[x, y] = max_{i<n} e(T^i x, T^i y)
-over the n schedule. Each (n, variant) gives one symmetric relation per eps:
+over the n schedule. Each (n, pairing) gives one symmetric relation per eps:
 
-``two_sided``  y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
-``one_sided``  y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
+``two_sided``    y covers x when max(D_n, D_n^T)[x, y] <= eps (closeness both ways)
+``one_sided``    y covers x when min(D_n, D_n^T)[x, y] <= eps (closeness one way)
+``mean_metric``  y covers x when M_n[x, y] <= eps, M_n being the Bowen distance
+                 of the mean symmetrization (``quasimetric.symmetrize_mean``)
 
-D_n only grows with n, so a pair whose symmetrized value exceeds the largest
-scheduled eps is never a cover edge again. The tests D_n <= eps are all a
-relation reads, so each live pair keeps the eps bin of each direction,
-bin(v) = #{k : v <= eps_k}, in one byte (two past 255 eps): the relation at
-eps_k is bin > k, the bin of a max is the min of the bins, and every
-comparison is the float one, made once. Live pairs are kept in chunks, one
-per ROW_TILE x ROW_TILE block of the upper triangle, as one-byte offsets
-inside their block (ROW_TILE <= 256). Every orbit step evaluates e on a
-chunk's pairs, in slices of at most PAIR_BLOCK, lowers their bins and drops
-the pairs that left the relation; the blocks are advanced one at a time, and
-each starts as all its pairs. Both directions are evaluated, except for a
-rule symmetric by construction (``quasimetric.is_symmetric``): there
-D_n = D_n^T bit for bit, so each pair is evaluated once and both variants
-share its one bin. Each (n, eps) selects the pairs of each pairing's
-relation from the chunks, as block offsets.
+M_n is not a function of D_n, but each step's f = e(x, y) and b = e(y, x)
+give its step value (f + b) / 2.0, bit for bit the ``mean_of`` one. D_n and
+M_n only grow with n, so a pair above the largest eps in every requested
+pairing is never a cover edge again. Relations read only the tests
+v <= eps, so each live pair keeps the eps bin bin(v) = #{k : v <= eps_k} of
+each direction, and of the mean when requested, in one byte (two past 255
+eps): the relation at eps_k is bin > k, the bin of a max is the min of the
+bins, and every comparison is the float one, made once. Live pairs are kept
+in chunks, one per ROW_TILE x ROW_TILE block of the upper triangle, as
+one-byte offsets inside their block (ROW_TILE <= 256). Every orbit step
+evaluates e on a chunk's pairs, in slices of at most PAIR_BLOCK, lowers
+their bins and drops the pairs that left every requested relation; the
+blocks are advanced one at a time, and each starts as all its pairs. Both
+directions are evaluated, except that a rule symmetric by construction
+(``quasimetric.is_symmetric``) whose largest eps is below 2^1023 evaluates
+each pair once and keeps one bin for all pairings: D_n = D_n^T bit for bit,
+and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every eps. Each (n,
+eps) selects each pairing's relation from the chunks, as block offsets.
 
 Each distinct relation is built and solved once per grid. Block position and
 offsets fix a selection's pairs, and so its relation, so a selection is keyed
@@ -69,6 +74,7 @@ from .quasimetric import PAIR_BLOCK, QuasiMetricSpec, is_symmetric, paired, pair
 
 __all__ = [
     "VARIANTS",
+    "PAIRINGS",
     "Relation",
     "CountResult",
     "CellCounts",
@@ -80,17 +86,20 @@ __all__ = [
     "count_grid",
 ]
 
+# the pairings count_grid solves by default, and every one it solves
 VARIANTS = ("two_sided", "one_sided")
-# variant -> how it combines the eps bins of D_n and D_n^T: bins fall as
+PAIRINGS = VARIANTS + ("mean_metric",)
+# pairing -> how it combines the eps bins of D_n and D_n^T: bins fall as
 # values rise, so max(D_n, D_n^T) takes the min bin and min(...) the max
 BIN_OP = {"two_sided": np.minimum, "one_sided": np.maximum}
 
 DEFAULT_EXACT_THRESHOLD = 64
 
 # Quantity codes used in serialized grids: r1/s1 pair with the two_sided
-# relation, r2/s2 with the one_sided relation.
-QUANTITIES = ("r1", "s1", "r2", "s2")
-QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2")}
+# relation, r2/s2 with the one_sided one and r3/s3 with the mean_metric one.
+QUANTITIES = ("r1", "s1", "r2", "s2", "r3", "s3")
+QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2"),
+                  "mean_metric": ("r3", "s3")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,21 +155,24 @@ def _blocks(size: int) -> list:
 
 
 def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
-                bins: _EpsBins, live: str) -> Iterator[tuple]:
+                bins: _EpsBins, pairings: tuple, shared: bool) -> Iterator[tuple]:
     """Yield (n, chunks) over an ascending n schedule, which the caller has
-    validated. chunks holds the live pairs x < y, those in the ``live``
-    variant's relation at the largest eps, one chunk per block of
-    ``_blocks`` in its order. A chunk is (xo, yo, fbin, bbin): uint8 offsets
-    of x and y in their block's rows and columns, sorted by (xo, yo), and
-    the eps bins of D_n[x, y] and D_n[y, x], so BIN_OP[live](fbin, bbin) > 0
-    throughout. For a symmetric rule bbin is the same array object as fbin.
-    The list is updated in place for the next n: copy it to keep it past the
-    next step.
+    validated. chunks holds the live pairs x < y, those in some requested
+    pairing's relation at the largest eps, one chunk per block of ``_blocks``
+    in its order. A chunk is (xo, yo, fbin, bbin, mbin): uint8 offsets of x
+    and y in their block's rows and columns, sorted by (xo, yo), the eps bins
+    of D_n[x, y] and D_n[y, x], and those of M_n[x, y] if mean_metric is
+    requested, else None. When ``shared`` (see the module docstring), bbin
+    and mbin are fbin itself. The list is updated in place for the next n:
+    copy it to keep it past the next step.
 
     Each n advances the blocks one at a time through the orbit steps since
     the previous n. A block starts as all its pairs, so at most one block
     holds all its pairs at a time."""
-    symmetric = is_symmetric(spec)
+    # the pairings whose union is the live set: one_sided holds every two_sided pair
+    live = tuple(p for p in pairings if p != "two_sided" or "one_sided" not in pairings)
+    live = live[:1] if shared else live
+    mean = "mean_metric" in pairings
     size = orbits.images.shape[0]
     blocks = _blocks(size)
     side = blocks[0][0].stop  # the widest block, the first
@@ -170,7 +182,7 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     done = 0
     for n in n_list:
         for k, block in enumerate(blocks):
-            chunk = chunks[k] or _all_pairs(block, bins, symmetric)
+            chunk = chunks[k] or _all_pairs(block, bins, shared, mean)
             for i in range(done, n):
                 chunk = _advance(spec, orbits.iterate_points(i), chunk, block, bins, live)
             chunks[k] = chunk
@@ -178,9 +190,9 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
         yield n, chunks
 
 
-def _all_pairs(block: tuple, bins: _EpsBins, symmetric: bool) -> tuple:
-    """The chunk of every pair x < y of a block, each at ``bins.top``, the
-    bin of D_0 = 0; a symmetric rule's chunk aliases bbin to fbin."""
+def _all_pairs(block: tuple, bins: _EpsBins, shared: bool, mean: bool) -> tuple:
+    """The chunk of every pair x < y of a block, each at ``bins.top``, the bin
+    of D_0 = 0, with an mbin when ``mean``; a shared chunk's are all fbin."""
     rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
     xo = np.repeat(np.arange(height, dtype=np.uint8), width)
@@ -189,46 +201,61 @@ def _all_pairs(block: tuple, bins: _EpsBins, symmetric: bool) -> tuple:
         upper = xo < yo
         xo, yo = xo[upper], yo[upper]
     fbin = np.full(len(xo), bins.top, dtype=bins.dtype)
-    return xo, yo, fbin, fbin if symmetric else fbin.copy()
+    if shared:
+        return xo, yo, fbin, fbin, fbin if mean else None
+    return xo, yo, fbin, fbin.copy(), fbin.copy() if mean else None
 
 
-def _symmetrized(op, fbin: np.ndarray, bbin: np.ndarray) -> np.ndarray:
-    """op(fbin, bbin), which is fbin itself when bbin is fbin: min and max of
-    a value with itself are that value."""
-    return fbin if bbin is fbin else op(fbin, bbin)
+def _held(chunk: tuple, pairing: str) -> np.ndarray:
+    """A chunk's eps bins in one pairing: mbin for mean_metric, else
+    BIN_OP[pairing](fbin, bbin), which is fbin when bbin is fbin."""
+    _, _, fbin, bbin, mbin = chunk
+    if pairing == "mean_metric":
+        return mbin
+    return fbin if bbin is fbin else BIN_OP[pairing](fbin, bbin)
 
 
 def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
-             bins: _EpsBins, live: str) -> tuple:
-    """One more orbit step on a chunk's pairs, keeping those still live; a
-    chunk whose bbin is its fbin (a symmetric rule) is evaluated one way and
-    stays aliased. bin(max(a, b)) = min(bin(a), bin(b)), so lowering the
-    bins by the step's is D_n's running max. e is evaluated on slices of at
-    most PAIR_BLOCK pairs, whose 64 KB float temporaries reuse heap pages."""
-    xo, yo, fbin, bbin = chunk
+             bins: _EpsBins, live: tuple) -> tuple:
+    """One more orbit step on a chunk's pairs, keeping those still in some
+    relation of ``live``; a chunk whose bbin is its fbin (a shared chunk) is
+    evaluated one way and stays aliased. bin(max(a, b)) = min(bin(a),
+    bin(b)), so lowering the bins by the step's is the running max of D_n,
+    and of M_n through the step's (f + b) / 2.0. e is evaluated on slices of
+    at most PAIR_BLOCK pairs, whose 64 KB float temporaries reuse heap pages."""
+    xo, yo, fbin, bbin, mbin = chunk
     rows, cols = block
     prow, pcol = pts[rows], pts[cols]
     for start in range(0, len(xo), PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
         px, py = np.take(prow, xo[part], axis=0), np.take(pcol, yo[part], axis=0)
-        np.minimum(fbin[part], bins.of(paired(spec, px, py)), out=fbin[part])
+        f = paired(spec, px, py)
+        np.minimum(fbin[part], bins.of(f), out=fbin[part])
         if bbin is not fbin:
-            np.minimum(bbin[part], bins.of(paired(spec, py, px)), out=bbin[part])
-    keep = _symmetrized(BIN_OP[live], fbin, bbin) > 0
+            b = paired(spec, py, px)
+            np.minimum(bbin[part], bins.of(b), out=bbin[part])
+            if mbin is not None:
+                np.minimum(mbin[part], bins.of((f + b) / 2.0), out=mbin[part])
+    keep = _held(chunk, live[0]) > 0
+    for pairing in live[1:]:
+        keep |= _held(chunk, pairing) > 0
     if keep.all():
         return chunk
     f = fbin[keep]
-    return xo[keep], yo[keep], f, f if bbin is fbin else bbin[keep]
+    if bbin is fbin:
+        return xo[keep], yo[keep], f, f, mbin if mbin is None else f
+    return xo[keep], yo[keep], f, bbin[keep], mbin if mbin is None else mbin[keep]
 
 
-def _selection(chunks: list, op, k: int) -> list:
-    """The (xo, yo) offsets of each chunk's pairs whose op(fbin, bbin)
-    exceeds k: the pairs of one pairing's relation at eps_k. A chunk whose
-    pairs are all in gives its own arrays, uncopied."""
+def _selection(chunks: list, pairing: str, k: int) -> list:
+    """The (xo, yo) offsets of each chunk's pairs whose bin in ``pairing``
+    exceeds k: the pairs of its relation at eps_k. A chunk whose pairs are
+    all in gives its own arrays, uncopied."""
     selection = []
-    for xo, yo, fbin, bbin in chunks:
+    for chunk in chunks:
+        xo, yo = chunk[0], chunk[1]
         if len(xo):
-            keep = _symmetrized(op, fbin, bbin) > k
+            keep = _held(chunk, pairing) > k
             if not keep.all():
                 xo, yo = xo[keep], yo[keep]
         selection.append((xo, yo))
@@ -632,7 +659,7 @@ def _solve(rel: Relation, separated: bool, exact_threshold: int) -> CountResult:
 @dataclass(frozen=True)
 class CellCounts:
     """Solver results at one (n, eps) cell; quantities may be absent when a
-    variant was not requested."""
+    pairing was not requested."""
 
     n: int
     eps: float
@@ -640,6 +667,8 @@ class CellCounts:
     s1: Optional[CountResult] = None
     r2: Optional[CountResult] = None
     s2: Optional[CountResult] = None
+    r3: Optional[CountResult] = None
+    s3: Optional[CountResult] = None
 
     def get(self, quantity: str):
         if quantity not in QUANTITIES:
@@ -686,11 +715,12 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     table's cloud: exactly when it has at most ``exact_threshold`` points
     (0: always greedy), else greedily.
 
-    D_n grows over the ascending n schedule on the pairs live at the
-    largest eps, in the broader one_sided sense when that variant is asked
-    for; each (n, eps) builds one relation from them per group of variants
-    that share it, and each (n, eps, variant) cell is solved in schedule
-    order. Each distinct relation is built and solved once per call: a cell
+    ``variants`` is a nonempty subset of PAIRINGS. D_n, and M_n when
+    mean_metric is asked for, grow over the ascending n schedule on the
+    pairs live at the largest eps in some requested pairing; each (n, eps)
+    selects one relation from them per group of pairings that share it, and
+    each (n, eps, pairing) cell is solved in schedule order. Each distinct
+    relation is built and solved once per call, whatever its pairing: a cell
     whose selection of live pairs has the key of an earlier one
     (``_selection_key``) has that cell's relation, so it is not built and
     reuses that cell's results, witness, method, optimal flag and nodes
@@ -706,25 +736,25 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError("eps values must be > 0")
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if not variants or any(v not in VARIANTS for v in variants):
-        raise ValueError(f"variants must be a nonempty subset of {VARIANTS}, got {variants!r}")
+    if not variants or any(v not in PAIRINGS for v in variants):
+        raise ValueError(f"variants must be a nonempty subset of {PAIRINGS}, got {variants!r}")
     if n_list[-1] > orbits.n_max:
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
     cells = {}
     size = orbits.images.shape[0]
     bins = _EpsBins(eps_list)
-    live = "one_sided" if "one_sided" in variants else "two_sided"
-    # a symmetric rule's chunks alias bbin to fbin, so one group of
-    # variants holds them all
-    groups = [tuple(variants)] if is_symmetric(spec) else [(v,) for v in variants]
+    # a symmetric rule's pairings share one bin (see the module docstring),
+    # so one group of pairings holds them all
+    shared = is_symmetric(spec) and eps_list[0] < 2.0 ** 1023
+    groups = [tuple(variants)] if shared else [(v,) for v in variants]
     blocks = _blocks(size)
     solved = {}  # _selection_key -> (cover, separated) CountResults
-    for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
+    for n, chunks in _live_pairs(spec, orbits, n_list, bins, tuple(variants), shared):
         for k, eps in enumerate(eps_list):
             part = {}
             for users in groups:
-                selection = _selection(chunks, BIN_OP[users[0]], k)
+                selection = _selection(chunks, users[0], k)
                 key = _selection_key(selection)
                 if key not in solved:
                     rel = _relation(selection, blocks, size)

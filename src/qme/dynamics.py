@@ -44,10 +44,6 @@ _CLOUD_KINDS = {"grid1d", "circle_grid", "symbol_blocks", "custom", "indices"}
 
 _MAP_KINDS = {"identity", "doubling", "tent", "logistic", "shift_left", "affine"}
 
-# Built-in maps all admit a global modulus of continuity on their documented
-# domains; the flag is a catalog assertion, not a verified property.
-_UC_DEFAULT = {kind: True for kind in _MAP_KINDS}
-
 _MAX_BLOCK_POINTS = 1 << 20
 
 
@@ -61,7 +57,6 @@ class PointCloud:
 
     points: np.ndarray
     kind: str = "custom"
-    label: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -97,8 +92,7 @@ def grid1d(lo: float, hi: float, count: int) -> PointCloud:
     if not hi > lo:
         raise ValueError("need hi > lo")
     pts = _quantize(np.linspace(lo, hi, count))
-    return PointCloud(points=pts.reshape(-1, 1), kind="grid1d",
-                      label=f"grid1d[{lo},{hi}]x{count}")
+    return PointCloud(points=pts.reshape(-1, 1), kind="grid1d")
 
 
 def circle_grid(count: int) -> PointCloud:
@@ -106,8 +100,7 @@ def circle_grid(count: int) -> PointCloud:
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = _quantize(np.arange(count, dtype=float) / count)
-    return PointCloud(points=pts.reshape(-1, 1), kind="circle_grid",
-                      label=f"circle x{count}")
+    return PointCloud(points=pts.reshape(-1, 1), kind="circle_grid")
 
 
 def symbol_blocks(alphabet: int, length: int) -> PointCloud:
@@ -119,12 +112,11 @@ def symbol_blocks(alphabet: int, length: int) -> PointCloud:
     if total > _MAX_BLOCK_POINTS:
         raise ValueError(f"{total} blocks exceed the {_MAX_BLOCK_POINTS} cap")
     pts = np.array(list(itertools.product(range(alphabet), repeat=length)), dtype=float)
-    return PointCloud(points=pts, kind="symbol_blocks",
-                      label=f"blocks {alphabet}^{length}")
+    return PointCloud(points=pts, kind="symbol_blocks")
 
 
-def custom_cloud(points, label: str = "custom") -> PointCloud:
-    return PointCloud(points=np.asarray(points, dtype=float), kind="custom", label=label)
+def custom_cloud(points) -> PointCloud:
+    return PointCloud(points=np.asarray(points, dtype=float), kind="custom")
 
 
 def index_cloud(count: int) -> PointCloud:
@@ -132,12 +124,12 @@ def index_cloud(count: int) -> PointCloud:
     if count < 1:
         raise ValueError("count must be >= 1")
     pts = np.arange(count, dtype=float).reshape(-1, 1)
-    return PointCloud(points=pts, kind="indices", label=f"indices x{count}")
+    return PointCloud(points=pts, kind="indices")
 
 
 def cloud_from_csv(path) -> PointCloud:
     pts = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return PointCloud(points=pts, kind="custom", label=f"csv {path}")
+    return PointCloud(points=pts, kind="custom")
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,9 @@ class MapSpec:
     a: float = 1.0            # affine scale
     b: float = 0.0            # affine offset
     power: int = 1
-    declared_uniformly_continuous: Optional[bool] = None
+    # every built-in map is uniformly continuous on its documented domain:
+    # a catalog assertion, not a verified property
+    declared_uniformly_continuous: bool = True
 
     def __post_init__(self):
         if self.kind not in _MAP_KINDS:
@@ -161,9 +155,6 @@ class MapSpec:
             raise ValueError("logistic parameter r must lie in (0, 4]")
         if self.kind == "tent" and not (0.0 < self.slope <= 2.0):
             raise ValueError("tent slope must lie in (0, 2]")
-        if self.declared_uniformly_continuous is None:
-            object.__setattr__(self, "declared_uniformly_continuous",
-                               _UC_DEFAULT[self.kind])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Image coordinates of every point (vectorized, power-fold)."""

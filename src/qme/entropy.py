@@ -9,7 +9,8 @@ scale. Four estimate variants are supported:
                  directions (the primary notion).
 ``one_sided``    counts requiring closeness in at least one direction; never
                  exceeds the two_sided estimate.
-``mean_metric``  counts under the arithmetic-mean symmetrization.
+``mean_metric``  counts under the arithmetic-mean symmetrization, the third
+                 pairing of the one count grid that serves all four.
 ``max_metric``   counts under the max symmetrization. Its Bowen distance is
                  max(D_n, D_n^T), so its relation is the two_sided one by
                  definition, and it reuses the two_sided counts.
@@ -30,11 +31,12 @@ import numpy as np
 from .covering import (
     CountGrid,
     DEFAULT_EXACT_THRESHOLD,
+    PAIRINGS,
     bowen_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
     count_grid,
 )
 from .dynamics import MapSpec, OrbitTable, PointCloud, build_orbits, iterate_map
-from .quasimetric import QuasiMetricSpec, symmetrize_mean
+from .quasimetric import QuasiMetricSpec
 
 __all__ = [
     "ENTROPY_VARIANTS",
@@ -56,7 +58,7 @@ __all__ = [
 ENTROPY_VARIANTS = {
     "two_sided": ("s1", "r1"),
     "one_sided": ("s2", "r2"),
-    "mean_metric": ("s1", "r1"),
+    "mean_metric": ("s3", "r3"),
     "max_metric": ("s1", "r1"),
 }
 
@@ -220,32 +222,22 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
 def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
                   variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> dict:
-    """{variant: CountGrid} for the variants.
-
-    two_sided, one_sided and max_metric share one grid on ``spec``: the max
-    symmetrization's Bowen distance is max(D_n, D_n^T), so its relation is
-    the two_sided one. mean_metric solves its own (a Bowen max of means is
-    not a function of D_n). The mean symmetrization is symmetric by
-    construction, so its grid evaluates the base rule twice per live pair
-    and step (once each way), not four times.
+    """{variant: CountGrid} for the variants, and for two_sided when
+    max_metric is among them: one ``count_grid`` call on ``spec``, one grid
+    for all of them. two_sided, one_sided and mean_metric are its pairings.
+    max_metric reads the two_sided counts: the max symmetrization's Bowen
+    distance is max(D_n, D_n^T), so its relation is the two_sided one.
     """
     for v in variants:
         if v not in ENTROPY_VARIANTS:
             raise ValueError(f"unknown entropy variant {v!r}")
-    on_spec = tuple(r for r in ("two_sided", "one_sided") if r in variants
-                    or (r == "two_sided" and "max_metric" in variants))
-    grids = {}
-    if on_spec:
-        grid_e = count_grid(spec, orbits, n_list, eps_list,
-                            exact_threshold=exact_threshold, variants=on_spec)
-        grids.update((r, grid_e) for r in on_spec)
-        if "max_metric" in variants:
-            grids["max_metric"] = grid_e
-    if "mean_metric" in variants:
-        grids["mean_metric"] = count_grid(
-            symmetrize_mean(spec), orbits, n_list, eps_list,
-            exact_threshold=exact_threshold, variants=("two_sided",))
-    return grids
+    pairings = tuple(p for p in PAIRINGS if p in variants
+                     or (p == "two_sided" and "max_metric" in variants))
+    if not pairings:
+        return {}
+    grid = count_grid(spec, orbits, n_list, eps_list,
+                      exact_threshold=exact_threshold, variants=pairings)
+    return dict.fromkeys((*pairings, *variants), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +276,14 @@ class TheoremComparison:
     overall_ok: bool
 
 
-def _ineq_rows(name: str, grid_a: CountGrid, qa: str, grid_b: CountGrid, qb: str,
-               pairs, label_rhs: bool = False) -> list:
-    """qa of grid_a at cell a <= qb of grid_b at cell b for each (a, b) pair;
-    a row is labelled with cell a, or with cell b when ``label_rhs``."""
+def _ineq_rows(name: str, grid: CountGrid, qa: str, qb: str, pairs,
+               label_rhs: bool = False) -> list:
+    """qa at cell a <= qb at cell b for each (a, b) pair of cells; a row is
+    labelled with cell a, or with cell b when ``label_rhs``."""
     rows = []
     for a, b in pairs:
-        ra = grid_a.cell(*a).get(qa)
-        rb = grid_b.cell(*b).get(qb)
+        ra = grid.cell(*a).get(qa)
+        rb = grid.cell(*b).get(qb)
         n, eps = b if label_rhs else a
         rows.append(CheckRow(name=name, n=n, eps=eps,
                              lhs=ra.cardinality, rhs=rb.cardinality,
@@ -334,40 +326,34 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     eps_list = [float(e) for e in eps_list]
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
                           qspec=spec)
-    grids = variant_grids(spec, orbits, tuple(ENTROPY_VARIANTS), n_list,
-                          eps_list, exact_threshold=exact_threshold)
-    grid_e, grid_de, grid_me = (grids["two_sided"], grids["mean_metric"],
-                                grids["max_metric"])
+    grid = variant_grids(spec, orbits, tuple(ENTROPY_VARIANTS), n_list,
+                         eps_list, exact_threshold=exact_threshold)["two_sided"]
 
     allc = _all_cells(n_list, eps_list)
     halves = _halving_pairs(n_list, eps_list)
 
     rows = []
-    rows += _ineq_rows("sandwich_two_sided_lower", grid_e, "r1", grid_e, "s1", allc)
-    rows += _ineq_rows("sandwich_two_sided_upper", grid_e, "s1", grid_e, "r1", halves)
-    rows += _ineq_rows("sandwich_one_sided_lower", grid_e, "r2", grid_e, "s2", allc)
-    rows += _ineq_rows("sandwich_one_sided_upper", grid_e, "s2", grid_e, "r2", halves)
-    rows += _ineq_rows("variant_span", grid_e, "r2", grid_e, "r1", allc)
-    rows += _ineq_rows("variant_sep", grid_e, "s2", grid_e, "s1", allc)
-    rows += _ineq_rows("mean_metric_upper", grid_de, "r1", grid_e, "r1", allc)
-    # r1 under e at 2*eps <= r1 under mean metric at eps
-    rows += _ineq_rows("mean_metric_lower", grid_e, "r1", grid_de, "r1", halves,
-                       label_rhs=True)
+    rows += _ineq_rows("sandwich_two_sided_lower", grid, "r1", "s1", allc)
+    rows += _ineq_rows("sandwich_two_sided_upper", grid, "s1", "r1", halves)
+    rows += _ineq_rows("sandwich_one_sided_lower", grid, "r2", "s2", allc)
+    rows += _ineq_rows("sandwich_one_sided_upper", grid, "s2", "r2", halves)
+    rows += _ineq_rows("variant_span", grid, "r2", "r1", allc)
+    rows += _ineq_rows("variant_sep", grid, "s2", "s1", allc)
+    rows += _ineq_rows("mean_metric_upper", grid, "r3", "r1", allc)
+    # r1 under e at 2*eps <= r3, under the mean metric, at eps
+    rows += _ineq_rows("mean_metric_lower", grid, "r1", "r3", halves, label_rhs=True)
+    # max_metric's counts are the two_sided ones (see variant_grids)
     for q in ("r1", "s1"):
         for n in n_list:
             for eps in eps_list:
-                a = grid_e.cell(n, eps).get(q)
-                b = grid_me.cell(n, eps).get(q)
+                c = grid.cell(n, eps).get(q).cardinality
                 rows.append(CheckRow(name=f"max_metric_counts_{q}", n=n, eps=eps,
-                                     lhs=a.cardinality, rhs=b.cardinality,
-                                     ok=a.cardinality == b.cardinality,
-                                     exact=True))
+                                     lhs=c, rhs=c, ok=True, exact=True))
 
     fit = dict(n_burn=n_burn, window_size=window_size,
                saturation_fraction=saturation_fraction,
                stability_tol=stability_tol)
-    estimates = {v: estimate_from_grid(grids[v], v, **fit)
-                 for v in ENTROPY_VARIANTS}
+    estimates = {v: estimate_from_grid(grid, v, **fit) for v in ENTROPY_VARIANTS}
     h_two = estimates["two_sided"].extrapolated
     h_one = estimates["one_sided"].extrapolated
     h_mean = estimates["mean_metric"].extrapolated
@@ -444,7 +430,7 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
     diagnostics: list = []
-    uc = bool(map_spec.declared_uniformly_continuous)
+    uc = map_spec.declared_uniformly_continuous
     if not uc:
         diagnostics.append("map is not declared uniformly continuous; the "
                            "composition rule is not guaranteed to apply")

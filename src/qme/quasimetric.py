@@ -90,7 +90,6 @@ class QuasiMetricSpec:
     matrix: Optional[np.ndarray] = None
     base: Optional["QuasiMetricSpec"] = None
     factor: float = 1.0
-    description: str = ""
 
     def __post_init__(self):
         if self.kind not in _BASE_KINDS | _DERIVED_KINDS:
@@ -255,20 +254,17 @@ def _block_paired(a: np.ndarray, b: np.ndarray, asym: bool) -> np.ndarray:
 
 def symmetrize_mean(spec: QuasiMetricSpec) -> QuasiMetricSpec:
     """Arithmetic-mean symmetrization: d(x, y) = (e(x, y) + e(y, x)) / 2."""
-    return QuasiMetricSpec(kind="mean_of", base=spec,
-                           description=f"mean symmetrization of {spec.kind}")
+    return QuasiMetricSpec(kind="mean_of", base=spec)
 
 
 def symmetrize_max(spec: QuasiMetricSpec) -> QuasiMetricSpec:
     """Max symmetrization: d(x, y) = max(e(x, y), e(y, x))."""
-    return QuasiMetricSpec(kind="max_of", base=spec,
-                           description=f"max symmetrization of {spec.kind}")
+    return QuasiMetricSpec(kind="max_of", base=spec)
 
 
 def scaled(spec: QuasiMetricSpec, factor: float) -> QuasiMetricSpec:
     """Rescaled rule c * e for c > 0 (distances and radii scale together)."""
-    return QuasiMetricSpec(kind="scaled", base=spec, factor=factor,
-                           description=f"{factor} * {spec.kind}")
+    return QuasiMetricSpec(kind="scaled", base=spec, factor=factor)
 
 
 @dataclass
@@ -392,4 +388,4 @@ def load_matrix_csv(path) -> QuasiMetricSpec:
     m = np.asarray(rows, dtype=float)
     if m.shape != (n, n):
         raise ValueError(f"matrix body is {m.shape}, header says {n}x{n}")
-    return QuasiMetricSpec(kind="matrix", matrix=m, description=f"{n}x{n} matrix from {path}")
+    return QuasiMetricSpec(kind="matrix", matrix=m)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import qme.covering
+import qme.entropy
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
 from qme.cli import main, plain
 from qme.config import ConfigError, load_config
@@ -391,6 +393,9 @@ MALFORMED = [
     ("map_parameter_not_a_number", "kind: doubling", "kind: logistic\n  r: abc",
      "map.r must be a number"),
     ("variants_not_a_list", "output:", "variants: 5\noutput:", "variants must be a list"),
+    ("map_kind_unknown", "kind: doubling", "kind: sideways", "unknown map kind 'sideways'"),
+    ("map_kind_missing", "  kind: doubling", "  power: 1", "unknown map kind None"),
+    ("map_kind_unhashable", "kind: doubling", "kind: [doubling]", "bad map"),
 ]
 
 
@@ -425,3 +430,24 @@ def test_zero_and_positive_tolerances_parse(tmp_path, field):
         cfg = _write(tmp_path, DOUBLING_CONFIG + f"tolerances:\n  {field}: {value}\n",
                      out=tmp_path / "out")
         assert getattr(load_config(cfg), field) == value
+
+
+@pytest.mark.parametrize("rule", ["circle_arc", "weighted_asym"])
+@pytest.mark.parametrize("command", ["entropy", "compare"])
+def test_one_count_grid_and_one_live_pair_stream_per_command(tmp_path, monkeypatch,
+                                                             command, rule):
+    # all four variants (the default) come from one grid, and so from one
+    # Bowen stream, on a symmetric and an asymmetric rule
+    calls = {"count_grid": 0, "_live_pairs": 0}
+    for module, name in ((qme.entropy, "count_grid"), (qme.covering, "_live_pairs")):
+        def counted(*args, name=name, func=getattr(module, name), **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    text = DOUBLING_CONFIG.replace("kind: circle_arc", f"kind: {rule}")
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text, out=out)
+    assert main([command, "--config", cfg]) in (0, 1)
+    assert (out / f"{command}.json").exists()
+    assert calls == {"count_grid": 1, "_live_pairs": 1}
+    assert not hasattr(qme.entropy, "symmetrize_mean")

@@ -480,7 +480,9 @@ def doubling_grid():
 def test_count_grid_single_cell_matches_direct_solvers(doubling_grid):
     cloud, orbits, grid = doubling_grid
     cell = grid.cell(2, 0.25)
-    for variant, (r, s) in QUANTITY_PAIRS.items():
+    assert grid.variants == ("two_sided", "one_sided")
+    for variant in grid.variants:
+        r, s = QUANTITY_PAIRS[variant]
         cover = oracles.relation(ARC, orbits, 2, 0.25, variant)
         assert cell.get(r).cardinality == len(exact_cover(csr(cover))[0])
         assert cell.get(s).cardinality == len(exact_separated(csr(cover))[0])

@@ -35,8 +35,10 @@ from qme.cli import plain
 from qme.config import DEFAULT_TRIPLE_BUDGET
 from qme.covering import (
     BIN_OP,
+    PAIRINGS,
     _blocks,
     _EpsBins,
+    _held,
     _live_pairs,
     _relation,
     _selection,
@@ -55,7 +57,8 @@ SYMMETRIC_KINDS = ("circle_arc", "euclidean_2d", "block_prefix", "matrix_symmetr
 SCHEDULES = ([1, 2, 4], [3, 4], [1, 4, 7])
 EPS = [0.25, 1.0, 0.125, 0.5]  # unsorted: the largest is not last
 EPS_DESC = sorted(EPS, reverse=True)
-VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"))
+VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"),
+                ("mean_metric",), ("two_sided", "mean_metric"), PAIRINGS)
 
 
 @pytest.fixture(autouse=True)
@@ -129,28 +132,44 @@ def test_live_pair_relations_match_full_matrix(kind):
         bins = _EpsBins(EPS_DESC)
         for n_list in SCHEDULES:
             for variants in VARIANT_SETS:
-                live = variants[-1]
-                for n, chunks in _live_pairs(spec, orbits, n_list, bins, live):
+                mean = "mean_metric" in variants
+                stream = _live_pairs(spec, orbits, n_list, bins, variants, symmetric)
+                for n, chunks in stream:
                     dist = oracles.naive_bowen(spec, orbits, n)
-                    for (rows, cols), (xo, yo, fbin, bbin) in zip(_blocks(size), chunks):
+                    if mean:
+                        mean_dist = oracles.naive_bowen(symmetrize_mean(spec), orbits, n)
+                    for (rows, cols), chunk in zip(_blocks(size), chunks):
+                        xo, yo, fbin, bbin, mbin = chunk
                         assert xo.dtype == yo.dtype == np.uint8
                         assert np.all(xo < rows.stop - rows.start)
                         assert np.all(yo < cols.stop - cols.start)
                         x, y = rows.start + xo.astype(int), cols.start + yo.astype(int)
                         assert (bbin is fbin) == symmetric
+                        assert mbin is None if not mean else (mbin is fbin) == symmetric
                         assert np.all(x < y)
                         assert np.array_equal(np.lexsort((y, x)), np.arange(len(x)))
                         assert _same_bits(fbin, _bins_of(dist[x, y], bins, EPS_DESC))
                         assert _same_bits(bbin, _bins_of(dist[y, x], bins, EPS_DESC))
-                        assert np.all(BIN_OP[live](fbin, bbin) > 0)
+                        if mean:
+                            assert _same_bits(mbin, _bins_of(mean_dist[x, y], bins, EPS_DESC))
+                        # every pair is in some requested pairing's relation
+                        held = np.zeros(len(x), dtype=bool)
+                        for variant in variants:
+                            held |= _held(chunk, variant) > 0
+                        assert held.all()
+                    # the untiled relations, thresholded at each eps below: those
+                    # of oracles.relation, and for mean_metric the Bowen matrix
+                    # of the mean symmetrization
+                    sym = {v: mean_dist if v == "mean_metric"
+                           else oracles.naive_symmetrized(dist, v) for v in variants}
                     # the variant groups count_grid builds relations for
                     groups = [variants] if symmetric else [(v,) for v in variants]
                     for k in range(bins.top):
                         for users in groups:
-                            selection = _selection(chunks, BIN_OP[users[0]], k)
+                            selection = _selection(chunks, users[0], k)
                             rel = _relation(selection, _blocks(size), size)
                             for variant in users:
-                                ref = oracles.relation(spec, orbits, n, EPS_DESC[k], variant)
+                                ref = sym[variant] <= EPS_DESC[k]
                                 assert np.array_equal(rel.dense(), ref), (size, n, k)
                                 assert rel.indices.dtype == np.min_scalar_type(size - 1)
                                 rows = np.split(rel.indices.astype(int), rel.indptr[1:-1])
@@ -218,11 +237,11 @@ def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
     # the one_sided live set, built as one_sided and as two_sided relations,
     # which drops the pairs close in one direction only
     bins = _EpsBins(eps_desc)
-    [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, "one_sided")
-    for op in (BIN_OP["one_sided"], BIN_OP["two_sided"]):
+    [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, ("one_sided",), is_symmetric(spec))
+    for pairing in ("one_sided", "two_sided"):
         for k in range(bins.top):
-            rel = _relation(_selection(chunks, op, k), _blocks(size), size)
-            ref_indptr, ref_indices = _lexsort_csr(chunks, size, op, k)
+            rel = _relation(_selection(chunks, pairing, k), _blocks(size), size)
+            ref_indptr, ref_indices = _lexsort_csr(chunks, size, BIN_OP[pairing], k)
             assert _same_bits(rel.indptr, ref_indptr)
             assert rel.indices.dtype == np.min_scalar_type(size - 1)
             assert np.array_equal(rel.indices, ref_indices)
@@ -259,8 +278,9 @@ def test_count_grid_many_eps_matches_oracle_relations():
 @pytest.mark.parametrize("kind,n_eps", [("weighted_asym", 4), ("weighted_asym", 300),
                                         ("circle_arc", 4), ("circle_arc", 300)])
 def test_chunk_and_relation_item_sizes(kind, n_eps):
-    # a live pair is two uint8 block offsets and two bins (one when bbin is
-    # fbin): 4 and 3 bytes with one-byte bins, 6 and 4 with two-byte ones; a
+    # a live pair is two uint8 block offsets and two bins, three with the
+    # mean's (one when they are all fbin): 4 and 3 bytes with one-byte bins,
+    # 6 and 4 with two-byte ones, and 5 and 3, 8 and 4 with the mean's; a
     # relation entry on 20 points is one uint8 column
     rng = np.random.default_rng(2)
     spec, cloud = _case(kind, 20, rng)
@@ -269,17 +289,21 @@ def test_chunk_and_relation_item_sizes(kind, n_eps):
     width = 1 if n_eps <= 255 else 2
     assert bins.dtype == np.dtype(f"uint{8 * width}")
     symmetric = is_symmetric(spec)
-    for _, chunks in _live_pairs(spec, orbits, [1, 2], bins, "one_sided"):
-        assert sum(len(c[0]) for c in chunks) > 0
-        for xo, yo, fbin, bbin in chunks:
-            assert xo.dtype == yo.dtype == np.uint8
-            assert fbin.dtype == bbin.dtype == bins.dtype
-            arrays = {id(a): a for a in (xo, yo, fbin, bbin)}.values()
-            assert sum(a.itemsize for a in arrays) == 2 + (1 if symmetric else 2) * width
-        rel = _relation(_selection(chunks, BIN_OP["one_sided"], 0), _blocks(len(cloud)),
-                        len(cloud))
-        assert rel.indptr.dtype == np.int64 and rel.indices.dtype == np.uint8
-        assert len(rel.indices) > len(cloud)
+    for pairings in (("one_sided",), PAIRINGS):
+        per_pair = 1 if symmetric else 2 + ("mean_metric" in pairings)
+        for _, chunks in _live_pairs(spec, orbits, [1, 2], bins, pairings, symmetric):
+            assert sum(len(c[0]) for c in chunks) > 0
+            for xo, yo, fbin, bbin, mbin in chunks:
+                assert xo.dtype == yo.dtype == np.uint8
+                assert fbin.dtype == bbin.dtype == bins.dtype
+                assert (mbin is None) == ("mean_metric" not in pairings)
+                arrays = {id(a): a for a in (xo, yo, fbin, bbin, mbin)
+                          if a is not None}.values()
+                assert sum(a.itemsize for a in arrays) == 2 + per_pair * width
+            rel = _relation(_selection(chunks, "one_sided", 0), _blocks(len(cloud)),
+                            len(cloud))
+            assert rel.indptr.dtype == np.int64 and rel.indices.dtype == np.uint8
+            assert len(rel.indices) > len(cloud)
 
 
 @pytest.mark.parametrize("size,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
@@ -297,9 +321,9 @@ def test_relation_index_width(monkeypatch, size, dtype):
                             if rows.start <= x < rows.stop and cols.start <= y < cols.stop],
                            dtype=np.uint8).reshape(-1, 2)
         bins = np.ones(len(offsets), dtype=np.uint8)
-        chunks.append((offsets[:, 0], offsets[:, 1], bins, bins))
+        chunks.append((offsets[:, 0], offsets[:, 1], bins, bins, None))
     assert sum(len(c[0]) for c in chunks) == len(pairs)
-    rel = _relation(_selection(chunks, BIN_OP["two_sided"], 0), blocks, size)
+    rel = _relation(_selection(chunks, "two_sided", 0), blocks, size)
     assert rel.indices.dtype == dtype and rel.indptr.dtype == np.int64
     if size <= 257:
         dense = np.eye(size, dtype=bool)
@@ -308,7 +332,7 @@ def test_relation_index_width(monkeypatch, size, dtype):
         assert np.array_equal(rel.dense(), dense)
     assert rel.indices[rel.indptr[size - 1]:].tolist() == ([size - 2, size - 1] if pairs else [0])
     assert len(rel.indices) == size + 2 * len(pairs)
-    diagonal = _relation(_selection(chunks, BIN_OP["two_sided"], 1), blocks, size)
+    diagonal = _relation(_selection(chunks, "two_sided", 1), blocks, size)
     assert np.array_equal(diagonal.indices, np.arange(size))
 
 
@@ -612,3 +636,77 @@ def test_relations_identical_matches_full_covers(kind):
                     cell, cell_me = grid.cell(n, eps), grid_me.cell(n, eps)
                     assert (cell.r1, cell.s1) == (cell_me.r1, cell_me.s1), \
                         (size, n_list, n, eps)
+
+
+@st.composite
+def mean_cases(draw):
+    """(seed, size, shuffled, n_list, eps_desc, exact_threshold): a cloud of
+    ``_case`` for the seed, in lexicographic order or shuffled, a schedule of
+    SCHEDULES and a halving eps list, solved greedily or exactly."""
+    eps = draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]),
+                        min_size=1, max_size=4, unique=True))
+    return (draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 20)),
+            draw(st.booleans()), draw(st.sampled_from(SCHEDULES)),
+            sorted(eps, reverse=True), draw(st.sampled_from([0, 20])))
+
+
+@pytest.mark.parametrize("kind", KINDS + SYMMETRIC_KINDS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mean_cases())
+def test_mean_pairing_matches_the_mean_symmetrization_grid(kind, case):
+    # the mean_metric pairing, requested alone and beside the other two,
+    # gives cell by cell the results (cardinality, witness, method, optimal
+    # and nodes) of the mean symmetrization's own grid; beside them it
+    # changes neither two_sided nor one_sided cell
+    seed, size, shuffled, n_list, eps_desc, threshold = case
+    rng = np.random.default_rng(seed)
+    spec, cloud = _case(kind, size, rng)
+    order = (rng.permutation(size) if shuffled
+             else np.lexsort(cloud.points.T[::-1]))
+    cloud = custom_cloud(cloud.points[order])
+    orbits = _permutation_orbits(cloud, rng)
+    args = (orbits, n_list, eps_desc)
+    ref = count_grid(symmetrize_mean(spec), *args, exact_threshold=threshold,
+                     variants=("two_sided",))
+    alone = count_grid(spec, *args, exact_threshold=threshold, variants=("mean_metric",))
+    beside = count_grid(spec, *args, exact_threshold=threshold, variants=PAIRINGS)
+    pairs = count_grid(spec, *args, exact_threshold=threshold)
+    for key, cell in ref.cells.items():
+        assert (alone.cells[key].r3, alone.cells[key].s3) == (cell.r1, cell.s1), key
+        assert alone.cells[key].r1 is alone.cells[key].r2 is None
+        assert (beside.cells[key].r3, beside.cells[key].s3) == (cell.r1, cell.s1), key
+        other = pairs.cells[key]
+        assert beside.cells[key] == dataclasses.replace(other, r3=cell.r1, s3=cell.s1)
+
+
+BELOW_2_1023 = float(np.nextafter(2.0 ** 1023, 0.0))
+
+
+@pytest.mark.parametrize("far,top,shared", [(BELOW_2_1023, BELOW_2_1023, True),
+                                            (2.0 ** 1023, 2.0 ** 1023, False),
+                                            (1.7e308, 1.75e308, False)])
+def test_mean_pairing_past_2_to_the_1023(monkeypatch, far, top, shared):
+    # (v + v) / 2.0 overflows from v = 2^1023 on, so a symmetric rule's
+    # pairings share one bin only while the largest eps is below 2^1023;
+    # above it the mean of the pair (0, far) is inf, outside every eps,
+    # while its two_sided distance is within the largest
+    stream = []
+
+    def spied(*args):
+        stream.append(args[-1])
+        return _live_pairs(*args)
+
+    monkeypatch.setattr(qme.covering, "_live_pairs", spied)
+    spec = QuasiMetricSpec(kind="euclidean")
+    orbits = OrbitTable(images=custom_cloud([0.0, far]).points[:, None, :],
+                        snap_mode="exact")
+    eps = [top, top / 2.0]
+    grid = count_grid(spec, orbits, [1], eps, variants=PAIRINGS)
+    assert stream == [shared]
+    ref = count_grid(symmetrize_mean(spec), orbits, [1], eps, variants=("two_sided",))
+    for key, cell in grid.cells.items():
+        assert (cell.r3, cell.s3) == (ref.cells[key].r1, ref.cells[key].s1)
+    top = grid.cell(1, eps[0])
+    assert top.r1.cardinality == top.r2.cardinality == 1
+    assert top.r3.cardinality == (1 if shared else 2)
