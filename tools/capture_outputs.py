@@ -37,6 +37,12 @@ Runs:
   the mean_metric pairing, whose pairs stay live while their mean is within
   the largest eps, and ``relations_identical`` on the same cloud; it exits 1
   there, on its estimate checks;
+- ``lone_pairings``: ``entropy`` on the 600-point grid of ``pruning``
+  (tent map, hinge rule, three row tiles) with ``variants``
+  ``[mean_metric]``, ``[two_sided]`` and ``[two_sided, mean_metric]``, in
+  ``lone_pairings/<variants joined by _>/``. No pairing set without
+  one_sided runs in another case, and each of these keeps its own set of
+  eps bins per live pair;
 - ``symmetric``: ``counts``, ``entropy`` (all four variants) and ``compare``
   on a 600-point circle grid (three row tiles) under the doubling map and
   ``circle_arc``, over the gapped n schedule 1, 4, 7. The rule is symmetric,
@@ -143,6 +149,10 @@ variants: [two_sided, one_sided, mean_metric, max_metric]
 fit: {n_burn: 1}
 output: {format: both}
 """
+
+
+# the pairing sets without one_sided, each run as the variants of ``pruning``
+LONE_PAIRINGS = (["mean_metric"], ["two_sided"], ["two_sided", "mean_metric"])
 
 
 LATE_START_CONFIG = PRUNING_CONFIG.replace("n_list: [1, 4, 7]", "n_list: [4, 6, 8]")
@@ -290,6 +300,10 @@ def capture(out_root: str) -> None:
         capture_snap_ties(os.path.join(out_root, "snap_ties"), scratch)
         capture_config(PRUNING_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "pruning"), scratch)
+        for variants in LONE_PAIRINGS:
+            config = PRUNING_CONFIG.replace("[two_sided, one_sided]", f"[{', '.join(variants)}]")
+            capture_config(config, ("entropy",),
+                           os.path.join(out_root, "lone_pairings", "_".join(variants)), scratch)
         capture_config(SYMMETRIC_CONFIG, ("counts", "entropy", "compare"),
                        os.path.join(out_root, "symmetric"), scratch)
         capture_config(LATE_START_CONFIG, ("counts", "compare"),
