@@ -99,6 +99,8 @@ def _prepare(args) -> RunConfig:
             raise ConfigError("--exact-threshold must be >= 0")
         cfg.exact_threshold = args.exact_threshold
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.seed = args.seed
     if getattr(args, "format", None) is not None:
         cfg.out_format = args.format
@@ -160,12 +162,12 @@ def cmd_entropy(args) -> int:
     _require_fit_window(cfg)
     orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
-    grids = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
-                          cfg.eps_list, exact_threshold=cfg.exact_threshold)
+    grid = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
+                         cfg.eps_list, exact_threshold=cfg.exact_threshold)
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:
-        est = estimate_from_grid(grids[variant], variant, n_burn=cfg.n_burn,
+        est = estimate_from_grid(grid, variant, n_burn=cfg.n_burn,
                                  window_size=cfg.window_size,
                                  saturation_fraction=cfg.saturation_fraction,
                                  stability_tol=cfg.stability_tol)

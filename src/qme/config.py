@@ -278,6 +278,8 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         variants = [variants]
     if not isinstance(variants, (list, tuple)):
         raise ConfigError(f"variants must be a list, got {variants!r}")
+    if not variants:
+        raise ConfigError("variants must be nonempty")
     for v in variants:
         if v not in ENTROPY_VARIANTS:
             raise ConfigError(f"unknown entropy variant {v!r}")
@@ -320,12 +322,12 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
-    if cfg.exact_threshold < 0:
-        raise ConfigError("solver.exact_threshold must be >= 0")
-    if cfg.triple_budget < 1:
-        raise ConfigError("validate.triple_budget must be >= 1")
-    if cfg.power_m < 1:
-        raise ConfigError("power.m must be >= 1")
+    for name, value, least in (("solver.exact_threshold", cfg.exact_threshold, 0),
+                               ("validate.triple_budget", cfg.triple_budget, 1),
+                               ("power.m", cfg.power_m, 1), ("seeds.base", cfg.seed, 0),
+                               ("fit.window_size", cfg.window_size, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}")
     if mode != "auto":  # legacy spelling of the threshold
         cfg.exact_threshold = 0 if mode == "greedy" else len(cloud)
     return cfg

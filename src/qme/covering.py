@@ -10,24 +10,33 @@ over the n schedule. Each (n, pairing) gives one symmetric relation per eps:
 ``mean_metric``  y covers x when M_n[x, y] <= eps, M_n being the Bowen distance
                  of the mean symmetrization (``quasimetric.symmetrize_mean``)
 
-M_n is not a function of D_n, but each step's f = e(x, y) and b = e(y, x)
-give its step value (f + b) / 2.0, bit for bit the ``mean_of`` one. D_n and
-M_n only grow with n, so a pair above the largest eps in every requested
-pairing is never a cover edge again. Relations read only the tests
-v <= eps, so each live pair keeps the eps bin bin(v) = #{k : v <= eps_k} of
-each direction, and of the mean when requested, in one byte (two past 255
-eps): the relation at eps_k is bin > k, the bin of a max is the min of the
-bins, and every comparison is the float one, made once. Live pairs are kept
-in chunks, one per ROW_TILE x ROW_TILE block of the upper triangle, as
-one-byte offsets inside their block (ROW_TILE <= 256). Every orbit step
-evaluates e on a chunk's pairs, in slices of at most PAIR_BLOCK, lowers
-their bins and drops the pairs that left every requested relation; the
-blocks are advanced one at a time, and each starts as all its pairs. Both
-directions are evaluated, except that a rule symmetric by construction
-(``quasimetric.is_symmetric``) whose largest eps is below 2^1023 evaluates
-each pair once and keeps one bin for all pairings: D_n = D_n^T bit for bit,
-and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every eps. Each (n,
-eps) selects each pairing's relation from the chunks, as block offsets.
+D_n and M_n only grow with n, so a pair above the largest eps in every
+requested pairing is never a cover edge again. Relations read only the tests
+v <= eps, so a live pair keeps eps bins bin(v) = #{k : v <= eps_k}, in one
+byte (two past 255 eps): the relation at eps_k is bin > k, the bin of a max
+is the min of the bins, and every comparison is the float one, made once.
+Live pairs are kept in chunks, one per ROW_TILE x ROW_TILE block of the upper
+triangle: two one-byte offsets inside the block (ROW_TILE <= 256), then one
+bin per channel, the channels being picked once per grid from its pairings:
+
+    pairings                       channels      bytes per live pair
+    any, on a shared rule          f             3
+    two_sided                      max           3
+    mean_metric                    mean          3
+    one_sided (and two_sided)      f, b          4
+    two_sided, mean_metric         max, mean     4
+    one_sided, mean_metric (...)   f, b, mean    5
+
+Every orbit step evaluates f = e(x, y), and b = e(y, x) unless f is the only
+channel, on a chunk's pairs in slices of at most PAIR_BLOCK; lowers each
+channel's bins by those of its step value, f, b, max(f, b) or (f + b) / 2.0
+(bit for bit the ``mean_of`` value); and drops the pairs whose bins are all
+0. two_sided reads max, or min(bin f, bin b), and one_sided max(bin f, bin
+b). The blocks are advanced one at a time, each starting as all its pairs.
+A shared rule is symmetric by construction (``quasimetric.is_symmetric``),
+with a largest eps below 2^1023: D_n = D_n^T bit for bit, and (v + v) / 2.0
+= v unless v >= 2^1023, which exceeds every eps. Each (n, eps) selects each
+pairing's relation from the chunks, as block offsets.
 
 Each distinct relation is built and solved once per grid. Block position and
 offsets fix a selection's pairs, and so its relation, so a selection is keyed
@@ -92,6 +101,9 @@ PAIRINGS = VARIANTS + ("mean_metric",)
 # pairing -> how it combines the eps bins of D_n and D_n^T: bins fall as
 # values rise, so max(D_n, D_n^T) takes the min bin and min(...) the max
 BIN_OP = {"two_sided": np.minimum, "one_sided": np.maximum}
+# live-pair channel -> its step value from f = e(x, y) and b = e(y, x)
+STEP = {"f": lambda f, b: f, "b": lambda f, b: b, "max": np.maximum,
+        "mean": lambda f, b: (f + b) / 2.0}
 
 DEFAULT_EXACT_THRESHOLD = 64
 
@@ -155,24 +167,17 @@ def _blocks(size: int) -> list:
 
 
 def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
-                bins: _EpsBins, pairings: tuple, shared: bool) -> Iterator[tuple]:
+                bins: _EpsBins, channels: tuple) -> Iterator[tuple]:
     """Yield (n, chunks) over an ascending n schedule, which the caller has
-    validated. chunks holds the live pairs x < y, those in some requested
-    pairing's relation at the largest eps, one chunk per block of ``_blocks``
-    in its order. A chunk is (xo, yo, fbin, bbin, mbin): uint8 offsets of x
-    and y in their block's rows and columns, sorted by (xo, yo), the eps bins
-    of D_n[x, y] and D_n[y, x], and those of M_n[x, y] if mean_metric is
-    requested, else None. When ``shared`` (see the module docstring), bbin
-    and mbin are fbin itself. The list is updated in place for the next n:
-    copy it to keep it past the next step.
+    validated. chunks holds the live pairs x < y, one chunk per block of
+    ``_blocks`` in its order. A chunk is (xo, yo, *bins): uint8 offsets of x
+    and y in their block's rows and columns, sorted by (xo, yo), then the
+    eps bins of each of ``channels`` (see ``STEP``). The list is updated in
+    place for the next n: copy it to keep it past the next step.
 
     Each n advances the blocks one at a time through the orbit steps since
     the previous n. A block starts as all its pairs, so at most one block
     holds all its pairs at a time."""
-    # the pairings whose union is the live set: one_sided holds every two_sided pair
-    live = tuple(p for p in pairings if p != "two_sided" or "one_sided" not in pairings)
-    live = live[:1] if shared else live
-    mean = "mean_metric" in pairings
     size = orbits.images.shape[0]
     blocks = _blocks(size)
     side = blocks[0][0].stop  # the widest block, the first
@@ -182,17 +187,17 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     done = 0
     for n in n_list:
         for k, block in enumerate(blocks):
-            chunk = chunks[k] or _all_pairs(block, bins, shared, mean)
+            chunk = chunks[k] or _all_pairs(block, bins, len(channels))
             for i in range(done, n):
-                chunk = _advance(spec, orbits.iterate_points(i), chunk, block, bins, live)
+                chunk = _advance(spec, orbits.iterate_points(i), chunk, block, bins, channels)
             chunks[k] = chunk
         done = n
         yield n, chunks
 
 
-def _all_pairs(block: tuple, bins: _EpsBins, shared: bool, mean: bool) -> tuple:
-    """The chunk of every pair x < y of a block, each at ``bins.top``, the bin
-    of D_0 = 0, with an mbin when ``mean``; a shared chunk's are all fbin."""
+def _all_pairs(block: tuple, bins: _EpsBins, count: int) -> tuple:
+    """The chunk of every pair x < y of a block, with ``count`` bin arrays,
+    each pair at ``bins.top``, the bin of D_0 = 0."""
     rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
     xo = np.repeat(np.arange(height, dtype=np.uint8), width)
@@ -200,62 +205,54 @@ def _all_pairs(block: tuple, bins: _EpsBins, shared: bool, mean: bool) -> tuple:
     if cols.start == rows.start:  # the diagonal block: pairs x < y only
         upper = xo < yo
         xo, yo = xo[upper], yo[upper]
-    fbin = np.full(len(xo), bins.top, dtype=bins.dtype)
-    if shared:
-        return xo, yo, fbin, fbin, fbin if mean else None
-    return xo, yo, fbin, fbin.copy(), fbin.copy() if mean else None
+    return xo, yo, *(np.full(len(xo), bins.top, dtype=bins.dtype) for _ in range(count))
 
 
-def _held(chunk: tuple, pairing: str) -> np.ndarray:
-    """A chunk's eps bins in one pairing: mbin for mean_metric, else
-    BIN_OP[pairing](fbin, bbin), which is fbin when bbin is fbin."""
-    _, _, fbin, bbin, mbin = chunk
-    if pairing == "mean_metric":
-        return mbin
-    return fbin if bbin is fbin else BIN_OP[pairing](fbin, bbin)
+def _read(channels: tuple, pairing: str):
+    """Where a pairing's bins are in a chunk of these channels: the index of
+    its value's channel, else the BIN_OP of f and b, else f, a shared rule's."""
+    value = {"two_sided": "max", "mean_metric": "mean"}.get(pairing)
+    if value in channels:
+        return channels.index(value)
+    return BIN_OP[pairing] if "b" in channels else 0
 
 
 def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
-             bins: _EpsBins, live: tuple) -> tuple:
-    """One more orbit step on a chunk's pairs, keeping those still in some
-    relation of ``live``; a chunk whose bbin is its fbin (a shared chunk) is
-    evaluated one way and stays aliased. bin(max(a, b)) = min(bin(a),
-    bin(b)), so lowering the bins by the step's is the running max of D_n,
-    and of M_n through the step's (f + b) / 2.0. e is evaluated on slices of
-    at most PAIR_BLOCK pairs, whose 64 KB float temporaries reuse heap pages."""
-    xo, yo, fbin, bbin, mbin = chunk
+             bins: _EpsBins, channels: tuple) -> tuple:
+    """One more orbit step on a chunk's pairs, keeping those with some bin
+    above 0. bin(max(a, b)) = min(bin(a), bin(b)), so lowering each
+    channel's bins by its step value's keeps the running max. e is evaluated
+    on slices of at most PAIR_BLOCK pairs, whose 64 KB float temporaries
+    reuse heap pages."""
+    xo, yo, *lows = chunk
     rows, cols = block
     prow, pcol = pts[rows], pts[cols]
+    backward = channels != ("f",)
     for start in range(0, len(xo), PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
         px, py = np.take(prow, xo[part], axis=0), np.take(pcol, yo[part], axis=0)
         f = paired(spec, px, py)
-        np.minimum(fbin[part], bins.of(f), out=fbin[part])
-        if bbin is not fbin:
-            b = paired(spec, py, px)
-            np.minimum(bbin[part], bins.of(b), out=bbin[part])
-            if mbin is not None:
-                np.minimum(mbin[part], bins.of((f + b) / 2.0), out=mbin[part])
-    keep = _held(chunk, live[0]) > 0
-    for pairing in live[1:]:
-        keep |= _held(chunk, pairing) > 0
+        b = paired(spec, py, px) if backward else None
+        for channel, low in zip(channels, lows):
+            np.minimum(low[part], bins.of(STEP[channel](f, b)), out=low[part])
+    keep = lows[0] > 0
+    for low in lows[1:]:
+        keep |= low > 0
     if keep.all():
         return chunk
-    f = fbin[keep]
-    if bbin is fbin:
-        return xo[keep], yo[keep], f, f, mbin if mbin is None else f
-    return xo[keep], yo[keep], f, bbin[keep], mbin if mbin is None else mbin[keep]
+    return tuple(a[keep] for a in chunk)
 
 
-def _selection(chunks: list, pairing: str, k: int) -> list:
-    """The (xo, yo) offsets of each chunk's pairs whose bin in ``pairing``
-    exceeds k: the pairs of its relation at eps_k. A chunk whose pairs are
-    all in gives its own arrays, uncopied."""
+def _selection(chunks: list, read, k: int) -> list:
+    """The (xo, yo) offsets of each chunk's pairs whose bin in a pairing,
+    read as ``_read`` gives, exceeds k: the pairs of its relation at eps_k.
+    A chunk whose pairs are all in gives its own arrays, uncopied."""
     selection = []
     for chunk in chunks:
         xo, yo = chunk[0], chunk[1]
         if len(xo):
-            keep = _held(chunk, pairing) > k
+            held = read(chunk[2], chunk[3]) if callable(read) else chunk[2 + read]
+            keep = held > k
             if not keep.all():
                 xo, yo = xo[keep], yo[keep]
         selection.append((xo, yo))
@@ -744,17 +741,23 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     cells = {}
     size = orbits.images.shape[0]
     bins = _EpsBins(eps_list)
-    # a symmetric rule's pairings share one bin (see the module docstring),
-    # so one group of pairings holds them all
-    shared = is_symmetric(spec) and eps_list[0] < 2.0 ** 1023
-    groups = [tuple(variants)] if shared else [(v,) for v in variants]
+    # the live-pair channels (see the module docstring)
+    if is_symmetric(spec) and eps_list[0] < 2.0 ** 1023:
+        channels = ("f",)
+    else:
+        channels = (("f", "b") if "one_sided" in variants
+                    else ("max",) if "two_sided" in variants else ())
+        channels += ("mean",) if "mean_metric" in variants else ()
+    groups = {}  # pairings that read the same bins share one selection
+    for variant in variants:
+        groups.setdefault(_read(channels, variant), []).append(variant)
     blocks = _blocks(size)
     solved = {}  # _selection_key -> (cover, separated) CountResults
-    for n, chunks in _live_pairs(spec, orbits, n_list, bins, tuple(variants), shared):
+    for n, chunks in _live_pairs(spec, orbits, n_list, bins, channels):
         for k, eps in enumerate(eps_list):
             part = {}
-            for users in groups:
-                selection = _selection(chunks, users[0], k)
+            for read, users in groups.items():
+                selection = _selection(chunks, read, k)
                 key = _selection_key(selection)
                 if key not in solved:
                     rel = _relation(selection, blocks, size)

@@ -221,10 +221,10 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
 
 def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
                   variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> dict:
-    """{variant: CountGrid} for the variants, and for two_sided when
-    max_metric is among them: one ``count_grid`` call on ``spec``, one grid
-    for all of them. two_sided, one_sided and mean_metric are its pairings.
+                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountGrid:
+    """The one CountGrid of a nonempty set of variants: one ``count_grid``
+    call on ``spec``, whose pairings are the variants among two_sided,
+    one_sided and mean_metric, and two_sided when max_metric is among them.
     max_metric reads the two_sided counts: the max symmetrization's Bowen
     distance is max(D_n, D_n^T), so its relation is the two_sided one.
     """
@@ -233,11 +233,8 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
             raise ValueError(f"unknown entropy variant {v!r}")
     pairings = tuple(p for p in PAIRINGS if p in variants
                      or (p == "two_sided" and "max_metric" in variants))
-    if not pairings:
-        return {}
-    grid = count_grid(spec, orbits, n_list, eps_list,
+    return count_grid(spec, orbits, n_list, eps_list,
                       exact_threshold=exact_threshold, variants=pairings)
-    return dict.fromkeys((*pairings, *variants), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +289,6 @@ def _ineq_rows(name: str, grid: CountGrid, qa: str, qb: str, pairs,
     return rows
 
 
-def _all_cells(n_list, eps_list):
-    return [((n, e), (n, e)) for n in n_list for e in eps_list]
-
-
 def _halving_pairs(n_list, eps_list):
     """Cells paired with the next-smaller scale when it is exactly half."""
     out = []
@@ -327,9 +320,9 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
                           qspec=spec)
     grid = variant_grids(spec, orbits, tuple(ENTROPY_VARIANTS), n_list,
-                         eps_list, exact_threshold=exact_threshold)["two_sided"]
+                         eps_list, exact_threshold=exact_threshold)
 
-    allc = _all_cells(n_list, eps_list)
+    allc = [((n, e), (n, e)) for n in n_list for e in eps_list]
     halves = _halving_pairs(n_list, eps_list)
 
     rows = []

@@ -421,9 +421,9 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     """
     orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                           snap_mode=snap_mode, qspec=spec)
-    grids = variant_grids(spec, orbits, (variant,), n_list, eps_list,
-                          exact_threshold=exact_threshold)
-    return estimate_from_grid(grids[variant], variant, n_burn=n_burn,
+    grid = variant_grids(spec, orbits, (variant,), n_list, eps_list,
+                         exact_threshold=exact_threshold)
+    return estimate_from_grid(grid, variant, n_burn=n_burn,
                               window_size=window_size,
                               saturation_fraction=saturation_fraction,
                               stability_tol=stability_tol)

@@ -257,7 +257,12 @@ def test_exact_threshold_flag_overrides_solver_mode(tmp_path):
     ("power", "power:\n  m: 0\n", []),
     ("power", "", ["-m", "0"]),
     ("validate", "validate:\n  triple_budget: 0\n", []),
-], ids=["config", "flag", "power_m_config", "power_m_flag", "triple_budget_config"])
+    ("validate", "validate:\n  triple_budget: 100\nseeds:\n  base: -1\n", []),
+    ("validate", "validate:\n  triple_budget: 100\n", ["--seed", "-1"]),
+    ("entropy", "fit:\n  window_size: -2\n", []),
+    ("entropy", "variants: []\n", []),
+], ids=["config", "flag", "power_m_config", "power_m_flag", "triple_budget_config",
+        "seed_config", "seed_flag", "window_size_config", "empty_variants"])
 def test_negative_exact_threshold_is_config_error(tmp_path, command, section, flag):
     cfg = _write(tmp_path, DOUBLING_CONFIG + section, out=tmp_path / "out")
     assert main([command, "--config", cfg, *flag]) == 3

@@ -102,9 +102,9 @@ def test_max_metric_identity_checked_on_the_grid_schedule():
     # max_metric reuses the two_sided grid itself, with the schedule
     # count_grid normalized from float orbit lengths
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
-    grids = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
-    assert grids["max_metric"] is grids["two_sided"]
-    assert grids["max_metric"].n_list == [1, 3]
+    grid = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
+    assert grid.variants == ("two_sided",)
+    assert grid.n_list == [1, 3]
 
 
 def test_ascending_eps_rejected_by_estimate_and_compare():

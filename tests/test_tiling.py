@@ -38,8 +38,8 @@ from qme.covering import (
     PAIRINGS,
     _blocks,
     _EpsBins,
-    _held,
     _live_pairs,
+    _read,
     _relation,
     _selection,
 )
@@ -59,6 +59,9 @@ EPS = [0.25, 1.0, 0.125, 0.5]  # unsorted: the largest is not last
 EPS_DESC = sorted(EPS, reverse=True)
 VARIANT_SETS = (("two_sided",), ("one_sided",), ("two_sided", "one_sided"),
                 ("mean_metric",), ("two_sided", "mean_metric"), PAIRINGS)
+# bytes per live pair of an asymmetric rule with one-byte bins: two uint8
+# block offsets and one bin per channel (a symmetric rule's: 3)
+PAIR_BYTES = dict(zip(VARIANT_SETS, (3, 4, 4, 3, 4, 5)))
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +112,16 @@ def _case(kind: str, size: int, rng: np.random.Generator) -> tuple:
     return QuasiMetricSpec(kind=kind), custom_cloud(pts)
 
 
+def _channels(variants: tuple, symmetric: bool) -> tuple:
+    """The live-pair channels of count_grid for the variants, on a rule
+    whose largest eps is below 2^1023: f alone for a symmetric rule, else f
+    and b with one_sided, max(f, b) with two_sided alone, and mean beside."""
+    if symmetric:
+        return ("f",)
+    return ((("f", "b") if "one_sided" in variants else ("max",) if "two_sided" in variants
+             else ()) + (("mean",) if "mean_metric" in variants else ()))
+
+
 def _permutation_orbits(cloud, rng: np.random.Generator, n_max: int = 7) -> OrbitTable:
     """Orbit table of a random permutation of the cloud, which is a map of it."""
     perm = rng.permutation(len(cloud))
@@ -132,41 +145,44 @@ def test_live_pair_relations_match_full_matrix(kind):
         bins = _EpsBins(EPS_DESC)
         for n_list in SCHEDULES:
             for variants in VARIANT_SETS:
-                mean = "mean_metric" in variants
-                stream = _live_pairs(spec, orbits, n_list, bins, variants, symmetric)
-                for n, chunks in stream:
+                channels = _channels(variants, symmetric)
+                for n, chunks in _live_pairs(spec, orbits, n_list, bins, channels):
                     dist = oracles.naive_bowen(spec, orbits, n)
-                    if mean:
-                        mean_dist = oracles.naive_bowen(symmetrize_mean(spec), orbits, n)
+                    mean_dist = oracles.naive_bowen(symmetrize_mean(spec), orbits, n)
+                    # each channel's value, and the untiled relations,
+                    # thresholded at each eps below: those of oracles.relation,
+                    # and for mean_metric the Bowen matrix of the mean
+                    # symmetrization
+                    value = {"f": dist, "b": dist.T, "max": np.maximum(dist, dist.T),
+                             "mean": mean_dist}
+                    sym = {v: mean_dist if v == "mean_metric"
+                           else oracles.naive_symmetrized(dist, v) for v in variants}
+                    live = np.zeros((size, size), dtype=bool)
                     for (rows, cols), chunk in zip(_blocks(size), chunks):
-                        xo, yo, fbin, bbin, mbin = chunk
+                        xo, yo, *lows = chunk
                         assert xo.dtype == yo.dtype == np.uint8
                         assert np.all(xo < rows.stop - rows.start)
                         assert np.all(yo < cols.stop - cols.start)
                         x, y = rows.start + xo.astype(int), cols.start + yo.astype(int)
-                        assert (bbin is fbin) == symmetric
-                        assert mbin is None if not mean else (mbin is fbin) == symmetric
                         assert np.all(x < y)
                         assert np.array_equal(np.lexsort((y, x)), np.arange(len(x)))
-                        assert _same_bits(fbin, _bins_of(dist[x, y], bins, EPS_DESC))
-                        assert _same_bits(bbin, _bins_of(dist[y, x], bins, EPS_DESC))
-                        if mean:
-                            assert _same_bits(mbin, _bins_of(mean_dist[x, y], bins, EPS_DESC))
-                        # every pair is in some requested pairing's relation
-                        held = np.zeros(len(x), dtype=bool)
-                        for variant in variants:
-                            held |= _held(chunk, variant) > 0
-                        assert held.all()
-                    # the untiled relations, thresholded at each eps below: those
-                    # of oracles.relation, and for mean_metric the Bowen matrix
-                    # of the mean symmetrization
-                    sym = {v: mean_dist if v == "mean_metric"
-                           else oracles.naive_symmetrized(dist, v) for v in variants}
-                    # the variant groups count_grid builds relations for
-                    groups = [variants] if symmetric else [(v,) for v in variants]
+                        assert len(lows) == len(channels)
+                        for channel, low in zip(channels, lows):
+                            assert _same_bits(low, _bins_of(value[channel][x, y], bins,
+                                                            EPS_DESC)), channel
+                        live[x, y] = True
+                    # the live pairs are those of some requested relation at
+                    # the largest eps
+                    held = np.logical_or.reduce([sym[v] <= EPS_DESC[0] for v in variants])
+                    assert np.array_equal(live, np.triu(held, 1))
+                    # the pairings count_grid selects one relation for
+                    groups = {}
+                    for variant in variants:
+                        groups.setdefault(_read(channels, variant), []).append(variant)
+                    assert len(groups) == (1 if symmetric else len(variants))
                     for k in range(bins.top):
-                        for users in groups:
-                            selection = _selection(chunks, users[0], k)
+                        for read, users in groups.items():
+                            selection = _selection(chunks, read, k)
                             rel = _relation(selection, _blocks(size), size)
                             for variant in users:
                                 ref = sym[variant] <= EPS_DESC[k]
@@ -234,13 +250,14 @@ def test_relation_values_match_lexsort_reference(monkeypatch, row_tile, case):
     monkeypatch.setattr(qm, "ROW_TILE", row_tile)
     spec, size, eps_desc = case
     orbits = OrbitTable(images=index_cloud(size).points[:, None, :], snap_mode="exact")
-    # the one_sided live set, built as one_sided and as two_sided relations,
-    # which drops the pairs close in one direction only
+    # the one_sided live set, with f and b bins whatever the matrix, built as
+    # one_sided and as two_sided relations, which drops the pairs close in
+    # one direction only
     bins = _EpsBins(eps_desc)
-    [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, ("one_sided",), is_symmetric(spec))
+    [(_, chunks)] = _live_pairs(spec, orbits, [1], bins, ("f", "b"))
     for pairing in ("one_sided", "two_sided"):
         for k in range(bins.top):
-            rel = _relation(_selection(chunks, pairing, k), _blocks(size), size)
+            rel = _relation(_selection(chunks, BIN_OP[pairing], k), _blocks(size), size)
             ref_indptr, ref_indices = _lexsort_csr(chunks, size, BIN_OP[pairing], k)
             assert _same_bits(rel.indptr, ref_indptr)
             assert rel.indices.dtype == np.min_scalar_type(size - 1)
@@ -277,33 +294,43 @@ def test_count_grid_many_eps_matches_oracle_relations():
 
 @pytest.mark.parametrize("kind,n_eps", [("weighted_asym", 4), ("weighted_asym", 300),
                                         ("circle_arc", 4), ("circle_arc", 300)])
-def test_chunk_and_relation_item_sizes(kind, n_eps):
-    # a live pair is two uint8 block offsets and two bins, three with the
-    # mean's (one when they are all fbin): 4 and 3 bytes with one-byte bins,
-    # 6 and 4 with two-byte ones, and 5 and 3, 8 and 4 with the mean's; a
-    # relation entry on 20 points is one uint8 column
+def test_chunk_and_relation_item_sizes(monkeypatch, kind, n_eps):
+    # the chunks of count_grid's own stream, for every pairing set: a live
+    # pair is two uint8 block offsets and one bin per channel, none aliased,
+    # PAIR_BYTES with one-byte bins and one more byte per channel with
+    # two-byte ones; a relation entry on 20 points is one uint8 column
+    layouts, columns = [], []
+    stream, build = qme.covering._live_pairs, qme.covering._relation
+
+    def spied(*args):
+        for n, chunks in stream(*args):
+            assert sum(len(c[0]) for c in chunks) > 0
+            for chunk in chunks:
+                assert chunk[0].dtype == chunk[1].dtype == np.uint8
+                assert len({id(a) for a in chunk}) == len(chunk)
+                layouts.append(tuple(a.dtype for a in chunk[2:]))
+            yield n, chunks
+
+    def built(*args):
+        rel = build(*args)
+        columns.append((rel.indptr.dtype, rel.indices.dtype, len(rel.indices)))
+        return rel
+
+    monkeypatch.setattr(qme.covering, "_live_pairs", spied)
+    monkeypatch.setattr(qme.covering, "_relation", built)
     rng = np.random.default_rng(2)
     spec, cloud = _case(kind, 20, rng)
     orbits = _permutation_orbits(cloud, rng)
-    bins = _EpsBins([2.0 - k / 256.0 for k in range(n_eps)])
+    eps = [2.0 - k / 256.0 for k in range(n_eps)]
     width = 1 if n_eps <= 255 else 2
-    assert bins.dtype == np.dtype(f"uint{8 * width}")
-    symmetric = is_symmetric(spec)
-    for pairings in (("one_sided",), PAIRINGS):
-        per_pair = 1 if symmetric else 2 + ("mean_metric" in pairings)
-        for _, chunks in _live_pairs(spec, orbits, [1, 2], bins, pairings, symmetric):
-            assert sum(len(c[0]) for c in chunks) > 0
-            for xo, yo, fbin, bbin, mbin in chunks:
-                assert xo.dtype == yo.dtype == np.uint8
-                assert fbin.dtype == bbin.dtype == bins.dtype
-                assert (mbin is None) == ("mean_metric" not in pairings)
-                arrays = {id(a): a for a in (xo, yo, fbin, bbin, mbin)
-                          if a is not None}.values()
-                assert sum(a.itemsize for a in arrays) == 2 + per_pair * width
-            rel = _relation(_selection(chunks, "one_sided", 0), _blocks(len(cloud)),
-                            len(cloud))
-            assert rel.indptr.dtype == np.int64 and rel.indices.dtype == np.uint8
-            assert len(rel.indices) > len(cloud)
+    assert _EpsBins(eps).dtype == np.dtype(f"uint{8 * width}")
+    for pairings in VARIANT_SETS:
+        layouts.clear()
+        count_grid(spec, orbits, [1, 2], eps, exact_threshold=0, variants=pairings)
+        per_pair = 3 if is_symmetric(spec) else PAIR_BYTES[pairings]
+        assert set(layouts) == {(np.dtype(f"uint{8 * width}"),) * (per_pair - 2)}, pairings
+    assert {c[:2] for c in columns} == {(np.dtype(np.int64), np.dtype(np.uint8))}
+    assert max(c[2] for c in columns) > len(cloud)
 
 
 @pytest.mark.parametrize("size,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
@@ -320,10 +347,9 @@ def test_relation_index_width(monkeypatch, size, dtype):
         offsets = np.array([(x - rows.start, y - cols.start) for x, y in pairs
                             if rows.start <= x < rows.stop and cols.start <= y < cols.stop],
                            dtype=np.uint8).reshape(-1, 2)
-        bins = np.ones(len(offsets), dtype=np.uint8)
-        chunks.append((offsets[:, 0], offsets[:, 1], bins, bins, None))
+        chunks.append((offsets[:, 0], offsets[:, 1], np.ones(len(offsets), dtype=np.uint8)))
     assert sum(len(c[0]) for c in chunks) == len(pairs)
-    rel = _relation(_selection(chunks, "two_sided", 0), blocks, size)
+    rel = _relation(_selection(chunks, 0, 0), blocks, size)
     assert rel.indices.dtype == dtype and rel.indptr.dtype == np.int64
     if size <= 257:
         dense = np.eye(size, dtype=bool)
@@ -332,7 +358,7 @@ def test_relation_index_width(monkeypatch, size, dtype):
         assert np.array_equal(rel.dense(), dense)
     assert rel.indices[rel.indptr[size - 1]:].tolist() == ([size - 2, size - 1] if pairs else [0])
     assert len(rel.indices) == size + 2 * len(pairs)
-    diagonal = _relation(_selection(chunks, "two_sided", 1), blocks, size)
+    diagonal = _relation(_selection(chunks, 0, 1), blocks, size)
     assert np.array_equal(diagonal.indices, np.arange(size))
 
 
@@ -352,9 +378,9 @@ def test_both_pairings_build_one_relation_per_n(monkeypatch, kind):
     # alone gives the same cells
     builds = []
 
-    def counted(chunks, op, k):
+    def counted(chunks, read, k):
         builds.append(k)
-        return _selection(chunks, op, k)
+        return _selection(chunks, read, k)
 
     monkeypatch.setattr(qme.covering, "_selection", counted)
     rng = np.random.default_rng(17)
@@ -688,9 +714,10 @@ BELOW_2_1023 = float(np.nextafter(2.0 ** 1023, 0.0))
                                             (1.7e308, 1.75e308, False)])
 def test_mean_pairing_past_2_to_the_1023(monkeypatch, far, top, shared):
     # (v + v) / 2.0 overflows from v = 2^1023 on, so a symmetric rule's
-    # pairings share one bin only while the largest eps is below 2^1023;
-    # above it the mean of the pair (0, far) is inf, outside every eps,
-    # while its two_sided distance is within the largest
+    # pairings share the one f channel only while the largest eps is below
+    # 2^1023; above it the grid keeps f, b and mean bins, and the mean of the
+    # pair (0, far) is inf, outside every eps, while its two_sided distance
+    # is within the largest
     stream = []
 
     def spied(*args):
@@ -703,7 +730,7 @@ def test_mean_pairing_past_2_to_the_1023(monkeypatch, far, top, shared):
                         snap_mode="exact")
     eps = [top, top / 2.0]
     grid = count_grid(spec, orbits, [1], eps, variants=PAIRINGS)
-    assert stream == [shared]
+    assert stream == [("f",) if shared else ("f", "b", "mean")]
     ref = count_grid(symmetrize_mean(spec), orbits, [1], eps, variants=("two_sided",))
     for key, cell in grid.cells.items():
         assert (cell.r3, cell.s3) == (ref.cells[key].r1, ref.cells[key].s1)
