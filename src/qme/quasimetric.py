@@ -4,6 +4,7 @@ inequality but may drop symmetry.
 A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
 elementwise on paired points (:func:`paired`), which is the one set of
 per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`).
+:func:`paired_floor` bounds it from below over a block of pairs.
 Axiom validation, the symmetry test and the two symmetrizations (mean and
 max) also live here; orbit-maximized (Bowen) distances are built in
 ``covering``.
@@ -37,6 +38,7 @@ __all__ = [
     "AxiomReport",
     "pairwise",
     "paired",
+    "paired_floor",
     "is_symmetric",
     "check_axioms",
     "symmetrize_mean",
@@ -95,8 +97,9 @@ class QuasiMetricSpec:
         if self.kind not in _BASE_KINDS | _DERIVED_KINDS:
             raise ValueError(f"unknown quasi-metric kind {self.kind!r}")
         if self.kind == "weighted_asym":
-            if not (self.alpha > 0.0 and self.beta > 0.0):
-                raise ValueError("weighted_asym needs alpha > 0 and beta > 0")
+            # an infinite weight gives e(x, x) = inf * 0 = NaN
+            if not (0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf):
+                raise ValueError("weighted_asym needs finite alpha > 0 and beta > 0")
         if self.kind == "matrix":
             m = self.matrix
             if m is None:
@@ -111,8 +114,8 @@ class QuasiMetricSpec:
             object.__setattr__(self, "matrix", m)
         if self.kind in _DERIVED_KINDS and self.base is None:
             raise ValueError(f"{self.kind} needs a base spec")
-        if self.kind == "scaled" and not self.factor > 0.0:
-            raise ValueError("scale factor must be > 0")
+        if self.kind == "scaled" and not 0.0 < self.factor < np.inf:
+            raise ValueError("scale factor must be finite and > 0")
 
 
 def _as_points(a) -> np.ndarray:
@@ -196,6 +199,52 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
         return _block_paired(a, b, asym=(kind == "block_prefix_asym"))
 
     raise AssertionError(f"unhandled kind {kind!r}")
+
+
+def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[float]:
+    """A lower bound on every float value ``paired(spec, x, y)`` takes for x a
+    point of ``rows`` and y one of ``cols``; NaN values are not bounded, and a
+    NaN bound bounds nothing. None where the kind has no cheap bound:
+    ``block_prefix``, ``block_prefix_asym`` and rules built on them.
+
+    ``rows`` and ``cols`` are (points, lo, hi): an (h, d) array of points and
+    its per-coordinate minima and maxima. The bound holds bit for bit.
+    Rounded subtraction is monotone, so each coordinate's b - a lies between
+    lo = cols.lo - rows.hi and hi = cols.hi - rows.lo, as rounded. Every
+    step of the real-coordinate formulas is rounded and monotone, so their
+    value does not fall as any b - a moves away from 0, except that
+    ``circle_arc``'s min(d, 1 - d) of d = |b - a| is at least its d at the
+    least d and its 1 - d at the largest. The bound is therefore ``paired``
+    on the differences in [lo, hi] nearest 0, and for ``circle_arc`` the
+    least of that and ``paired`` on lo and on hi.
+    ``scaled``, ``mean_of`` and ``max_of`` combine their base's bounds as
+    they combine its values. A ``matrix`` bound is the exact minimum of its
+    sub-block, read after the indices are validated as ``paired`` does."""
+    kind = spec.kind
+    if kind in ("mean_of", "max_of"):
+        fwd = paired_floor(spec.base, rows, cols)
+        if fwd is None:
+            return None
+        bwd = paired_floor(spec.base, cols, rows)
+        return (fwd + bwd) / 2.0 if kind == "mean_of" else float(np.maximum(fwd, bwd))
+    if kind == "scaled":
+        floor = paired_floor(spec.base, rows, cols)
+        return None if floor is None else spec.factor * floor
+    if kind == "matrix":
+        m = spec.matrix
+        i = _matrix_indices(rows[0], m.shape[0])
+        j = _matrix_indices(cols[0], m.shape[0])
+        return float(m[np.ix_(i, j)].min())
+    if kind in ("block_prefix", "block_prefix_asym"):
+        return None
+    _, row_lo, row_hi = rows
+    _, col_lo, col_hi = cols
+    lo, hi = col_lo - row_hi, col_hi - row_lo
+    near = np.minimum(np.maximum(lo, 0.0), hi)
+    if np.isnan(near).any():  # asym_line reads a NaN difference as 1
+        return float("nan")
+    diffs = np.stack([near, lo, hi]) if kind == "circle_arc" else near[None, :]
+    return float(paired(spec, np.zeros_like(diffs), diffs).min())
 
 
 def is_symmetric(spec: QuasiMetricSpec) -> bool:

@@ -401,6 +401,12 @@ MALFORMED = [
     ("map_kind_unknown", "kind: doubling", "kind: sideways", "unknown map kind 'sideways'"),
     ("map_kind_missing", "  kind: doubling", "  power: 1", "unknown map kind None"),
     ("map_kind_unhashable", "kind: doubling", "kind: [doubling]", "bad map"),
+    # an infinite weight gives e(x, x) = inf * 0 = NaN, so counts would come
+    # from NaN distances
+    ("weight_infinite", "kind: circle_arc", "kind: weighted_asym\n  alpha: .inf",
+     "finite alpha > 0 and beta > 0"),
+    ("weight_nan", "kind: circle_arc", "kind: weighted_asym\n  beta: .nan",
+     "finite alpha > 0 and beta > 0"),
 ]
 
 

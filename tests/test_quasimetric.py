@@ -19,7 +19,8 @@ from qme import (
     symmetrize_mean,
 )
 from qme.cli import plain
-from qme.quasimetric import is_symmetric, load_matrix_csv, paired
+from qme.covering import STEP
+from qme.quasimetric import is_symmetric, load_matrix_csv, paired, paired_floor
 
 import oracles
 from oracles import BallSpec, ball_members, evaluate
@@ -460,3 +461,122 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         pairwise(QuasiMetricSpec(kind="euclidean"),
                  np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("field, value", [("alpha", np.inf), ("beta", np.inf),
+                                          ("alpha", -np.inf), ("beta", np.nan)])
+def test_weighted_asym_needs_finite_positive_weights(field, value):
+    # an infinite weight makes e(x, x) = inf * 0 = NaN
+    with pytest.raises(ValueError, match="finite alpha > 0 and beta > 0"):
+        QuasiMetricSpec(kind="weighted_asym", **{field: value})
+
+
+@pytest.mark.parametrize("factor", [np.inf, np.nan, -1.0])
+def test_scaled_needs_a_finite_positive_factor(factor):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        scaled(LINE, factor)
+
+
+# --- block floors --------------------------------------------------------------
+
+# name -> (rule, coordinates per point, coordinate range): every rule with a
+# paired_floor, base and derived
+FLOOR_RULES = {
+    "asym_line": (LINE, 1, 4.0),
+    "euclidean_1d": (QuasiMetricSpec(kind="euclidean"), 1, 4.0),
+    "euclidean_2d": (QuasiMetricSpec(kind="euclidean"), 2, 4.0),
+    "circle_arc": (ARC, 1, 1.0),
+    "weighted_asym_1d": (HINGE, 1, 4.0),
+    "weighted_asym_2d": (HINGE, 2, 4.0),
+    "mean_of_weighted_asym": (symmetrize_mean(HINGE), 2, 4.0),
+    "max_of_asym_line": (symmetrize_max(LINE), 1, 4.0),
+    "scaled_circle_arc": (scaled(ARC, 0.3), 1, 1.0),
+    "scaled_weighted_asym": (scaled(HINGE, 3.0), 2, 4.0),
+}
+
+
+def _side(pts: np.ndarray) -> tuple:
+    """A block side as paired_floor reads it: points, minima, maxima."""
+    return pts, pts.min(axis=0), pts.max(axis=0)
+
+
+@st.composite
+def floor_cases(draw):
+    """(name, spec, rows, cols): a rule with a floor and the row and column
+    points of a block, 1 to 8 each. Sorted cases split sorted points, so the
+    two sides often lie apart; shuffled ones split them in any order. Real
+    coordinates are any floats of the range, so every subtraction rounds;
+    matrix entries are any floats of [0, 8] on indices 0..5."""
+    name = draw(st.sampled_from(sorted(FLOOR_RULES) + ["matrix"]))
+    count = draw(st.integers(2, 16))
+    if name == "matrix":
+        m = np.array([[0.0 if i == j else draw(st.floats(0.0, 8.0)) for j in range(6)]
+                      for i in range(6)])
+        spec = QuasiMetricSpec(kind="matrix", matrix=m)
+        pts = np.array(draw(st.lists(st.integers(0, 5), min_size=count,
+                                     max_size=count)), dtype=float)[:, None]
+    else:
+        spec, dim, top = FLOOR_RULES[name]
+        pts = np.array(draw(st.lists(st.lists(st.floats(0.0, top), min_size=dim,
+                                              max_size=dim),
+                                     min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        pts = pts[np.lexsort(pts.T[::-1])]
+    else:
+        pts = pts[draw(st.permutations(range(count)))]
+    cut = draw(st.integers(1, count - 1))
+    return name, spec, pts[:cut], pts[cut:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(floor_cases())
+def test_paired_floor_bounds_every_value_and_channel(case):
+    # the floor in each direction is at most every float value of paired over
+    # the block, and the STEP of the two floors at most every step value of
+    # each live-pair channel
+    name, spec, rows, cols = case
+    f = paired_floor(spec, _side(rows), _side(cols))
+    b = paired_floor(spec, _side(cols), _side(rows))
+    fwd, bwd = pairwise(spec, rows, cols), pairwise(spec, cols, rows).T
+    assert f <= fwd.min() and b <= bwd.min(), name
+    for channel, step in STEP.items():
+        assert step(f, b) <= step(fwd, bwd).min(), (name, channel)
+
+
+def test_paired_floor_is_attained_at_the_extreme_pairs():
+    # on sides a float gap apart the floor is that gap's value, not below it
+    rows, cols = np.array([[0.1], [0.3]]), np.array([[0.55], [0.7]])
+    gap = 0.55 - 0.3
+    assert paired_floor(LINE, _side(rows), _side(cols)) == gap
+    assert paired_floor(LINE, _side(cols), _side(rows)) == 1.0
+    assert paired_floor(ARC, _side(rows), _side(cols)) == min(gap, 1.0 - (0.7 - 0.1))
+    assert paired_floor(HINGE, _side(rows), _side(cols)) == 0.5 * gap
+    assert paired_floor(symmetrize_mean(HINGE), _side(rows), _side(cols)) \
+        == (0.5 * gap + 2.0 * gap) / 2.0
+    assert paired_floor(TWO_POINT, _side(np.array([[0.0]])), _side(np.array([[1.0]]))) == 1.0
+
+
+def test_paired_floor_none_and_nan():
+    blocks = symbol_blocks(2, 3).points
+    for spec in (QuasiMetricSpec(kind="block_prefix"), QuasiMetricSpec(kind="block_prefix_asym"),
+                 symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")),
+                 scaled(QuasiMetricSpec(kind="block_prefix"), 2.0)):
+        assert paired_floor(spec, _side(blocks[:4]), _side(blocks[4:])) is None
+    # asym_line reads a NaN difference as 1, but a NaN coordinate leaves no floor
+    rows, cols = np.array([[0.0], [np.nan]]), np.array([[0.5]])
+    for spec in (LINE, ARC, HINGE, symmetrize_mean(LINE)):
+        assert np.isnan(paired_floor(spec, _side(rows), _side(cols)))
+
+
+def test_paired_floor_validates_as_paired_does():
+    indices = np.array([[0.0], [1.0]])
+    for bad, error in (([[0.5]], ValueError), ([[5.0]], IndexError)):
+        with pytest.raises(error) as direct:
+            paired(TWO_POINT, indices[:1], np.array(bad))
+        with pytest.raises(error) as floored:
+            paired_floor(TWO_POINT, _side(indices), _side(np.array(bad)))
+        assert str(floored.value) == str(direct.value)
+    plane = np.array([[0.0, 0.5], [0.25, 0.75]])
+    for spec in (ARC, LINE):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            paired_floor(spec, _side(plane[:1]), _side(plane[1:]))

@@ -737,3 +737,120 @@ def test_mean_pairing_past_2_to_the_1023(monkeypatch, far, top, shared):
     top = grid.cell(1, eps[0])
     assert top.r1.cardinality == top.r2.cardinality == 1
     assert top.r3.cardinality == (1 if shared else 2)
+
+
+# every channel tuple count_grid picks, and eps small enough that blocks of
+# sorted clouds lie farther apart than the largest
+CHANNEL_TUPLES = (("f",), ("f", "b"), ("max",), ("mean",), ("max", "mean"),
+                  ("f", "b", "mean"))
+FAR_EPS = [0.125, 0.0625, 0.03125]
+
+
+def _sorted_case(kind: str, size: int, rng: np.random.Generator) -> tuple:
+    """_case's rule on a cloud sorted by its coordinates; a matrix rule gets
+    the hinge (or, symmetric, euclidean) table of sorted line points, so that
+    its far blocks hold only large entries too."""
+    spec, cloud = _case(kind, size, rng)
+    if spec.kind == "matrix":
+        line = np.sort(rng.choice(1025, size=(size, 1), replace=False), axis=0) / 1024.0
+        rule = (QuasiMetricSpec(kind="euclidean") if kind == "matrix_symmetric"
+                else QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0))
+        return QuasiMetricSpec(kind="matrix", matrix=qm.pairwise(rule, line, line)), cloud
+    pts = cloud.points
+    return spec, custom_cloud(pts[np.lexsort(pts.T[::-1])])
+
+
+def _stream(spec, orbits, n_list, bins, channels) -> list:
+    """The chunks _live_pairs yields at each n, copied, as bytes and dtypes."""
+    return [(n, [[(a.dtype.str, a.tobytes()) for a in chunk] for chunk in chunks])
+            for n, chunks in _live_pairs(spec, orbits, n_list, bins, channels)]
+
+
+@pytest.mark.parametrize("kind", KINDS + SYMMETRIC_KINDS)
+def test_block_floors_leave_every_chunk_unchanged(monkeypatch, kind):
+    # with and without the step-0 block floors, the chunks are equal for
+    # every channel tuple, on sorted clouds, where far blocks start empty,
+    # and on shuffled ones
+    empty_starts = []
+    first_chunk = qme.covering._first_chunk
+
+    def spied(spec, tiles, block, bins, channels):
+        chunk = first_chunk(spec, tiles, block, bins, channels)
+        (rows, cols), xo = block, chunk[0]
+        if rows.start != cols.start and not len(xo):
+            empty_starts.append(block)
+        return chunk
+
+    rng = np.random.default_rng(11)
+    bins = _EpsBins(FAR_EPS)
+    for size in (7, 10, 20):
+        for ordered in (True, False):
+            spec, cloud = (_sorted_case if ordered else _case)(kind, size, rng)
+            orbits = _permutation_orbits(cloud, rng)
+            for channels in CHANNEL_TUPLES:
+                for n_list in SCHEDULES:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(qme.covering, "_first_chunk", spied)
+                        floored = _stream(spec, orbits, n_list, bins, channels)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(qme.covering, "paired_floor", lambda *args: None)
+                        assert _stream(spec, orbits, n_list, bins, channels) == floored, \
+                            (size, ordered, channels, n_list)
+    # the floors skip blocks wherever the kind has one
+    assert bool(empty_starts) == (not kind.startswith("block_prefix")), kind
+
+
+@pytest.mark.parametrize("spec, points", [
+    (QuasiMetricSpec(kind="matrix", matrix=np.ones((10, 10)) - np.eye(10)),
+     [float(i) for i in range(9)] + [9.5]),
+    (QuasiMetricSpec(kind="circle_arc"), [[i / 16.0, 0.0] for i in range(10)]),
+], ids=["matrix_non_integer_index", "circle_arc_2d"])
+def test_block_floors_raise_as_paired_does(monkeypatch, spec, points):
+    # the last point is alone in its tile, so only off-diagonal blocks, whose
+    # floors are read first, pair it
+    orbits = build_orbits(MapSpec(kind="identity"), custom_cloud(points), 2)
+    errors = []
+    for floors in (True, False):
+        with monkeypatch.context() as patch:
+            if not floors:
+                patch.setattr(qme.covering, "paired_floor", lambda *args: None)
+            with pytest.raises(ValueError) as info:
+                list(_live_pairs(spec, orbits, [1, 2], _EpsBins([0.5]), ("f", "b")))
+            errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("spec", [QuasiMetricSpec(kind="asym_line"),
+                                  QuasiMetricSpec(kind="weighted_asym", alpha=1.0, beta=2.0),
+                                  QuasiMetricSpec(kind="circle_arc")])
+def test_a_block_whose_floor_equals_eps_0_is_not_skipped(spec):
+    # tiles {0, 1/8, 1/4} and {1/2, 5/8, 3/4}: the floor of the off-diagonal
+    # block is 1/4 exactly, the value of the pair (1/4, 1/2), so the block
+    # is kept at eps_0 = 1/4 and skipped just below it
+    orbits = build_orbits(MapSpec(kind="identity"),
+                          custom_cloud([0.0, 0.125, 0.25, 0.5, 0.625, 0.75]), 1)
+    channels = ("f",) if is_symmetric(spec) else ("f", "b")
+    for eps, kept in ((0.25, True), (float(np.nextafter(0.25, 0.0)), False)):
+        [(_, chunks)] = _live_pairs(spec, orbits, [1], _EpsBins([eps]), channels)
+        xo, yo = chunks[1][:2]
+        assert (2, 0) in zip(xo.tolist(), yo.tolist()) if kept else not len(xo)
+
+
+def test_step_0_skips_the_far_blocks_of_the_doubling_cloud(monkeypatch):
+    # on the 4096-point doubling cloud the first orbit step evaluates only the
+    # pairs of blocks whose floor is within eps_0 = 2^-3: 3,274,752 of all
+    # 8,386,560, so the floors have not stopped skipping
+    _default_tiles(monkeypatch)
+    rng = np.random.default_rng([1, 1])
+    cloud = custom_cloud(np.sort(rng.choice(1 << 20, 4096, replace=False)) / 2.0 ** 20)
+    orbits = build_orbits(MapSpec(kind="doubling"), cloud, 1)
+    entries = []
+
+    def counted(spec, a, b):
+        entries.append(len(a))
+        return qm.paired(spec, a, b)
+
+    monkeypatch.setattr(qme.covering, "paired", counted)
+    count_grid(QuasiMetricSpec(kind="circle_arc"), orbits, [1],
+               [2.0 ** -k for k in range(3, 8)], exact_threshold=0)
+    assert 0 < sum(entries) <= 3_274_752

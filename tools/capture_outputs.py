@@ -76,6 +76,14 @@ Runs:
   ``entropy`` run writes no witnesses; here every cell's greedy cover and
   separated set is byte-diffed, on fine relations where many points tie at
   the largest gain;
+- ``far_blocks``: ``counts`` (both pairings) on sorted clouds of at least
+  three row tiles whose far blocks start empty, their floors above the
+  largest eps: the hinge rule (alpha 0.5, beta 2.0) on an 800-point grid
+  under the tent map with largest eps 1/16 (``hinge``), ``asym_line`` on the
+  same grid (``asym_line``), ``euclidean`` on 800 points of the plane sorted
+  by their first coordinate under the identity map (``euclidean_2d``), and a
+  600-point ``indices`` cloud under the reversal x -> 599 - x with a hinge
+  table of the indices, read from CSV (``matrix``);
 - ``violations``: ``validate`` on a 3-point ``indices`` cloud under an inline
   ``matrix`` rule that breaks the triangle inequality (d(0, 2) = 5 > 1 + 1),
   once with an exhaustive triple budget (``exhaustive``) and once with a
@@ -179,6 +187,38 @@ output: {format: both}
 """ % [2.0 ** -k for k in range(1, 301)]
 
 
+FAR_BLOCKS_CONFIGS = {
+    "hinge": """\
+map: {kind: tent}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 800}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3], eps_list: [0.0625, 0.03125, 0.015625]}
+output: {format: both}
+""",
+    "asym_line": """\
+map: {kind: tent}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 800}
+qmetric: {kind: asym_line}
+schedule: {n_list: [1, 2, 3], eps_list: [0.25, 0.125, 0.0625]}
+output: {format: both}
+""",
+    "euclidean_2d": """\
+map: {kind: identity}
+cloud: {kind: custom, path: far_blocks_plane.csv}
+qmetric: {kind: euclidean}
+schedule: {n_list: [1, 2], eps_list: [0.125, 0.0625, 0.03125]}
+output: {format: both}
+""",
+    "matrix": """\
+map: {kind: affine, a: -1.0, b: 599.0}
+cloud: {kind: indices, count: 600}
+qmetric: {kind: matrix, path: far_blocks_matrix.csv}
+schedule: {n_list: [1, 2, 3], eps_list: [0.125, 0.0625, 0.03125]}
+output: {format: both}
+""",
+}
+
+
 VIOLATIONS_CONFIG = """\
 map: {kind: identity}
 cloud: {kind: indices, count: 3}
@@ -261,6 +301,23 @@ def capture_doubling_counts(dest: str, scratch: str) -> None:
     run_cli(workloads.cli_argv({**instance, "command": ["counts"]}, dest), dest)
 
 
+def capture_far_blocks(dest: str, scratch: str) -> None:
+    """Sorted clouds whose far blocks the step-0 floors skip."""
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.choice(1 << 20, size=800, replace=False)) / 2.0 ** 20
+    y = rng.choice(1 << 20, size=800) / 2.0 ** 20
+    with open(os.path.join(scratch, "far_blocks_plane.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
+    ids = np.arange(600)
+    gap = ids[None, :] - ids[:, None]
+    table = np.where(gap >= 0, 0.5 * gap, -2.0 * gap) / 512.0
+    with open(os.path.join(scratch, "far_blocks_matrix.csv"), "w", encoding="utf-8") as fh:
+        fh.write(f"qmetric,v1,{len(ids)}\n")
+        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    for name, text in FAR_BLOCKS_CONFIGS.items():
+        capture_config(text, ("counts",), os.path.join(dest, name), scratch)
+
+
 def capture_offlattice(dest: str, scratch: str) -> None:
     """Axioms on the logistic map's first images of the snap_power cloud,
     whose distances round off the lattice."""
@@ -322,6 +379,7 @@ def capture(out_root: str) -> None:
                     run_cli(workloads.cli_argv({**instance, "command": ["counts"]},
                                                case_dir), case_dir)
         capture_doubling_counts(os.path.join(out_root, "doubling_counts"), scratch)
+        capture_far_blocks(os.path.join(out_root, "far_blocks"), scratch)
         for name, budget in VIOLATIONS_BUDGETS.items():
             capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
                            os.path.join(out_root, "violations", name), scratch)
