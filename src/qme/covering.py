@@ -36,14 +36,15 @@ b). The blocks are advanced one at a time, each starting as all its pairs
 unless its certified floor exceeds eps_0: before the first orbit step, an
 off-diagonal block whose ``quasimetric.paired_floor`` bounds on f and b give
 every channel a step value above the largest eps starts empty, as step 0
-would leave it. The kinds with a bound are ``circle_arc``, ``euclidean``,
-``asym_line``, ``weighted_asym`` and ``matrix``, and ``scaled``,
-``mean_of`` and ``max_of`` of these; on sorted clouds most far blocks are
-skipped. A shared rule is symmetric by construction
-(``quasimetric.is_symmetric``), with a largest eps below 2^1023: D_n = D_n^T
-bit for bit, and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every
-eps. Each (n, eps) selects each pairing's relation from the chunks, as block
-offsets.
+would leave it. The kinds with a bound (``quasimetric.has_floor``) are
+``circle_arc``, ``euclidean``, ``asym_line`` and ``weighted_asym``, and
+``scaled``, ``mean_of`` and ``max_of`` of these; on sorted clouds most far
+blocks are skipped. Other rules take no floor and no tile extremes. The b
+floor is taken only where f alone does not settle the block. A shared rule
+is symmetric by construction (``quasimetric.is_symmetric``), with a largest
+eps below 2^1023: D_n = D_n^T bit for bit, and (v + v) / 2.0 = v unless
+v >= 2^1023, which exceeds every eps. Each (n, eps) selects each pairing's
+relation from the chunks, as block offsets.
 
 Each distinct relation is built and solved once per grid. Block position and
 offsets fix a selection's pairs, and so its relation, so a selection is keyed
@@ -86,8 +87,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, is_symmetric, paired, paired_floor,
-                          pairwise, row_tiles)
+from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, has_floor, is_symmetric, paired,
+                          paired_floor, pairwise, row_tiles)
 
 __all__ = [
     "VARIANTS",
@@ -186,16 +187,18 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     Each n advances the blocks one at a time through the orbit steps since
     the previous n. A block starts as all its pairs unless its certified
     floor exceeds eps_0 (``_first_chunk``), so at most one block holds all
-    its pairs at a time. The floors read each row tile's step-0 points and
-    their per-coordinate minima and maxima, taken once per tile."""
+    its pairs at a time. Where the rule has a floor (``has_floor``), the
+    floors read each row tile's step-0 per-coordinate minima and maxima,
+    taken once per tile."""
     size = orbits.images.shape[0]
     blocks = _blocks(size)
     side = blocks[0][0].stop  # the widest block, the first
     if side > 256:
         raise ValueError(f"block offsets are uint8, so ROW_TILE must be <= 256, got {side}")
-    start = orbits.iterate_points(0)
-    tiles = {t.start: (start[t], start[t].min(axis=0), start[t].max(axis=0))
-             for t in row_tiles(size)}
+    tiles = None
+    if has_floor(spec):
+        start = orbits.iterate_points(0)
+        tiles = {t.start: (start[t].min(axis=0), start[t].max(axis=0)) for t in row_tiles(size)}
     chunks = [None] * len(blocks)
     done = 0
     for n in n_list:
@@ -208,31 +211,43 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
         yield n, chunks
 
 
-def _first_chunk(spec: QuasiMetricSpec, tiles: dict, block: tuple, bins: _EpsBins,
-                 channels: tuple) -> tuple:
+def _first_chunk(spec: QuasiMetricSpec, tiles: Optional[dict], block: tuple,
+                 bins: _EpsBins, channels: tuple) -> tuple:
     """The chunk a block starts as before orbit step 0: every pair x < y, with
     a bin array per channel, each pair at ``bins.top``, the bin of D_0 = 0.
-
-    An off-diagonal block starts empty when its certified floor exceeds
-    eps_0: each channel's STEP of the ``paired_floor`` bounds of f over the
-    block and of b (rows and columns swapped) is above eps_0. Every STEP is
-    monotone, so it bounds the channel's step values, and step 0 would drop
-    every pair of the block; a NaN floor exceeds nothing. ``tiles`` maps a
-    row tile's start to its (points, minima, maxima) at step 0."""
+    An off-diagonal block starts empty when ``_beyond`` finds its floor
+    above eps_0. ``tiles`` maps a row tile's start to its (minima, maxima)
+    at step 0, or is None when the rule has no floor."""
     rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
-    if cols.start != rows.start:
-        row_tile, col_tile = tiles[rows.start], tiles[cols.start]
-        f = paired_floor(spec, row_tile, col_tile)
-        b = None if f is None or channels == ("f",) else paired_floor(spec, col_tile, row_tile)
-        if f is not None and all(STEP[channel](f, b) > bins.eps[0] for channel in channels):
-            height = 0  # no pair: the block starts empty
+    if tiles is not None and cols.start != rows.start and \
+            _beyond(spec, tiles[rows.start], tiles[cols.start], channels, bins.eps[0]):
+        height = 0  # no pair: the block starts empty
     xo = np.repeat(np.arange(height, dtype=np.uint8), width)
     yo = np.tile(np.arange(width, dtype=np.uint8), height)
     if cols.start == rows.start:  # the diagonal block: pairs x < y only
         upper = xo < yo
         xo, yo = xo[upper], yo[upper]
     return xo, yo, *(np.full(len(xo), bins.top, dtype=bins.dtype) for _ in channels)
+
+
+def _beyond(spec: QuasiMetricSpec, row_tile: tuple, col_tile: tuple, channels: tuple,
+            eps: float) -> bool:
+    """True when every channel's step value over the block of ``row_tile`` x
+    ``col_tile`` certainly exceeds ``eps``: its STEP of the ``paired_floor``
+    bounds of f over the block and of b (rows and columns swapped) does.
+    Every STEP is monotone, so it bounds the channel's step values, and a
+    NaN floor exceeds nothing. The b floor is taken only when f does not
+    settle the answer: a channel f at or below eps keeps the block, and f
+    above eps drops it when every channel is f or max(f, b) >= f."""
+    f = paired_floor(spec, row_tile, col_tile)
+    if not f > eps:
+        if "f" in channels:
+            return False
+    elif set(channels) <= {"f", "max"}:
+        return True
+    b = paired_floor(spec, col_tile, row_tile)
+    return all(STEP[channel](f, b) > eps for channel in channels)
 
 
 def _read(channels: tuple, pairing: str):

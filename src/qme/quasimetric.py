@@ -38,6 +38,7 @@ __all__ = [
     "AxiomReport",
     "pairwise",
     "paired",
+    "has_floor",
     "paired_floor",
     "is_symmetric",
     "check_axioms",
@@ -57,6 +58,8 @@ _BASE_KINDS = {
     "block_prefix_asym",
 }
 _DERIVED_KINDS = {"mean_of", "max_of", "scaled"}
+# base kinds with a paired_floor
+_FLOOR_KINDS = {"asym_line", "euclidean", "circle_arc", "weighted_asym"}
 # kinds whose formula gives e(x, y) == e(y, x) bit for bit: negation, abs,
 # squaring, + and max are exact or commutative in IEEE arithmetic
 _SYMMETRIC_KINDS = {"euclidean", "circle_arc", "block_prefix", "mean_of", "max_of"}
@@ -201,14 +204,23 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
     raise AssertionError(f"unhandled kind {kind!r}")
 
 
+def has_floor(spec: QuasiMetricSpec) -> bool:
+    """True when :func:`paired_floor` bounds the rule: ``circle_arc``,
+    ``euclidean``, ``asym_line``, ``weighted_asym``, and ``scaled``,
+    ``mean_of`` and ``max_of`` of these. ``matrix`` and the ``block_prefix``
+    kinds have no cheap bound."""
+    while spec.kind in _DERIVED_KINDS:
+        spec = spec.base
+    return spec.kind in _FLOOR_KINDS
+
+
 def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[float]:
     """A lower bound on every float value ``paired(spec, x, y)`` takes for x a
     point of ``rows`` and y one of ``cols``; NaN values are not bounded, and a
-    NaN bound bounds nothing. None where the kind has no cheap bound:
-    ``block_prefix``, ``block_prefix_asym`` and rules built on them.
+    NaN bound bounds nothing. None where the rule has no bound (``has_floor``).
 
-    ``rows`` and ``cols`` are (points, lo, hi): an (h, d) array of points and
-    its per-coordinate minima and maxima. The bound holds bit for bit.
+    ``rows`` and ``cols`` are (lo, hi): the per-coordinate minima and maxima
+    of their points. The bound holds bit for bit.
     Rounded subtraction is monotone, so each coordinate's b - a lies between
     lo = cols.lo - rows.hi and hi = cols.hi - rows.lo, as rounded. Every
     step of the real-coordinate formulas is rounded and monotone, so their
@@ -218,27 +230,17 @@ def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[fl
     on the differences in [lo, hi] nearest 0, and for ``circle_arc`` the
     least of that and ``paired`` on lo and on hi.
     ``scaled``, ``mean_of`` and ``max_of`` combine their base's bounds as
-    they combine its values. A ``matrix`` bound is the exact minimum of its
-    sub-block, read after the indices are validated as ``paired`` does."""
+    they combine its values."""
+    if not has_floor(spec):
+        return None
     kind = spec.kind
     if kind in ("mean_of", "max_of"):
         fwd = paired_floor(spec.base, rows, cols)
-        if fwd is None:
-            return None
         bwd = paired_floor(spec.base, cols, rows)
         return (fwd + bwd) / 2.0 if kind == "mean_of" else float(np.maximum(fwd, bwd))
     if kind == "scaled":
-        floor = paired_floor(spec.base, rows, cols)
-        return None if floor is None else spec.factor * floor
-    if kind == "matrix":
-        m = spec.matrix
-        i = _matrix_indices(rows[0], m.shape[0])
-        j = _matrix_indices(cols[0], m.shape[0])
-        return float(m[np.ix_(i, j)].min())
-    if kind in ("block_prefix", "block_prefix_asym"):
-        return None
-    _, row_lo, row_hi = rows
-    _, col_lo, col_hi = cols
+        return spec.factor * paired_floor(spec.base, rows, cols)
+    (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     lo, hi = col_lo - row_hi, col_hi - row_lo
     near = np.minimum(np.maximum(lo, 0.0), hi)
     if np.isnan(near).any():  # asym_line reads a NaN difference as 1

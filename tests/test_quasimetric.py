@@ -20,7 +20,7 @@ from qme import (
 )
 from qme.cli import plain
 from qme.covering import STEP
-from qme.quasimetric import is_symmetric, load_matrix_csv, paired, paired_floor
+from qme.quasimetric import has_floor, is_symmetric, load_matrix_csv, paired, paired_floor
 
 import oracles
 from oracles import BallSpec, ball_members, evaluate
@@ -496,30 +496,21 @@ FLOOR_RULES = {
 
 
 def _side(pts: np.ndarray) -> tuple:
-    """A block side as paired_floor reads it: points, minima, maxima."""
-    return pts, pts.min(axis=0), pts.max(axis=0)
+    """A block side as paired_floor reads it: minima, maxima."""
+    return pts.min(axis=0), pts.max(axis=0)
 
 
 @st.composite
 def floor_cases(draw):
     """(name, spec, rows, cols): a rule with a floor and the row and column
     points of a block, 1 to 8 each. Sorted cases split sorted points, so the
-    two sides often lie apart; shuffled ones split them in any order. Real
-    coordinates are any floats of the range, so every subtraction rounds;
-    matrix entries are any floats of [0, 8] on indices 0..5."""
-    name = draw(st.sampled_from(sorted(FLOOR_RULES) + ["matrix"]))
+    two sides often lie apart; shuffled ones split them in any order.
+    Coordinates are any floats of the range, so every subtraction rounds."""
+    name = draw(st.sampled_from(sorted(FLOOR_RULES)))
     count = draw(st.integers(2, 16))
-    if name == "matrix":
-        m = np.array([[0.0 if i == j else draw(st.floats(0.0, 8.0)) for j in range(6)]
-                      for i in range(6)])
-        spec = QuasiMetricSpec(kind="matrix", matrix=m)
-        pts = np.array(draw(st.lists(st.integers(0, 5), min_size=count,
-                                     max_size=count)), dtype=float)[:, None]
-    else:
-        spec, dim, top = FLOOR_RULES[name]
-        pts = np.array(draw(st.lists(st.lists(st.floats(0.0, top), min_size=dim,
-                                              max_size=dim),
-                                     min_size=count, max_size=count)))
+    spec, dim, top = FLOOR_RULES[name]
+    pts = np.array(draw(st.lists(st.lists(st.floats(0.0, top), min_size=dim, max_size=dim),
+                                 min_size=count, max_size=count)))
     if draw(st.booleans()):
         pts = pts[np.lexsort(pts.T[::-1])]
     else:
@@ -553,15 +544,19 @@ def test_paired_floor_is_attained_at_the_extreme_pairs():
     assert paired_floor(HINGE, _side(rows), _side(cols)) == 0.5 * gap
     assert paired_floor(symmetrize_mean(HINGE), _side(rows), _side(cols)) \
         == (0.5 * gap + 2.0 * gap) / 2.0
-    assert paired_floor(TWO_POINT, _side(np.array([[0.0]])), _side(np.array([[1.0]]))) == 1.0
 
 
 def test_paired_floor_none_and_nan():
+    assert all(has_floor(spec) for spec, _, _ in FLOOR_RULES.values())
     blocks = symbol_blocks(2, 3).points
-    for spec in (QuasiMetricSpec(kind="block_prefix"), QuasiMetricSpec(kind="block_prefix_asym"),
-                 symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")),
-                 scaled(QuasiMetricSpec(kind="block_prefix"), 2.0)):
-        assert paired_floor(spec, _side(blocks[:4]), _side(blocks[4:])) is None
+    for spec, pts in ((QuasiMetricSpec(kind="block_prefix"), blocks),
+                      (QuasiMetricSpec(kind="block_prefix_asym"), blocks),
+                      (symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")), blocks),
+                      (scaled(QuasiMetricSpec(kind="block_prefix"), 2.0), blocks),
+                      (TWO_POINT, np.array([[0.0], [1.0]])),
+                      (symmetrize_mean(TWO_POINT), np.array([[0.0], [1.0]]))):
+        assert not has_floor(spec)
+        assert paired_floor(spec, _side(pts[:1]), _side(pts[1:])) is None
     # asym_line reads a NaN difference as 1, but a NaN coordinate leaves no floor
     rows, cols = np.array([[0.0], [np.nan]]), np.array([[0.5]])
     for spec in (LINE, ARC, HINGE, symmetrize_mean(LINE)):
@@ -569,13 +564,6 @@ def test_paired_floor_none_and_nan():
 
 
 def test_paired_floor_validates_as_paired_does():
-    indices = np.array([[0.0], [1.0]])
-    for bad, error in (([[0.5]], ValueError), ([[5.0]], IndexError)):
-        with pytest.raises(error) as direct:
-            paired(TWO_POINT, indices[:1], np.array(bad))
-        with pytest.raises(error) as floored:
-            paired_floor(TWO_POINT, _side(indices), _side(np.array(bad)))
-        assert str(floored.value) == str(direct.value)
     plane = np.array([[0.0, 0.5], [0.25, 0.75]])
     for spec in (ARC, LINE):
         with pytest.raises(ValueError, match="one-dimensional"):

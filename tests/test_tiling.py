@@ -44,7 +44,7 @@ from qme.covering import (
     _selection,
 )
 from qme.dynamics import OrbitTable
-from qme.quasimetric import is_symmetric
+from qme.quasimetric import has_floor, is_symmetric
 
 import oracles
 
@@ -747,15 +747,8 @@ FAR_EPS = [0.125, 0.0625, 0.03125]
 
 
 def _sorted_case(kind: str, size: int, rng: np.random.Generator) -> tuple:
-    """_case's rule on a cloud sorted by its coordinates; a matrix rule gets
-    the hinge (or, symmetric, euclidean) table of sorted line points, so that
-    its far blocks hold only large entries too."""
+    """_case's rule on a cloud sorted by its coordinates."""
     spec, cloud = _case(kind, size, rng)
-    if spec.kind == "matrix":
-        line = np.sort(rng.choice(1025, size=(size, 1), replace=False), axis=0) / 1024.0
-        rule = (QuasiMetricSpec(kind="euclidean") if kind == "matrix_symmetric"
-                else QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0))
-        return QuasiMetricSpec(kind="matrix", matrix=qm.pairwise(rule, line, line)), cloud
     pts = cloud.points
     return spec, custom_cloud(pts[np.lexsort(pts.T[::-1])])
 
@@ -770,11 +763,12 @@ def _stream(spec, orbits, n_list, bins, channels) -> list:
 def test_block_floors_leave_every_chunk_unchanged(monkeypatch, kind):
     # with and without the step-0 block floors, the chunks are equal for
     # every channel tuple, on sorted clouds, where far blocks start empty,
-    # and on shuffled ones
-    empty_starts = []
+    # and on shuffled ones; a rule without a floor takes no tile extremes
+    empty_starts, tile_calls = [], []
     first_chunk = qme.covering._first_chunk
 
     def spied(spec, tiles, block, bins, channels):
+        tile_calls.append(tiles)
         chunk = first_chunk(spec, tiles, block, bins, channels)
         (rows, cols), xo = block, chunk[0]
         if rows.start != cols.start and not len(xo):
@@ -793,27 +787,24 @@ def test_block_floors_leave_every_chunk_unchanged(monkeypatch, kind):
                         patch.setattr(qme.covering, "_first_chunk", spied)
                         floored = _stream(spec, orbits, n_list, bins, channels)
                     with monkeypatch.context() as patch:
-                        patch.setattr(qme.covering, "paired_floor", lambda *args: None)
+                        patch.setattr(qme.covering, "has_floor", lambda spec: False)
                         assert _stream(spec, orbits, n_list, bins, channels) == floored, \
                             (size, ordered, channels, n_list)
     # the floors skip blocks wherever the kind has one
-    assert bool(empty_starts) == (not kind.startswith("block_prefix")), kind
+    assert bool(empty_starts) == has_floor(spec), kind
+    assert tile_calls and all((tiles is not None) == has_floor(spec) for tiles in tile_calls)
 
 
-@pytest.mark.parametrize("spec, points", [
-    (QuasiMetricSpec(kind="matrix", matrix=np.ones((10, 10)) - np.eye(10)),
-     [float(i) for i in range(9)] + [9.5]),
-    (QuasiMetricSpec(kind="circle_arc"), [[i / 16.0, 0.0] for i in range(10)]),
-], ids=["matrix_non_integer_index", "circle_arc_2d"])
-def test_block_floors_raise_as_paired_does(monkeypatch, spec, points):
-    # the last point is alone in its tile, so only off-diagonal blocks, whose
-    # floors are read first, pair it
-    orbits = build_orbits(MapSpec(kind="identity"), custom_cloud(points), 2)
+def test_block_floors_raise_as_paired_does(monkeypatch):
+    # a 2-D circle_arc cloud raises paired's error with the floors as without
+    spec = QuasiMetricSpec(kind="circle_arc")
+    orbits = build_orbits(MapSpec(kind="identity"),
+                          custom_cloud([[i / 16.0, 0.0] for i in range(10)]), 2)
     errors = []
     for floors in (True, False):
         with monkeypatch.context() as patch:
             if not floors:
-                patch.setattr(qme.covering, "paired_floor", lambda *args: None)
+                patch.setattr(qme.covering, "has_floor", lambda spec: False)
             with pytest.raises(ValueError) as info:
                 list(_live_pairs(spec, orbits, [1, 2], _EpsBins([0.5]), ("f", "b")))
             errors.append(str(info.value))
@@ -834,6 +825,38 @@ def test_a_block_whose_floor_equals_eps_0_is_not_skipped(spec):
         [(_, chunks)] = _live_pairs(spec, orbits, [1], _EpsBins([eps]), channels)
         xo, yo = chunks[1][:2]
         assert (2, 0) in zip(xo.tolist(), yo.tolist()) if kept else not len(xo)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_the_backward_floor_is_read_only_where_f_does_not_settle(monkeypatch, order):
+    # hinge 4 / 0.25 on tiles {0, 1/8, 1/4} and {1/2, 5/8, 3/4}: over the
+    # off-diagonal block one direction's floor is 1 and the other's 1/16, so
+    # max's is 1 and mean's 17/32. At eps_0 between and on these values the
+    # floors keep exactly the pairs step 0 keeps, for every channel tuple;
+    # the b floor is read only where f does not settle the block
+    spec = QuasiMetricSpec(kind="weighted_asym", alpha=4.0, beta=0.25)
+    tiles = [[0.0, 0.125, 0.25], [0.5, 0.625, 0.75]]
+    points = tiles[0] + tiles[1] if order == "sorted" else tiles[1] + tiles[0]
+    orbits = build_orbits(MapSpec(kind="identity"), custom_cloud(points), 1)
+    reads = []
+
+    def counted(spec, rows, cols):
+        reads.append(1)
+        return qm.paired_floor(spec, rows, cols)
+
+    monkeypatch.setattr(qme.covering, "paired_floor", counted)
+    for eps in (2.0, 1.0, 0.75, 17 / 32, 0.5, 0.0625, 0.03):
+        bins = _EpsBins([eps])
+        f = 1.0 if order == "sorted" else 0.0625
+        for channels in CHANNEL_TUPLES:
+            reads.clear()
+            floored = _stream(spec, orbits, [1], bins, channels)
+            settled = ("f" in channels and f <= eps
+                       or f > eps and set(channels) <= {"f", "max"})
+            assert len(reads) == (1 if settled else 2), (eps, channels)
+            with monkeypatch.context() as patch:
+                patch.setattr(qme.covering, "has_floor", lambda spec: False)
+                assert _stream(spec, orbits, [1], bins, channels) == floored, (eps, channels)
 
 
 def test_step_0_skips_the_far_blocks_of_the_doubling_cloud(monkeypatch):

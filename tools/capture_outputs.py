@@ -81,9 +81,7 @@ Runs:
   largest eps: the hinge rule (alpha 0.5, beta 2.0) on an 800-point grid
   under the tent map with largest eps 1/16 (``hinge``), ``asym_line`` on the
   same grid (``asym_line``), ``euclidean`` on 800 points of the plane sorted
-  by their first coordinate under the identity map (``euclidean_2d``), and a
-  600-point ``indices`` cloud under the reversal x -> 599 - x with a hinge
-  table of the indices, read from CSV (``matrix``);
+  by their first coordinate under the identity map (``euclidean_2d``);
 - ``violations``: ``validate`` on a 3-point ``indices`` cloud under an inline
   ``matrix`` rule that breaks the triangle inequality (d(0, 2) = 5 > 1 + 1),
   once with an exhaustive triple budget (``exhaustive``) and once with a
@@ -209,13 +207,6 @@ qmetric: {kind: euclidean}
 schedule: {n_list: [1, 2], eps_list: [0.125, 0.0625, 0.03125]}
 output: {format: both}
 """,
-    "matrix": """\
-map: {kind: affine, a: -1.0, b: 599.0}
-cloud: {kind: indices, count: 600}
-qmetric: {kind: matrix, path: far_blocks_matrix.csv}
-schedule: {n_list: [1, 2, 3], eps_list: [0.125, 0.0625, 0.03125]}
-output: {format: both}
-""",
 }
 
 
@@ -308,12 +299,6 @@ def capture_far_blocks(dest: str, scratch: str) -> None:
     y = rng.choice(1 << 20, size=800) / 2.0 ** 20
     with open(os.path.join(scratch, "far_blocks_plane.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
-    ids = np.arange(600)
-    gap = ids[None, :] - ids[:, None]
-    table = np.where(gap >= 0, 0.5 * gap, -2.0 * gap) / 512.0
-    with open(os.path.join(scratch, "far_blocks_matrix.csv"), "w", encoding="utf-8") as fh:
-        fh.write(f"qmetric,v1,{len(ids)}\n")
-        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in table)
     for name, text in FAR_BLOCKS_CONFIGS.items():
         capture_config(text, ("counts",), os.path.join(dest, name), scratch)
 
