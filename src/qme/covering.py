@@ -28,23 +28,24 @@ bin per channel, the channels being picked once per grid from its pairings:
     one_sided, mean_metric (...)   f, b, mean    5
 
 Every orbit step evaluates f = e(x, y), and b = e(y, x) unless f is the only
-channel, on a chunk's pairs in slices of at most PAIR_BLOCK; lowers each
-channel's bins by those of its step value, f, b, max(f, b) or (f + b) / 2.0
-(bit for bit the ``mean_of`` value); and drops the pairs whose bins are all
-0. two_sided reads max, or min(bin f, bin b), and one_sided max(bin f, bin
-b). The blocks are advanced one at a time, each starting as all its pairs
-unless its certified floor exceeds eps_0: before the first orbit step, an
-off-diagonal block whose ``quasimetric.paired_floor`` bounds on f and b give
-every channel a step value above the largest eps starts empty, as step 0
-would leave it. The kinds with a bound (``quasimetric.has_floor``) are
-``circle_arc``, ``euclidean``, ``asym_line`` and ``weighted_asym``, and
-``scaled``, ``mean_of`` and ``max_of`` of these; on sorted clouds most far
-blocks are skipped. Other rules take no floor and no tile extremes. The b
-floor is taken only where f alone does not settle the block. A shared rule
-is symmetric by construction (``quasimetric.is_symmetric``), with a largest
-eps below 2^1023: D_n = D_n^T bit for bit, and (v + v) / 2.0 = v unless
-v >= 2^1023, which exceeds every eps. Each (n, eps) selects each pairing's
-relation from the chunks, as block offsets.
+channel, on a chunk's pairs in slices of at most PAIR_BLOCK, both directions
+from one pass (``quasimetric.paired_both``); lowers each channel's bins by
+those of its step value, f, b, max(f, b) or (f + b) / 2.0 (bit for bit the
+``mean_of`` value); and drops the pairs whose bins are all 0. two_sided reads
+max, or min(bin f, bin b), and one_sided max(bin f, bin b). The blocks are
+advanced one at a time, each starting as all its pairs unless its certified
+floor exceeds eps_0: before the first orbit step, an off-diagonal block whose
+``quasimetric.paired_floor`` bounds on f and b give every channel a step value
+above the largest eps starts empty, as step 0 would leave it. The kinds with a
+bound (``quasimetric.has_floor``) are ``circle_arc``, ``euclidean``,
+``asym_line`` and ``weighted_asym``, and ``scaled``, ``mean_of`` and
+``max_of`` of these; on sorted clouds most far blocks are skipped. Other rules
+take no floor and no tile extremes. The b floor is taken only where f alone
+does not settle the block. A shared rule is symmetric by construction
+(``quasimetric.is_symmetric``), with a largest eps below 2^1023: D_n = D_n^T
+bit for bit, and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every
+eps. Each (n, eps) selects each pairing's relation from the chunks, as block
+offsets.
 
 Each distinct relation is built and solved once per grid. Block position and
 offsets fix a selection's pairs, and so its relation, so a selection is keyed
@@ -88,7 +89,7 @@ import numpy as np
 
 from .dynamics import OrbitTable
 from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, has_floor, is_symmetric, paired,
-                          paired_floor, pairwise, row_tiles)
+                          paired_both, paired_floor, pairwise, row_tiles)
 
 __all__ = [
     "VARIANTS",
@@ -273,8 +274,7 @@ def _advance(spec: QuasiMetricSpec, pts: np.ndarray, chunk: tuple, block: tuple,
     for start in range(0, len(xo), PAIR_BLOCK):
         part = slice(start, start + PAIR_BLOCK)
         px, py = np.take(prow, xo[part], axis=0), np.take(pcol, yo[part], axis=0)
-        f = paired(spec, px, py)
-        b = paired(spec, py, px) if backward else None
+        f, b = paired_both(spec, px, py) if backward else (paired(spec, px, py), None)
         for channel, low in zip(channels, lows):
             np.minimum(low[part], bins.of(STEP[channel](f, b)), out=low[part])
     keep = lows[0] > 0

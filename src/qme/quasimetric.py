@@ -4,6 +4,10 @@ inequality but may drop symmetry.
 A distance rule is described by a :class:`QuasiMetricSpec` and evaluated
 elementwise on paired points (:func:`paired`), which is the one set of
 per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`).
+:func:`paired_both` gives both directions, e(a, b) and e(b, a), at once and
+holds the hinge formula of ``weighted_asym``, which it evaluates in one pass
+over each coordinate's difference; ``paired`` takes that kind's forward
+direction from it.
 :func:`paired_floor` bounds it from below over a block of pairs.
 Axiom validation, the symmetry test and the two symmetrizations (mean and
 max) also live here; orbit-maximized (Bowen) distances are built in
@@ -38,6 +42,7 @@ __all__ = [
     "AxiomReport",
     "pairwise",
     "paired",
+    "paired_both",
     "has_floor",
     "paired_floor",
     "is_symmetric",
@@ -136,6 +141,15 @@ def _cloud_points(cloud) -> np.ndarray:
     return pts.reshape(-1, 1) if pts.ndim == 1 else pts
 
 
+def _coords(a, b) -> tuple:
+    """a and b as float arrays whose last axes, the coordinates, agree."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return a, b
+
+
 def pairwise(spec: QuasiMetricSpec, a, b) -> np.ndarray:
     """Evaluate e on every pair: returns M with M[i, j] = e(a[i], b[j]).
 
@@ -152,16 +166,12 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
     """Evaluate e elementwise: e(a[k], b[k]) over the broadcast of the leading
     axes of ``a`` and ``b``, whose last axis holds the coordinates (the point
     index for ``matrix`` specs)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    a, b = _coords(a, b)
     kind = spec.kind
 
-    if kind == "mean_of":
-        return (paired(spec.base, a, b) + paired(spec.base, b, a)) / 2.0
-    if kind == "max_of":
-        return np.maximum(paired(spec.base, a, b), paired(spec.base, b, a))
+    if kind in ("mean_of", "max_of"):
+        fwd, bwd = paired_both(spec.base, a, b)
+        return (fwd + bwd) / 2.0 if kind == "mean_of" else np.maximum(fwd, bwd)
     if kind == "scaled":
         return spec.factor * paired(spec.base, a, b)
 
@@ -187,12 +197,7 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
         return np.minimum(d, 1.0 - d)
 
     if kind == "weighted_asym":
-        acc = 0.0
-        for k in range(a.shape[-1]):
-            d = b[..., k] - a[..., k]
-            acc = acc + (spec.alpha * np.maximum(d, 0.0)
-                         + spec.beta * np.maximum(-d, 0.0))
-        return acc
+        return paired_both(spec, a, b)[0]
 
     if kind == "matrix":
         m = spec.matrix
@@ -202,6 +207,38 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
         return _block_paired(a, b, asym=(kind == "block_prefix_asym"))
 
     raise AssertionError(f"unhandled kind {kind!r}")
+
+
+def paired_both(spec: QuasiMetricSpec, a, b) -> tuple:
+    """(e(a, b), e(b, a)) elementwise, as ``paired`` gives each, bit for bit
+    apart from the payload and sign of a NaN.
+
+    ``weighted_asym`` holds the hinge formula: each coordinate's d = b - a is
+    taken once and both directions come from it in place, since a - b is -d
+    exactly in IEEE arithmetic. With pos = max(d, 0) and neg = max(-d, 0),
+    e(a, b) sums alpha * pos + beta * neg and e(b, a) alpha * neg + beta *
+    pos; neither term is ever -0.0, as one of pos and neg is +0.0 or
+    positive. Other kinds make two ``paired`` calls."""
+    a, b = _coords(a, b)
+    if spec.kind != "weighted_asym":
+        return paired(spec, a, b), paired(spec, b, a)
+    alpha, beta = spec.alpha, spec.beta
+    for k in range(a.shape[-1]):
+        # an array even for single points, so the passes below can write it
+        d = np.asarray(b[..., k] - a[..., k])
+        pos = np.maximum(d, 0.0)
+        neg = np.maximum(np.negative(d, out=d), 0.0, out=d)
+        f = alpha * pos
+        f += beta * neg
+        pos *= beta
+        neg *= alpha
+        neg += pos
+        if k == 0:
+            fwd, bwd = f, neg
+        else:
+            fwd += f
+            bwd += neg
+    return fwd, bwd
 
 
 def has_floor(spec: QuasiMetricSpec) -> bool:
@@ -349,11 +386,12 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     tolerance is applied.
 
     Memory does not grow with N^2 or with the budget: e is evaluated in both
-    directions on :func:`pair_blocks` of at most ``PAIR_BLOCK`` pairs on and
-    right of the diagonal of each row tile, so each unordered pair is read
-    once outside the diagonal sub-blocks, and sampled triples are drawn and
-    checked in slices of about ``PAIR_BLOCK``. Only the exhaustive mode builds
-    the dense N x N matrix, and N^3 <= budget there.
+    directions, by one :func:`paired_both` call, on :func:`pair_blocks` of at
+    most ``PAIR_BLOCK`` pairs on and right of the diagonal of each row tile,
+    so each unordered pair is read once outside the diagonal sub-blocks, and
+    sampled triples are drawn and checked in slices of about ``PAIR_BLOCK``.
+    Only the exhaustive mode builds the dense N x N matrix, and N^3 <= budget
+    there.
     """
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
@@ -370,8 +408,7 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
             if c.stop <= r.start:
                 continue  # below the diagonal: read both ways from above it
             r, c = slice(lo + r.start, lo + r.stop), slice(lo + c.start, lo + c.stop)
-            fwd = pairwise(spec, pts[r], pts[c])
-            bwd = pairwise(spec, pts[c], pts[r]).T
+            fwd, bwd = paired_both(spec, pts[r][:, None, :], pts[c][None, :, :])
             diag = np.arange(r.start, r.stop)[:, None] == np.arange(c.start, c.stop)
             for e in (fwd, bwd):
                 nonneg = nonneg and bool(np.all(np.isfinite(e) & (e >= 0.0)))

@@ -20,7 +20,8 @@ from qme import (
 )
 from qme.cli import plain
 from qme.covering import STEP
-from qme.quasimetric import has_floor, is_symmetric, load_matrix_csv, paired, paired_floor
+from qme.quasimetric import (has_floor, is_symmetric, load_matrix_csv, paired, paired_both,
+                             paired_floor)
 
 import oracles
 from oracles import BallSpec, ball_members, evaluate
@@ -408,6 +409,111 @@ def test_is_symmetric_rejects_asymmetric_rules():
         assert not is_symmetric(spec), spec.kind
         D = pairwise(spec, pts, pts)
         assert D[0, 1] != D[1, 0], spec.kind  # asymmetric on these points
+
+
+# --- both directions at once -------------------------------------------------
+
+# exact zeros of both signs, differences that overflow to +-inf, and the
+# non-finite values themselves
+SPECIAL_FLOATS = [0.0, -0.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+BOTH_TABLE = np.array([[0.0, 1.0, 5.0], [0.5, 0.0, 2.0], [3.0, 0.25, 0.0]])
+# name -> (rule, coordinate kind, coordinates per point, or None for 1..3)
+BOTH_RULES = {
+    "asym_line": (LINE, "real", 1),
+    "euclidean": (QuasiMetricSpec(kind="euclidean"), "real", None),
+    "circle_arc": (ARC, "real", 1),
+    "weighted_asym": (HINGE, "real", None),
+    "weighted_asym_3_7": (QuasiMetricSpec(kind="weighted_asym", alpha=3.0, beta=0.7),
+                          "real", None),
+    "matrix": (QuasiMetricSpec(kind="matrix", matrix=BOTH_TABLE), "index", 1),
+    "block_prefix": (QuasiMetricSpec(kind="block_prefix"), "symbol", None),
+    "block_prefix_asym": (QuasiMetricSpec(kind="block_prefix_asym"), "symbol", None),
+    "mean_of_weighted_asym": (symmetrize_mean(HINGE), "real", None),
+    "max_of_weighted_asym": (symmetrize_max(HINGE), "real", None),
+    "mean_of_matrix": (symmetrize_mean(QuasiMetricSpec(kind="matrix", matrix=BOTH_TABLE)),
+                       "index", 1),
+    "max_of_block_prefix_asym": (symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")),
+                                 "symbol", None),
+    "scaled_weighted_asym": (scaled(HINGE, 1.5), "real", None),
+    "scaled_asym_line": (scaled(LINE, 0.3), "real", 1),
+}
+
+
+@st.composite
+def both_cases(draw):
+    """(name, spec, a, b): a rule and two point arrays, paired row by row,
+    (n, d) x (n, d), broadcast over all pairs, (h, 1, d) x (1, w, d), or two
+    single points, (d,) x (d,). Real coordinates are any floats, often the
+    SPECIAL_FLOATS."""
+    name = draw(st.sampled_from(sorted(BOTH_RULES)))
+    spec, coords, dim = BOTH_RULES[name]
+    dim = dim or draw(st.integers(1, 3))
+    coord = {
+        "real": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+        "index": st.integers(0, len(BOTH_TABLE) - 1).map(float),
+        "symbol": st.one_of(st.integers(0, 2).map(float), st.sampled_from(SPECIAL_FLOATS)),
+    }[coords]
+
+    def points(count):
+        return np.array(draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                      min_size=count, max_size=count)))
+
+    shape = draw(st.sampled_from(["rows", "all_pairs", "single"]))
+    if shape == "rows":
+        count = draw(st.integers(1, 6))
+        return name, spec, points(count), points(count)
+    if shape == "single":
+        return name, spec, points(1)[0], points(1)[0]
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return name, spec, points(h)[:, None, :], points(w)[None, :, :]
+
+
+def _same_values(x, y) -> bool:
+    """Equal values, NaN where NaN, and equal signs (so +-0.0) off NaN."""
+    x, y = np.asarray(x), np.asarray(y)
+    off_nan = ~np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x)[off_nan], np.signbit(y)[off_nan]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(both_cases())
+def test_paired_both_is_paired_both_ways(case):
+    # the Bowen steps, nearest snapping and validate read both directions
+    # from one paired_both call; each must be what its own paired call gives,
+    # and over all pairs what the independent per-kind formulas give
+    name, spec, a, b = case
+    with np.errstate(all="ignore"):
+        fwd, bwd = paired_both(spec, a, b)
+        assert _same_values(fwd, paired(spec, a, b)), name
+        assert _same_values(bwd, paired(spec, b, a)), name
+        if a.ndim == 3:
+            rows, cols = a[:, 0, :], b[0]
+            assert _same_values(fwd, oracles.formula_pairwise(spec, rows, cols)), name
+            assert _same_values(bwd, oracles.formula_pairwise(spec, cols, rows).T), name
+
+
+def test_paired_both_hinge_at_overflow_and_signed_zeros():
+    # b - a = +-inf, by overflow or from an infinite coordinate, has one
+    # hinge term inf and the other 0, not NaN, so both ways give inf; equal
+    # coordinates give +0.0 both ways whatever the sign of their zeros
+    a = np.array([[-1e308], [1e308], [0.0], [-0.0], [np.inf], [0.0]])
+    b = np.array([[1e308], [-1e308], [-0.0], [0.0], [0.0], [np.inf]])
+    with np.errstate(over="ignore"):
+        fwd, bwd = paired_both(HINGE, a, b)
+    expected = [np.inf, np.inf, 0.0, 0.0, np.inf, np.inf]
+    assert _same_values(fwd, expected) and _same_values(bwd, expected)
+
+
+@pytest.mark.parametrize("name", sorted(BOTH_RULES))
+def test_paired_both_dimension_mismatch_raises_as_paired_does(name):
+    spec = BOTH_RULES[name][0]
+    a, b = np.zeros((2, 1)), np.zeros((2, 2))
+    with pytest.raises(ValueError) as direct:
+        paired(spec, a, b)
+    with pytest.raises(ValueError) as both:
+        paired_both(spec, a, b)
+    assert str(both.value) == str(direct.value) == "dimension mismatch: 1 vs 2"
 
 
 # --- matrix CSV --------------------------------------------------------------

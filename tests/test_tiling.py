@@ -489,21 +489,24 @@ def test_check_axioms_peak_below_one_dense_matrix(monkeypatch):
 
 @pytest.mark.parametrize("tile,block", [(3, 2), (256, 8192)])
 def test_check_axioms_reads_each_pair_once_outside_diagonal_blocks(monkeypatch, tile, block):
-    # both directions of the pairwise blocks on and right of each row tile's
-    # diagonal: every ordered pair at least once, a pair of points in two
-    # row tiles exactly once, and about N^2 evaluations in all, not 2 N^2
+    # both directions of the blocks on and right of each row tile's
+    # diagonal, from one paired_both call per block: every ordered pair at
+    # least once, a pair of points in two row tiles exactly once, and about
+    # N^2 evaluations in all, not 2 N^2
     monkeypatch.setattr(qm, "ROW_TILE", tile)
     monkeypatch.setattr(qm, "PAIR_BLOCK", block)
     size = 20 if tile == 3 else 600
     seen = np.zeros((size, size), dtype=int)
-    evaluate = qm.pairwise
+    evaluate = qm.paired_both
 
     def counted(spec, a, b):
-        rows, cols = (np.rint(p[:, 0]).astype(int) for p in (a, b))
-        seen[np.ix_(rows, cols)] += 1
+        if a.ndim == 3:  # a block, (h, 1, d) x (1, w, d); triples are (m, d)
+            rows, cols = np.rint(a[:, 0, 0]).astype(int), np.rint(b[0, :, 0]).astype(int)
+            seen[np.ix_(rows, cols)] += 1
+            seen[np.ix_(cols, rows)] += 1
         return evaluate(spec, a, b)
 
-    monkeypatch.setattr(qm, "pairwise", counted)
+    monkeypatch.setattr(qm, "paired_both", counted)
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
     check_axioms(spec, grid1d(0.0, size - 1.0, size), triple_budget=1000)
     tile_of = np.arange(size) // tile
@@ -524,21 +527,25 @@ def test_pair_blocks_cover_each_entry_once(rows, cols):
 @pytest.mark.parametrize("kind", ["weighted_asym", "circle_arc"])
 def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
     # at the default constants, count_grid makes no pairwise call and no
-    # paired call on more than PAIR_BLOCK pairs, and nearest snapping
-    # evaluates the N^2 entries of the snap table in pieces of at most
-    # PAIR_BLOCK
+    # paired or paired_both call on more than PAIR_BLOCK pairs, and nearest
+    # snapping evaluates the N^2 entries of the snap table in pieces of at most
+    # PAIR_BLOCK; an asymmetric rule's orbit steps call paired_both, whose
+    # two directions each cover the call's pairs
     _default_tiles(monkeypatch)
-    entries = {"covering.pairwise": [], "covering.paired": [], "dynamics.pairwise": []}
+    entries = {"covering.pairwise": [], "covering.paired": [], "covering.paired_both": [],
+               "dynamics.pairwise": []}
 
     def counted(name, func):
         def wrapped(spec, a, b):
             out = func(spec, a, b)
-            entries[name].append(out.size)
+            entries[name].append(out[0].size if isinstance(out, tuple) else out.size)
             return out
         return wrapped
 
     monkeypatch.setattr(qme.covering, "pairwise", counted("covering.pairwise", qm.pairwise))
     monkeypatch.setattr(qme.covering, "paired", counted("covering.paired", qm.paired))
+    monkeypatch.setattr(qme.covering, "paired_both", counted("covering.paired_both",
+                                                              qm.paired_both))
     monkeypatch.setattr(qme.dynamics, "pairwise", counted("dynamics.pairwise", qm.pairwise))
     size = 600
     spec = QuasiMetricSpec(kind=kind, alpha=0.5, beta=2.0)
@@ -546,7 +553,9 @@ def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
                           snap_mode="nearest", qspec=spec)
     count_grid(spec, orbits, [2, 4], [0.25, 0.125], exact_threshold=0)
     assert entries["covering.pairwise"] == []
-    assert entries["covering.paired"] and max(entries["covering.paired"]) <= 8192
+    evaluated = entries["covering.paired"] + entries["covering.paired_both"]
+    assert evaluated and max(evaluated) <= 8192
+    assert bool(entries["covering.paired_both"]) == (kind == "weighted_asym")
     assert sum(entries["dynamics.pairwise"]) == size * size
     assert max(entries["dynamics.pairwise"]) <= 8192
 

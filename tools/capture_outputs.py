@@ -94,6 +94,12 @@ Runs:
   lattice, so about 1% of the drawn triples break the triangle inequality
   by one ulp, and the 2,048-point cloud spans 512 distance blocks and 25
   triple slices: the violation list is long and every entry is byte-diffed;
+- ``hinge_blocks``: ``counts`` (both pairings), ``power`` (m = 2) and
+  ``validate`` on the 729 symbol blocks of alphabet 3 and length 6 (three row
+  tiles) under the left shift and the hinge rule (alpha 0.5, beta 2.0), with
+  nearest snapping, n = 1..4 and eps 8, 4, 2, 1. It is the one case whose
+  hinge rule sums over more than one coordinate, in both directions at once
+  (``quasimetric.paired_both``), in orbit steps, snapping and ``validate``;
 - ``index_widths``: ``counts`` on circle grids of 256 and 257 points under
   the tent map and the hinge rule, both pairings. Relation columns take one
   byte up to 256 points and two beyond, so the boundary is byte-diffed;
@@ -208,6 +214,18 @@ schedule: {n_list: [1, 2], eps_list: [0.125, 0.0625, 0.03125]}
 output: {format: both}
 """,
 }
+
+
+HINGE_BLOCKS_CONFIG = """\
+map: {kind: shift_left}
+cloud: {kind: symbol_blocks, alphabet: 3, length: 6}
+qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [8.0, 4.0, 2.0, 1.0]}
+variants: [two_sided, one_sided]
+orbits: {snap_mode: nearest}
+power: {m: 2}
+output: {format: both}
+"""
 
 
 VIOLATIONS_CONFIG = """\
@@ -369,6 +387,8 @@ def capture(out_root: str) -> None:
             capture_config(VIOLATIONS_CONFIG % budget, ("validate",),
                            os.path.join(out_root, "violations", name), scratch)
         capture_offlattice(os.path.join(out_root, "axioms_offlattice"), scratch)
+        capture_config(HINGE_BLOCKS_CONFIG, ("counts", "power", "validate"),
+                       os.path.join(out_root, "hinge_blocks"), scratch)
         for size in INDEX_WIDTHS_SIZES:
             capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
                            os.path.join(out_root, "index_widths", str(size)), scratch)
