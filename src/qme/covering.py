@@ -66,7 +66,8 @@ maximal separated set is a maximum independent set of the same graph. The
 solvers take a symmetric :class:`Relation`, as built here, and read its rows.
 
 Both problems get a deterministic greedy solver and an exact branch-and-bound
-solver (bitset based, on the relation made dense). Greedy covers never
+solver (bitset based, on the relation made dense, searched depth first on an
+explicit stack in the recursive form's visit order). Greedy covers never
 undershoot the optimum and greedy separated sets never overshoot it; the exact
 solver is the oracle for both. The greedy cover picks in passes: the lowest id
 at the largest gain, then every point still at that gain that shares no
@@ -81,7 +82,6 @@ tie-breaking is by lowest point id, so results are reproducible.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -372,7 +372,7 @@ def bowen_matrix(spec: QuasiMetricSpec, orbits: OrbitTable, n: int) -> np.ndarra
 def greedy_cover(rel: Relation) -> list:
     """The picks, sorted, of the greedy that repeatedly picks the point
     covering the most uncovered points, ties to the lowest id. Always
-    terminates: every point covers itself.
+    terminates: every point covers itself. The empty relation gives [].
 
     Picks are made in passes. A pass first makes the greedy's next pick y, the
     lowest id at the largest gain g. The points whose gain is still g all have
@@ -401,7 +401,7 @@ def greedy_cover(rel: Relation) -> list:
         at += np.arange(ends[-1])
         return indices[at]
 
-    while True:
+    while size:  # the empty relation has no picks
         y = int(gains.argmax())
         g = gains[y]
         if g < 2:
@@ -451,11 +451,20 @@ def greedy_separated(rel: Relation) -> list:
 # exact solvers (bitset branch and bound)
 # ---------------------------------------------------------------------------
 
-def _column_masks(cover: np.ndarray) -> list:
+def _column_masks(cover: np.ndarray, hops: int = 1) -> list:
     """cover columns (equal to its rows) as python-int bitsets: mask[y] has
-    bit x iff y covers x."""
+    bit x iff y covers x or, at hops=2, iff x and y share a coverer. Rows are
+    packed into little-endian 64-bit words, which numpy hands over as python
+    ints; the second hop ORs, for each y, the words of the points y covers."""
     packed = np.packbits(cover, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    words = np.zeros((len(cover), -(-len(cover) // 64)), dtype="<u8")
+    words.view(np.uint8)[:, :packed.shape[1]] = packed
+    if hops == 2:
+        words = np.bitwise_or.reduce(cover[:, :, None] * words, axis=1)
+    masks = words[:, 0].tolist() if words.size else []
+    for k in range(1, words.shape[1]):
+        masks = [m | w << 64 * k for m, w in zip(masks, words[:, k].tolist())]
+    return masks
 
 
 # Pivots the packing simplex may take per cell. Every basic solution is
@@ -483,20 +492,21 @@ def _packing_lp(cover: np.ndarray) -> np.ndarray:
     tab[n, :n] = -1.0  # reduced costs of the objective row
     basis = np.arange(n, 2 * n)
     for _ in range(LP_PIVOT_BUDGET):
-        entering = np.flatnonzero(tab[n, :-1] < -_LP_TOL)
-        if entering.size == 0:
+        cost = tab[n, :-1]
+        j = int((cost < -_LP_TOL).argmax())
+        if not cost[j] < -_LP_TOL:
             break
-        j = entering[0]
-        rows = np.flatnonzero(tab[:n, j] > _LP_TOL)
+        col = tab[:n, j]
+        rows = (col > _LP_TOL).nonzero()[0]
         if rows.size == 0:  # unbounded only through rounding: y <= 1 holds
             break
-        ratios = tab[rows, -1] / tab[rows, j]
+        ratios = tab[rows, -1] / col[rows]
         ties = rows[ratios <= ratios.min() + _LP_TOL]
         r = ties[np.argmin(basis[ties])]
         tab[r] /= tab[r, j]
         pivot_col = tab[:, j].copy()
         pivot_col[r] = 0.0
-        tab -= np.outer(pivot_col, tab[r])
+        tab -= pivot_col[:, None] * tab[r]  # np.outer's products
         basis[r] = j
     y = np.zeros(n)
     structural = basis < n
@@ -536,25 +546,30 @@ def exact_cover(rel: Relation) -> tuple:
     cuts the search after the first optimum it would keep, so the result is
     the unfloored search's.
 
+    The search is depth first on an explicit stack, children pushed in
+    reverse so they are popped in branching order: the nodes, count and
+    witness of the recursive form, with no python frame per level.
+
     Returns (sorted point ids, nodes explored, root included).
     """
     cover = rel.dense()
     n = cover.shape[0]
     full = (1 << n) - 1
-    covmask = _column_masks(cover)  # also the coverers of each point
-    # points sharing a coverer with x (two hops), for the lower bound
-    blocked = _column_masks((cover.astype(np.int32) @ cover) > 0)
+    bits = [1 << x for x in range(n)]
+    # keyed by the point's bit: its coverers (cover is symmetric) and, for
+    # the lower bound, the points sharing a coverer with it
+    covmask = dict(zip(bits, _column_masks(cover)))
+    blocked = dict(zip(bits, _column_masks(cover, hops=2)))
+    ncov = {bit: m.bit_count() for bit, m in covmask.items()}
 
     best = greedy_cover(rel)
     best_len = len(best)
 
     def lower_bound(uncov: int) -> int:
         lb = 0
-        rem = uncov
-        while rem:
-            x = (rem & -rem).bit_length() - 1
+        while uncov:
             lb += 1
-            rem &= ~blocked[x]
+            uncov &= ~blocked[uncov & -uncov]
         return lb
 
     floor = lower_bound(full)
@@ -564,106 +579,89 @@ def exact_cover(rel: Relation) -> tuple:
         return best, 1
 
     nodes = 0
-    chosen: list = []
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def descend(covered: int) -> None:
-        nonlocal best, best_len, nodes
+    stack = [(0, ())]  # (covered, bits of the chosen coverers)
+    while stack:
+        covered, chosen = stack.pop()
         nodes += 1
         if covered == full:
             if len(chosen) < best_len:
-                best_len = len(chosen)
-                best = list(chosen)
-            return
+                best_len, best = len(chosen), sorted(b.bit_length() - 1 for b in chosen)
+                if best_len <= floor:
+                    break
+            continue
         uncov = full & ~covered
         if len(chosen) + lower_bound(uncov) >= best_len:
-            return
+            continue
         # branch on the uncovered point with the fewest coverers
-        bx, bcount = -1, n + 1
+        bx, bcount = 0, n + 1
         m = uncov
         while m:
-            x = (m & -m).bit_length() - 1
-            c = covmask[x].bit_count()
-            if c < bcount:
-                bx, bcount = x, c
-            m &= m - 1
+            x = m & -m
+            if ncov[x] < bcount:
+                bx, bcount = x, ncov[x]
+            m ^= x
         cands = []
         m = covmask[bx]
         while m:
-            y = (m & -m).bit_length() - 1
-            gain = (covmask[y] & uncov).bit_count()
-            cands.append((-gain, y))
-            m &= m - 1
-        cands.sort()
-        for _, y in cands:
-            chosen.append(y)
-            descend(covered | covmask[y])
-            chosen.pop()
-            if best_len <= floor:
-                return
-
-    descend(0)
-    return sorted(best), nodes
+            y = m & -m
+            cands.append(((covmask[y] & uncov).bit_count(), -y))
+            m ^= y
+        cands.sort()  # pushed in reverse: popped by decreasing gain, then id
+        stack += [(covered | covmask[-neg], chosen + (-neg,)) for _, neg in cands]
+    return best, nodes
 
 
 def exact_separated(rel: Relation) -> tuple:
     """Maximum independent set of the cover graph.
 
     Branch and bound seeded with the greedy id-order set; pruning uses a greedy
-    clique-cover bound on the remaining candidates. Returns (sorted ids, nodes).
+    clique-cover bound on the remaining candidates. Depth first on an explicit
+    stack in the recursive form's visit order, so the same nodes; neighbour
+    bitsets are keyed by the point's bit. Returns (sorted ids, nodes).
     """
     n = rel.size
-    adj = [m & ~(1 << x) for x, m in enumerate(_column_masks(rel.dense()))]
+    nbr = {1 << x: m & ~(1 << x) for x, m in enumerate(_column_masks(rel.dense()))}
 
     best = greedy_separated(rel)
     best_len = len(best)
-    nodes = 0
-    chosen: list = []
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
 
-    def clique_cover_bound(pool: int) -> int:
+    def clique_cover_bound(rem: int) -> int:
         cliques = 0
-        rem = pool
         while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= ~(1 << v)
-            clique = 1 << v
-            common = adj[v] & rem
+            v = rem & -rem
+            rem ^= v
+            common = nbr[v] & rem
             while common:
-                u = (common & -common).bit_length() - 1
-                clique |= 1 << u
-                rem &= ~(1 << u)
-                common &= adj[u]
+                u = common & -common
+                rem ^= u
+                common &= nbr[u]
             cliques += 1
         return cliques
 
-    def descend(pool: int) -> None:
-        nonlocal best, best_len, nodes
+    nodes = 0
+    stack = [((1 << n) - 1, ())]  # (pool, bits of the chosen points)
+    while stack:
+        pool, chosen = stack.pop()
         nodes += 1
-        size = len(chosen)
         if pool == 0:
-            if size > best_len:
-                best_len = size
-                best = list(chosen)
-            return
-        if size + clique_cover_bound(pool) <= best_len:
-            return
+            if len(chosen) > best_len:
+                best_len, best = len(chosen), sorted(b.bit_length() - 1 for b in chosen)
+            continue
+        if len(chosen) + clique_cover_bound(pool) <= best_len:
+            continue
         # pivot on the candidate with the most conflicts among candidates
-        bv, bdeg = -1, -1
+        bv, bdeg = 0, -1
         m = pool
         while m:
-            v = (m & -m).bit_length() - 1
-            d = (adj[v] & pool).bit_count()
+            v = m & -m
+            d = (nbr[v] & pool).bit_count()
             if d > bdeg:
                 bv, bdeg = v, d
-            m &= m - 1
-        chosen.append(bv)
-        descend(pool & ~(adj[bv] | (1 << bv)))
-        chosen.pop()
-        descend(pool & ~(1 << bv))
-
-    descend((1 << n) - 1)
-    return sorted(best), nodes
+            m ^= v
+        # popped first: take bv and drop its neighbours; then leave bv out
+        stack.append((pool & ~bv, chosen))
+        stack.append((pool & ~(nbr[bv] | bv), chosen + (bv,)))
+    return best, nodes
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,27 @@
 Everything here recomputes answers from first principles (exhaustive subset
 enumeration, 1-D sweep arguments, direct per-pair definitions) without touching
 the branch-and-bound or the vectorized distance matrices, so tests can compare
-two routes that share no code. Two parts are references that the pipeline
+two routes that share no code. Three parts are references that the pipeline
 must match exactly: the dense greedy solvers, which the CSR solvers must follow
-pick for pick (``csr`` turns a dense cover into the solvers' relation type),
-and the last section's untiled, full-matrix forms of the tiled and live-pair
-passes, which must agree with them bit for bit, among them ``dense_axioms``,
-the axiom check on the full distance matrix. ``evaluate``, the one-pair form
+pick for pick (``csr`` turns a dense cover into the solvers' relation type);
+the untiled, full-matrix forms of the tiled and live-pair passes, which must
+agree with them bit for bit, among them ``dense_axioms``, the axiom check on
+the full distance matrix; and the recursive branch and bound and outer-product
+simplex (``recursive_exact_cover``, ``recursive_exact_separated``,
+``reference_packing_lp``), which the explicit-stack solvers must match node
+for node and dual bit for dual bit. ``evaluate``, the one-pair form
 of ``pairwise``, ball membership (``BallSpec``, ``ball_members``) and the
 one-call ``estimate_entropy`` live here because only tests need them.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from qme import covering
 from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation
 from qme.dynamics import MapSpec, PointCloud, build_orbits
 from qme.entropy import (
@@ -401,6 +406,195 @@ def dense_axioms(spec, cloud, triple_budget: int, seed: int = DEFAULT_SEED) -> A
         exhaustive=exhaustive,
         triples_checked=triples_checked,
     )
+
+
+# --- recursive references for the explicit-stack exact solvers ---------------
+# The branch and bound and packing simplex as first written: one python frame
+# per search node, raising the recursion limit to fit, and numpy's outer
+# product per pivot. ``covering``'s solvers must match them node for node and
+# dual bit for dual bit, under any ``covering.LP_PIVOT_BUDGET``.
+
+def reference_packing_lp(cover: np.ndarray) -> np.ndarray:
+    """A basic feasible solution of the fractional packing LP: maximise sum(y)
+    subject to y >= 0 and, for every ball y' (column of the cover), the load
+    sum_x cover[x, y'] y[x] <= 1. It is the dual of the dominating-set
+    relaxation, so sum(y) bounds every cover from below.
+
+    Dense primal simplex with Bland's rule (lowest-index entering column,
+    ratio ties to the lowest-index basic variable), started at the feasible
+    origin (b = 1, no phase 1) and cut after covering.LP_PIVOT_BUDGET pivots."""
+    n = cover.shape[0]
+    tab = np.zeros((n + 1, 2 * n + 1))
+    tab[:n, :n] = cover.T
+    tab[:n, n:2 * n] = np.eye(n)
+    tab[:n, -1] = 1.0
+    tab[n, :n] = -1.0  # reduced costs of the objective row
+    basis = np.arange(n, 2 * n)
+    for _ in range(covering.LP_PIVOT_BUDGET):
+        entering = np.flatnonzero(tab[n, :-1] < -covering._LP_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(tab[:n, j] > covering._LP_TOL)
+        if rows.size == 0:  # unbounded only through rounding: y <= 1 holds
+            break
+        ratios = tab[rows, -1] / tab[rows, j]
+        ties = rows[ratios <= ratios.min() + covering._LP_TOL]
+        r = ties[np.argmin(basis[ties])]
+        tab[r] /= tab[r, j]
+        pivot_col = tab[:, j].copy()
+        pivot_col[r] = 0.0
+        tab -= np.outer(pivot_col, tab[r])
+        basis[r] = j
+    y = np.zeros(n)
+    structural = basis < n
+    y[basis[structural]] = tab[:n, -1][structural]
+    return y
+
+
+def recursive_exact_cover(rel: Relation) -> tuple:
+    """Minimum dominating set of the cover graph.
+
+    Branch and bound: a greedy solution provides the upper bound; a packing of
+    points no two of which share a candidate coverer provides the lower bound.
+    Branching fixes the uncovered point with the fewest candidate coverers and
+    tries its coverers in order of decreasing fresh coverage; the incumbent
+    changes only on strict improvement.
+
+    The search stops as soon as the incumbent reaches a certified floor: the
+    root packing bound, raised, when greedy exceeds it, by the certified
+    packing-LP dual (``reference_packing_lp``, ``_certified_floor``). A valid
+    floor only cuts the search after the first optimum it would keep, so the
+    result is the unfloored search's.
+
+    Returns (sorted point ids, nodes explored, root included).
+    """
+    cover = rel.dense()
+    n = cover.shape[0]
+    full = (1 << n) - 1
+    covmask = covering._column_masks(cover)  # also the coverers of each point
+    # points sharing a coverer with x (two hops), for the lower bound
+    blocked = covering._column_masks((cover.astype(np.int32) @ cover) > 0)
+
+    best = covering.greedy_cover(rel)
+    best_len = len(best)
+
+    def lower_bound(uncov: int) -> int:
+        lb = 0
+        rem = uncov
+        while rem:
+            x = (rem & -rem).bit_length() - 1
+            lb += 1
+            rem &= ~blocked[x]
+        return lb
+
+    floor = lower_bound(full)
+    if best_len > floor:
+        floor = max(floor, covering._certified_floor(cover, reference_packing_lp(cover)))
+    if best_len <= floor:
+        return best, 1
+
+    nodes = 0
+    chosen: list = []
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+
+    def descend(covered: int) -> None:
+        nonlocal best, best_len, nodes
+        nodes += 1
+        if covered == full:
+            if len(chosen) < best_len:
+                best_len = len(chosen)
+                best = list(chosen)
+            return
+        uncov = full & ~covered
+        if len(chosen) + lower_bound(uncov) >= best_len:
+            return
+        # branch on the uncovered point with the fewest coverers
+        bx, bcount = -1, n + 1
+        m = uncov
+        while m:
+            x = (m & -m).bit_length() - 1
+            c = covmask[x].bit_count()
+            if c < bcount:
+                bx, bcount = x, c
+            m &= m - 1
+        cands = []
+        m = covmask[bx]
+        while m:
+            y = (m & -m).bit_length() - 1
+            gain = (covmask[y] & uncov).bit_count()
+            cands.append((-gain, y))
+            m &= m - 1
+        cands.sort()
+        for _, y in cands:
+            chosen.append(y)
+            descend(covered | covmask[y])
+            chosen.pop()
+            if best_len <= floor:
+                return
+
+    descend(0)
+    return sorted(best), nodes
+
+
+def recursive_exact_separated(rel: Relation) -> tuple:
+    """Maximum independent set of the cover graph.
+
+    Branch and bound seeded with the greedy id-order set; pruning uses a greedy
+    clique-cover bound on the remaining candidates. Returns (sorted ids, nodes).
+    """
+    n = rel.size
+    adj = [m & ~(1 << x) for x, m in enumerate(covering._column_masks(rel.dense()))]
+
+    best = covering.greedy_separated(rel)
+    best_len = len(best)
+    nodes = 0
+    chosen: list = []
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+
+    def clique_cover_bound(pool: int) -> int:
+        cliques = 0
+        rem = pool
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= ~(1 << v)
+            clique = 1 << v
+            common = adj[v] & rem
+            while common:
+                u = (common & -common).bit_length() - 1
+                clique |= 1 << u
+                rem &= ~(1 << u)
+                common &= adj[u]
+            cliques += 1
+        return cliques
+
+    def descend(pool: int) -> None:
+        nonlocal best, best_len, nodes
+        nodes += 1
+        size = len(chosen)
+        if pool == 0:
+            if size > best_len:
+                best_len = size
+                best = list(chosen)
+            return
+        if size + clique_cover_bound(pool) <= best_len:
+            return
+        # pivot on the candidate with the most conflicts among candidates
+        bv, bdeg = -1, -1
+        m = pool
+        while m:
+            v = (m & -m).bit_length() - 1
+            d = (adj[v] & pool).bit_count()
+            if d > bdeg:
+                bv, bdeg = v, d
+            m &= m - 1
+        chosen.append(bv)
+        descend(pool & ~(adj[bv] | (1 << bv)))
+        chosen.pop()
+        descend(pool & ~(1 << bv))
+
+    descend((1 << n) - 1)
+    return sorted(best), nodes
 
 
 # --- one-call entropy estimate ----------------------------------------------

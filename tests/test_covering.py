@@ -6,6 +6,8 @@ relations, see test_tiling.py) and calls the solvers on it directly, in the
 solvers' CSR form ``oracles.csr``.
 """
 import csv
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -428,6 +430,53 @@ def test_certifier_never_exceeds_optimum_on_bad_duals():
         ]
         for y in duals:
             assert 0 <= _certified_floor(cover, y) <= opt
+
+
+# --- explicit-stack solvers vs the recursive references ----------------------
+
+def test_solvers_on_the_empty_relation():
+    empty = covering.Relation(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32))
+    assert greedy_cover(empty) == [] and greedy_separated(empty) == []
+    assert exact_cover(empty) == ([], 1) and exact_separated(empty) == ([], 1)
+
+
+@st.composite
+def search_graphs(draw):
+    """Symmetric reflexive bool covers on 1..40 points, from no edges to
+    complete."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return upper | upper.T | np.eye(n, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_graphs(), st.sampled_from([None, 0, 3]))
+def test_stack_search_matches_recursive_node_for_node(cover, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(covering, "LP_PIVOT_BUDGET", budget)
+        assert _packing_lp(cover).tobytes() == oracles.reference_packing_lp(cover).tobytes()
+        assert exact_cover(csr(cover)) == oracles.recursive_exact_cover(csr(cover))
+        assert exact_separated(csr(cover)) == oracles.recursive_exact_separated(csr(cover))
+
+
+def test_exact_solvers_leave_the_recursion_limit_alone():
+    # the regression graph beside 284 isolated points: the cover search runs
+    # through every isolated point, and a relation this size made the
+    # recursive form raise the limit for the rest of the process
+    n = 300
+    cover = np.eye(n, dtype=bool)
+    cover[:16, :16] = _cover_from_edges(16, REGRESSION_EDGES)
+    limit = sys.getrecursionlimit()
+    assert 4 * n + 100 > limit  # what the recursive search raised it to
+    _, cover_nodes = exact_cover(csr(cover))
+    _, separated_nodes = exact_separated(csr(cover))
+    assert cover_nodes > 1 and separated_nodes > 1
+    assert sys.getrecursionlimit() == limit
+    for path in pathlib.Path(covering.__file__).parent.glob("*.py"):
+        assert "sys.setrecursionlimit" not in path.read_text(encoding="utf-8")
 
 
 # --- frozen 1-D instances ----------------------------------------------------
