@@ -6,8 +6,8 @@ identity checks between the estimate variants), ``power`` (composition rule).
 
 Outputs are plain CSV/JSON files written deterministically: two runs with the
 same configuration produce byte-identical files. Every JSON file holds a
-result's fields by name, with ``epsilon`` for ``eps``, and the CSV columns use
-the same names; one function, ``plain``, serializes them all. Exit codes:
+result's fields by name, with ``epsilon`` for ``eps``, in sorted keys indented
+by 2, and the CSV columns use the same names. Exit codes:
 0 success, 1 check failure, 2 precondition or usage warning, 3 configuration
 error.
 Set QME_LOG=debug|info|warning to control verbosity.
@@ -15,11 +15,11 @@ Set QME_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import logging
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _string
+from operator import attrgetter
 
 from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config
 from .covering import QUANTITIES, QUANTITY_PAIRS, count_grid
@@ -46,47 +46,57 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def plain(result):
-    """The JSON form of a result. A dataclass becomes the dict of its fields
-    that are not None, with ``eps`` named ``"epsilon"``; a dict keyed by
-    (n, eps) tuples becomes the list of its values in insertion order, and a
-    float key becomes its repr; tuples and lists become lists. Every other
-    value passes through unchanged."""
-    if dataclasses.is_dataclass(result):
-        return {("epsilon" if f.name == "eps" else f.name): plain(v)
-                for f in dataclasses.fields(result)
-                if (v := getattr(result, f.name)) is not None}
-    if isinstance(result, dict):
-        if result and isinstance(next(iter(result)), tuple):
-            return [plain(v) for v in result.values()]
-        return {(repr(k) if isinstance(k, float) else k): plain(v)
-                for k, v in result.items()}
-    if isinstance(result, (tuple, list)):
-        if all(type(v) is int for v in result):  # a witness: no recursion per id
-            return list(result)
-        return [plain(v) for v in result]
-    return result
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# exact type -> its JSON text; numpy's float64 is matched by isinstance
+_SCALARS = {str: _string, int: int.__repr__,
+            float: lambda x: _NONFINITE.get(r := float.__repr__(x), r),
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+_KEYS = {}  # result class -> its ('"key": ', attribute) pairs in key order
 
 
-def _write_json(path: str, result) -> None:
+def _json(x, pad: str = "\n") -> str:
+    """The JSON text of a result on a line that starts with pad, a newline and
+    the indent (README, Outputs per command). A dataclass is the object of its
+    fields that are not None; a dict keyed by (n, eps) is its values' array."""
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    if isinstance(x, float):
+        return _SCALARS[float](x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        items = (map(int.__repr__, x) if all(type(v) is int for v in x)  # witnesses
+                 else [s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner) for v in x])
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if x else "[]"
+    if isinstance(x, dict):
+        if x and isinstance(next(iter(x)), tuple):
+            return _json(list(x.values()), pad)
+        named = {(repr(k) if isinstance(k, float) else k): v for k, v in x.items()}
+        members = [_string(k) + ": " + _json(named[k], inner) for k in sorted(named)]
+    else:
+        if type(x) not in _KEYS:
+            _KEYS[type(x)] = tuple((_string(k) + ": ", f) for k, f in sorted(
+                ("epsilon" if f == "eps" else f, f) for f in type(x).__dataclass_fields__))
+        members = [key + (s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner))
+                   for key, name in _KEYS[type(x)] if (v := getattr(x, name)) is not None]
+    return "{" + inner + ("," + inner).join(members) + pad + "}" if members else "{}"
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return float.__repr__(v) if isinstance(v, float) else str(v)
+
+
+def _csv(header: list, rows) -> str:
+    """A header line, then one line per row of values in header order."""
+    return "\n".join([",".join(header)] + [",".join(map(_cell, row)) for row in rows])
+
+
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(plain(result), indent=2, sort_keys=True))
-        fh.write("\n")
-    log.info("wrote %s", path)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row[col]) for col in header) + "\n")
+        fh.writelines((text, "\n"))
     log.info("wrote %s", path)
 
 
@@ -111,7 +121,7 @@ def _prepare(args) -> RunConfig:
 def cmd_validate(args) -> int:
     cfg = _prepare(args)
     report = check_axioms(cfg.qspec, cfg.cloud, cfg.triple_budget, seed=cfg.seed)
-    _write_json(os.path.join(cfg.out_dir, "axiom_report.json"), report)
+    _write(os.path.join(cfg.out_dir, "axiom_report.json"), _json(report))
     sampling = "exhaustive" if report.exhaustive else "sampled"
     print(f"axioms on {len(cfg.cloud)} points ({sampling}, "
           f"{report.triples_checked} triples):")
@@ -143,13 +153,13 @@ def cmd_counts(args) -> int:
                       exact_threshold=cfg.exact_threshold)
     if cfg.out_format in ("csv", "both"):
         variant_of = {q: v for v, pair in QUANTITY_PAIRS.items() for q in pair}
-        _write_csv(os.path.join(cfg.out_dir, "counts.csv"),
-                   ["n", "epsilon", "variant", "quantity", "cardinality",
-                    "method", "optimal"],
-                   [{**cell, **cell[q], "variant": variant_of[q], "quantity": q}
-                    for cell in plain(grid.cells) for q in QUANTITIES if q in cell])
+        _write(os.path.join(cfg.out_dir, "counts.csv"), _csv(
+            ["n", "epsilon", "variant", "quantity", "cardinality", "method", "optimal"],
+            [(cell.n, cell.eps, variant_of[q], q, r.cardinality, r.method, r.optimal)
+             for cell in grid.cells.values() for q in QUANTITIES
+             if (r := getattr(cell, q)) is not None]))
     if cfg.out_format in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "counts.json"), grid)
+        _write(os.path.join(cfg.out_dir, "counts.json"), _json(grid))
     print(f"count grid: {len(grid.cells)} cells over n={cfg.n_list} "
           f"eps={cfg.eps_list}")
     for note in grid.diagnostics:
@@ -172,18 +182,18 @@ def cmd_entropy(args) -> int:
                                  saturation_fraction=cfg.saturation_fraction,
                                  stability_tol=cfg.stability_tol)
         estimates[variant] = est
-        slope_rows += [{**p, "variant": variant}
-                       for p in plain(est.per_epsilon_slopes)]
+        slope_rows += [(p.eps, p.slope, p.residual, variant)
+                       for p in est.per_epsilon_slopes]
         print(f"{variant}: extrapolated={est.extrapolated!r} "
               f"stabilized={est.stabilized}")
         for note in est.diagnostics:
             print(f"  note: {note}")
 
     if cfg.out_format in ("json", "both"):
-        _write_json(os.path.join(cfg.out_dir, "entropy.json"), estimates)
+        _write(os.path.join(cfg.out_dir, "entropy.json"), _json(estimates))
     if cfg.out_format in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "slopes.csv"),
-                   ["epsilon", "slope", "residual", "variant"], slope_rows)
+        _write(os.path.join(cfg.out_dir, "slopes.csv"),
+               _csv(["epsilon", "slope", "residual", "variant"], slope_rows))
     return EXIT_OK
 
 
@@ -197,11 +207,11 @@ def cmd_compare(args) -> int:
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
                               saturation_fraction=cfg.saturation_fraction,
                               stability_tol=cfg.stability_tol)
-    _write_json(os.path.join(cfg.out_dir, "compare.json"), report)
+    _write(os.path.join(cfg.out_dir, "compare.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "compare_checks.csv"),
-                   ["name", "n", "epsilon", "lhs", "rhs", "ok", "exact"],
-                   plain(report.count_checks))
+        _write(os.path.join(cfg.out_dir, "compare_checks.csv"), _csv(
+            ["name", "n", "epsilon", "lhs", "rhs", "ok", "exact"], map(attrgetter(
+                "name", "n", "eps", "lhs", "rhs", "ok", "exact"), report.count_checks)))
     failed = [c for c in report.count_checks if c.exact and not c.ok]
     print(f"count checks: {len(report.count_checks)} "
           f"({len(failed)} binding failures)")
@@ -227,11 +237,11 @@ def cmd_power(args) -> int:
                               n_burn=cfg.n_burn, window_size=cfg.window_size,
                               saturation_fraction=cfg.saturation_fraction,
                               stability_tol=cfg.stability_tol)
-    _write_json(os.path.join(cfg.out_dir, "power.json"), report)
+    _write(os.path.join(cfg.out_dir, "power.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
-        _write_csv(os.path.join(cfg.out_dir, "power_cells.csv"),
-                   ["n", "epsilon", "lhs", "rhs", "ok", "exact"],
-                   plain(report.cells))
+        _write(os.path.join(cfg.out_dir, "power_cells.csv"), _csv(
+            ["n", "epsilon", "lhs", "rhs", "ok", "exact"],
+            map(attrgetter("n", "eps", "lhs", "rhs", "ok", "exact"), report.cells)))
     print(f"composition rule m={m}: uc_declared={report.uc_declared}")
     print(f"cells ok: {sum(c.ok for c in report.cells)}/{len(report.cells)}")
     print(f"estimate: composed={report.estimate_composed.extrapolated!r} "

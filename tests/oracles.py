@@ -14,9 +14,13 @@ simplex (``recursive_exact_cover``, ``recursive_exact_separated``,
 for node and dual bit for dual bit. ``evaluate``, the one-pair form
 of ``pairwise``, ball membership (``BallSpec``, ``ball_members``) and the
 one-call ``estimate_entropy`` live here because only tests need them.
+``plain`` and ``write_csv`` are the two-pass CLI serializers (a plain tree of
+dicts and lists for ``json.dumps``, and a CSV of dict rows) that the CLI's
+one-pass writer must match byte for byte.
 """
 from __future__ import annotations
 
+import dataclasses
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -621,3 +625,42 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                               window_size=window_size,
                               saturation_fraction=saturation_fraction,
                               stability_tol=stability_tol)
+
+
+# --- two-pass output serializers ---------------------------------------------
+
+def plain(result):
+    """The JSON form of a result. A dataclass becomes the dict of its fields
+    that are not None, with ``eps`` named ``"epsilon"``; a dict keyed by
+    (n, eps) tuples becomes the list of its values in insertion order, and a
+    float key becomes its repr; tuples and lists become lists. Every other
+    value passes through unchanged."""
+    if dataclasses.is_dataclass(result):
+        return {("epsilon" if f.name == "eps" else f.name): plain(v)
+                for f in dataclasses.fields(result)
+                if (v := getattr(result, f.name)) is not None}
+    if isinstance(result, dict):
+        if result and isinstance(next(iter(result)), tuple):
+            return [plain(v) for v in result.values()]
+        return {(repr(k) if isinstance(k, float) else k): plain(v)
+                for k, v in result.items()}
+    if isinstance(result, (tuple, list)):
+        if all(type(v) is int for v in result):  # a witness: no recursion per id
+            return list(result)
+        return [plain(v) for v in result]
+    return result
+
+
+def write_csv(path: str, header: list, rows: list) -> None:
+    """A header line, then one line per row dict, its values in header order."""
+    def fmt(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(row[col]) for col in header) + "\n")

@@ -6,9 +6,11 @@ import pytest
 import qme.covering
 import qme.entropy
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
-from qme.cli import main, plain
+from qme.cli import main
 from qme.config import ConfigError, load_config
 from qme.entropy import estimate_from_grid
+
+from oracles import plain
 
 DOUBLING_CONFIG = """\
 map:

@@ -17,10 +17,9 @@ from qme import (
     power_rule_check,
     symbol_blocks,
 )
-from qme.cli import plain
 from qme.entropy import estimate_from_grid, variant_grids
 
-from oracles import estimate_entropy
+from oracles import estimate_entropy, plain
 
 ARC = QuasiMetricSpec(kind="circle_arc")
 LINE = QuasiMetricSpec(kind="asym_line")

@@ -18,13 +18,12 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.cli import plain
 from qme.covering import STEP
 from qme.quasimetric import (has_floor, is_symmetric, load_matrix_csv, paired, paired_both,
                              paired_floor)
 
 import oracles
-from oracles import BallSpec, ball_members, evaluate
+from oracles import BallSpec, ball_members, evaluate, plain
 
 LINE = QuasiMetricSpec(kind="asym_line")
 ARC = QuasiMetricSpec(kind="circle_arc")

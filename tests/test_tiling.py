@@ -31,7 +31,6 @@ from qme import (
     symmetrize_max,
     symmetrize_mean,
 )
-from qme.cli import plain
 from qme.config import DEFAULT_TRIPLE_BUDGET
 from qme.covering import (
     BIN_OP,
@@ -47,6 +46,7 @@ from qme.dynamics import OrbitTable
 from qme.quasimetric import has_floor, is_symmetric
 
 import oracles
+from oracles import plain
 
 SIZES = range(1, 21)
 KINDS = ("weighted_asym", "asym_line", "matrix", "block_prefix_asym")

@@ -103,6 +103,10 @@ Runs:
 - ``index_widths``: ``counts`` on circle grids of 256 and 257 points under
   the tent map and the hinge rule, both pairings. Relation columns take one
   byte up to 256 points and two beyond, so the boundary is byte-diffed;
+- ``formats``: ``counts``, ``entropy``, ``compare`` and ``power`` on
+  ``qme.config.EXAMPLE_CONFIG`` with ``--format csv`` and with ``--format
+  json``, in ``formats/<format>/<command>/``. Every other case writes both
+  formats, so this one pins which files each format writes;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
   configuration errors, exit code 3).
@@ -127,6 +131,9 @@ from qme.config import EXAMPLE_CONFIG  # noqa: E402
 
 DIGESTS = os.path.join(ROOT, "tests", "golden", "capture_digests.json")
 COMMANDS = ("validate", "counts", "entropy", "compare", "power")
+# the commands whose files depend on --format, and its single-format values
+FORMAT_COMMANDS = ("counts", "entropy", "compare", "power")
+FORMATS = ("csv", "json")
 WORKLOAD_SEED = 1
 # workloads whose inputs also run ``counts``, to capture exact witnesses
 COUNTS_WORKLOADS = ("asym_exact",)
@@ -333,6 +340,16 @@ def capture_offlattice(dest: str, scratch: str) -> None:
     capture_config(OFFLATTICE_CONFIG, ("validate",), dest, scratch)
 
 
+def capture_formats(dest: str, scratch: str) -> None:
+    """The files each single --format value writes."""
+    config = write_config(EXAMPLE_CONFIG, "formats", scratch)
+    for fmt in FORMATS:
+        for command in FORMAT_COMMANDS:
+            case_dir = os.path.join(dest, fmt, command)
+            run_cli([command, "--config", config, "--format", fmt,
+                     "--out", case_dir], case_dir)
+
+
 def capture_errors(dest: str, scratch: str) -> None:
     """Help text and the exit codes of rejected inputs."""
     doc = yaml.safe_load(EXAMPLE_CONFIG)
@@ -392,6 +409,7 @@ def capture(out_root: str) -> None:
         for size in INDEX_WIDTHS_SIZES:
             capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
                            os.path.join(out_root, "index_widths", str(size)), scratch)
+        capture_formats(os.path.join(out_root, "formats"), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
 
 
