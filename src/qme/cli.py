@@ -1,17 +1,4 @@
-"""Command-line front end.
-
-Subcommands: ``validate`` (axiom report), ``counts`` (spanning/separated count
-grid), ``entropy`` (growth-rate estimates), ``compare`` (inequality and
-identity checks between the estimate variants), ``power`` (composition rule).
-
-Outputs are plain CSV/JSON files written deterministically: two runs with the
-same configuration produce byte-identical files. Every JSON file holds a
-result's fields by name, with ``epsilon`` for ``eps``, in sorted keys indented
-by 2, and the CSV columns use the same names. Exit codes:
-0 success, 1 check failure, 2 precondition or usage warning, 3 configuration
-error.
-Set QME_LOG=debug|info|warning to control verbosity.
-"""
+"""Command-line front end: the ``qme`` subcommands and their JSON/CSV writer."""
 from __future__ import annotations
 
 import argparse
@@ -27,10 +14,26 @@ from .dynamics import build_orbits
 from .entropy import (
     compare_theorems,
     estimate_from_grid,
+    growth_rate,
     power_rule_check,
     variant_grids,
 )
 from .quasimetric import check_axioms
+
+DESCRIPTION = """Command-line front end.
+
+Subcommands: ``validate`` (axiom report), ``counts`` (spanning/separated count
+grid), ``entropy`` (growth-rate estimates), ``compare`` (inequality and
+identity checks between the estimate variants), ``power`` (composition rule).
+
+Outputs are plain CSV/JSON files written deterministically: two runs with the
+same configuration produce byte-identical files. Every JSON file holds a
+result's fields by name, with ``epsilon`` for ``eps``, in sorted keys indented
+by 2, and the CSV columns use the same names. Exit codes:
+0 success, 1 check failure, 2 precondition or usage warning, 3 configuration
+error.
+Set QME_LOG=debug|info|warning to control verbosity.
+"""
 
 log = logging.getLogger("qme")
 
@@ -135,14 +138,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
-def _require_fit_window(cfg: RunConfig) -> None:
-    usable = [n for n in cfg.n_list if n >= cfg.n_burn]
-    if cfg.window_size > 0:
-        usable = usable[-cfg.window_size:]
-    if len(usable) < 3:
-        raise ConfigError(
-            f"slope fitting needs at least 3 points with n >= n_burn "
-            f"({cfg.n_burn}); schedule provides {len(usable)}")
+def _fit(cfg: RunConfig) -> dict:
+    """cfg's fit settings; a ConfigError when they leave fewer than 3 n to fit."""
+    try:
+        growth_rate([(n, 1) for n in cfg.n_list], n_burn=cfg.n_burn,
+                    window_size=cfg.window_size)
+    except ValueError as exc:
+        raise ConfigError(f"slope fitting {exc}") from exc
+    return dict(n_burn=cfg.n_burn, window_size=cfg.window_size,
+                saturation_fraction=cfg.saturation_fraction,
+                stability_tol=cfg.stability_tol)
 
 
 def cmd_counts(args) -> int:
@@ -169,7 +174,7 @@ def cmd_counts(args) -> int:
 
 def cmd_entropy(args) -> int:
     cfg = _prepare(args)
-    _require_fit_window(cfg)
+    fit = _fit(cfg)
     orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
     grid = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
@@ -177,10 +182,7 @@ def cmd_entropy(args) -> int:
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:
-        est = estimate_from_grid(grid, variant, n_burn=cfg.n_burn,
-                                 window_size=cfg.window_size,
-                                 saturation_fraction=cfg.saturation_fraction,
-                                 stability_tol=cfg.stability_tol)
+        est = estimate_from_grid(grid, variant, **fit)
         estimates[variant] = est
         slope_rows += [(p.eps, p.slope, p.residual, variant)
                        for p in est.per_epsilon_slopes]
@@ -199,14 +201,10 @@ def cmd_entropy(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _prepare(args)
-    _require_fit_window(cfg)
     report = compare_theorems(cfg.map_spec, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, exact_threshold=cfg.exact_threshold,
                               snap_mode=cfg.snap_mode,
-                              estimator_tol=cfg.estimator_tol,
-                              n_burn=cfg.n_burn, window_size=cfg.window_size,
-                              saturation_fraction=cfg.saturation_fraction,
-                              stability_tol=cfg.stability_tol)
+                              estimator_tol=cfg.estimator_tol, **_fit(cfg))
     _write(os.path.join(cfg.out_dir, "compare.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
         _write(os.path.join(cfg.out_dir, "compare_checks.csv"), _csv(
@@ -228,15 +226,11 @@ def cmd_power(args) -> int:
     m = args.m if args.m is not None else cfg.power_m
     if m < 1:
         raise ConfigError("-m must be >= 1")
-    _require_fit_window(cfg)
     report = power_rule_check(cfg.map_spec, m, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, exact_threshold=cfg.exact_threshold,
                               snap_mode=cfg.snap_mode,
                               power_tol_rel=cfg.power_tol_rel,
-                              power_tol_abs=cfg.power_tol_abs,
-                              n_burn=cfg.n_burn, window_size=cfg.window_size,
-                              saturation_fraction=cfg.saturation_fraction,
-                              stability_tol=cfg.stability_tol)
+                              power_tol_abs=cfg.power_tol_abs, **_fit(cfg))
     _write(os.path.join(cfg.out_dir, "power.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
         _write(os.path.join(cfg.out_dir, "power_cells.csv"), _csv(
@@ -256,7 +250,7 @@ def cmd_power(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qme",
-        description=__doc__,
+        description=DESCRIPTION,
         epilog="Example configuration:\n\n" + EXAMPLE_CONFIG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -280,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed for sampled axiom triples")
         p.add_argument("--format", choices=("csv", "json", "both"), default=None,
-                       help="output file formats")
+                       help="output file formats (compare and power always "
+                            "write their JSON report)")
         if name == "power":
             p.add_argument("-m", type=int, default=None,
                            help="composition exponent (default from config)")

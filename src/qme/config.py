@@ -99,26 +99,28 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """A validated configuration; ``parse_config`` sets every field."""
+
     map_spec: MapSpec
     cloud: PointCloud
     qspec: QuasiMetricSpec
     n_list: list
     eps_list: list
     variants: list
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
-    snap_mode: str = "exact"
-    n_burn: int = DEFAULT_N_BURN
-    window_size: int = 0
-    estimator_tol: float = DEFAULT_ESTIMATOR_TOL
-    power_tol_rel: float = DEFAULT_POWER_TOL_REL
-    power_tol_abs: float = DEFAULT_POWER_TOL_ABS
-    stability_tol: float = DEFAULT_STABILITY_TOL
-    saturation_fraction: float = DEFAULT_SATURATION_FRACTION
-    seed: int = DEFAULT_SEED
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET
-    power_m: int = 2
-    out_dir: str = "out"
-    out_format: str = "both"
+    exact_threshold: int
+    snap_mode: str
+    n_burn: int
+    window_size: int
+    estimator_tol: float
+    power_tol_rel: float
+    power_tol_abs: float
+    stability_tol: float
+    saturation_fraction: float
+    seed: int
+    triple_budget: int
+    power_m: int
+    out_dir: str
+    out_format: str
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -294,34 +296,31 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if fmt not in ("csv", "json", "both"):
         raise ConfigError(f"unknown output format {fmt!r}")
 
-    try:
-        cfg = RunConfig(
-            map_spec=map_spec,
-            cloud=cloud,
-            qspec=qspec,
-            n_list=n_list,
-            eps_list=eps_list,
-            variants=list(variants),
-            exact_threshold=_integer(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD),
-                                     "solver.exact_threshold"),
-            snap_mode=snap,
-            n_burn=_integer(fit.get("n_burn", DEFAULT_N_BURN), "fit.n_burn"),
-            window_size=_integer(fit.get("window_size", 0), "fit.window_size"),
-            estimator_tol=_tolerance(tol, "estimator_tol", DEFAULT_ESTIMATOR_TOL),
-            power_tol_rel=_tolerance(tol, "power_tol_rel", DEFAULT_POWER_TOL_REL),
-            power_tol_abs=_tolerance(tol, "power_tol_abs", DEFAULT_POWER_TOL_ABS),
-            stability_tol=_tolerance(tol, "stability_tol", DEFAULT_STABILITY_TOL),
-            saturation_fraction=_tolerance(tol, "saturation_fraction",
-                                           DEFAULT_SATURATION_FRACTION),
-            seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base"),
-            triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
-                                   "validate.triple_budget"),
-            power_m=_integer(power.get("m", 2), "power.m"),
-            out_dir=str(output.get("dir", "out")),
-            out_format=fmt,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
+    cfg = RunConfig(
+        map_spec=map_spec,
+        cloud=cloud,
+        qspec=qspec,
+        n_list=n_list,
+        eps_list=eps_list,
+        variants=list(variants),
+        exact_threshold=_integer(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD),
+                                 "solver.exact_threshold"),
+        snap_mode=snap,
+        n_burn=_integer(fit.get("n_burn", DEFAULT_N_BURN), "fit.n_burn"),
+        window_size=_integer(fit.get("window_size", 0), "fit.window_size"),
+        estimator_tol=_tolerance(tol, "estimator_tol", DEFAULT_ESTIMATOR_TOL),
+        power_tol_rel=_tolerance(tol, "power_tol_rel", DEFAULT_POWER_TOL_REL),
+        power_tol_abs=_tolerance(tol, "power_tol_abs", DEFAULT_POWER_TOL_ABS),
+        stability_tol=_tolerance(tol, "stability_tol", DEFAULT_STABILITY_TOL),
+        saturation_fraction=_tolerance(tol, "saturation_fraction",
+                                       DEFAULT_SATURATION_FRACTION),
+        seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base"),
+        triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
+                               "validate.triple_budget"),
+        power_m=_integer(power.get("m", 2), "power.m"),
+        out_dir=str(output.get("dir", "out")),
+        out_format=fmt,
+    )
     for name, value, least in (("solver.exact_threshold", cfg.exact_threshold, 0),
                                ("validate.triple_budget", cfg.triple_budget, 1),
                                ("power.m", cfg.power_m, 1), ("seeds.base", cfg.seed, 0),

@@ -16,9 +16,11 @@ scale. Four estimate variants are supported:
                  definition, and it reuses the two_sided counts.
 
 Separated counts are the primary statistic; spanning counts are carried along
-as a cross-check. Counts close to the cloud size are finite-sample saturation
-(the relation can no longer resolve growth) and are excluded from fits when
-enough cells remain; every exclusion is recorded in the diagnostics.
+as a cross-check. ``compare_theorems`` and ``power_rule_check`` report count
+checks as ``CheckRow``s and fit with ``estimate_from_grid``, which owns the
+fit settings. Counts close to the cloud size are finite-sample saturation (the
+relation can no longer resolve growth) and are excluded from fits when enough
+cells remain; every exclusion is recorded in the diagnostics.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ __all__ = [
     "EstimateCheck",
     "TheoremComparison",
     "compare_theorems",
-    "PowerCell",
     "PowerRuleReport",
     "power_rule_check",
 ]
@@ -94,7 +95,8 @@ def growth_rate(counts: Sequence, n_burn: int = DEFAULT_N_BURN,
     if window_size > 0:
         usable = usable[-window_size:]
     if len(usable) < 3:
-        raise ValueError(f"need at least 3 usable points, got {len(usable)}")
+        raise ValueError(f"needs at least 3 points with n >= n_burn ({n_burn}) "
+                         f"in the fit window, got {len(usable)}")
     if any(c < 1 for _, c in usable):
         raise ValueError("cardinalities must be >= 1")
 
@@ -141,9 +143,9 @@ class EntropyEstimate:
     counts: dict = field(default_factory=dict)  # eps -> [(n, primary count)]
 
 
-def _fit_one_eps(eps: float, seq: list, cloud_size: int, *, n_burn: int,
-                 window_size: int, saturation_fraction: float,
-                 diagnostics: list, tag: str = "") -> PerEpsSlope:
+def _fit_one_eps(eps: float, seq: list, cloud_size: int, diagnostics: list,
+                 tag: str, *, n_burn: int, window_size: int,
+                 saturation_fraction: float) -> PerEpsSlope:
     threshold = saturation_fraction * cloud_size
     kept = [(n, c) for n, c in seq if c < threshold]
     dropped = tuple(n for n, c in seq if c >= threshold)
@@ -170,27 +172,21 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
                        saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
                        stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
     """Turn an existing count grid into an entropy estimate for one variant,
-    fitting every scale of the grid's eps schedule."""
+    fitting every scale of the grid's eps schedule: the variant's primary
+    quantity gives the slopes, its cross quantity the spanning cross-check."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown entropy variant {variant!r}")
-    primary, cross = ENTROPY_VARIANTS[variant]
     diagnostics: list = []
     counts = {}
-    slopes = []
-    cross_slopes = []
+    slopes, cross_slopes = fits = [], []
     for eps in grid.eps_list:
-        seq = [(n, grid.cell(n, eps).get(primary).cardinality) for n in grid.n_list]
-        counts[eps] = seq
-        slopes.append(_fit_one_eps(eps, seq, grid.cloud_size, n_burn=n_burn,
-                                   window_size=window_size,
-                                   saturation_fraction=saturation_fraction,
-                                   diagnostics=diagnostics))
-        cross_seq = [(n, grid.cell(n, eps).get(cross).cardinality) for n in grid.n_list]
-        cross_slopes.append(_fit_one_eps(eps, cross_seq, grid.cloud_size, n_burn=n_burn,
-                                         window_size=window_size,
-                                         saturation_fraction=saturation_fraction,
-                                         diagnostics=diagnostics,
-                                         tag="spanning cross-check: "))
+        for q, tag, out in zip(ENTROPY_VARIANTS[variant],
+                               ("", "spanning cross-check: "), fits):
+            seq = [(n, grid.cell(n, eps).get(q).cardinality) for n in grid.n_list]
+            counts.setdefault(eps, seq)  # the primary quantity's counts
+            out.append(_fit_one_eps(eps, seq, grid.cloud_size, diagnostics, tag,
+                                    n_burn=n_burn, window_size=window_size,
+                                    saturation_fraction=saturation_fraction))
 
     if not grid.all_exact():
         diagnostics.append("some cells were solved greedily; counts are bounds, "
@@ -243,9 +239,9 @@ def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
 
 @dataclass(frozen=True)
 class CheckRow:
-    """One count-level inequality (or equality) instance."""
+    """One count-level inequality (or equality) instance; power cells have no name."""
 
-    name: str
+    name: str | None
     n: int
     eps: float
     lhs: int
@@ -273,20 +269,30 @@ class TheoremComparison:
     overall_ok: bool
 
 
-def _ineq_rows(name: str, grid: CountGrid, qa: str, qb: str, pairs,
-               label_rhs: bool = False) -> list:
-    """qa at cell a <= qb at cell b for each (a, b) pair of cells; a row is
-    labelled with cell a, or with cell b when ``label_rhs``."""
+def _ineq_rows(name: str | None, grid: CountGrid, qa: str, qb: str, pairs,
+               label_rhs: bool = False, grid_b: CountGrid | None = None) -> list:
+    """qa at cell a <= qb at cell b for each (a, b) pair of cells, with cell b
+    read from ``grid_b`` when given; a row is labelled with cell a, or with
+    cell b when ``label_rhs``."""
     rows = []
     for a, b in pairs:
         ra = grid.cell(*a).get(qa)
-        rb = grid.cell(*b).get(qb)
+        rb = (grid_b or grid).cell(*b).get(qb)
         n, eps = b if label_rhs else a
         rows.append(CheckRow(name=name, n=n, eps=eps,
                              lhs=ra.cardinality, rhs=rb.cardinality,
                              ok=ra.cardinality <= rb.cardinality,
                              exact=ra.optimal and rb.optimal))
     return rows
+
+
+def _binding_ok(rows: list, greedy_note: str, diagnostics: list) -> bool:
+    """Whether every row with both sides exact holds. A row with a greedy side
+    is only a bound, so it binds nothing; their number goes to diagnostics."""
+    n_greedy = sum(1 for r in rows if not r.exact)
+    if n_greedy:
+        diagnostics.append(f"{n_greedy} {greedy_note} and are informational only")
+    return all(r.ok for r in rows if r.exact)
 
 
 def _halving_pairs(n_list, eps_list):
@@ -304,16 +310,14 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                      snap_mode: str = "exact",
                      estimator_tol: float = DEFAULT_ESTIMATOR_TOL,
-                     n_burn: int = DEFAULT_N_BURN,
-                     window_size: int = 0,
-                     saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                     stability_tol: float = DEFAULT_STABILITY_TOL) -> TheoremComparison:
+                     **fit) -> TheoremComparison:
     """Run every count-level inequality and estimate-level relation.
 
     Count-level checks carry zero slack and are binding on cells where both
     sides were solved exactly; greedy cells are reported with exact=False and
     do not fail the run. Estimate-level checks carry ``estimator_tol`` slack,
-    except the max-symmetrization identity, which must hold exactly.
+    except the max-symmetrization identity, which must hold exactly. ``fit``
+    holds the fit settings of ``estimate_from_grid``.
     """
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
@@ -343,9 +347,6 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                 rows.append(CheckRow(name=f"max_metric_counts_{q}", n=n, eps=eps,
                                      lhs=c, rhs=c, ok=True, exact=True))
 
-    fit = dict(n_burn=n_burn, window_size=window_size,
-               saturation_fraction=saturation_fraction,
-               stability_tol=stability_tol)
     estimates = {v: estimate_from_grid(grid, v, **fit) for v in ENTROPY_VARIANTS}
     h_two = estimates["two_sided"].extrapolated
     h_one = estimates["one_sided"].extrapolated
@@ -361,11 +362,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     ]
 
     diagnostics = []
-    n_greedy = sum(1 for r in rows if not r.exact)
-    if n_greedy:
-        diagnostics.append(f"{n_greedy} count checks use greedy cells and are "
-                           "informational only")
-    binding_ok = all(r.ok for r in rows if r.exact)
+    binding_ok = _binding_ok(rows, "count checks use greedy cells", diagnostics)
     overall = binding_ok and all(c.ok for c in est_checks)
     # relations_identical is true by construction: max_metric reuses the
     # two_sided grid (see variant_grids). The lemma behind it is pinned by
@@ -381,21 +378,11 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
 # power rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerCell:
-    n: int
-    eps: float
-    lhs: int  # one_sided spanning count of the composed map at n
-    rhs: int  # one_sided spanning count of the base map at m*n
-    ok: bool
-    exact: bool
-
-
 @dataclass
 class PowerRuleReport:
     m: int
     uc_declared: bool
-    cells: list
+    cells: list  # unnamed CheckRows: composed r2 at (n, eps) <= base r2 at (m*n, eps)
     estimate_composed: EntropyEstimate
     estimate_base: EntropyEstimate
     target: float
@@ -411,13 +398,11 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                      snap_mode: str = "exact",
                      power_tol_rel: float = DEFAULT_POWER_TOL_REL,
                      power_tol_abs: float = DEFAULT_POWER_TOL_ABS,
-                     n_burn: int = DEFAULT_N_BURN,
-                     window_size: int = 0,
-                     saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                     stability_tol: float = DEFAULT_STABILITY_TOL) -> PowerRuleReport:
+                     **fit) -> PowerRuleReport:
     """Check the composition rule: the one_sided entropy of the m-fold composed
     map should be m times the base value, and cell-wise the composed spanning
-    count at n never exceeds the base count at m*n."""
+    count at n never exceeds the base count at m*n. ``fit`` holds the fit
+    settings of ``estimate_from_grid``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n_list = [int(n) for n in n_list]
@@ -440,19 +425,9 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
     grid_comp = count_grid(spec, orbits_comp, n_list, eps_list,
                            exact_threshold=exact_threshold, variants=("one_sided",))
 
-    cells = []
-    for n in n_list:
-        for eps in eps_list:
-            lhs = grid_comp.cell(n, eps).get("r2")
-            rhs = grid_base.cell(m * n, eps).get("r2")
-            cells.append(PowerCell(n=n, eps=eps, lhs=lhs.cardinality,
-                                   rhs=rhs.cardinality,
-                                   ok=lhs.cardinality <= rhs.cardinality,
-                                   exact=lhs.optimal and rhs.optimal))
-
-    fit = dict(n_burn=n_burn, window_size=window_size,
-               saturation_fraction=saturation_fraction,
-               stability_tol=stability_tol)
+    cells = _ineq_rows(None, grid_comp, "r2", "r2",
+                       [((n, e), (m * n, e)) for n in n_list for e in eps_list],
+                       grid_b=grid_base)
     # restrict the base grid to the requested window for a comparable estimate
     base_window = CountGrid(cloud_size=grid_base.cloud_size, n_list=n_list,
                             eps_list=eps_list, variants=("one_sided",),
@@ -465,11 +440,7 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
     tol = max(power_tol_rel * abs(target), power_tol_abs)
     est_ok = abs(est_comp.extrapolated - target) <= tol
 
-    n_greedy = sum(1 for c in cells if not c.exact)
-    if n_greedy:
-        diagnostics.append(f"{n_greedy} power cells use greedy counts and are "
-                           "informational only")
-    binding_ok = all(c.ok for c in cells if c.exact)
+    binding_ok = _binding_ok(cells, "power cells use greedy counts", diagnostics)
     overall = uc and binding_ok and est_ok
     return PowerRuleReport(m=m, uc_declared=uc, cells=cells,
                            estimate_composed=est_comp, estimate_base=est_base,

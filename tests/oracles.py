@@ -30,14 +30,7 @@ import numpy as np
 from qme import covering
 from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation
 from qme.dynamics import MapSpec, PointCloud, build_orbits
-from qme.entropy import (
-    DEFAULT_N_BURN,
-    DEFAULT_SATURATION_FRACTION,
-    DEFAULT_STABILITY_TOL,
-    EntropyEstimate,
-    estimate_from_grid,
-    variant_grids,
-)
+from qme.entropy import EntropyEstimate, estimate_from_grid, variant_grids
 from qme.quasimetric import (
     DEFAULT_SEED,
     AxiomReport,
@@ -606,25 +599,19 @@ def recursive_exact_separated(rel: Relation) -> tuple:
 def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
                      variant: str, n_list: Sequence, eps_list: Sequence, *,
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     snap_mode: str = "exact",
-                     n_burn: int = DEFAULT_N_BURN,
-                     window_size: int = 0,
-                     saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                     stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
+                     snap_mode: str = "exact", **fit) -> EntropyEstimate:
     """Estimate the entropy of a map over a cloud for one variant.
 
     Builds the orbit table of the cloud, counts spanning/separated
     cardinalities over the schedule under the variant's distance rule, fits
-    per-scale growth slopes and extrapolates at the smallest scale.
+    per-scale growth slopes with the fit settings ``fit`` of
+    ``estimate_from_grid`` and extrapolates at the smallest scale.
     """
     orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                           snap_mode=snap_mode, qspec=spec)
     grid = variant_grids(spec, orbits, (variant,), n_list, eps_list,
                          exact_threshold=exact_threshold)
-    return estimate_from_grid(grid, variant, n_burn=n_burn,
-                              window_size=window_size,
-                              saturation_fraction=saturation_fraction,
-                              stability_tol=stability_tol)
+    return estimate_from_grid(grid, variant, **fit)
 
 
 # --- two-pass output serializers ---------------------------------------------

@@ -1,13 +1,19 @@
 """Command-line behavior: config parsing, outputs, exit codes, determinism."""
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 import qme.covering
 import qme.entropy
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
 from qme.cli import main
-from qme.config import ConfigError, load_config
+from qme.config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config, parse_config
 from qme.entropy import estimate_from_grid
 
 from oracles import plain
@@ -311,11 +317,20 @@ def test_unknown_solver_mode_is_config_error(tmp_path):
 
 
 def test_example_config_parses(tmp_path):
-    from qme.config import EXAMPLE_CONFIG, parse_config
-    import yaml
     cfg = parse_config(yaml.safe_load(EXAMPLE_CONFIG), base_dir=str(tmp_path))
     assert cfg.map_spec.kind == "doubling"
     assert cfg.eps_list == [0.5, 0.25, 0.125, 0.0625]
+
+
+def test_example_config_shows_the_parsed_defaults(tmp_path):
+    # EXAMPLE_CONFIG documents every default: leaving out all the sections
+    # past the system and the schedule must not change the configuration
+    doc = yaml.safe_load(EXAMPLE_CONFIG)
+    bare = {name: doc[name] for name in ("map", "cloud", "qmetric", "schedule")}
+    system = {"map_spec", "cloud", "qspec", "n_list", "eps_list"}
+    rest = [f.name for f in dataclasses.fields(RunConfig) if f.name not in system]
+    full, parsed = (parse_config(d, base_dir=str(tmp_path)) for d in (doc, bare))
+    assert {f: getattr(parsed, f) for f in rest} == {f: getattr(full, f) for f in rest}
 
 
 MATRIX_FILE_CONFIG = """\
@@ -386,6 +401,20 @@ def test_short_fit_window_is_config_error(tmp_path):
     assert main(["entropy", "--config", cfg]) == 3  # fitting needs 3 points
     assert main(["compare", "--config", cfg]) == 3
     assert main(["power", "--config", cfg, "-m", "2"]) == 3
+
+
+@pytest.mark.parametrize("command", ["entropy", "compare", "power"])
+@pytest.mark.parametrize("fit,n_burn", [("n_burn: 3", 3), ("window_size: 2", 2)],
+                         ids=["n_burn", "window_size"])
+def test_fit_window_of_two_points_writes_nothing(tmp_path, capsys, command, fit, n_burn):
+    # n = 1..4 leaves n = 3, 4 at or past n_burn 3, and the last 2 of n = 2..4
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, DOUBLING_CONFIG + f"fit:\n  {fit}\n", out=out)
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert f"slope fitting needs at least 3 points with n >= n_burn ({n_burn})" in err
+    assert err.rstrip().endswith("got 2")
+    assert not any(out.iterdir())
 
 
 # (case, old text, new text, message): malformed values are configuration
@@ -464,3 +493,31 @@ def test_one_count_grid_and_one_live_pair_stream_per_command(tmp_path, monkeypat
     assert (out / f"{command}.json").exists()
     assert calls == {"count_grid": 1, "_live_pairs": 1}
     assert not hasattr(qme.entropy, "symmetrize_mean")
+
+
+TRACED = """\
+import json, sys
+from tracing import Tracer
+import qme.cli
+tracer = Tracer()
+tracer.install()
+for command in ("compare", "power"):
+    qme.cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps(sorted({span["name"] for span in tracer.spans})))
+"""
+
+
+def test_perfbench_tracer_fits_this_checkout(tmp_path):
+    # perfbench/tracing.py wraps qme's names by getattr: a name moved or
+    # renamed breaks its install or leaves a layer without spans
+    root = Path(__file__).resolve().parents[1]
+    config = tmp_path / "run.yaml"
+    config.write_text(EXAMPLE_CONFIG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED, str(config), str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {"entropy.compare_theorems", "entropy.power_rule_check",
+            "entropy.estimate_from_grid", "covering.count_grid"} <= names
