@@ -6,7 +6,6 @@ from .quasimetric import (
     QuasiMetricSpec,
     check_axioms,
     pairwise,
-    scaled,
     symmetrize_max,
     symmetrize_mean,
 )

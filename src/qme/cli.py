@@ -12,6 +12,7 @@ from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config
 from .covering import QUANTITIES, QUANTITY_PAIRS, count_grid
 from .dynamics import build_orbits
 from .entropy import (
+    binding_failures,
     compare_theorems,
     estimate_from_grid,
     growth_rate,
@@ -210,7 +211,7 @@ def cmd_compare(args) -> int:
         _write(os.path.join(cfg.out_dir, "compare_checks.csv"), _csv(
             ["name", "n", "epsilon", "lhs", "rhs", "ok", "exact"], map(attrgetter(
                 "name", "n", "eps", "lhs", "rhs", "ok", "exact"), report.count_checks)))
-    failed = [c for c in report.count_checks if c.exact and not c.ok]
+    failed = binding_failures(report.count_checks)
     print(f"count checks: {len(report.count_checks)} "
           f"({len(failed)} binding failures)")
     print(f"relations identical (max symmetrization): {report.relations_identical}")

@@ -174,8 +174,6 @@ def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
             return dynamics.index_cloud(_integer(sec["count"], "cloud.count"))
         if kind == "custom":
             return dynamics.cloud_from_csv(os.path.join(base_dir, sec["path"]))
-    except ConfigError:
-        raise
     except KeyError as exc:
         raise ConfigError(f"cloud kind {kind!r} is missing field {exc}") from exc
     except (ValueError, OSError) as exc:
@@ -198,8 +196,6 @@ def _build_qmetric(sec: dict, base_dir: str) -> QuasiMetricSpec:
                 return QuasiMetricSpec(kind="matrix",
                                        matrix=np.asarray(sec["rows"], dtype=float))
             return quasimetric.load_matrix_csv(os.path.join(base_dir, sec["path"]))
-    except ConfigError:
-        raise
     except KeyError as exc:
         raise ConfigError(f"qmetric kind {kind!r} is missing field {exc}") from exc
     except (ValueError, OSError) as exc:

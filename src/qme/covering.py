@@ -38,9 +38,9 @@ floor exceeds eps_0: before the first orbit step, an off-diagonal block whose
 ``quasimetric.paired_floor`` bounds on f and b give every channel a step value
 above the largest eps starts empty, as step 0 would leave it. The kinds with a
 bound (``quasimetric.has_floor``) are ``circle_arc``, ``euclidean``,
-``asym_line`` and ``weighted_asym``, and ``scaled``, ``mean_of`` and
-``max_of`` of these; on sorted clouds most far blocks are skipped. Other rules
-take no floor and no tile extremes. The b floor is taken only where f alone
+``asym_line`` and ``weighted_asym``; on sorted clouds most far blocks are
+skipped. Other rules, the derived kinds among them, take no floor and no tile
+extremes. The b floor is taken only where f alone
 does not settle the block. A shared rule is symmetric by construction
 (``quasimetric.is_symmetric``), with a largest eps below 2^1023: D_n = D_n^T
 bit for bit, and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every

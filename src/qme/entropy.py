@@ -48,6 +48,7 @@ __all__ = [
     "EntropyEstimate",
     "variant_grids",
     "CheckRow",
+    "binding_failures",
     "EstimateCheck",
     "TheoremComparison",
     "compare_theorems",
@@ -215,6 +216,18 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
                            cloud_size=grid.cloud_size, counts=counts)
 
 
+# the fit settings, read once, at import, off estimate_from_grid's keywords
+_FIT_SETTINGS = frozenset(estimate_from_grid.__kwdefaults__)
+
+
+def _check_fit(caller: str, fit: dict) -> None:
+    """A TypeError naming the first of ``fit``'s settings that
+    ``estimate_from_grid`` does not take, raised before any orbit is built."""
+    for name in fit:
+        if name not in _FIT_SETTINGS:
+            raise TypeError(f"{caller}() got an unexpected fit setting {name!r}")
+
+
 def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
                   variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountGrid:
@@ -286,13 +299,19 @@ def _ineq_rows(name: str | None, grid: CountGrid, qa: str, qb: str, pairs,
     return rows
 
 
+def binding_failures(rows: list) -> list:
+    """The rows that bind and fail: both sides exact and the check false. A
+    row with a greedy side is only a bound, so it binds nothing."""
+    return [r for r in rows if r.exact and not r.ok]
+
+
 def _binding_ok(rows: list, greedy_note: str, diagnostics: list) -> bool:
-    """Whether every row with both sides exact holds. A row with a greedy side
-    is only a bound, so it binds nothing; their number goes to diagnostics."""
+    """Whether no row binds and fails; the number of rows with a greedy side
+    goes to diagnostics."""
     n_greedy = sum(1 for r in rows if not r.exact)
     if n_greedy:
         diagnostics.append(f"{n_greedy} {greedy_note} and are informational only")
-    return all(r.ok for r in rows if r.exact)
+    return not binding_failures(rows)
 
 
 def _halving_pairs(n_list, eps_list):
@@ -319,6 +338,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     except the max-symmetrization identity, which must hold exactly. ``fit``
     holds the fit settings of ``estimate_from_grid``.
     """
+    _check_fit("compare_theorems", fit)
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
@@ -403,6 +423,7 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
     map should be m times the base value, and cell-wise the composed spanning
     count at n never exceeds the base count at m*n. ``fit`` holds the fit
     settings of ``estimate_from_grid``."""
+    _check_fit("power_rule_check", fit)
     if m < 1:
         raise ValueError("m must be >= 1")
     n_list = [int(n) for n in n_list]

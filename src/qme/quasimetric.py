@@ -27,8 +27,8 @@ Built-in kinds
 ``block_prefix_asym``  as ``block_prefix`` but disagreements where the first
                    differing symbol of x exceeds y's cost twice as much.
 
-Derived kinds ``mean_of``, ``max_of`` and ``scaled`` wrap a base rule; they are
-produced by :func:`symmetrize_mean`, :func:`symmetrize_max` and :func:`scaled`.
+Derived kinds ``mean_of`` and ``max_of`` wrap a base rule; they are produced
+by :func:`symmetrize_mean` and :func:`symmetrize_max`.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ __all__ = [
     "check_axioms",
     "symmetrize_mean",
     "symmetrize_max",
-    "scaled",
     "load_matrix_csv",
 ]
 
@@ -62,8 +61,8 @@ _BASE_KINDS = {
     "block_prefix",
     "block_prefix_asym",
 }
-_DERIVED_KINDS = {"mean_of", "max_of", "scaled"}
-# base kinds with a paired_floor
+_DERIVED_KINDS = {"mean_of", "max_of"}
+# kinds with a paired_floor
 _FLOOR_KINDS = {"asym_line", "euclidean", "circle_arc", "weighted_asym"}
 # kinds whose formula gives e(x, y) == e(y, x) bit for bit: negation, abs,
 # squaring, + and max are exact or commutative in IEEE arithmetic
@@ -90,8 +89,8 @@ class QuasiMetricSpec:
     """A named distance rule producing e(x, y) >= 0.
 
     Only the fields relevant to ``kind`` are used: ``alpha``/``beta`` for
-    ``weighted_asym``, ``matrix`` for the lookup kind, ``base`` (and ``factor``)
-    for the derived kinds.
+    ``weighted_asym``, ``matrix`` for the lookup kind, ``base`` for the
+    derived kinds.
     """
 
     kind: str
@@ -99,7 +98,6 @@ class QuasiMetricSpec:
     beta: float = 1.0
     matrix: Optional[np.ndarray] = None
     base: Optional["QuasiMetricSpec"] = None
-    factor: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _BASE_KINDS | _DERIVED_KINDS:
@@ -122,8 +120,6 @@ class QuasiMetricSpec:
             object.__setattr__(self, "matrix", m)
         if self.kind in _DERIVED_KINDS and self.base is None:
             raise ValueError(f"{self.kind} needs a base spec")
-        if self.kind == "scaled" and not 0.0 < self.factor < np.inf:
-            raise ValueError("scale factor must be finite and > 0")
 
 
 def _as_points(a) -> np.ndarray:
@@ -172,8 +168,6 @@ def paired(spec: QuasiMetricSpec, a, b) -> np.ndarray:
     if kind in ("mean_of", "max_of"):
         fwd, bwd = paired_both(spec.base, a, b)
         return (fwd + bwd) / 2.0 if kind == "mean_of" else np.maximum(fwd, bwd)
-    if kind == "scaled":
-        return spec.factor * paired(spec.base, a, b)
 
     if kind == "asym_line":
         if a.shape[-1] != 1:
@@ -243,11 +237,9 @@ def paired_both(spec: QuasiMetricSpec, a, b) -> tuple:
 
 def has_floor(spec: QuasiMetricSpec) -> bool:
     """True when :func:`paired_floor` bounds the rule: ``circle_arc``,
-    ``euclidean``, ``asym_line``, ``weighted_asym``, and ``scaled``,
-    ``mean_of`` and ``max_of`` of these. ``matrix`` and the ``block_prefix``
-    kinds have no cheap bound."""
-    while spec.kind in _DERIVED_KINDS:
-        spec = spec.base
+    ``euclidean``, ``asym_line`` and ``weighted_asym``. ``matrix`` and the
+    ``block_prefix`` kinds have no cheap bound, and derived kinds take no
+    floor."""
     return spec.kind in _FLOOR_KINDS
 
 
@@ -265,24 +257,15 @@ def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[fl
     ``circle_arc``'s min(d, 1 - d) of d = |b - a| is at least its d at the
     least d and its 1 - d at the largest. The bound is therefore ``paired``
     on the differences in [lo, hi] nearest 0, and for ``circle_arc`` the
-    least of that and ``paired`` on lo and on hi.
-    ``scaled``, ``mean_of`` and ``max_of`` combine their base's bounds as
-    they combine its values."""
+    least of that and ``paired`` on lo and on hi."""
     if not has_floor(spec):
         return None
-    kind = spec.kind
-    if kind in ("mean_of", "max_of"):
-        fwd = paired_floor(spec.base, rows, cols)
-        bwd = paired_floor(spec.base, cols, rows)
-        return (fwd + bwd) / 2.0 if kind == "mean_of" else float(np.maximum(fwd, bwd))
-    if kind == "scaled":
-        return spec.factor * paired_floor(spec.base, rows, cols)
     (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     lo, hi = col_lo - row_hi, col_hi - row_lo
     near = np.minimum(np.maximum(lo, 0.0), hi)
     if np.isnan(near).any():  # asym_line reads a NaN difference as 1
         return float("nan")
-    diffs = np.stack([near, lo, hi]) if kind == "circle_arc" else near[None, :]
+    diffs = np.stack([near, lo, hi]) if spec.kind == "circle_arc" else near[None, :]
     return float(paired(spec, np.zeros_like(diffs), diffs).min())
 
 
@@ -290,13 +273,10 @@ def is_symmetric(spec: QuasiMetricSpec) -> bool:
     """True when the rule is symmetric by construction, so that
     ``paired(spec, a, b)`` equals ``paired(spec, b, a)`` for every input:
     ``euclidean``, ``circle_arc``, ``block_prefix``, the two symmetrizations
-    of any base, ``scaled`` of a symmetric base, and a ``matrix`` equal to its
-    transpose. Other rules may be symmetric on a given cloud; that is not
-    looked for."""
+    of any base, and a ``matrix`` equal to its transpose. Other rules may be
+    symmetric on a given cloud; that is not looked for."""
     if spec.kind in _SYMMETRIC_KINDS:
         return True
-    if spec.kind == "scaled":
-        return is_symmetric(spec.base)
     if spec.kind == "matrix":
         return bool(np.array_equal(spec.matrix, spec.matrix.T))
     return False
@@ -350,11 +330,6 @@ def symmetrize_max(spec: QuasiMetricSpec) -> QuasiMetricSpec:
     return QuasiMetricSpec(kind="max_of", base=spec)
 
 
-def scaled(spec: QuasiMetricSpec, factor: float) -> QuasiMetricSpec:
-    """Rescaled rule c * e for c > 0 (distances and radii scale together)."""
-    return QuasiMetricSpec(kind="scaled", base=spec, factor=factor)
-
-
 @dataclass
 class AxiomReport:
     """Outcome of validating the three quasi-metric axioms on a sample."""
@@ -381,17 +356,16 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     All |cloud|^3 ordered triples are checked when that count fits within
     ``triple_budget``; otherwise ``triple_budget`` triples are drawn, with
     replacement, from a generator seeded with ``seed`` so reports are
-    reproducible. ``triples_checked`` counts the draws, and ``violations``
+    reproducible. ``triples_checked`` counts the triples, and ``violations``
     lists each distinct violating triple once. Comparisons are exact; no
     tolerance is applied.
 
     Memory does not grow with N^2 or with the budget: e is evaluated in both
     directions, by one :func:`paired_both` call, on :func:`pair_blocks` of at
     most ``PAIR_BLOCK`` pairs on and right of the diagonal of each row tile,
-    so each unordered pair is read once outside the diagonal sub-blocks, and
-    sampled triples are drawn and checked in slices of about ``PAIR_BLOCK``.
-    Only the exhaustive mode builds the dense N x N matrix, and N^3 <= budget
-    there.
+    so each unordered pair is read once outside the diagonal sub-blocks.
+    Triples, enumerated in order or drawn, are checked in slices of about
+    ``PAIR_BLOCK`` by one loop of :func:`paired` calls.
     """
     if triple_budget < 1:
         raise ValueError("triple_budget must be >= 1")
@@ -418,30 +392,22 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
 
     violations = []
     exhaustive = n ** 3 <= triple_budget
-    if exhaustive:
-        triples_checked = n ** 3
-        D = pairwise(spec, pts, pts)
-        for y in range(n):
-            rhs = D[:, y][:, None] + D[y, :][None, :]
-            bad = D > rhs
-            if bad.any():
-                xs, zs = np.nonzero(bad)
-                for x, z in zip(xs.tolist(), zs.tolist()):
-                    violations.append((x, y, z, float(D[x, z]), float(rhs[x, z])))
-    else:
-        triples_checked = triple_budget
-        rng = np.random.default_rng(seed)
-        # numpy's bounded draw restarts its 32-bit buffer at each call, so
-        # slices of an even number of triples draw the integers of one
-        # budget x 3 draw
-        step = PAIR_BLOCK + PAIR_BLOCK % 2
-        for s in range(0, triple_budget, step):
-            idx = rng.integers(0, n, size=(min(step, triple_budget - s), 3))
-            x, y, z = (pts[idx[:, k]] for k in range(3))
-            lhs = paired(spec, x, z)
-            rhs = paired(spec, x, y) + paired(spec, y, z)
-            for t in np.nonzero(lhs > rhs)[0].tolist():
-                violations.append((*idx[t].tolist(), float(lhs[t]), float(rhs[t])))
+    triples_checked = n ** 3 if exhaustive else triple_budget
+    rng = np.random.default_rng(seed)
+    # numpy's bounded draw restarts its 32-bit buffer at each call, so slices
+    # of an even number of triples draw the integers of one budget x 3 draw
+    step = PAIR_BLOCK + PAIR_BLOCK % 2
+    for s in range(0, triples_checked, step):
+        size = min(step, triples_checked - s)
+        if exhaustive:  # triples s.. in (x, y, z) order
+            xyz = np.unravel_index(np.arange(s, s + size), (n, n, n))
+        else:
+            xyz = rng.integers(0, n, size=(size, 3)).T
+        x, y, z = (pts[i] for i in xyz)
+        lhs = paired(spec, x, z)
+        rhs = paired(spec, x, y) + paired(spec, y, z)
+        for t in np.nonzero(lhs > rhs)[0].tolist():
+            violations.append((*(int(i[t]) for i in xyz), float(lhs[t]), float(rhs[t])))
 
     max_asym = float(max_asym) if n > 1 else 0.0
     return AxiomReport(

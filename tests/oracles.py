@@ -276,8 +276,6 @@ def formula_pairwise(spec, a, b) -> np.ndarray:
     if kind == "max_of":
         return np.maximum(formula_pairwise(spec.base, A, B),
                           formula_pairwise(spec.base, B, A).T)
-    if kind == "scaled":
-        return spec.factor * formula_pairwise(spec.base, A, B)
     if kind == "asym_line":
         diff = B[:, 0][None, :] - A[:, 0][:, None]
         return np.where(diff >= 0.0, diff, 1.0)

@@ -22,7 +22,7 @@ from qme import (
     custom_cloud,
     grid1d,
     index_cloud,
-    scaled,
+    pairwise,
 )
 from qme import cli, covering
 from qme.dynamics import OrbitTable
@@ -768,10 +768,27 @@ def test_sandwich_battery_random_instances(seed):
     assert np.array_equal(cover_me, cover_e)
 
 
+def _doubled(spec, orbits) -> tuple:
+    """(rule, doubled rule, orbits): the hinge rule with both weights doubled,
+    or, for circle_arc, a lookup table of its distances between the distinct
+    orbit points and that table doubled, on the orbits as point indices. Each
+    doubled value is exactly twice the rule's."""
+    if spec.kind == "weighted_asym":
+        return spec, QuasiMetricSpec(kind="weighted_asym", alpha=2.0 * spec.alpha,
+                                     beta=2.0 * spec.beta), orbits
+    pts, ids = np.unique(orbits.images, return_inverse=True)
+    table = pairwise(spec, pts[:, None], pts[:, None])
+    indexed = OrbitTable(images=ids.reshape(orbits.images.shape).astype(float),
+                         snap_mode=orbits.snap_mode)
+    return (QuasiMetricSpec(kind="matrix", matrix=table),
+            QuasiMetricSpec(kind="matrix", matrix=2.0 * table), indexed)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_scaling_rescales_cells(seed):
+    # a rule doubled covers at eps exactly what the rule covers at eps / 2
     spec, orbits, cloud, n, eps = _random_system(seed + 500)
-    doubled = scaled(spec, 2.0)
+    spec, doubled, orbits = _doubled(spec, orbits)
     for variant in ("two_sided", "one_sided"):
         cover_scaled = oracles.relation(doubled, orbits, n, eps, variant)
         cover_matched = oracles.relation(spec, orbits, n, eps / 2.0, variant)

@@ -17,7 +17,9 @@ from qme import (
     power_rule_check,
     symbol_blocks,
 )
-from qme.entropy import estimate_from_grid, variant_grids
+import qme.entropy
+from qme.entropy import (CheckRow, _binding_ok, binding_failures, estimate_from_grid,
+                         variant_grids)
 
 from oracles import estimate_entropy, plain
 
@@ -223,6 +225,31 @@ def test_compare_serialization():
                for c in d["count_checks"])
 
 
+@pytest.mark.parametrize("report", ["compare", "power"])
+def test_misspelt_fit_setting_raises_before_any_orbit(monkeypatch, report):
+    # the TypeError names the setting, and no orbit table or grid is built
+    calls = []
+    monkeypatch.setattr(qme.entropy, "build_orbits",
+                        lambda *a, **k: calls.append(a) or build_orbits(*a, **k))
+    args = (MapSpec(kind="doubling"), circle_grid(16), ARC, [1, 2, 3], [0.25])
+    with pytest.raises(TypeError, match="unexpected fit setting 'n_brun'"):
+        if report == "compare":
+            compare_theorems(*args, n_brun=1)
+        else:
+            power_rule_check(args[0], 2, *args[1:], n_brun=1)
+    assert calls == []
+
+
+def test_binding_failures_are_the_exact_rows_that_fail():
+    rows = [CheckRow(name="a", n=1, eps=0.5, lhs=lhs, rhs=1, ok=lhs <= 1, exact=exact)
+            for lhs in (1, 2) for exact in (True, False)]
+    assert binding_failures(rows) == [rows[2]]  # lhs 2 > 1, both sides exact
+    diagnostics = []
+    assert not _binding_ok(rows, "rows use greedy cells", diagnostics)
+    assert diagnostics == ["2 rows use greedy cells and are informational only"]
+    assert _binding_ok(rows[:2] + rows[3:], "rows use greedy cells", [])
+
+
 # --- power rule ---------------------------------------------------------------
 
 def test_power_rule_m1_reproduces_base():
@@ -289,14 +316,14 @@ def test_slope_drop_across_scales_is_flagged():
 
 def test_estimate_invariant_under_rescaling():
     # counts at eps under 2*e equal counts at eps/2 under e, so estimates on
-    # matched schedules agree exactly
-    from qme import scaled
+    # matched schedules agree exactly; doubling both hinge weights doubles e
     cloud = circle_grid(64)
     kw = dict(n_list=[2, 3, 4, 5], exact_threshold=64)
-    base = estimate_entropy(MapSpec(kind="doubling"), cloud, ARC, "two_sided",
+    hinge = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=1.0)
+    doubled = QuasiMetricSpec(kind="weighted_asym", alpha=1.0, beta=2.0)
+    base = estimate_entropy(MapSpec(kind="doubling"), cloud, hinge, "two_sided",
                             eps_list=[0.25, 0.125], **kw)
-    rescaled = estimate_entropy(MapSpec(kind="doubling"), cloud,
-                                scaled(ARC, 2.0), "two_sided",
+    rescaled = estimate_entropy(MapSpec(kind="doubling"), cloud, doubled, "two_sided",
                                 eps_list=[0.5, 0.25], **kw)
     assert rescaled.extrapolated == base.extrapolated
     assert [p.slope for p in rescaled.per_epsilon_slopes] == \

@@ -13,7 +13,6 @@ from qme import (
     grid1d,
     index_cloud,
     pairwise,
-    scaled,
     symbol_blocks,
     symmetrize_max,
     symmetrize_mean,
@@ -316,7 +315,6 @@ def _formula_cases() -> list:
         ("block_prefix_asym", block_asym, blocks),
         ("mean_of", symmetrize_mean(hinge), plane),
         ("max_of", symmetrize_max(block_asym), blocks),
-        ("scaled", scaled(symmetrize_mean(LINE), 1.5), line),
     ]
 
 
@@ -334,14 +332,6 @@ def test_pairwise_is_paired_broadcast_and_matches_formulas(name, spec, pts):
     assert paired(spec, a[i], b[j]).tobytes() == full[i, j].tobytes(), name
 
 
-def test_scaled_spec_scales_distances():
-    pts = grid1d(0.0, 1.0, 9).points
-    D = pairwise(LINE, pts, pts)
-    assert np.array_equal(pairwise(scaled(LINE, 2.0), pts, pts), 2.0 * D)
-    with pytest.raises(ValueError):
-        scaled(LINE, 0.0)
-
-
 # --- symmetry by construction ------------------------------------------------
 
 HINGE = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
@@ -355,7 +345,6 @@ SYMMETRIC_RULES = {
     "max_of_weighted_asym": (symmetrize_max(HINGE), 2),
     "mean_of_asym_line": (symmetrize_mean(LINE), 1),
     "max_of_asym_line": (symmetrize_max(LINE), 1),
-    "scaled_circle_arc": (scaled(ARC, 0.3), 1),
 }
 
 
@@ -403,7 +392,6 @@ def test_is_symmetric_rejects_asymmetric_rules():
         (HINGE, line),
         (QuasiMetricSpec(kind="block_prefix_asym"), blocks),
         (TWO_POINT, index_cloud(2).points),
-        (scaled(HINGE, 2.0), line),
     ]:
         assert not is_symmetric(spec), spec.kind
         D = pairwise(spec, pts, pts)
@@ -433,8 +421,6 @@ BOTH_RULES = {
                        "index", 1),
     "max_of_block_prefix_asym": (symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")),
                                  "symbol", None),
-    "scaled_weighted_asym": (scaled(HINGE, 1.5), "real", None),
-    "scaled_asym_line": (scaled(LINE, 0.3), "real", 1),
 }
 
 
@@ -576,16 +562,10 @@ def test_weighted_asym_needs_finite_positive_weights(field, value):
         QuasiMetricSpec(kind="weighted_asym", **{field: value})
 
 
-@pytest.mark.parametrize("factor", [np.inf, np.nan, -1.0])
-def test_scaled_needs_a_finite_positive_factor(factor):
-    with pytest.raises(ValueError, match="finite and > 0"):
-        scaled(LINE, factor)
-
-
 # --- block floors --------------------------------------------------------------
 
 # name -> (rule, coordinates per point, coordinate range): every rule with a
-# paired_floor, base and derived
+# paired_floor
 FLOOR_RULES = {
     "asym_line": (LINE, 1, 4.0),
     "euclidean_1d": (QuasiMetricSpec(kind="euclidean"), 1, 4.0),
@@ -593,10 +573,6 @@ FLOOR_RULES = {
     "circle_arc": (ARC, 1, 1.0),
     "weighted_asym_1d": (HINGE, 1, 4.0),
     "weighted_asym_2d": (HINGE, 2, 4.0),
-    "mean_of_weighted_asym": (symmetrize_mean(HINGE), 2, 4.0),
-    "max_of_asym_line": (symmetrize_max(LINE), 1, 4.0),
-    "scaled_circle_arc": (scaled(ARC, 0.3), 1, 1.0),
-    "scaled_weighted_asym": (scaled(HINGE, 3.0), 2, 4.0),
 }
 
 
@@ -647,24 +623,25 @@ def test_paired_floor_is_attained_at_the_extreme_pairs():
     assert paired_floor(LINE, _side(cols), _side(rows)) == 1.0
     assert paired_floor(ARC, _side(rows), _side(cols)) == min(gap, 1.0 - (0.7 - 0.1))
     assert paired_floor(HINGE, _side(rows), _side(cols)) == 0.5 * gap
-    assert paired_floor(symmetrize_mean(HINGE), _side(rows), _side(cols)) \
-        == (0.5 * gap + 2.0 * gap) / 2.0
 
 
 def test_paired_floor_none_and_nan():
+    # derived kinds take no floor, whatever their base
     assert all(has_floor(spec) for spec, _, _ in FLOOR_RULES.values())
     blocks = symbol_blocks(2, 3).points
+    line = np.array([[0.0], [1.0]])
     for spec, pts in ((QuasiMetricSpec(kind="block_prefix"), blocks),
                       (QuasiMetricSpec(kind="block_prefix_asym"), blocks),
                       (symmetrize_max(QuasiMetricSpec(kind="block_prefix_asym")), blocks),
-                      (scaled(QuasiMetricSpec(kind="block_prefix"), 2.0), blocks),
-                      (TWO_POINT, np.array([[0.0], [1.0]])),
-                      (symmetrize_mean(TWO_POINT), np.array([[0.0], [1.0]]))):
+                      (TWO_POINT, line),
+                      (symmetrize_mean(TWO_POINT), line),
+                      (symmetrize_mean(HINGE), line),
+                      (symmetrize_max(LINE), line)):
         assert not has_floor(spec)
         assert paired_floor(spec, _side(pts[:1]), _side(pts[1:])) is None
     # asym_line reads a NaN difference as 1, but a NaN coordinate leaves no floor
     rows, cols = np.array([[0.0], [np.nan]]), np.array([[0.5]])
-    for spec in (LINE, ARC, HINGE, symmetrize_mean(LINE)):
+    for spec in (LINE, ARC, HINGE):
         assert np.isnan(paired_floor(spec, _side(rows), _side(cols)))
 
 

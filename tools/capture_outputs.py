@@ -107,9 +107,27 @@ Runs:
   ``qme.config.EXAMPLE_CONFIG`` with ``--format csv`` and with ``--format
   json``, in ``formats/<format>/<command>/``. Every other case writes both
   formats, so this one pins which files each format writes;
+- ``block_rules``: ``counts`` (both pairings) on the 32 symbol blocks of
+  alphabet 2 and length 5 under the left shift, with ``block_prefix``
+  (``block_rules/block_prefix``) and with ``block_prefix_asym``
+  (``block_rules/block_prefix_asym``);
+- ``matrix_csv``: ``counts`` (both pairings) and ``validate`` (exhaustive,
+  12^3 triples) on a 12-point ``indices`` cloud under the identity map and a
+  random asymmetric ``matrix`` rule read from a CSV ``path``, which breaks
+  the triangle inequality, and ``validate`` on 500 triples sampled with
+  ``--seed 5`` (``matrix_csv/seeded``), whose violations differ from those
+  of the default seed;
+- ``affine_line``: ``counts`` (both pairings) on a 33-point grid of [0, 1]
+  under the ``affine`` map x -> 2x - 1/2 and one-dimensional ``euclidean``;
+- ``exact_wide``: ``counts`` (both pairings) on an 80-point circle grid
+  under the doubling map and ``circle_arc`` with ``--exact-threshold 80``:
+  every cell is solved exactly on relations wider than one 64-bit word;
+- ``power_undeclared``: ``power`` (m = 2) on a 33-point grid under the tent
+  map with ``declared_uniformly_continuous: false``, which exits 2;
 - ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
   ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
-  configuration errors, exit code 3).
+  configuration errors, exit code 3). These runs also keep their stderr, in
+  ``stderr.txt``, so the exit-3 messages are byte-diffed.
 """
 from __future__ import annotations
 
@@ -263,15 +281,66 @@ qmetric: {kind: weighted_asym, alpha: 0.5, beta: 2.0}
 schedule: {n_list: [1, 2, 3], eps_list: [0.5, 0.25]}
 """
 
+BLOCK_RULES = ("block_prefix", "block_prefix_asym")
+BLOCK_RULES_CONFIG = """\
+map: {kind: shift_left}
+cloud: {kind: symbol_blocks, alphabet: 2, length: 5}
+qmetric: {kind: %s}
+schedule: {n_list: [1, 2, 3], eps_list: [1.0, 0.5, 0.25]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
 
-def run_cli(argv: list, case_dir: str) -> None:
+MATRIX_CSV_CONFIG = """\
+map: {kind: identity}
+cloud: {kind: indices, count: 12}
+qmetric: {kind: matrix, path: matrix_csv.csv}
+schedule: {n_list: [1, 2, 3], eps_list: [0.5, 0.25, 0.125]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
+
+AFFINE_LINE_CONFIG = """\
+map: {kind: affine, a: 2.0, b: -0.5}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 33}
+qmetric: {kind: euclidean}
+schedule: {n_list: [1, 2, 3], eps_list: [0.25, 0.125, 0.0625]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
+
+EXACT_WIDE_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: circle_grid, count: 80}
+qmetric: {kind: circle_arc}
+schedule: {n_list: [1, 2, 3], eps_list: [0.125, 0.0625, 0.03125]}
+variants: [two_sided, one_sided]
+output: {format: both}
+"""
+
+POWER_UNDECLARED_CONFIG = """\
+map: {kind: tent, declared_uniformly_continuous: false}
+cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 33}
+qmetric: {kind: asym_line}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [0.25, 0.125]}
+fit: {n_burn: 1}
+power: {m: 2}
+output: {format: both}
+"""
+
+
+def run_cli(argv: list, case_dir: str, stderr: bool = False) -> None:
     """Run ``qme`` with argv (whose ``--out`` is case_dir) and write its stdout
-    and exit code next to its output files."""
+    and exit code, and its stderr when asked, next to its output files."""
     os.makedirs(case_dir, exist_ok=True)
     proc = subprocess.run([sys.executable, "-m", "qme.cli", *argv],
-                          stdout=subprocess.PIPE, check=False)
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE if stderr else None, check=False)
     with open(os.path.join(case_dir, "stdout.txt"), "wb") as fh:
         fh.write(proc.stdout)
+    if stderr:
+        with open(os.path.join(case_dir, "stderr.txt"), "wb") as fh:
+            fh.write(proc.stderr)
     with open(os.path.join(case_dir, "exit_code.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"{proc.returncode}\n")
 
@@ -283,11 +352,11 @@ def write_config(text: str, name: str, scratch: str) -> str:
     return config
 
 
-def capture_config(text: str, commands, dest: str, scratch: str) -> None:
+def capture_config(text: str, commands, dest: str, scratch: str, flags=()) -> None:
     config = write_config(text, os.path.basename(dest), scratch)
     for command in commands:
         case_dir = os.path.join(dest, command)
-        run_cli([command, "--config", config, "--out", case_dir], case_dir)
+        run_cli([command, "--config", config, *flags, "--out", case_dir], case_dir)
 
 
 def capture_snap_ties(dest: str, scratch: str) -> None:
@@ -340,6 +409,19 @@ def capture_offlattice(dest: str, scratch: str) -> None:
     capture_config(OFFLATTICE_CONFIG, ("validate",), dest, scratch)
 
 
+def capture_matrix_csv(dest: str, scratch: str) -> None:
+    """A lookup-table rule read from a CSV file."""
+    rng = np.random.default_rng(9)
+    table = rng.integers(1, 9, size=(12, 12)) / 8.0
+    np.fill_diagonal(table, 0.0)
+    with open(os.path.join(scratch, "matrix_csv.csv"), "w", encoding="utf-8") as fh:
+        fh.write("qmetric,v1,12\n")
+        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    capture_config(MATRIX_CSV_CONFIG, ("counts", "validate"), dest, scratch)
+    capture_config(MATRIX_CSV_CONFIG + "validate: {triple_budget: 500}\n", ("validate",),
+                   os.path.join(dest, "seeded"), scratch, flags=("--seed", "5"))
+
+
 def capture_formats(dest: str, scratch: str) -> None:
     """The files each single --format value writes."""
     config = write_config(EXAMPLE_CONFIG, "formats", scratch)
@@ -356,11 +438,12 @@ def capture_errors(dest: str, scratch: str) -> None:
     doc["validate"]["triple_budget"] = 0
     example = write_config(EXAMPLE_CONFIG, "errors_example", scratch)
     no_budget = write_config(yaml.safe_dump(doc), "errors_no_budget", scratch)
-    run_cli(["--help"], os.path.join(dest, "help"))
+    run_cli(["--help"], os.path.join(dest, "help"), stderr=True)
     case_dir = os.path.join(dest, "power_m_0")
-    run_cli(["power", "--config", example, "-m", "0", "--out", case_dir], case_dir)
+    run_cli(["power", "--config", example, "-m", "0", "--out", case_dir], case_dir,
+            stderr=True)
     case_dir = os.path.join(dest, "triple_budget_0")
-    run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir)
+    run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir, stderr=True)
 
 
 def capture(out_root: str) -> None:
@@ -409,6 +492,16 @@ def capture(out_root: str) -> None:
         for size in INDEX_WIDTHS_SIZES:
             capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
                            os.path.join(out_root, "index_widths", str(size)), scratch)
+        for kind in BLOCK_RULES:
+            capture_config(BLOCK_RULES_CONFIG % kind, ("counts",),
+                           os.path.join(out_root, "block_rules", kind), scratch)
+        capture_matrix_csv(os.path.join(out_root, "matrix_csv"), scratch)
+        capture_config(AFFINE_LINE_CONFIG, ("counts",),
+                       os.path.join(out_root, "affine_line"), scratch)
+        capture_config(EXACT_WIDE_CONFIG, ("counts",), os.path.join(out_root, "exact_wide"),
+                       scratch, flags=("--exact-threshold", "80"))
+        capture_config(POWER_UNDECLARED_CONFIG, ("power",),
+                       os.path.join(out_root, "power_undeclared"), scratch)
         capture_formats(os.path.join(out_root, "formats"), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
 
