@@ -66,23 +66,29 @@ maximal separated set is a maximum independent set of the same graph. The
 solvers take a symmetric :class:`Relation`, as built here, and read its rows.
 
 Both problems get a deterministic greedy solver and an exact branch-and-bound
-solver (bitset based, on the relation made dense, searched depth first on an
-explicit stack in the recursive form's visit order). Greedy covers never
-undershoot the optimum and greedy separated sets never overshoot it; the exact
-solver is the oracle for both. The greedy cover picks in passes: the lowest id
-at the largest gain, then every point still at that gain that shares no
-uncovered point with a lower id among them, the tie rule of parallel greedy
-maximal independent set (Blelloch, Fineman and Shun 2012). The one-at-a-time
-greedy picks each such point later, at the same gain, so the sorted covers are
-equal; on fine relations a few dozen passes replace thousands of picks. The
-exact cover search stops once its incumbent meets a certified floor: the
-packing bound, or, where greedy exceeds that, the ceiling of a packing-LP dual
-solved by a small numpy simplex and checked in integer arithmetic. All
-tie-breaking is by lowest point id, so results are reproducible.
+solver (bitset based, searched depth first on an explicit stack in the
+recursive form's visit order). Greedy covers never undershoot the optimum and
+greedy separated sets never overshoot it; the exact solver is the oracle for
+both. The greedy cover picks in passes: the lowest id at the largest gain,
+then every point still at that gain that shares no uncovered point with a
+lower id among them, the tie rule of parallel greedy maximal independent set
+(Blelloch, Fineman and Shun 2012). The one-at-a-time greedy picks each such
+point later, at the same gain, so the sorted covers are equal; on fine
+relations a few dozen passes replace thousands of picks. A relation's dense
+matrix and bitsets are built once, on first use, and shared by its two exact
+solvers, whose incumbents are the greedy results computed from those bitsets:
+the one-at-a-time cover from a max-heap of lazily refreshed gains, and the
+id-order separated set. The exact cover search stops once its incumbent meets
+a certified floor: the packing bound, or, where greedy exceeds that, the
+ceiling of a packing-LP dual solved by a small numpy simplex and checked in
+integer arithmetic. All tie-breaking is by lowest point id, so results are
+reproducible.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -127,7 +133,10 @@ QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2"),
 @dataclass(frozen=True, eq=False)
 class Relation:
     """A symmetric cover relation in CSR form: row x lists, in increasing
-    order, every y with x ~ y, x itself included."""
+    order, every y with x ~ y, x itself included.
+
+    Its dense form and its bitsets are built on first use and kept, so the
+    two exact solvers of one relation share one dense matrix and one pack."""
 
     indptr: np.ndarray   # int64, one more than the number of points
     indices: np.ndarray  # any integer type; count_grid's is the narrowest unsigned one
@@ -137,10 +146,25 @@ class Relation:
         return len(self.indptr) - 1
 
     def dense(self) -> np.ndarray:
-        """The relation as an N x N bool matrix."""
+        """The relation as an N x N bool matrix, shared and read-only."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
         cover = np.zeros((self.size, self.size), dtype=bool)
         cover[np.repeat(np.arange(self.size), np.diff(self.indptr)), self.indices] = True
+        cover.flags.writeable = False
         return cover
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """The rows packed into 64-bit words (``_pack``)."""
+        return _pack(self._dense)
+
+    @cached_property
+    def _masks(self) -> list:
+        """The rows (equal to the columns) as python-int bitsets."""
+        return _ints(self._words)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +475,87 @@ def greedy_separated(rel: Relation) -> list:
 # exact solvers (bitset branch and bound)
 # ---------------------------------------------------------------------------
 
-def _column_masks(cover: np.ndarray, hops: int = 1) -> list:
-    """cover columns (equal to its rows) as python-int bitsets: mask[y] has
-    bit x iff y covers x or, at hops=2, iff x and y share a coverer. Rows are
-    packed into little-endian 64-bit words, which numpy hands over as python
-    ints; the second hop ORs, for each y, the words of the points y covers."""
+# Bytes of the (rows, N, words) temporary of one two-hop row slice.
+_HOP_SLICE_BYTES = 1 << 20
+
+
+def _pack(cover: np.ndarray) -> np.ndarray:
+    """cover rows packed into little-endian 64-bit words, N x ceil(N / 64)."""
     packed = np.packbits(cover, axis=1, bitorder="little")
     words = np.zeros((len(cover), -(-len(cover) // 64)), dtype="<u8")
     words.view(np.uint8)[:, :packed.shape[1]] = packed
-    if hops == 2:
-        words = np.bitwise_or.reduce(cover[:, :, None] * words, axis=1)
+    return words
+
+
+def _two_hop(cover: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """For each y, the OR of the words of the points y covers. Rows are
+    taken in slices whose temporary holds at most _HOP_SLICE_BYTES (one row
+    where a row needs more), so memory stays O(N^2) bytes; a relation of up
+    to 64 points is one slice."""
+    out = np.empty_like(words)
+    step = max(1, _HOP_SLICE_BYTES // max(1, words.nbytes))
+    for start in range(0, len(words), step):
+        rows = slice(start, start + step)
+        np.bitwise_or.reduce(cover[rows, :, None] * words, axis=1, out=out[rows])
+    return out
+
+
+def _ints(words: np.ndarray) -> list:
+    """Packed rows as python ints, which numpy hands over word by word."""
     masks = words[:, 0].tolist() if words.size else []
     for k in range(1, words.shape[1]):
         masks = [m | w << 64 * k for m, w in zip(masks, words[:, k].tolist())]
     return masks
+
+
+def _column_masks(cover: np.ndarray, hops: int = 1) -> list:
+    """cover columns (equal to its rows) as python-int bitsets: mask[y] has
+    bit x iff y covers x or, at hops=2, iff x and y share a coverer."""
+    words = _pack(cover)
+    return _ints(_two_hop(cover, words) if hops == 2 else words)
+
+
+def _bit_greedy_cover(masks: list) -> list:
+    """``greedy_cover``'s sorted picks from the relation's bitsets, by the
+    one-at-a-time rule its passes equal: the lowest id at the largest gain
+    while that gain is at least 2, then the lowest id of each uncovered
+    point's row. Gains only fall, so a max-heap of possibly stale gains gives
+    the next pick: a top entry whose gain is still current is it, and a stale
+    one goes back with its current gain."""
+    uncov = (1 << len(masks)) - 1
+    heap = [(-m.bit_count(), y) for y, m in enumerate(masks)]
+    heapq.heapify(heap)
+    picks = []
+    while heap:
+        neg, y = heap[0]
+        if neg > -2:
+            break
+        gain = (masks[y] & uncov).bit_count()
+        if gain + neg:
+            heapq.heapreplace(heap, (-gain, y))
+        else:
+            heapq.heappop(heap)
+            picks.append(y)
+            uncov &= ~masks[y]
+    while uncov:
+        x = uncov & -uncov
+        uncov ^= x
+        row = masks[x.bit_length() - 1]
+        picks.append((row & -row).bit_length() - 1)
+    return sorted(picks)
+
+
+def _bit_greedy_separated(masks: list) -> list:
+    """``greedy_separated`` from the relation's bitsets: id-order insertion,
+    each kept point the lowest one no earlier kept point covers."""
+    picks = []
+    free = (1 << len(masks)) - 1
+    while free:
+        bit = free & -free
+        x = bit.bit_length() - 1
+        picks.append(x)
+        free &= ~(masks[x] | bit)
+    return picks
 
 
 # Pivots the packing simplex may take per cell. Every basic solution is
@@ -534,11 +625,12 @@ def _certified_floor(cover: np.ndarray, y: np.ndarray) -> int:
 def exact_cover(rel: Relation) -> tuple:
     """Minimum dominating set of the cover graph.
 
-    Branch and bound: a greedy solution provides the upper bound; a packing of
-    points no two of which share a candidate coverer provides the lower bound.
-    Branching fixes the uncovered point with the fewest candidate coverers and
-    tries its coverers in order of decreasing fresh coverage; the incumbent
-    changes only on strict improvement.
+    Branch and bound: the greedy cover (``_bit_greedy_cover``, equal to
+    ``greedy_cover``, on the relation's shared bitsets) provides the upper
+    bound; a packing of points no two of which share a candidate coverer
+    provides the lower bound. Branching fixes the uncovered point with the
+    fewest candidate coverers and tries its coverers in order of decreasing
+    fresh coverage; the incumbent changes only on strict improvement.
 
     The search stops as soon as the incumbent reaches a certified floor: the
     root packing bound, raised, when greedy exceeds it, by the certified
@@ -558,11 +650,11 @@ def exact_cover(rel: Relation) -> tuple:
     bits = [1 << x for x in range(n)]
     # keyed by the point's bit: its coverers (cover is symmetric) and, for
     # the lower bound, the points sharing a coverer with it
-    covmask = dict(zip(bits, _column_masks(cover)))
-    blocked = dict(zip(bits, _column_masks(cover, hops=2)))
+    covmask = dict(zip(bits, rel._masks))
+    blocked = dict(zip(bits, _ints(_two_hop(cover, rel._words))))
     ncov = {bit: m.bit_count() for bit, m in covmask.items()}
 
-    best = greedy_cover(rel)
+    best = _bit_greedy_cover(rel._masks)
     best_len = len(best)
 
     def lower_bound(uncov: int) -> int:
@@ -614,15 +706,17 @@ def exact_cover(rel: Relation) -> tuple:
 def exact_separated(rel: Relation) -> tuple:
     """Maximum independent set of the cover graph.
 
-    Branch and bound seeded with the greedy id-order set; pruning uses a greedy
-    clique-cover bound on the remaining candidates. Depth first on an explicit
-    stack in the recursive form's visit order, so the same nodes; neighbour
-    bitsets are keyed by the point's bit. Returns (sorted ids, nodes).
+    Branch and bound seeded with the greedy id-order set
+    (``_bit_greedy_separated``, equal to ``greedy_separated``, on the
+    relation's shared bitsets); pruning uses a greedy clique-cover bound on
+    the remaining candidates. Depth first on an explicit stack in the
+    recursive form's visit order, so the same nodes; neighbour bitsets are
+    keyed by the point's bit. Returns (sorted ids, nodes).
     """
     n = rel.size
-    nbr = {1 << x: m & ~(1 << x) for x, m in enumerate(_column_masks(rel.dense()))}
+    nbr = {1 << x: m & ~(1 << x) for x, m in enumerate(rel._masks)}
 
-    best = greedy_separated(rel)
+    best = _bit_greedy_separated(rel._masks)
     best_len = len(best)
 
     def clique_cover_bound(rem: int) -> int:

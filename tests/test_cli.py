@@ -521,3 +521,5 @@ def test_perfbench_tracer_fits_this_checkout(tmp_path):
     names = set(json.loads(proc.stdout.splitlines()[-1]))
     assert {"entropy.compare_theorems", "entropy.power_rule_check",
             "entropy.estimate_from_grid", "covering.count_grid"} <= names
+    # the example's 48 points are solved exactly, through the traced names
+    assert {"covering.exact_cover", "covering.exact_separated"} <= names

@@ -8,6 +8,7 @@ solvers' CSR form ``oracles.csr``.
 import csv
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,10 +442,10 @@ def test_solvers_on_the_empty_relation():
 
 
 @st.composite
-def search_graphs(draw):
-    """Symmetric reflexive bool covers on 1..40 points, from no edges to
+def search_graphs(draw, low=1, high=40):
+    """Symmetric reflexive bool covers on low..high points, from no edges to
     complete."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(low, high))
     density = draw(st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     upper = np.triu(rng.random((n, n)) < density, 1)
@@ -460,6 +461,69 @@ def test_stack_search_matches_recursive_node_for_node(cover, budget):
         assert _packing_lp(cover).tobytes() == oracles.reference_packing_lp(cover).tobytes()
         assert exact_cover(csr(cover)) == oracles.recursive_exact_cover(csr(cover))
         assert exact_separated(csr(cover)) == oracles.recursive_exact_separated(csr(cover))
+
+
+@st.composite
+def sparse_wide_graphs(draw):
+    """Covers on 41..130 points, so bitsets take two or three words: a
+    random core of up to 24 points among isolated ones, ids shuffled so the
+    core's bits fall in any word. An isolated point is one branch of the
+    cover search, so the search stays small; on a random 126-point relation
+    of density 0.03 it did not end within 95 s."""
+    n = draw(st.integers(41, 130))
+    core = draw(st.integers(0, 24))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cover = np.eye(n, dtype=bool)
+    upper = np.triu(rng.random((core, core)) < density, 1)
+    cover[:core, :core] |= upper | upper.T
+    order = rng.permutation(n)
+    return cover[np.ix_(order, order)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_wide_graphs(), st.sampled_from([None, 0, 3]))
+def test_stack_search_matches_recursive_node_for_node_on_several_words(cover, budget):
+    # the references seed their searches with the CSR greedy solvers
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(covering, "LP_PIVOT_BUDGET", budget)
+        assert exact_cover(csr(cover)) == oracles.recursive_exact_cover(csr(cover))
+        assert exact_separated(csr(cover)) == oracles.recursive_exact_separated(csr(cover))
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_graphs(0, 130))
+def test_bitset_incumbents_are_the_greedy_solvers(cover):
+    rel = csr(cover)
+    masks = covering._column_masks(cover)
+    assert covering._bit_greedy_cover(masks) == greedy_cover(rel) \
+        == sorted(oracles.dense_greedy_cover(cover))
+    assert covering._bit_greedy_separated(masks) == greedy_separated(rel) \
+        == oracles.dense_greedy_separated(cover)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_graphs(0, 130), st.sampled_from([None, 1, 3000]))
+def test_two_hop_masks_mark_points_sharing_a_coverer(cover, slice_bytes):
+    # the same masks whatever the row slices: one row, a few, or all
+    with pytest.MonkeyPatch.context() as mp:
+        if slice_bytes is not None:
+            mp.setattr(covering, "_HOP_SLICE_BYTES", slice_bytes)
+        assert covering._column_masks(cover, hops=2) == \
+            covering._column_masks((cover.astype(np.int32) @ cover) > 0)
+
+
+def test_two_hop_masks_take_quadratic_memory():
+    # an N x N x words temporary would peak at 128 MB here
+    tracemalloc.start()
+    try:
+        masks = covering._column_masks(np.eye(1024, dtype=bool), hops=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks == [1 << x for x in range(1024)]
+    assert peak < 16 * 2 ** 20
 
 
 def test_exact_solvers_leave_the_recursion_limit_alone():
@@ -666,11 +730,18 @@ def test_count_grid_solves_each_distinct_exact_relation_once(monkeypatch):
     cells = _oracle_cells(spec, orbits, n_list, eps_list, covering.VARIANTS)
     distinct = {cover.tobytes() for cover in cells.values()}
     calls = _counted(monkeypatch, ("exact_cover", "exact_separated"))
+    greedy = _counted(monkeypatch, ("greedy_cover", "greedy_separated"))
+    packed = []
+    monkeypatch.setattr(covering, "_pack", lambda cover, pack=covering._pack:
+                        packed.append(cover.tobytes()) or pack(cover))
     built = _built(monkeypatch)
     grid = count_grid(spec, orbits, n_list, eps_list)
     assert len(distinct) < len(cells)
     assert calls == {"exact_cover": len(distinct), "exact_separated": len(distinct)}
     assert sorted(cover.tobytes() for cover in built) == sorted(distinct)
+    # the incumbents come from the bitsets, packed once per distinct relation
+    assert greedy == {"greedy_cover": 0, "greedy_separated": 0}
+    assert sorted(packed) == sorted(distinct)
     _assert_cells_solved_alone(grid, cells, covering.DEFAULT_EXACT_THRESHOLD)
 
 
