@@ -124,10 +124,11 @@ Runs:
   every cell is solved exactly on relations wider than one 64-bit word;
 - ``power_undeclared``: ``power`` (m = 2) on a 33-point grid under the tent
   map with ``declared_uniformly_continuous: false``, which exits 2;
-- ``errors``: ``qme --help``, ``power -m 0`` on the example configuration and
-  ``validate`` on it with ``validate.triple_budget: 0`` (the last two are
-  configuration errors, exit code 3). These runs also keep their stderr, in
-  ``stderr.txt``, so the exit-3 messages are byte-diffed.
+- ``errors``: ``qme --help``, ``power -m 0``, ``counts --exact-threshold -1``
+  and ``validate --seed -1`` on the example configuration, and ``validate`` on
+  it with ``validate.triple_budget: 0`` (all but the first are configuration
+  errors, exit code 3). These runs also keep their stderr, in ``stderr.txt``,
+  so the exit-3 messages are byte-diffed.
 """
 from __future__ import annotations
 
@@ -439,9 +440,11 @@ def capture_errors(dest: str, scratch: str) -> None:
     example = write_config(EXAMPLE_CONFIG, "errors_example", scratch)
     no_budget = write_config(yaml.safe_dump(doc), "errors_no_budget", scratch)
     run_cli(["--help"], os.path.join(dest, "help"), stderr=True)
-    case_dir = os.path.join(dest, "power_m_0")
-    run_cli(["power", "--config", example, "-m", "0", "--out", case_dir], case_dir,
-            stderr=True)
+    for name, argv in (("power_m_0", ["power", "-m", "0"]),
+                       ("exact_threshold_negative", ["counts", "--exact-threshold", "-1"]),
+                       ("seed_negative", ["validate", "--seed", "-1"])):
+        case_dir = os.path.join(dest, name)
+        run_cli([*argv, "--config", example, "--out", case_dir], case_dir, stderr=True)
     case_dir = os.path.join(dest, "triple_budget_0")
     run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir, stderr=True)
 
