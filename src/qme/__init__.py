@@ -30,6 +30,7 @@ from .covering import (
 )
 from .entropy import (
     EntropyEstimate,
+    FitSettings,
     PowerRuleReport,
     TheoremComparison,
     compare_theorems,

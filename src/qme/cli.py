@@ -8,10 +8,11 @@ import sys
 from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter
 
-from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config
+from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, _integer, _path, load_config
 from .covering import QUANTITIES, QUANTITY_PAIRS, count_grid
 from .dynamics import build_orbits
 from .entropy import (
+    FitSettings,
     binding_failures,
     compare_theorems,
     estimate_from_grid,
@@ -107,15 +108,11 @@ def _write(path: str, text: str) -> None:
 def _prepare(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg.out_dir = _path(args.out, "--out")
     if args.exact_threshold is not None:
-        if args.exact_threshold < 0:
-            raise ConfigError("--exact-threshold must be >= 0")
-        cfg.exact_threshold = args.exact_threshold
+        cfg.exact_threshold = _integer(args.exact_threshold, "--exact-threshold", 0)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg.seed = args.seed
+        cfg.seed = _integer(args.seed, "--seed", 0)
     if getattr(args, "format", None) is not None:
         cfg.out_format = args.format
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -139,16 +136,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
-def _fit(cfg: RunConfig) -> dict:
+def _fit(cfg: RunConfig) -> FitSettings:
     """cfg's fit settings; a ConfigError when they leave fewer than 3 n to fit."""
     try:
-        growth_rate([(n, 1) for n in cfg.n_list], n_burn=cfg.n_burn,
-                    window_size=cfg.window_size)
+        growth_rate([(n, 1) for n in cfg.n_list], n_burn=cfg.fit.n_burn,
+                    window_size=cfg.fit.window_size)
     except ValueError as exc:
         raise ConfigError(f"slope fitting {exc}") from exc
-    return dict(n_burn=cfg.n_burn, window_size=cfg.window_size,
-                saturation_fraction=cfg.saturation_fraction,
-                stability_tol=cfg.stability_tol)
+    return cfg.fit
 
 
 def cmd_counts(args) -> int:
@@ -183,7 +178,7 @@ def cmd_entropy(args) -> int:
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:
-        est = estimate_from_grid(grid, variant, **fit)
+        est = estimate_from_grid(grid, variant, fit)
         estimates[variant] = est
         slope_rows += [(p.eps, p.slope, p.residual, variant)
                        for p in est.per_epsilon_slopes]
@@ -205,7 +200,7 @@ def cmd_compare(args) -> int:
     report = compare_theorems(cfg.map_spec, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, exact_threshold=cfg.exact_threshold,
                               snap_mode=cfg.snap_mode,
-                              estimator_tol=cfg.estimator_tol, **_fit(cfg))
+                              estimator_tol=cfg.estimator_tol, fit=_fit(cfg))
     _write(os.path.join(cfg.out_dir, "compare.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
         _write(os.path.join(cfg.out_dir, "compare_checks.csv"), _csv(
@@ -224,14 +219,12 @@ def cmd_compare(args) -> int:
 
 def cmd_power(args) -> int:
     cfg = _prepare(args)
-    m = args.m if args.m is not None else cfg.power_m
-    if m < 1:
-        raise ConfigError("-m must be >= 1")
+    m = cfg.power_m if args.m is None else _integer(args.m, "-m", 1)
     report = power_rule_check(cfg.map_spec, m, cfg.cloud, cfg.qspec, cfg.n_list,
                               cfg.eps_list, exact_threshold=cfg.exact_threshold,
                               snap_mode=cfg.snap_mode,
                               power_tol_rel=cfg.power_tol_rel,
-                              power_tol_abs=cfg.power_tol_abs, **_fit(cfg))
+                              power_tol_abs=cfg.power_tol_abs, fit=_fit(cfg))
     _write(os.path.join(cfg.out_dir, "power.json"), _json(report))
     if cfg.out_format in ("csv", "both"):
         _write(os.path.join(cfg.out_dir, "power_cells.csv"), _csv(

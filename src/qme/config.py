@@ -13,12 +13,10 @@ from .covering import DEFAULT_EXACT_THRESHOLD
 from .dynamics import MapSpec, PointCloud
 from .entropy import (
     DEFAULT_ESTIMATOR_TOL,
-    DEFAULT_N_BURN,
     DEFAULT_POWER_TOL_ABS,
     DEFAULT_POWER_TOL_REL,
-    DEFAULT_SATURATION_FRACTION,
-    DEFAULT_STABILITY_TOL,
     ENTROPY_VARIANTS,
+    FitSettings,
 )
 from .quasimetric import DEFAULT_SEED, QuasiMetricSpec
 
@@ -109,13 +107,10 @@ class RunConfig:
     variants: list
     exact_threshold: int
     snap_mode: str
-    n_burn: int
-    window_size: int
+    fit: FitSettings
     estimator_tol: float
     power_tol_rel: float
     power_tol_abs: float
-    stability_tol: float
-    saturation_fraction: float
     seed: int
     triple_budget: int
     power_m: int
@@ -132,14 +127,27 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _integer(value, name: str) -> int:
-    """value as an int: 2.0 reads as 2, and 2.5 is refused, not truncated."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an int of at least ``least``: 2.0 reads as 2, and 2.5 is
+    refused, not truncated, as is a YAML boolean, not read as 0 or 1."""
+    number = None
     try:
-        if float(value).is_integer():
-            return int(value)
+        if not isinstance(value, bool) and float(value).is_integer():
+            number = int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if number is None:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and number < least:
+        raise ConfigError(f"{name} must be >= {least}")
+    return number
+
+
+def _path(value, name: str) -> str:
+    """value as a directory path; YAML's null and the empty string name none."""
+    if value is None or value == "":
+        raise ConfigError(f"{name} must be a nonempty path, got {value!r}")
+    return str(value)
 
 
 def _number(value, name: str) -> float:
@@ -211,7 +219,11 @@ def _build_map(sec: dict) -> MapSpec:
     if "power" in sec:
         kwargs["power"] = _integer(sec["power"], "map.power")
     if "declared_uniformly_continuous" in sec:
-        kwargs["declared_uniformly_continuous"] = bool(sec["declared_uniformly_continuous"])
+        uc = sec["declared_uniformly_continuous"]
+        if not isinstance(uc, bool):
+            raise ConfigError("map.declared_uniformly_continuous must be true or "
+                              f"false, got {uc!r}")
+        kwargs["declared_uniformly_continuous"] = uc
     try:
         return MapSpec(kind=sec.get("kind"), **kwargs)
     except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
@@ -278,9 +290,11 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"variants must be a list, got {variants!r}")
     if not variants:
         raise ConfigError("variants must be nonempty")
-    for v in variants:
-        if v not in ENTROPY_VARIANTS:
+    for i, v in enumerate(variants):
+        if not isinstance(v, str) or v not in ENTROPY_VARIANTS:
             raise ConfigError(f"unknown entropy variant {v!r}")
+        if v in variants[:i]:
+            raise ConfigError(f"variant {v!r} is listed more than once")
 
     fit = _section(doc, "fit")
     tol = _section(doc, "tolerances")
@@ -300,29 +314,25 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
         eps_list=eps_list,
         variants=list(variants),
         exact_threshold=_integer(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD),
-                                 "solver.exact_threshold"),
+                                 "solver.exact_threshold", 0),
         snap_mode=snap,
-        n_burn=_integer(fit.get("n_burn", DEFAULT_N_BURN), "fit.n_burn"),
-        window_size=_integer(fit.get("window_size", 0), "fit.window_size"),
+        fit=FitSettings(
+            n_burn=_integer(fit.get("n_burn", FitSettings.n_burn), "fit.n_burn"),
+            window_size=_integer(fit.get("window_size", FitSettings.window_size),
+                                 "fit.window_size", 0),
+            saturation_fraction=_tolerance(tol, "saturation_fraction",
+                                           FitSettings.saturation_fraction),
+            stability_tol=_tolerance(tol, "stability_tol", FitSettings.stability_tol)),
         estimator_tol=_tolerance(tol, "estimator_tol", DEFAULT_ESTIMATOR_TOL),
         power_tol_rel=_tolerance(tol, "power_tol_rel", DEFAULT_POWER_TOL_REL),
         power_tol_abs=_tolerance(tol, "power_tol_abs", DEFAULT_POWER_TOL_ABS),
-        stability_tol=_tolerance(tol, "stability_tol", DEFAULT_STABILITY_TOL),
-        saturation_fraction=_tolerance(tol, "saturation_fraction",
-                                       DEFAULT_SATURATION_FRACTION),
-        seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base"),
+        seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base", 0),
         triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
-                               "validate.triple_budget"),
-        power_m=_integer(power.get("m", 2), "power.m"),
-        out_dir=str(output.get("dir", "out")),
+                               "validate.triple_budget", 1),
+        power_m=_integer(power.get("m", 2), "power.m", 1),
+        out_dir=_path(output.get("dir", "out"), "output.dir"),
         out_format=fmt,
     )
-    for name, value, least in (("solver.exact_threshold", cfg.exact_threshold, 0),
-                               ("validate.triple_budget", cfg.triple_budget, 1),
-                               ("power.m", cfg.power_m, 1), ("seeds.base", cfg.seed, 0),
-                               ("fit.window_size", cfg.window_size, 0)):
-        if value < least:
-            raise ConfigError(f"{name} must be >= {least}")
     if mode != "auto":  # legacy spelling of the threshold
         cfg.exact_threshold = 0 if mode == "greedy" else len(cloud)
     return cfg

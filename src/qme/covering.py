@@ -508,13 +508,6 @@ def _ints(words: np.ndarray) -> list:
     return masks
 
 
-def _column_masks(cover: np.ndarray, hops: int = 1) -> list:
-    """cover columns (equal to its rows) as python-int bitsets: mask[y] has
-    bit x iff y covers x or, at hops=2, iff x and y share a coverer."""
-    words = _pack(cover)
-    return _ints(_two_hop(cover, words) if hops == 2 else words)
-
-
 def _bit_greedy_cover(masks: list) -> list:
     """``greedy_cover``'s sorted picks from the relation's bitsets, by the
     one-at-a-time rule its passes equal: the lowest id at the largest gain

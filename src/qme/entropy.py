@@ -17,10 +17,10 @@ scale. Four estimate variants are supported:
 
 Separated counts are the primary statistic; spanning counts are carried along
 as a cross-check. ``compare_theorems`` and ``power_rule_check`` report count
-checks as ``CheckRow``s and fit with ``estimate_from_grid``, which owns the
-fit settings. Counts close to the cloud size are finite-sample saturation (the
-relation can no longer resolve growth) and are excluded from fits when enough
-cells remain; every exclusion is recorded in the diagnostics.
+checks as ``CheckRow``s and fit with ``estimate_from_grid`` under one
+``FitSettings``. Counts close to the cloud size are finite-sample saturation
+(the relation can no longer resolve growth) and are excluded from fits when
+enough cells remain; every exclusion is recorded in the diagnostics.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .quasimetric import QuasiMetricSpec
 
 __all__ = [
     "ENTROPY_VARIANTS",
+    "FitSettings",
     "GrowthFit",
     "growth_rate",
     "PerEpsSlope",
@@ -64,12 +65,22 @@ ENTROPY_VARIANTS = {
     "max_metric": ("s1", "r1"),
 }
 
-DEFAULT_N_BURN = 2
-DEFAULT_SATURATION_FRACTION = 0.5
-DEFAULT_STABILITY_TOL = 0.05
 DEFAULT_ESTIMATOR_TOL = 0.05
 DEFAULT_POWER_TOL_REL = 0.20
 DEFAULT_POWER_TOL_ABS = 0.05
+
+
+@dataclass(frozen=True)
+class FitSettings:
+    """How every slope is fitted: n below ``n_burn`` is dropped, only the
+    last ``window_size`` n are kept (0: all of them), counts of at least
+    ``saturation_fraction`` times the cloud size are dropped as saturated, and
+    slopes more than ``stability_tol`` apart at adjacent scales are flagged."""
+
+    n_burn: int = 2
+    window_size: int = 0
+    saturation_fraction: float = 0.5
+    stability_tol: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,8 @@ class GrowthFit:
     constant: bool
 
 
-def growth_rate(counts: Sequence, n_burn: int = DEFAULT_N_BURN,
-                window_size: int = 0) -> GrowthFit:
+def growth_rate(counts: Sequence, n_burn: int = FitSettings.n_burn,
+                window_size: int = FitSettings.window_size) -> GrowthFit:
     """Least-squares slope of log(cardinality) against n.
 
     ``counts`` is a sequence of (n, cardinality) pairs with cardinality >= 1.
@@ -145,36 +156,34 @@ class EntropyEstimate:
 
 
 def _fit_one_eps(eps: float, seq: list, cloud_size: int, diagnostics: list,
-                 tag: str, *, n_burn: int, window_size: int,
-                 saturation_fraction: float) -> PerEpsSlope:
-    threshold = saturation_fraction * cloud_size
+                 tag: str, fit: FitSettings) -> PerEpsSlope:
+    threshold = fit.saturation_fraction * cloud_size
     kept = [(n, c) for n, c in seq if c < threshold]
     dropped = tuple(n for n, c in seq if c >= threshold)
-    if len([1 for n, _ in kept if n >= n_burn]) >= 3:
+    if len([1 for n, _ in kept if n >= fit.n_burn]) >= 3:
         use = kept
         if dropped:
             diagnostics.append(
                 f"{tag}eps={eps}: dropped saturated cells n={list(dropped)} "
-                f"(count >= {saturation_fraction} * cloud)")
+                f"(count >= {fit.saturation_fraction} * cloud)")
     else:
         use = seq
         dropped = ()
         if len(seq) != len(kept):
             diagnostics.append(
                 f"{tag}eps={eps}: saturation filter skipped (too few unsaturated cells)")
-    fit = growth_rate(use, n_burn=n_burn, window_size=window_size)
-    return PerEpsSlope(eps=eps, slope=fit.slope, fit_points=fit.fit_points,
-                       residual=fit.residual, max_step=fit.max_step,
+    line = growth_rate(use, n_burn=fit.n_burn, window_size=fit.window_size)
+    return PerEpsSlope(eps=eps, slope=line.slope, fit_points=line.fit_points,
+                       residual=line.residual, max_step=line.max_step,
                        dropped_saturated=dropped)
 
 
-def estimate_from_grid(grid: CountGrid, variant: str, *,
-                       n_burn: int = DEFAULT_N_BURN, window_size: int = 0,
-                       saturation_fraction: float = DEFAULT_SATURATION_FRACTION,
-                       stability_tol: float = DEFAULT_STABILITY_TOL) -> EntropyEstimate:
+def estimate_from_grid(grid: CountGrid, variant: str,
+                       fit: FitSettings = FitSettings()) -> EntropyEstimate:
     """Turn an existing count grid into an entropy estimate for one variant,
-    fitting every scale of the grid's eps schedule: the variant's primary
-    quantity gives the slopes, its cross quantity the spanning cross-check."""
+    fitting every scale of the grid's eps schedule under ``fit``: the
+    variant's primary quantity gives the slopes, its cross quantity the
+    spanning cross-check."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown entropy variant {variant!r}")
     diagnostics: list = []
@@ -185,9 +194,7 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
                                ("", "spanning cross-check: "), fits):
             seq = [(n, grid.cell(n, eps).get(q).cardinality) for n in grid.n_list]
             counts.setdefault(eps, seq)  # the primary quantity's counts
-            out.append(_fit_one_eps(eps, seq, grid.cloud_size, diagnostics, tag,
-                                    n_burn=n_burn, window_size=window_size,
-                                    saturation_fraction=saturation_fraction))
+            out.append(_fit_one_eps(eps, seq, grid.cloud_size, diagnostics, tag, fit))
 
     if not grid.all_exact():
         diagnostics.append("some cells were solved greedily; counts are bounds, "
@@ -197,15 +204,15 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
     stabilized = True
     if len(slopes) >= 2:
         gap = abs(slopes[-1].slope - slopes[-2].slope)
-        if gap > stability_tol:
+        if gap > fit.stability_tol:
             stabilized = False
             diagnostics.append(
                 f"slopes not stabilized: |{slopes[-1].slope:.6f} - "
-                f"{slopes[-2].slope:.6f}| = {gap:.6f} > {stability_tol}")
+                f"{slopes[-2].slope:.6f}| = {gap:.6f} > {fit.stability_tol}")
     # slopes should not fall as the scale shrinks (counts only grow); flag
     # drops beyond the stability tolerance instead of asserting
     for hi, lo in zip(slopes, slopes[1:]):
-        if lo.slope < hi.slope - stability_tol:
+        if lo.slope < hi.slope - fit.stability_tol:
             diagnostics.append(
                 f"slope fell as eps shrank: {hi.slope:.6f} @eps={hi.eps} -> "
                 f"{lo.slope:.6f} @eps={lo.eps}")
@@ -214,18 +221,6 @@ def estimate_from_grid(grid: CountGrid, variant: str, *,
                            extrapolated=extrapolated, diagnostics=diagnostics,
                            spanning_slopes=cross_slopes, stabilized=stabilized,
                            cloud_size=grid.cloud_size, counts=counts)
-
-
-# the fit settings, read once, at import, off estimate_from_grid's keywords
-_FIT_SETTINGS = frozenset(estimate_from_grid.__kwdefaults__)
-
-
-def _check_fit(caller: str, fit: dict) -> None:
-    """A TypeError naming the first of ``fit``'s settings that
-    ``estimate_from_grid`` does not take, raised before any orbit is built."""
-    for name in fit:
-        if name not in _FIT_SETTINGS:
-            raise TypeError(f"{caller}() got an unexpected fit setting {name!r}")
 
 
 def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
@@ -329,16 +324,15 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
                      snap_mode: str = "exact",
                      estimator_tol: float = DEFAULT_ESTIMATOR_TOL,
-                     **fit) -> TheoremComparison:
+                     fit: FitSettings = FitSettings()) -> TheoremComparison:
     """Run every count-level inequality and estimate-level relation.
 
     Count-level checks carry zero slack and are binding on cells where both
     sides were solved exactly; greedy cells are reported with exact=False and
     do not fail the run. Estimate-level checks carry ``estimator_tol`` slack,
-    except the max-symmetrization identity, which must hold exactly. ``fit``
-    holds the fit settings of ``estimate_from_grid``.
+    except the max-symmetrization identity, which must hold exactly. Every
+    estimate is fitted under ``fit``.
     """
-    _check_fit("compare_theorems", fit)
     n_list = [int(n) for n in n_list]
     eps_list = [float(e) for e in eps_list]
     orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
@@ -367,7 +361,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
                 rows.append(CheckRow(name=f"max_metric_counts_{q}", n=n, eps=eps,
                                      lhs=c, rhs=c, ok=True, exact=True))
 
-    estimates = {v: estimate_from_grid(grid, v, **fit) for v in ENTROPY_VARIANTS}
+    estimates = {v: estimate_from_grid(grid, v, fit) for v in ENTROPY_VARIANTS}
     h_two = estimates["two_sided"].extrapolated
     h_one = estimates["one_sided"].extrapolated
     h_mean = estimates["mean_metric"].extrapolated
@@ -418,12 +412,11 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                      snap_mode: str = "exact",
                      power_tol_rel: float = DEFAULT_POWER_TOL_REL,
                      power_tol_abs: float = DEFAULT_POWER_TOL_ABS,
-                     **fit) -> PowerRuleReport:
+                     fit: FitSettings = FitSettings()) -> PowerRuleReport:
     """Check the composition rule: the one_sided entropy of the m-fold composed
     map should be m times the base value, and cell-wise the composed spanning
-    count at n never exceeds the base count at m*n. ``fit`` holds the fit
-    settings of ``estimate_from_grid``."""
-    _check_fit("power_rule_check", fit)
+    count at n never exceeds the base count at m*n. Both estimates are fitted
+    under ``fit``."""
     if m < 1:
         raise ValueError("m must be >= 1")
     n_list = [int(n) for n in n_list]
@@ -454,8 +447,8 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                             eps_list=eps_list, variants=("one_sided",),
                             cells={(n, e): grid_base.cell(n, e)
                                    for n in n_list for e in eps_list})
-    est_base = estimate_from_grid(base_window, "one_sided", **fit)
-    est_comp = estimate_from_grid(grid_comp, "one_sided", **fit)
+    est_base = estimate_from_grid(base_window, "one_sided", fit)
+    est_comp = estimate_from_grid(grid_comp, "one_sided", fit)
 
     target = m * est_base.extrapolated
     tol = max(power_tol_rel * abs(target), power_tol_abs)

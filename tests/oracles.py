@@ -13,7 +13,9 @@ simplex (``recursive_exact_cover``, ``recursive_exact_separated``,
 ``reference_packing_lp``), which the explicit-stack solvers must match node
 for node and dual bit for dual bit. ``evaluate``, the one-pair form
 of ``pairwise``, ball membership (``BallSpec``, ``ball_members``) and the
-one-call ``estimate_entropy`` live here because only tests need them.
+one-call ``estimate_entropy`` live here because only tests need them, as
+does ``column_masks``, a symmetric cover's rows as bitsets built straight from
+the dense matrix.
 ``plain`` and ``write_csv`` are the two-pass CLI serializers (a plain tree of
 dicts and lists for ``json.dumps``, and a CSV of dict rows) that the CLI's
 one-pass writer must match byte for byte.
@@ -30,7 +32,7 @@ import numpy as np
 from qme import covering
 from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation
 from qme.dynamics import MapSpec, PointCloud, build_orbits
-from qme.entropy import EntropyEstimate, estimate_from_grid, variant_grids
+from qme.entropy import EntropyEstimate, FitSettings, estimate_from_grid, variant_grids
 from qme.quasimetric import (
     DEFAULT_SEED,
     AxiomReport,
@@ -447,6 +449,13 @@ def reference_packing_lp(cover: np.ndarray) -> np.ndarray:
     return y
 
 
+def column_masks(cover: np.ndarray, hops: int = 1) -> list:
+    """cover columns (equal to its rows) as python-int bitsets: mask[y] has
+    bit x iff y covers x or, at hops=2, iff x and y share a coverer."""
+    words = covering._pack(cover)
+    return covering._ints(covering._two_hop(cover, words) if hops == 2 else words)
+
+
 def recursive_exact_cover(rel: Relation) -> tuple:
     """Minimum dominating set of the cover graph.
 
@@ -467,9 +476,9 @@ def recursive_exact_cover(rel: Relation) -> tuple:
     cover = rel.dense()
     n = cover.shape[0]
     full = (1 << n) - 1
-    covmask = covering._column_masks(cover)  # also the coverers of each point
+    covmask = column_masks(cover)  # also the coverers of each point
     # points sharing a coverer with x (two hops), for the lower bound
-    blocked = covering._column_masks((cover.astype(np.int32) @ cover) > 0)
+    blocked = column_masks((cover.astype(np.int32) @ cover) > 0)
 
     best = covering.greedy_cover(rel)
     best_len = len(best)
@@ -539,7 +548,7 @@ def recursive_exact_separated(rel: Relation) -> tuple:
     clique-cover bound on the remaining candidates. Returns (sorted ids, nodes).
     """
     n = rel.size
-    adj = [m & ~(1 << x) for x, m in enumerate(covering._column_masks(rel.dense()))]
+    adj = [m & ~(1 << x) for x, m in enumerate(column_masks(rel.dense()))]
 
     best = covering.greedy_separated(rel)
     best_len = len(best)
@@ -597,19 +606,20 @@ def recursive_exact_separated(rel: Relation) -> tuple:
 def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec,
                      variant: str, n_list: Sequence, eps_list: Sequence, *,
                      exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     snap_mode: str = "exact", **fit) -> EntropyEstimate:
+                     snap_mode: str = "exact",
+                     fit: FitSettings = FitSettings()) -> EntropyEstimate:
     """Estimate the entropy of a map over a cloud for one variant.
 
     Builds the orbit table of the cloud, counts spanning/separated
     cardinalities over the schedule under the variant's distance rule, fits
-    per-scale growth slopes with the fit settings ``fit`` of
-    ``estimate_from_grid`` and extrapolates at the smallest scale.
+    per-scale growth slopes under ``fit`` and extrapolates at the smallest
+    scale.
     """
     orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                           snap_mode=snap_mode, qspec=spec)
     grid = variant_grids(spec, orbits, (variant,), n_list, eps_list,
                          exact_threshold=exact_threshold)
-    return estimate_from_grid(grid, variant, **fit)
+    return estimate_from_grid(grid, variant, fit)
 
 
 # --- two-pass output serializers ---------------------------------------------

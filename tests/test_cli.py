@@ -14,7 +14,7 @@ import qme.entropy
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
 from qme.cli import main
 from qme.config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config, parse_config
-from qme.entropy import estimate_from_grid
+from qme.entropy import FitSettings, estimate_from_grid
 
 from oracles import plain
 
@@ -114,7 +114,7 @@ def test_plain_on_a_one_variant_grid():
     assert all(set(c) == {"n", "epsilon", "r1", "s1"} for c in d["cells"])
     assert all(isinstance(c[q]["witness"], list)
                for c in d["cells"] for q in ("r1", "s1"))
-    est = plain(estimate_from_grid(grid, "two_sided", n_burn=1))
+    est = plain(estimate_from_grid(grid, "two_sided", FitSettings(n_burn=1)))
     assert list(est["counts"]) == [repr(eps) for eps in eps_list]
     assert all(isinstance(pair, list) for seq in est["counts"].values() for pair in seq)
 
@@ -309,6 +309,28 @@ def test_integral_floats_read_as_integers(tmp_path):
     assert all(type(v) is int for v in (cfg.power_m, cfg.exact_threshold, cfg.seed))
 
 
+@pytest.mark.parametrize("field,old,new", [
+    ("schedule.n_list", "n_list: [1, 2, 3, 4]", "n_list: [true, 2, 3, 4]"),
+    ("validate.triple_budget", "output:", "validate:\n  triple_budget: true\noutput:"),
+], ids=["n_list", "triple_budget"])
+def test_boolean_integer_field_is_config_error(tmp_path, field, old, new):
+    # YAML's true is a Python bool, which int() would read as 1
+    cfg = _write(tmp_path, DOUBLING_CONFIG.replace(old, new), out=tmp_path / "out")
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got True"):
+        load_config(cfg)
+    assert main(["counts", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("out,flag", [("null", []), ('""', []), ("out", ["--out", ""])],
+                         ids=["config_null", "config_empty", "flag_empty"])
+def test_missing_output_dir_is_config_error(tmp_path, monkeypatch, out, flag):
+    # null would be written to a directory named None, and "" fails in os.makedirs
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, DOUBLING_CONFIG, out=out)
+    assert main(["counts", "--config", cfg, *flag]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["run.yaml"]
+
+
 def test_unknown_solver_mode_is_config_error(tmp_path):
     cfg = _write(tmp_path, DOUBLING_CONFIG + "solver:\n  mode: solve-harder\n",
                  out=tmp_path / "out")
@@ -429,6 +451,16 @@ MALFORMED = [
     ("map_parameter_not_a_number", "kind: doubling", "kind: logistic\n  r: abc",
      "map.r must be a number"),
     ("variants_not_a_list", "output:", "variants: 5\noutput:", "variants must be a list"),
+    ("variant_unhashable", "output:", "variants: [[two_sided]]\noutput:",
+     r"unknown entropy variant \['two_sided'\]"),
+    # entropy would print each estimate, and write its slopes.csv rows, twice
+    ("variants_repeated", "output:", "variants: [two_sided, one_sided, two_sided]\noutput:",
+     "variant 'two_sided' is listed more than once"),
+    # bool() reads the quoted "false" as true, and power would skip its warning
+    ("uc_quoted", "kind: doubling", 'kind: doubling\n  declared_uniformly_continuous: "false"',
+     "map.declared_uniformly_continuous must be true or false"),
+    ("uc_zero", "kind: doubling", "kind: doubling\n  declared_uniformly_continuous: 0",
+     "map.declared_uniformly_continuous must be true or false"),
     ("map_kind_unknown", "kind: doubling", "kind: sideways", "unknown map kind 'sideways'"),
     ("map_kind_missing", "  kind: doubling", "  power: 1", "unknown map kind None"),
     ("map_kind_unhashable", "kind: doubling", "kind: [doubling]", "bad map"),
@@ -471,7 +503,8 @@ def test_zero_and_positive_tolerances_parse(tmp_path, field):
     for value in (0, 0.3, 2):
         cfg = _write(tmp_path, DOUBLING_CONFIG + f"tolerances:\n  {field}: {value}\n",
                      out=tmp_path / "out")
-        assert getattr(load_config(cfg), field) == value
+        parsed = load_config(cfg)
+        assert {**vars(parsed), **vars(parsed.fit)}[field] == value
 
 
 @pytest.mark.parametrize("rule", ["circle_arc", "weighted_asym"])

@@ -496,7 +496,7 @@ def test_stack_search_matches_recursive_node_for_node_on_several_words(cover, bu
 @given(search_graphs(0, 130))
 def test_bitset_incumbents_are_the_greedy_solvers(cover):
     rel = csr(cover)
-    masks = covering._column_masks(cover)
+    masks = oracles.column_masks(cover)
     assert covering._bit_greedy_cover(masks) == greedy_cover(rel) \
         == sorted(oracles.dense_greedy_cover(cover))
     assert covering._bit_greedy_separated(masks) == greedy_separated(rel) \
@@ -510,15 +510,15 @@ def test_two_hop_masks_mark_points_sharing_a_coverer(cover, slice_bytes):
     with pytest.MonkeyPatch.context() as mp:
         if slice_bytes is not None:
             mp.setattr(covering, "_HOP_SLICE_BYTES", slice_bytes)
-        assert covering._column_masks(cover, hops=2) == \
-            covering._column_masks((cover.astype(np.int32) @ cover) > 0)
+        assert oracles.column_masks(cover, hops=2) == \
+            oracles.column_masks((cover.astype(np.int32) @ cover) > 0)
 
 
 def test_two_hop_masks_take_quadratic_memory():
     # an N x N x words temporary would peak at 128 MB here
     tracemalloc.start()
     try:
-        masks = covering._column_masks(np.eye(1024, dtype=bool), hops=2)
+        masks = oracles.column_masks(np.eye(1024, dtype=bool), hops=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -18,8 +18,8 @@ from qme import (
     symbol_blocks,
 )
 import qme.entropy
-from qme.entropy import (CheckRow, _binding_ok, binding_failures, estimate_from_grid,
-                         variant_grids)
+from qme.entropy import (CheckRow, FitSettings, _binding_ok, binding_failures,
+                         estimate_from_grid, variant_grids)
 
 from oracles import estimate_entropy, plain
 
@@ -153,7 +153,7 @@ def test_estimate_saturation_fallback_flagged():
 def test_estimate_stability_flag():
     est = estimate_entropy(MapSpec(kind="doubling"), circle_grid(64), ARC,
                            "two_sided", [2, 3, 4], [0.25, 0.125],
-                           stability_tol=1e-12)
+                           fit=FitSettings(stability_tol=1e-12))
     assert not est.stabilized
     assert any("not stabilized" in d for d in est.diagnostics)
 
@@ -227,16 +227,16 @@ def test_compare_serialization():
 
 @pytest.mark.parametrize("report", ["compare", "power"])
 def test_misspelt_fit_setting_raises_before_any_orbit(monkeypatch, report):
-    # the TypeError names the setting, and no orbit table or grid is built
+    # FitSettings' TypeError names the setting, and no orbit table or grid is built
     calls = []
     monkeypatch.setattr(qme.entropy, "build_orbits",
                         lambda *a, **k: calls.append(a) or build_orbits(*a, **k))
     args = (MapSpec(kind="doubling"), circle_grid(16), ARC, [1, 2, 3], [0.25])
-    with pytest.raises(TypeError, match="unexpected fit setting 'n_brun'"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n_brun'"):
         if report == "compare":
-            compare_theorems(*args, n_brun=1)
+            compare_theorems(*args, fit=FitSettings(n_brun=1))
         else:
-            power_rule_check(args[0], 2, *args[1:], n_brun=1)
+            power_rule_check(args[0], 2, *args[1:], fit=FitSettings(n_brun=1))
     assert calls == []
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import qme.cli as cli
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
 from qme.covering import QUANTITIES, QUANTITY_PAIRS
-from qme.entropy import estimate_from_grid
+from qme.entropy import FitSettings, estimate_from_grid
 
 from oracles import plain, write_csv
 from test_golden import ASYM_CONFIG
@@ -105,7 +105,7 @@ def test_json_matches_the_reference_on_one_variant_grids(variants):
     grid = count_grid(QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0),
                       orbits, n_list, eps_list, variants=variants)
     assert cli._json(grid) + "\n" == reference_json(grid)
-    estimates = {v: estimate_from_grid(grid, v, n_burn=1) for v in variants}
+    estimates = {v: estimate_from_grid(grid, v, FitSettings(n_burn=1)) for v in variants}
     assert cli._json(estimates) + "\n" == reference_json(estimates)
 
 
