@@ -125,10 +125,13 @@ Runs:
 - ``power_undeclared``: ``power`` (m = 2) on a 33-point grid under the tent
   map with ``declared_uniformly_continuous: false``, which exits 2;
 - ``errors``: ``qme --help``, ``power -m 0``, ``counts --exact-threshold -1``
-  and ``validate --seed -1`` on the example configuration, and ``validate`` on
-  it with ``validate.triple_budget: 0`` (all but the first are configuration
-  errors, exit code 3). These runs also keep their stderr, in ``stderr.txt``,
-  so the exit-3 messages are byte-diffed.
+  and ``validate --seed -1`` on the example configuration, ``validate`` on
+  it with ``validate.triple_budget: 0``, ``entropy`` on it with the misspelt
+  key ``fit.n_brun`` (``unknown_key``) and ``compare`` on it with
+  ``tolerances.estimator_tol: true`` (``boolean_number``). The misspelt key
+  is dropped and the boolean reads as 1.0, so those two run; the others are
+  configuration errors, exit code 3. These runs also keep their stderr, in
+  ``stderr.txt``, so the exit-3 messages are byte-diffed.
 """
 from __future__ import annotations
 
@@ -447,6 +450,17 @@ def capture_errors(dest: str, scratch: str) -> None:
         run_cli([*argv, "--config", example, "--out", case_dir], case_dir, stderr=True)
     case_dir = os.path.join(dest, "triple_budget_0")
     run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir, stderr=True)
+    doc = yaml.safe_load(EXAMPLE_CONFIG)
+    doc["fit"]["n_brun"] = 5
+    unknown_key = write_config(yaml.safe_dump(doc), "errors_unknown_key", scratch)
+    case_dir = os.path.join(dest, "unknown_key")
+    run_cli(["entropy", "--config", unknown_key, "--out", case_dir], case_dir, stderr=True)
+    doc = yaml.safe_load(EXAMPLE_CONFIG)
+    doc["tolerances"]["estimator_tol"] = True
+    boolean_number = write_config(yaml.safe_dump(doc), "errors_boolean_number", scratch)
+    case_dir = os.path.join(dest, "boolean_number")
+    run_cli(["compare", "--config", boolean_number, "--out", case_dir], case_dir,
+            stderr=True)
 
 
 def capture(out_root: str) -> None:
