@@ -1,9 +1,13 @@
 """Run configuration: one YAML document describing the system, schedules,
-solver policy and tolerances for a reproducible experiment."""
+solver policy and tolerances for a reproducible experiment.
+
+``TABLES`` holds every key the document may set, one key table per section,
+and ``parse_config`` refuses any other."""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -20,7 +24,8 @@ from .entropy import (
 )
 from .quasimetric import DEFAULT_SEED, QuasiMetricSpec
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "EXAMPLE_CONFIG"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "EXAMPLE_CONFIG",
+           "TABLES"]
 
 DEFAULT_TRIPLE_BUDGET = 200_000
 
@@ -118,68 +123,177 @@ class RunConfig:
     out_format: str
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = doc.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    return sec
-
-
-def _integer(value, name: str, least: int | None = None) -> int:
-    """value as an int of at least ``least``: 2.0 reads as 2, and 2.5 is
-    refused, not truncated, as is a YAML boolean, not read as 0 or 1."""
+# Parsers: each takes a value and its field name, and returns the value read
+# or raises a ConfigError that names the field.
+def _number(value, name: str, least: float | None = None, kind: type = float):
+    """value as a ``kind``, float or int, of at least ``least``. An int field
+    reads 2.0 as 2 and refuses 2.5, not truncates it. A YAML boolean is
+    refused, not read as 0 or 1, and a NaN fails any bound: as a tolerance it
+    would fail every comparison, or drop the saturation filter, without a word."""
     number = None
     try:
-        if not isinstance(value, bool) and float(value).is_integer():
-            number = int(value)
+        if not isinstance(value, bool) and (kind is float or float(value).is_integer()):
+            number = kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
     if number is None:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if least is not None and number < least:
+        article = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {article}, got {value!r}")
+    if least is not None and not number >= least:
         raise ConfigError(f"{name} must be >= {least}")
     return number
 
 
+_integer = partial(_number, kind=int)
+
+
+def _boolean(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _path(value, name: str) -> str:
-    """value as a directory path; YAML's null and the empty string name none."""
+    """value as a path; YAML's null and the empty string name none."""
     if value is None or value == "":
         raise ConfigError(f"{name} must be a nonempty path, got {value!r}")
     return str(value)
 
 
-def _number(value, name: str) -> float:
-    """value as a float, or a ConfigError naming the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+def _as_given(value, name: str):
+    return value  # a kind, checked by its section's builder, or inline matrix rows
 
 
-def _tolerance(sec: dict, key: str, default: float) -> float:
-    """tolerances.<key> as a float >= 0. A NaN fails every comparison, so it
-    would fail checks or drop the saturation filter without a word."""
-    value = _number(sec.get(key, default), f"tolerances.{key}")
-    if not value >= 0:
-        raise ConfigError(f"tolerances.{key} must be >= 0, got {value!r}")
-    return value
+def _one_of(what: str, *choices: str):
+    def parse(value, name):
+        if value not in choices:
+            raise ConfigError(f"unknown {what} {value!r}")
+        return value
+    return parse
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    if not value:
+        raise ConfigError(f"{name} must be nonempty")
+    return list(value)
+
+
+def _n_list(value, name: str) -> list:
+    ns = [_integer(n, name, 1) for n in _list(value, name)]
+    if sorted(set(ns)) != ns:
+        raise ConfigError("n_list must be strictly increasing")
+    return ns
+
+
+def _eps_list(value, name: str) -> list:
+    eps = [_number(e, name) for e in _list(value, name)]
+    if not all(0.0 < e < float("inf") for e in eps):
+        raise ConfigError("eps values must be finite and > 0")
+    for hi, lo in zip(eps, eps[1:]):
+        if lo * 2.0 != hi:
+            raise ConfigError(f"eps_list must halve at each step; "
+                              f"{lo} is not half of {hi}")
+    return eps
+
+
+def _variants(value, name: str) -> list:
+    variants = _list([value] if isinstance(value, str) else value, name)
+    for i, v in enumerate(variants):
+        if not isinstance(v, str) or v not in ENTROPY_VARIANTS:
+            raise ConfigError(f"unknown entropy variant {v!r}")
+        if v in variants[:i]:
+            raise ConfigError(f"variant {v!r} is listed more than once")
+    return variants
+
+
+_ABSENT = object()  # no default: the kind that needs the field says it is missing
+_NONNEGATIVE = partial(_number, least=0)
+
+# Every key of every section, as key -> (parser, default); a default goes
+# through its parser too, so an absent schedule is refused as empty. The one
+# top-level key that is not a section, variants, is read by _variants.
+TABLES = {
+    "map": {
+        "kind": (_as_given, None),
+        "slope": (_number, MapSpec.slope),
+        "r": (_number, MapSpec.r),
+        "a": (_number, MapSpec.a),
+        "b": (_number, MapSpec.b),
+        "power": (_integer, MapSpec.power),
+        "declared_uniformly_continuous": (_boolean, MapSpec.declared_uniformly_continuous),
+    },
+    "cloud": {
+        "kind": (_as_given, None),
+        "count": (_integer, _ABSENT),
+        "lo": (_number, _ABSENT),
+        "hi": (_number, _ABSENT),
+        "alphabet": (_integer, _ABSENT),
+        "length": (_integer, _ABSENT),
+        "path": (_path, _ABSENT),
+    },
+    "qmetric": {
+        "kind": (_as_given, None),
+        "alpha": (_number, QuasiMetricSpec.alpha),
+        "beta": (_number, QuasiMetricSpec.beta),
+        "path": (_path, _ABSENT),
+        "rows": (_as_given, _ABSENT),
+    },
+    "schedule": {"n_list": (_n_list, []), "eps_list": (_eps_list, [])},
+    "solver": {
+        "exact_threshold": (partial(_integer, least=0), DEFAULT_EXACT_THRESHOLD),
+        "mode": (_one_of("solver mode", "auto", "exact", "greedy"), "auto"),
+    },
+    "orbits": {"snap_mode": (_one_of("snap mode", "exact", "nearest"), "exact")},
+    "fit": {
+        "n_burn": (_integer, FitSettings.n_burn),
+        "window_size": (partial(_integer, least=0), FitSettings.window_size),
+    },
+    "tolerances": {
+        "estimator_tol": (_NONNEGATIVE, DEFAULT_ESTIMATOR_TOL),
+        "power_tol_rel": (_NONNEGATIVE, DEFAULT_POWER_TOL_REL),
+        "power_tol_abs": (_NONNEGATIVE, DEFAULT_POWER_TOL_ABS),
+        "stability_tol": (_NONNEGATIVE, FitSettings.stability_tol),
+        "saturation_fraction": (_NONNEGATIVE, FitSettings.saturation_fraction),
+    },
+    "seeds": {"base": (partial(_integer, least=0), DEFAULT_SEED)},
+    "validate": {"triple_budget": (partial(_integer, least=1), DEFAULT_TRIPLE_BUDGET)},
+    "power": {"m": (partial(_integer, least=1), 2)},
+    "output": {
+        "dir": (_path, "out"),
+        "format": (_one_of("output format", "csv", "json", "both"), "both"),
+    },
+}
+
+
+def _read(sec, section: str) -> dict:
+    """{key: value read} for every key of the section that sec sets or that
+    has a default; a ConfigError for a key that the section does not have."""
+    table = TABLES[section]
+    if sec is None:
+        sec = {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"section {section!r} must be a mapping")
+    for key in sec:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in section {section!r}; "
+                              f"known keys: {', '.join(table)}")
+    return {key: parse(sec.get(key, default), f"{section}.{key}")
+            for key, (parse, default) in table.items() if key in sec or default is not _ABSENT}
 
 
 def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
-    kind = sec.get("kind")
+    kind = sec["kind"]
     try:
         if kind == "grid1d":
-            return dynamics.grid1d(float(sec["lo"]), float(sec["hi"]),
-                                   _integer(sec["count"], "cloud.count"))
+            return dynamics.grid1d(sec["lo"], sec["hi"], sec["count"])
         if kind == "circle_grid":
-            return dynamics.circle_grid(_integer(sec["count"], "cloud.count"))
+            return dynamics.circle_grid(sec["count"])
         if kind == "symbol_blocks":
-            return dynamics.symbol_blocks(_integer(sec["alphabet"], "cloud.alphabet"),
-                                          _integer(sec["length"], "cloud.length"))
+            return dynamics.symbol_blocks(sec["alphabet"], sec["length"])
         if kind == "indices":
-            return dynamics.index_cloud(_integer(sec["count"], "cloud.count"))
+            return dynamics.index_cloud(sec["count"])
         if kind == "custom":
             return dynamics.cloud_from_csv(os.path.join(base_dir, sec["path"]))
     except KeyError as exc:
@@ -190,79 +304,34 @@ def _build_cloud(sec: dict, base_dir: str) -> PointCloud:
 
 
 def _build_qmetric(sec: dict, base_dir: str) -> QuasiMetricSpec:
-    kind = sec.get("kind")
+    kind = sec["kind"]
     try:
-        if kind in ("asym_line", "euclidean", "circle_arc", "block_prefix",
-                    "block_prefix_asym"):
-            return QuasiMetricSpec(kind=kind)
-        if kind == "weighted_asym":
-            return QuasiMetricSpec(kind="weighted_asym",
-                                   alpha=float(sec.get("alpha", 1.0)),
-                                   beta=float(sec.get("beta", 1.0)))
-        if kind == "matrix":
-            if "rows" in sec:
-                return QuasiMetricSpec(kind="matrix",
-                                       matrix=np.asarray(sec["rows"], dtype=float))
-            return quasimetric.load_matrix_csv(os.path.join(base_dir, sec["path"]))
+        if kind != "matrix":
+            return QuasiMetricSpec(kind=kind, alpha=sec["alpha"], beta=sec["beta"])
+        if "rows" in sec:
+            return QuasiMetricSpec(kind=kind, matrix=np.asarray(sec["rows"], dtype=float))
+        return quasimetric.load_matrix_csv(os.path.join(base_dir, sec["path"]))
     except KeyError as exc:
         raise ConfigError(f"qmetric kind {kind!r} is missing field {exc}") from exc
-    except (ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError) as exc:  # TypeError: an unhashable kind
         raise ConfigError(f"bad qmetric: {exc}") from exc
-    raise ConfigError(f"unknown qmetric kind {kind!r}")
-
-
-def _build_map(sec: dict) -> MapSpec:
-    kwargs = {}
-    for name in ("slope", "r", "a", "b"):
-        if name in sec:
-            kwargs[name] = _number(sec[name], f"map.{name}")
-    if "power" in sec:
-        kwargs["power"] = _integer(sec["power"], "map.power")
-    if "declared_uniformly_continuous" in sec:
-        uc = sec["declared_uniformly_continuous"]
-        if not isinstance(uc, bool):
-            raise ConfigError("map.declared_uniformly_continuous must be true or "
-                              f"false, got {uc!r}")
-        kwargs["declared_uniformly_continuous"] = uc
-    try:
-        return MapSpec(kind=sec.get("kind"), **kwargs)
-    except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
-        raise ConfigError(f"bad map: {exc}") from exc
-
-
-def _validate_schedule(n_list, eps_list):
-    for name, values in (("n_list", n_list), ("eps_list", eps_list)):
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"schedule.{name} must be a list, got {values!r}")
-    if not n_list:
-        raise ConfigError("schedule.n_list must be nonempty")
-    if not eps_list:
-        raise ConfigError("schedule.eps_list must be nonempty")
-    ns = [_integer(n, "schedule.n_list") for n in n_list]
-    if any(n < 1 for n in ns):
-        raise ConfigError("n values must be >= 1")
-    if sorted(set(ns)) != ns:
-        raise ConfigError("n_list must be strictly increasing")
-    eps = [_number(e, "schedule.eps_list") for e in eps_list]
-    if not all(0.0 < e < float("inf") for e in eps):
-        raise ConfigError("eps values must be finite and > 0")
-    for hi, lo in zip(eps, eps[1:]):
-        if lo * 2.0 != hi:
-            raise ConfigError(f"eps_list must halve at each step; "
-                              f"{lo} is not half of {hi}")
-    return ns, eps
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     """Build a validated run configuration from a parsed YAML mapping."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a mapping")
-    cloud = _build_cloud(_section(doc, "cloud"), base_dir)
-    qspec = _build_qmetric(_section(doc, "qmetric"), base_dir)
-    map_spec = _build_map(_section(doc, "map"))
-    sched = _section(doc, "schedule")
-    n_list, eps_list = _validate_schedule(sched.get("n_list", []),
-                                          sched.get("eps_list", []))
+    for key in doc:
+        if key not in TABLES and key != "variants":
+            raise ConfigError(f"unknown top-level key {key!r}; known keys: "
+                              f"{', '.join(TABLES)}, variants")
+    s = {section: _read(doc.get(section), section) for section in TABLES}
+    cloud = _build_cloud(s["cloud"], base_dir)
+    qspec = _build_qmetric(s["qmetric"], base_dir)
+    try:
+        map_spec = MapSpec(**s["map"])
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable kind
+        raise ConfigError(f"bad map: {exc}") from exc
 
     if qspec.kind == "matrix" and cloud.kind != "indices":
         raise ConfigError("matrix qmetric needs an 'indices' cloud")
@@ -274,68 +343,29 @@ def parse_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if map_spec.kind == "shift_left" and cloud.kind != "symbol_blocks":
         raise ConfigError("shift_left map needs a symbol_blocks cloud")
 
-    solver = _section(doc, "solver")
-    mode = solver.get("mode", "auto")
-    if mode not in ("auto", "exact", "greedy"):
-        raise ConfigError(f"unknown solver mode {mode!r}")
-    orbits = _section(doc, "orbits")
-    snap = orbits.get("snap_mode", "exact")
-    if snap not in ("exact", "nearest"):
-        raise ConfigError(f"unknown snap mode {snap!r}")
-
-    variants = doc.get("variants", list(ENTROPY_VARIANTS))
-    if isinstance(variants, str):
-        variants = [variants]
-    if not isinstance(variants, (list, tuple)):
-        raise ConfigError(f"variants must be a list, got {variants!r}")
-    if not variants:
-        raise ConfigError("variants must be nonempty")
-    for i, v in enumerate(variants):
-        if not isinstance(v, str) or v not in ENTROPY_VARIANTS:
-            raise ConfigError(f"unknown entropy variant {v!r}")
-        if v in variants[:i]:
-            raise ConfigError(f"variant {v!r} is listed more than once")
-
-    fit = _section(doc, "fit")
-    tol = _section(doc, "tolerances")
-    seeds = _section(doc, "seeds")
-    validate = _section(doc, "validate")
-    power = _section(doc, "power")
-    output = _section(doc, "output")
-    fmt = output.get("format", "both")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-
-    cfg = RunConfig(
+    solver, tol = s["solver"], s["tolerances"]
+    return RunConfig(
         map_spec=map_spec,
         cloud=cloud,
         qspec=qspec,
-        n_list=n_list,
-        eps_list=eps_list,
-        variants=list(variants),
-        exact_threshold=_integer(solver.get("exact_threshold", DEFAULT_EXACT_THRESHOLD),
-                                 "solver.exact_threshold", 0),
-        snap_mode=snap,
-        fit=FitSettings(
-            n_burn=_integer(fit.get("n_burn", FitSettings.n_burn), "fit.n_burn"),
-            window_size=_integer(fit.get("window_size", FitSettings.window_size),
-                                 "fit.window_size", 0),
-            saturation_fraction=_tolerance(tol, "saturation_fraction",
-                                           FitSettings.saturation_fraction),
-            stability_tol=_tolerance(tol, "stability_tol", FitSettings.stability_tol)),
-        estimator_tol=_tolerance(tol, "estimator_tol", DEFAULT_ESTIMATOR_TOL),
-        power_tol_rel=_tolerance(tol, "power_tol_rel", DEFAULT_POWER_TOL_REL),
-        power_tol_abs=_tolerance(tol, "power_tol_abs", DEFAULT_POWER_TOL_ABS),
-        seed=_integer(seeds.get("base", DEFAULT_SEED), "seeds.base", 0),
-        triple_budget=_integer(validate.get("triple_budget", DEFAULT_TRIPLE_BUDGET),
-                               "validate.triple_budget", 1),
-        power_m=_integer(power.get("m", 2), "power.m", 1),
-        out_dir=_path(output.get("dir", "out"), "output.dir"),
-        out_format=fmt,
+        n_list=s["schedule"]["n_list"],
+        eps_list=s["schedule"]["eps_list"],
+        variants=_variants(doc.get("variants", list(ENTROPY_VARIANTS)), "variants"),
+        # mode is the legacy spelling of the threshold
+        exact_threshold={"auto": solver["exact_threshold"], "greedy": 0,
+                         "exact": len(cloud)}[solver["mode"]],
+        snap_mode=s["orbits"]["snap_mode"],
+        fit=FitSettings(**s["fit"], saturation_fraction=tol["saturation_fraction"],
+                        stability_tol=tol["stability_tol"]),
+        estimator_tol=tol["estimator_tol"],
+        power_tol_rel=tol["power_tol_rel"],
+        power_tol_abs=tol["power_tol_abs"],
+        seed=s["seeds"]["base"],
+        triple_budget=s["validate"]["triple_budget"],
+        power_m=s["power"]["m"],
+        out_dir=s["output"]["dir"],
+        out_format=s["output"]["format"],
     )
-    if mode != "auto":  # legacy spelling of the threshold
-        cfg.exact_threshold = 0 if mode == "greedy" else len(cloud)
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -19,6 +19,7 @@ from qme import (
     check_axioms,
     circle_grid,
     count_grid,
+    custom_cloud,
     grid1d,
     index_cloud,
     power_rule_check,
@@ -355,3 +356,45 @@ output:
             ok &= ((tmp_path / "a" / name).read_bytes()
                    == (tmp_path / "b" / name).read_bytes())
     _verdict(12, ok, "reruns produce byte-identical CSV and JSON outputs")
+
+
+def test_criterion_13_golden_mean_counts():
+    """Separated counts of the golden-mean shift against theory.
+
+    The 24-bit words with no two adjacent 1s (F(26) = 121,393 of them) are a
+    set the doubling map keeps: it shifts the bits left. Its entropy is
+    log phi = 0.4812 (Lind & Marcus 1995, An Introduction to Symbolic
+    Dynamics and Coding, section 4.1). There are F(L + 2) such words of
+    length L, and two points with the same first n + k - 1 bits stay within
+    2^-k for n steps, so s1(n, 2^-k) <= F(n + k + 1), and a separated set of
+    that size is optimal. On 4096 sampled words every cell whose bound is at
+    most 377 (under 0.1 N) reaches it.
+
+    Measured, not asserted: the other 6 cells fall short (1,309 against
+    1,597 at n = 9, eps = 2^-7). The separated slope reads 0.4814 at 2^-3
+    but 0.4586 at 2^-7, and the estimate reports the finest eps's slope, so
+    it reads 0.023 below log phi: finite sampling at the finest scale, not
+    the fit and not the saturation filter, which keeps every cell here.
+    """
+    words = np.array([0])
+    for _ in range(24):  # append a 0 to every word, and a 1 to those ending in 0
+        words = np.concatenate([words << 1, (words[(words & 1) == 0] << 1) | 1])
+    sample = np.random.default_rng(1).choice(np.sort(words), 4096, replace=False)
+    cloud = custom_cloud((np.sort(sample) / 2.0 ** 24).reshape(-1, 1))
+    orbits = build_orbits(MapSpec(kind="doubling"), cloud, 9)
+    grid = count_grid(ARC, orbits, list(range(2, 10)), [2.0 ** -k for k in range(3, 8)],
+                      exact_threshold=0, variants=("two_sided",))
+    fib = [0, 1]
+    while len(fib) < 18:
+        fib.append(fib[-1] + fib[-2])
+    within = matched = small = 0
+    for n in range(2, 10):
+        for k in range(3, 8):
+            s1, bound = grid.cell(n, 2.0 ** -k).s1.cardinality, fib[n + k + 1]
+            within += s1 <= bound
+            if bound <= 377:
+                small += 1
+                matched += s1 == bound
+    ok = len(words) == 121_393 and within == 40 and matched == small == 34
+    _verdict(13, ok, f"golden-mean shift on 4096 points: {within}/40 separated counts "
+                     f"<= F(n + k + 1), {matched}/{small} equal where F(n + k + 1) <= 377")

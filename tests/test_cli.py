@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import qme.covering
 import qme.entropy
 from qme import MapSpec, QuasiMetricSpec, build_orbits, circle_grid, count_grid
 from qme.cli import main
-from qme.config import EXAMPLE_CONFIG, ConfigError, RunConfig, load_config, parse_config
+from qme.config import (EXAMPLE_CONFIG, TABLES, ConfigError, RunConfig, load_config,
+                        parse_config)
 from qme.entropy import FitSettings, estimate_from_grid
 
 from oracles import plain
@@ -355,6 +357,23 @@ def test_example_config_shows_the_parsed_defaults(tmp_path):
     assert {f: getattr(parsed, f) for f in rest} == {f: getattr(full, f) for f in rest}
 
 
+def test_example_config_names_exactly_the_table_keys():
+    # every key EXAMPLE_CONFIG shows, commented out or not, is one the key
+    # tables hold, and the other way round, so the two cannot drift apart
+    shown, section = set(), None
+    for line in EXAMPLE_CONFIG.splitlines():
+        top, key = re.match(r"(\w+):(.*)", line), re.match(r"  (?:# )?(\w+):", line)
+        if top:
+            section = top.group(1)
+            if top.group(2).strip():  # a top-level key with its value, not a section
+                shown.add(section)
+        elif key:
+            shown.add(f"{section}.{key.group(1)}")
+    tables = {f"{name}.{key}" for name, table in TABLES.items() for key in table}
+    assert shown == tables | {"variants"}
+    assert len(shown) == 37
+
+
 MATRIX_FILE_CONFIG = """\
 map:
   kind: identity
@@ -470,6 +489,45 @@ MALFORMED = [
      "finite alpha > 0 and beta > 0"),
     ("weight_nan", "kind: circle_arc", "kind: weighted_asym\n  beta: .nan",
      "finite alpha > 0 and beta > 0"),
+    # a key or section that no table holds would be dropped, and its default used
+    ("fit_key_misspelt", "output:", "fit:\n  n_brun: 5\noutput:",
+     "unknown key 'n_brun' in section 'fit'; known keys: n_burn, window_size"),
+    ("solver_key_misspelt", "output:", "solver:\n  exact_treshold: 0\noutput:",
+     "unknown key 'exact_treshold' in section 'solver'; known keys: exact_threshold, mode"),
+    ("orbits_key_misspelt", "output:", "orbits:\n  snapmode: nearest\noutput:",
+     "unknown key 'snapmode' in section 'orbits'; known keys: snap_mode"),
+    ("tolerances_key_misspelt", "output:", "tolerances:\n  estimator_tl: 0.5\noutput:",
+     "unknown key 'estimator_tl' in section 'tolerances'; known keys: estimator_tol, "),
+    ("section_misspelt", "output:", "schedul:\n  n_list: [1, 2]\noutput:",
+     "unknown top-level key 'schedul'; known keys: map, cloud, qmetric, schedule, "),
+    ("output_key_misspelt", "  dir: {out}", "  dir: {out}\n  fromat: csv",
+     "unknown key 'fromat' in section 'output'; known keys: dir, format"),
+    ("seeds_key_misspelt", "output:", "seeds:\n  bse: 7\noutput:",
+     "unknown key 'bse' in section 'seeds'; known keys: base"),
+    ("cloud_key_misspelt", "count: 48", "count: 48\n  cout: 32",
+     "unknown key 'cout' in section 'cloud'; known keys: kind, count, lo, hi, "),
+    # a YAML boolean is not a number: true would read as 1.0 and false as 0.0
+    ("boolean_tolerance", "output:", "tolerances:\n  estimator_tol: true\noutput:",
+     "tolerances.estimator_tol must be a number, got True"),
+    ("boolean_eps", "eps_list: [0.5, 0.25, 0.125, 0.0625]", "eps_list: [true, 0.5]",
+     "schedule.eps_list must be a number, got True"),
+    ("boolean_map_parameter", "kind: doubling", "kind: tent\n  slope: true",
+     "map.slope must be a number, got True"),
+    ("boolean_cloud_bound", "kind: circle_grid", "kind: grid1d\n  lo: false\n  hi: 1.0",
+     "cloud.lo must be a number, got False"),
+    ("boolean_weight", "kind: circle_arc", "kind: weighted_asym\n  alpha: true",
+     "qmetric.alpha must be a number, got True"),
+    # these raised an uncaught TypeError
+    ("weight_a_list", "kind: circle_arc", "kind: weighted_asym\n  alpha: [1]",
+     r"qmetric.alpha must be a number, got \[1\]"),
+    ("cloud_bound_a_list", "kind: circle_grid", "kind: grid1d\n  lo: [0]\n  hi: 1.0",
+     r"cloud.lo must be a number, got \[0\]"),
+    ("cloud_path_a_number", "kind: circle_grid\n  count: 48", "kind: custom\n  path: 5",
+     "bad cloud: .*5 not found"),
+    ("cloud_path_null", "kind: circle_grid\n  count: 48", "kind: custom\n  path: null",
+     "cloud.path must be a nonempty path, got None"),
+    ("qmetric_path_null", "kind: circle_arc", "kind: matrix\n  path: null",
+     "qmetric.path must be a nonempty path, got None"),
 ]
 
 

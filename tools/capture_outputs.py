@@ -128,10 +128,9 @@ Runs:
   and ``validate --seed -1`` on the example configuration, ``validate`` on
   it with ``validate.triple_budget: 0``, ``entropy`` on it with the misspelt
   key ``fit.n_brun`` (``unknown_key``) and ``compare`` on it with
-  ``tolerances.estimator_tol: true`` (``boolean_number``). The misspelt key
-  is dropped and the boolean reads as 1.0, so those two run; the others are
-  configuration errors, exit code 3. These runs also keep their stderr, in
-  ``stderr.txt``, so the exit-3 messages are byte-diffed.
+  ``tolerances.estimator_tol: true`` (``boolean_number``). All but the
+  first are configuration errors, exit code 3. These runs also keep their
+  stderr, in ``stderr.txt``, so the exit-3 messages are byte-diffed.
 """
 from __future__ import annotations
 
@@ -438,29 +437,23 @@ def capture_formats(dest: str, scratch: str) -> None:
 
 def capture_errors(dest: str, scratch: str) -> None:
     """Help text and the exit codes of rejected inputs."""
-    doc = yaml.safe_load(EXAMPLE_CONFIG)
-    doc["validate"]["triple_budget"] = 0
     example = write_config(EXAMPLE_CONFIG, "errors_example", scratch)
-    no_budget = write_config(yaml.safe_dump(doc), "errors_no_budget", scratch)
     run_cli(["--help"], os.path.join(dest, "help"), stderr=True)
     for name, argv in (("power_m_0", ["power", "-m", "0"]),
                        ("exact_threshold_negative", ["counts", "--exact-threshold", "-1"]),
                        ("seed_negative", ["validate", "--seed", "-1"])):
         case_dir = os.path.join(dest, name)
         run_cli([*argv, "--config", example, "--out", case_dir], case_dir, stderr=True)
-    case_dir = os.path.join(dest, "triple_budget_0")
-    run_cli(["validate", "--config", no_budget, "--out", case_dir], case_dir, stderr=True)
-    doc = yaml.safe_load(EXAMPLE_CONFIG)
-    doc["fit"]["n_brun"] = 5
-    unknown_key = write_config(yaml.safe_dump(doc), "errors_unknown_key", scratch)
-    case_dir = os.path.join(dest, "unknown_key")
-    run_cli(["entropy", "--config", unknown_key, "--out", case_dir], case_dir, stderr=True)
-    doc = yaml.safe_load(EXAMPLE_CONFIG)
-    doc["tolerances"]["estimator_tol"] = True
-    boolean_number = write_config(yaml.safe_dump(doc), "errors_boolean_number", scratch)
-    case_dir = os.path.join(dest, "boolean_number")
-    run_cli(["compare", "--config", boolean_number, "--out", case_dir], case_dir,
-            stderr=True)
+    # (case, command, section, key, value): the example with one key set
+    for name, command, section, key, value in (
+            ("triple_budget_0", "validate", "validate", "triple_budget", 0),
+            ("unknown_key", "entropy", "fit", "n_brun", 5),
+            ("boolean_number", "compare", "tolerances", "estimator_tol", True)):
+        doc = yaml.safe_load(EXAMPLE_CONFIG)
+        doc[section][key] = value
+        config = write_config(yaml.safe_dump(doc), "errors_" + name, scratch)
+        case_dir = os.path.join(dest, name)
+        run_cli([command, "--config", config, "--out", case_dir], case_dir, stderr=True)
 
 
 def capture(out_root: str) -> None:
