@@ -124,6 +124,12 @@ Runs:
   every cell is solved exactly on relations wider than one 64-bit word;
 - ``power_undeclared``: ``power`` (m = 2) on a 33-point grid under the tent
   map with ``declared_uniformly_continuous: false``, which exits 2;
+- ``golden_mean``: ``entropy`` (two_sided) under the doubling map and
+  ``circle_arc`` on 4,096 of the 24-bit words with no two adjacent 1s,
+  drawn with ``default_rng(1)``, sorted and divided by 2^24, with n = 2..9
+  and eps = 2^-3..2^-7, the cloud of acceptance criterion 13. Doubling
+  shifts the bits, so the cloud keeps the golden-mean shift, whose entropy
+  is log phi;
 - ``errors``: ``qme --help``, ``power -m 0``, ``counts --exact-threshold -1``
   and ``validate --seed -1`` on the example configuration, ``validate`` on
   it with ``validate.triple_budget: 0``, ``entropy`` on it with the misspelt
@@ -331,6 +337,15 @@ power: {m: 2}
 output: {format: both}
 """
 
+GOLDEN_MEAN_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: custom, path: golden_mean.csv}
+qmetric: {kind: circle_arc}
+schedule: {n_list: [2, 3, 4, 5, 6, 7, 8, 9], eps_list: %s}
+variants: [two_sided]
+output: {format: both}
+""" % [2.0 ** -k for k in range(3, 8)]
+
 
 def run_cli(argv: list, case_dir: str, stderr: bool = False) -> None:
     """Run ``qme`` with argv (whose ``--out`` is case_dir) and write its stdout
@@ -398,6 +413,17 @@ def capture_far_blocks(dest: str, scratch: str) -> None:
         fh.writelines(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, y))
     for name, text in FAR_BLOCKS_CONFIGS.items():
         capture_config(text, ("counts",), os.path.join(dest, name), scratch)
+
+
+def capture_golden_mean(dest: str, scratch: str) -> None:
+    """Entropy on a sample of the golden-mean shift inside the doubling circle."""
+    words = np.array([0])
+    for _ in range(24):  # append a 0 to every word, and a 1 to those ending in 0
+        words = np.concatenate([words << 1, (words[(words & 1) == 0] << 1) | 1])
+    sample = np.random.default_rng(1).choice(np.sort(words), 4096, replace=False)
+    with open(os.path.join(scratch, "golden_mean.csv"), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{float(x)!r}\n" for x in np.sort(sample) / 2.0 ** 24)
+    capture_config(GOLDEN_MEAN_CONFIG, ("entropy",), dest, scratch)
 
 
 def capture_offlattice(dest: str, scratch: str) -> None:
@@ -512,6 +538,7 @@ def capture(out_root: str) -> None:
                        scratch, flags=("--exact-threshold", "80"))
         capture_config(POWER_UNDECLARED_CONFIG, ("power",),
                        os.path.join(out_root, "power_undeclared"), scratch)
+        capture_golden_mean(os.path.join(out_root, "golden_mean"), scratch)
         capture_formats(os.path.join(out_root, "formats"), scratch)
         capture_errors(os.path.join(out_root, "errors"), scratch)
 
