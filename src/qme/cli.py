@@ -9,7 +9,7 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import attrgetter
 
 from .config import EXAMPLE_CONFIG, ConfigError, RunConfig, _integer, _path, load_config
-from .covering import QUANTITIES, QUANTITY_PAIRS, count_grid
+from .covering import QUANTITY_PAIRS, count_grid
 from .dynamics import build_orbits
 from .entropy import (
     FitSettings,
@@ -18,7 +18,6 @@ from .entropy import (
     estimate_from_grid,
     growth_rate,
     power_rule_check,
-    variant_grids,
 )
 from .quasimetric import check_axioms
 
@@ -153,12 +152,11 @@ def cmd_counts(args) -> int:
     grid = count_grid(cfg.qspec, orbits, cfg.n_list, cfg.eps_list,
                       exact_threshold=cfg.exact_threshold)
     if cfg.out_format in ("csv", "both"):
-        variant_of = {q: v for v, pair in QUANTITY_PAIRS.items() for q in pair}
         _write(os.path.join(cfg.out_dir, "counts.csv"), _csv(
             ["n", "epsilon", "variant", "quantity", "cardinality", "method", "optimal"],
-            [(cell.n, cell.eps, variant_of[q], q, r.cardinality, r.method, r.optimal)
-             for cell in grid.cells.values() for q in QUANTITIES
-             if (r := getattr(cell, q)) is not None]))
+            [(cell.n, cell.eps, v, q, r.cardinality, r.method, r.optimal)
+             for cell in grid.cells.values() for v, pair in QUANTITY_PAIRS.items()
+             for q in pair if (r := getattr(cell, q)) is not None]))
     if cfg.out_format in ("json", "both"):
         _write(os.path.join(cfg.out_dir, "counts.json"), _json(grid))
     print(f"count grid: {len(grid.cells)} cells over n={cfg.n_list} "
@@ -173,8 +171,8 @@ def cmd_entropy(args) -> int:
     fit = _fit(cfg)
     orbits = build_orbits(cfg.map_spec, cfg.cloud, max(cfg.n_list),
                           snap_mode=cfg.snap_mode, qspec=cfg.qspec)
-    grid = variant_grids(cfg.qspec, orbits, cfg.variants, cfg.n_list,
-                         cfg.eps_list, exact_threshold=cfg.exact_threshold)
+    grid = count_grid(cfg.qspec, orbits, cfg.n_list, cfg.eps_list,
+                      exact_threshold=cfg.exact_threshold, variants=cfg.variants)
     estimates = {}
     slope_rows = []
     for variant in cfg.variants:

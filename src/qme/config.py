@@ -161,7 +161,11 @@ def _path(value, name: str) -> str:
 
 
 def _as_given(value, name: str):
-    return value  # a kind, checked by its section's builder, or inline matrix rows
+    return value  # a kind, checked by its section's builder
+
+
+def _rows(value, name: str) -> list:  # the matrix spec checks the shape
+    return [[_number(x, name) for x in _list(row, name)] for row in _list(value, name)]
 
 
 def _one_of(what: str, *choices: str):
@@ -238,7 +242,7 @@ TABLES = {
         "alpha": (_number, QuasiMetricSpec.alpha),
         "beta": (_number, QuasiMetricSpec.beta),
         "path": (_path, _ABSENT),
-        "rows": (_as_given, _ABSENT),
+        "rows": (_rows, _ABSENT),
     },
     "schedule": {"n_list": (_n_list, []), "eps_list": (_eps_list, [])},
     "solver": {

@@ -58,7 +58,7 @@ are distinct and built.
 
 The max symmetrization's Bowen distance is max_i max(e(T^i x, T^i y),
 e(T^i y, T^i x)) = max(D_n, D_n^T), so its relation is the two_sided one by
-definition; the entropy module reuses the two_sided counts for it.
+definition; ``ALIASES`` maps max_metric onto it for count_grid and the estimates.
 
 Separation is the off-diagonal complement of cover for the matching pairing,
 so a minimal spanning set is a minimum dominating set of the cover graph and a
@@ -111,9 +111,16 @@ __all__ = [
     "count_grid",
 ]
 
-# the pairings count_grid solves by default, and every one it solves
-VARIANTS = ("two_sided", "one_sided")
-PAIRINGS = VARIANTS + ("mean_metric",)
+# Quantity codes used in serialized grids, by pairing: (spanning, separated).
+QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2"),
+                  "mean_metric": ("r3", "s3")}
+# every pairing count_grid solves, and the ones it solves by default
+PAIRINGS = tuple(QUANTITY_PAIRS)
+VARIANTS = PAIRINGS[:2]
+QUANTITIES = tuple(q for pair in QUANTITY_PAIRS.values() for q in pair)
+# entropy variant -> the pairing whose counts it reads (see the module docstring)
+ALIASES = {"max_metric": "two_sided"}
+ENTROPY_VARIANTS = PAIRINGS + tuple(ALIASES)
 # pairing -> how it combines the eps bins of D_n and D_n^T: bins fall as
 # values rise, so max(D_n, D_n^T) takes the min bin and min(...) the max
 BIN_OP = {"two_sided": np.minimum, "one_sided": np.maximum}
@@ -122,12 +129,6 @@ STEP = {"f": lambda f, b: f, "b": lambda f, b: b, "max": np.maximum,
         "mean": lambda f, b: (f + b) / 2.0}
 
 DEFAULT_EXACT_THRESHOLD = 64
-
-# Quantity codes used in serialized grids: r1/s1 pair with the two_sided
-# relation, r2/s2 with the one_sided one and r3/s3 with the mean_metric one.
-QUANTITIES = ("r1", "s1", "r2", "s2", "r3", "s3")
-QUANTITY_PAIRS = {"two_sided": ("r1", "s1"), "one_sided": ("r2", "s2"),
-                  "mean_metric": ("r3", "s3")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -802,7 +803,8 @@ class CellCounts:
 
 @dataclass
 class CountGrid:
-    """All requested counts over the (n, eps) schedule, plus diagnostics."""
+    """All requested counts over the (n, eps) schedule, plus diagnostics;
+    ``variants`` lists the pairings whose quantities every cell holds."""
 
     cloud_size: int
     n_list: list
@@ -823,12 +825,8 @@ class CountGrid:
         return out
 
     def all_exact(self) -> bool:
-        for cell in self.cells.values():
-            for q in QUANTITIES:
-                res = cell.get(q)
-                if res is not None and not res.optimal:
-                    return False
-        return True
+        return all(cell.get(q).optimal for cell in self.cells.values()
+                   for v in self.variants for q in QUANTITY_PAIRS[v])
 
 
 def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
@@ -839,9 +837,10 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
     table's cloud: exactly when it has at most ``exact_threshold`` points
     (0: always greedy), else greedily.
 
-    ``variants`` is a nonempty subset of PAIRINGS. D_n, and M_n when
-    mean_metric is asked for, grow over the ascending n schedule on the
-    pairs live at the largest eps in some requested pairing; each (n, eps)
+    ``variants`` is a nonempty subset of ENTROPY_VARIANTS, each alias asking
+    for its pairing; the grid holds the pairings in PAIRINGS order. D_n, and
+    M_n when mean_metric is asked for, grow over the ascending n schedule on
+    the pairs live at the largest eps in some requested pairing; each (n, eps)
     selects one relation from them per group of pairings that share it, and
     each (n, eps, pairing) cell is solved in schedule order. Each distinct
     relation is built and solved once per call, whatever its pairing: a cell
@@ -860,8 +859,11 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
         raise ValueError("eps values must be > 0")
     if not all(a > b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if not variants or any(v not in PAIRINGS for v in variants):
-        raise ValueError(f"variants must be a nonempty subset of {PAIRINGS}, got {variants!r}")
+    if not variants or any(v not in ENTROPY_VARIANTS for v in variants):
+        raise ValueError(f"variants must be a nonempty subset of {ENTROPY_VARIANTS}, "
+                         f"got {variants!r}")
+    requested = {ALIASES.get(v, v) for v in variants}
+    variants = tuple(p for p in PAIRINGS if p in requested)
     if n_list[-1] > orbits.n_max:
         raise ValueError(f"n_list exceeds orbit table n_max={orbits.n_max}")
 
@@ -898,7 +900,7 @@ def count_grid(spec: QuasiMetricSpec, orbits: OrbitTable,
             cells[(n, eps)] = CellCounts(n=n, eps=eps, **part)
 
     grid = CountGrid(cloud_size=size, n_list=n_list,
-                     eps_list=eps_list, variants=tuple(variants), cells=cells)
+                     eps_list=eps_list, variants=variants, cells=cells)
     grid.diagnostics.extend(_monotonicity_diagnostics(grid))
     return grid
 
@@ -908,10 +910,8 @@ def _monotonicity_diagnostics(grid: CountGrid) -> list:
     as n grows (at fixed eps). Certain for exact cells; greedy violations are
     reported as informational."""
     notes = []
-    for q in QUANTITIES:
+    for q in [code for v in grid.variants for code in QUANTITY_PAIRS[v]]:
         vals = grid.counts(q)
-        if not vals:
-            continue
         for n in grid.n_list:
             for hi, lo in zip(grid.eps_list, grid.eps_list[1:]):
                 if vals[(n, hi)] > vals[(n, lo)]:

@@ -13,7 +13,8 @@ scale. Four estimate variants are supported:
                  pairing of the one count grid that serves all four.
 ``max_metric``   counts under the max symmetrization. Its Bowen distance is
                  max(D_n, D_n^T), so its relation is the two_sided one by
-                 definition, and it reuses the two_sided counts.
+                 definition: ``covering.ALIASES`` names it an alias of
+                 two_sided, and it reads the two_sided counts.
 
 Separated counts are the primary statistic; spanning counts are carried along
 as a cross-check. ``compare_theorems`` and ``power_rule_check`` report count
@@ -25,29 +26,29 @@ enough cells remain; every exclusion is recorded in the diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .covering import (
+    ALIASES,
     CountGrid,
     DEFAULT_EXACT_THRESHOLD,
-    PAIRINGS,
+    ENTROPY_VARIANTS,  # every pairing, then every alias
+    QUANTITY_PAIRS,
     bowen_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
     count_grid,
 )
-from .dynamics import MapSpec, OrbitTable, PointCloud, build_orbits, iterate_map
+from .dynamics import MapSpec, PointCloud, build_orbits, iterate_map
 from .quasimetric import QuasiMetricSpec
 
 __all__ = [
     "ENTROPY_VARIANTS",
     "FitSettings",
-    "GrowthFit",
     "growth_rate",
     "PerEpsSlope",
     "EntropyEstimate",
-    "variant_grids",
     "CheckRow",
     "binding_failures",
     "EstimateCheck",
@@ -56,14 +57,6 @@ __all__ = [
     "PowerRuleReport",
     "power_rule_check",
 ]
-
-# variant -> (primary quantity, cross quantity)
-ENTROPY_VARIANTS = {
-    "two_sided": ("s1", "r1"),
-    "one_sided": ("s2", "r2"),
-    "mean_metric": ("s3", "r3"),
-    "max_metric": ("s1", "r1"),
-}
 
 DEFAULT_ESTIMATOR_TOL = 0.05
 DEFAULT_POWER_TOL_REL = 0.20
@@ -84,17 +77,19 @@ class FitSettings:
 
 
 @dataclass(frozen=True)
-class GrowthFit:
+class PerEpsSlope:
+    eps: float
     slope: float
-    residual: float
     fit_points: int
+    residual: float
     max_step: float  # largest per-step log increment over the window
-    constant: bool
+    dropped_saturated: tuple = ()
 
 
 def growth_rate(counts: Sequence, n_burn: int = FitSettings.n_burn,
-                window_size: int = FitSettings.window_size) -> GrowthFit:
-    """Least-squares slope of log(cardinality) against n.
+                window_size: int = FitSettings.window_size,
+                eps: float = 0.0) -> PerEpsSlope:
+    """Least-squares slope of log(cardinality) against n at scale ``eps``.
 
     ``counts`` is a sequence of (n, cardinality) pairs with cardinality >= 1.
     Points with n < n_burn are discarded; when ``window_size`` > 0 only the
@@ -119,25 +114,15 @@ def growth_rate(counts: Sequence, n_burn: int = FitSettings.n_burn,
     max_step = max(steps)
 
     if all(c == cards[0] for c in cards):
-        return GrowthFit(slope=0.0, residual=0.0, fit_points=len(usable),
-                         max_step=max_step, constant=True)
+        return PerEpsSlope(eps=eps, slope=0.0, fit_points=len(usable),
+                           residual=0.0, max_step=max_step)
 
     x = np.array([n for n, _ in usable], dtype=float)
     y = np.log(np.array(cards, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return GrowthFit(slope=float(slope), residual=resid, fit_points=len(usable),
-                     max_step=max_step, constant=False)
-
-
-@dataclass(frozen=True)
-class PerEpsSlope:
-    eps: float
-    slope: float
-    fit_points: int
-    residual: float
-    max_step: float
-    dropped_saturated: tuple = ()
+    return PerEpsSlope(eps=eps, slope=float(slope), fit_points=len(usable),
+                       residual=resid, max_step=max_step)
 
 
 @dataclass
@@ -172,25 +157,27 @@ def _fit_one_eps(eps: float, seq: list, cloud_size: int, diagnostics: list,
         if len(seq) != len(kept):
             diagnostics.append(
                 f"{tag}eps={eps}: saturation filter skipped (too few unsaturated cells)")
-    line = growth_rate(use, n_burn=fit.n_burn, window_size=fit.window_size)
-    return PerEpsSlope(eps=eps, slope=line.slope, fit_points=line.fit_points,
-                       residual=line.residual, max_step=line.max_step,
-                       dropped_saturated=dropped)
+    return replace(growth_rate(use, fit.n_burn, fit.window_size, eps),
+                   dropped_saturated=dropped)
 
 
 def estimate_from_grid(grid: CountGrid, variant: str,
                        fit: FitSettings = FitSettings()) -> EntropyEstimate:
     """Turn an existing count grid into an entropy estimate for one variant,
     fitting every scale of the grid's eps schedule under ``fit``: the
-    variant's primary quantity gives the slopes, its cross quantity the
-    spanning cross-check."""
+    separated counts of the variant's pairing (an alias's pairing for an
+    alias) give the slopes, its spanning counts the cross-check."""
     if variant not in ENTROPY_VARIANTS:
         raise ValueError(f"unknown entropy variant {variant!r}")
+    pairing = ALIASES.get(variant, variant)
+    if pairing not in grid.variants:
+        raise ValueError(f"{variant!r} reads the {pairing} counts; grid has {grid.variants}")
+    spanning, separated = QUANTITY_PAIRS[pairing]
     diagnostics: list = []
     counts = {}
     slopes, cross_slopes = fits = [], []
     for eps in grid.eps_list:
-        for q, tag, out in zip(ENTROPY_VARIANTS[variant],
+        for q, tag, out in zip((separated, spanning),
                                ("", "spanning cross-check: "), fits):
             seq = [(n, grid.cell(n, eps).get(q).cardinality) for n in grid.n_list]
             counts.setdefault(eps, seq)  # the primary quantity's counts
@@ -221,24 +208,6 @@ def estimate_from_grid(grid: CountGrid, variant: str,
                            extrapolated=extrapolated, diagnostics=diagnostics,
                            spanning_slopes=cross_slopes, stabilized=stabilized,
                            cloud_size=grid.cloud_size, counts=counts)
-
-
-def variant_grids(spec: QuasiMetricSpec, orbits: OrbitTable,
-                  variants: Sequence, n_list: Sequence, eps_list: Sequence, *,
-                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CountGrid:
-    """The one CountGrid of a nonempty set of variants: one ``count_grid``
-    call on ``spec``, whose pairings are the variants among two_sided,
-    one_sided and mean_metric, and two_sided when max_metric is among them.
-    max_metric reads the two_sided counts: the max symmetrization's Bowen
-    distance is max(D_n, D_n^T), so its relation is the two_sided one.
-    """
-    for v in variants:
-        if v not in ENTROPY_VARIANTS:
-            raise ValueError(f"unknown entropy variant {v!r}")
-    pairings = tuple(p for p in PAIRINGS if p in variants
-                     or (p == "two_sided" and "max_metric" in variants))
-    return count_grid(spec, orbits, n_list, eps_list,
-                      exact_threshold=exact_threshold, variants=pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +302,11 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     except the max-symmetrization identity, which must hold exactly. Every
     estimate is fitted under ``fit``.
     """
-    n_list = [int(n) for n in n_list]
-    eps_list = [float(e) for e in eps_list]
-    orbits = build_orbits(map_spec, cloud, max(n_list), snap_mode=snap_mode,
+    orbits = build_orbits(map_spec, cloud, int(max(n_list)), snap_mode=snap_mode,
                           qspec=spec)
-    grid = variant_grids(spec, orbits, tuple(ENTROPY_VARIANTS), n_list,
-                         eps_list, exact_threshold=exact_threshold)
+    grid = count_grid(spec, orbits, n_list, eps_list,
+                      exact_threshold=exact_threshold, variants=ENTROPY_VARIANTS)
+    n_list, eps_list = grid.n_list, grid.eps_list
 
     allc = [((n, e), (n, e)) for n in n_list for e in eps_list]
     halves = _halving_pairs(n_list, eps_list)
@@ -353,7 +321,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     rows += _ineq_rows("mean_metric_upper", grid, "r3", "r1", allc)
     # r1 under e at 2*eps <= r3, under the mean metric, at eps
     rows += _ineq_rows("mean_metric_lower", grid, "r1", "r3", halves, label_rhs=True)
-    # max_metric's counts are the two_sided ones (see variant_grids)
+    # max_metric's counts are the two_sided ones (see covering.ALIASES)
     for q in ("r1", "s1"):
         for n in n_list:
             for eps in eps_list:
@@ -379,7 +347,7 @@ def compare_theorems(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     binding_ok = _binding_ok(rows, "count checks use greedy cells", diagnostics)
     overall = binding_ok and all(c.ok for c in est_checks)
     # relations_identical is true by construction: max_metric reuses the
-    # two_sided grid (see variant_grids). The lemma behind it is pinned by
+    # two_sided counts (see covering.ALIASES). The lemma behind it is pinned by
     # tests/test_tiling.py::test_relations_identical_matches_full_covers
     # and acceptance criterion 4.
     return TheoremComparison(count_checks=rows, estimate_checks=est_checks,
@@ -419,8 +387,6 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
     under ``fit``."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    n_list = [int(n) for n in n_list]
-    eps_list = [float(e) for e in eps_list]
     diagnostics: list = []
     uc = map_spec.declared_uniformly_continuous
     if not uc:
@@ -428,9 +394,9 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                            "composition rule is not guaranteed to apply")
 
     composed = iterate_map(map_spec, m)
-    orbits_base = build_orbits(map_spec, cloud, m * max(n_list),
+    orbits_base = build_orbits(map_spec, cloud, m * int(max(n_list)),
                                snap_mode=snap_mode, qspec=spec)
-    orbits_comp = build_orbits(composed, cloud, max(n_list),
+    orbits_comp = build_orbits(composed, cloud, int(max(n_list)),
                                snap_mode=snap_mode, qspec=spec)
 
     base_ns = sorted(set(n_list) | {m * n for n in n_list})
@@ -438,6 +404,7 @@ def power_rule_check(map_spec: MapSpec, m: int, cloud: PointCloud,
                            exact_threshold=exact_threshold, variants=("one_sided",))
     grid_comp = count_grid(spec, orbits_comp, n_list, eps_list,
                            exact_threshold=exact_threshold, variants=("one_sided",))
+    n_list, eps_list = grid_comp.n_list, grid_comp.eps_list
 
     cells = _ineq_rows(None, grid_comp, "r2", "r2",
                        [((n, e), (m * n, e)) for n in n_list for e in eps_list],

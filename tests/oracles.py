@@ -30,9 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from qme import covering
-from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation
+from qme.covering import DEFAULT_EXACT_THRESHOLD, Relation, count_grid
 from qme.dynamics import MapSpec, PointCloud, build_orbits
-from qme.entropy import EntropyEstimate, FitSettings, estimate_from_grid, variant_grids
+from qme.entropy import EntropyEstimate, FitSettings, estimate_from_grid
 from qme.quasimetric import (
     DEFAULT_SEED,
     AxiomReport,
@@ -246,11 +246,6 @@ def interval_max_separated(cover: np.ndarray) -> int:
             count += 1
             last = x
     return count
-
-
-def direct_orbit_distance(eval_fn, images: np.ndarray, x: int, y: int, n: int) -> float:
-    """Orbit-maximized distance via a plain python loop over iterates."""
-    return max(eval_fn(images[x, i], images[y, i]) for i in range(n))
 
 
 def shift_first_fit_separated(blocks: np.ndarray, separated_fn) -> list:
@@ -617,8 +612,8 @@ def estimate_entropy(map_spec: MapSpec, cloud: PointCloud, spec: QuasiMetricSpec
     """
     orbits = build_orbits(map_spec, cloud, max(int(n) for n in n_list),
                           snap_mode=snap_mode, qspec=spec)
-    grid = variant_grids(spec, orbits, (variant,), n_list, eps_list,
-                         exact_threshold=exact_threshold)
+    grid = count_grid(spec, orbits, n_list, eps_list,
+                      exact_threshold=exact_threshold, variants=(variant,))
     return estimate_from_grid(grid, variant, fit)
 
 

@@ -522,6 +522,8 @@ MALFORMED = [
      r"qmetric.alpha must be a number, got \[1\]"),
     ("cloud_bound_a_list", "kind: circle_grid", "kind: grid1d\n  lo: [0]\n  hi: 1.0",
      r"cloud.lo must be a number, got \[0\]"),
+    ("boolean_matrix_entry", "kind: circle_arc", "kind: matrix\n  rows: [[0, true], [true, 0]]",
+     "qmetric.rows must be a number, got True"),
     ("cloud_path_a_number", "kind: circle_grid\n  count: 48", "kind: custom\n  path: 5",
      "bad cloud: .*5 not found"),
     ("cloud_path_null", "kind: circle_grid\n  count: 48", "kind: custom\n  path: null",
@@ -570,9 +572,11 @@ def test_zero_and_positive_tolerances_parse(tmp_path, field):
 def test_one_count_grid_and_one_live_pair_stream_per_command(tmp_path, monkeypatch,
                                                              command, rule):
     # all four variants (the default) come from one grid, and so from one
-    # Bowen stream, on a symmetric and an asymmetric rule
+    # Bowen stream, on a symmetric and an asymmetric rule, whichever module
+    # calls count_grid
     calls = {"count_grid": 0, "_live_pairs": 0}
-    for module, name in ((qme.entropy, "count_grid"), (qme.covering, "_live_pairs")):
+    for module, name in ((qme.entropy, "count_grid"), (qme.cli, "count_grid"),
+                         (qme.covering, "_live_pairs")):
         def counted(*args, name=name, func=getattr(module, name), **kwargs):
             calls[name] += 1
             return func(*args, **kwargs)

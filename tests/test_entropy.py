@@ -19,7 +19,7 @@ from qme import (
 )
 import qme.entropy
 from qme.entropy import (CheckRow, FitSettings, _binding_ok, binding_failures,
-                         estimate_from_grid, variant_grids)
+                         estimate_from_grid)
 
 from oracles import estimate_entropy, plain
 
@@ -32,7 +32,7 @@ LOG2 = math.log(2.0)
 
 def test_growth_rate_constant_is_exactly_zero():
     fit = growth_rate([(n, 17) for n in range(1, 8)])
-    assert fit.slope == 0.0 and fit.residual == 0.0 and fit.constant
+    assert fit.slope == 0.0 and fit.residual == 0.0
 
 
 def test_growth_rate_powers_of_two():
@@ -96,16 +96,25 @@ def test_max_metric_only_schedule_checked_before_identity(n_list):
     # schedule
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
     with pytest.raises(ValueError):
-        variant_grids(ARC, orbits, ("max_metric",), n_list, [0.5])
+        count_grid(ARC, orbits, n_list, [0.5], variants=("max_metric",))
 
 
 def test_max_metric_identity_checked_on_the_grid_schedule():
     # max_metric reuses the two_sided grid itself, with the schedule
     # count_grid normalized from float orbit lengths
     orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 3)
-    grid = variant_grids(ARC, orbits, ("max_metric",), [1.0, 3.0], [0.5])
+    grid = count_grid(ARC, orbits, [1.0, 3.0], [0.5], variants=("max_metric",))
     assert grid.variants == ("two_sided",)
     assert grid.n_list == [1, 3]
+
+
+def test_estimate_of_a_pairing_the_grid_did_not_solve_is_refused():
+    orbits = build_orbits(MapSpec(kind="doubling"), circle_grid(16), 2)
+    grid = count_grid(ARC, orbits, [1, 2], [0.5], variants=("one_sided",))
+    for variant in ("two_sided", "max_metric"):
+        with pytest.raises(ValueError, match=rf"'{variant}' reads the two_sided counts; "
+                                             r"grid has \('one_sided',\)"):
+            estimate_from_grid(grid, variant)
 
 
 def test_ascending_eps_rejected_by_estimate_and_compare():
