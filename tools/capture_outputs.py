@@ -100,6 +100,12 @@ Runs:
   nearest snapping, n = 1..4 and eps 8, 4, 2, 1. It is the one case whose
   hinge rule sums over more than one coordinate, in both directions at once
   (``quasimetric.paired_both``), in orbit steps, snapping and ``validate``;
+- ``snap_floors``: ``counts`` (both pairings) and ``power`` (m = 2) with
+  nearest snapping on a sorted 1,000-point circle grid under the doubling
+  map and ``circle_arc``, with n = 1..4 and eps 1/8, 1/16, 1/32. Doubling
+  sends the points just below 1/2 near 1 and those just above near 0, so
+  their snap blocks straddle the wrap, and the arc floors between tiles at
+  the two ends of [0, 1) are taken across it;
 - ``index_widths``: ``counts`` on circle grids of 256 and 257 points under
   the tent map and the hinge rule, both pairings. Relation columns take one
   byte up to 256 points and two beyond, so the boundary is byte-diffed;
@@ -133,9 +139,10 @@ Runs:
 - ``errors``: ``qme --help``, ``power -m 0``, ``counts --exact-threshold -1``
   and ``validate --seed -1`` on the example configuration, ``validate`` on
   it with ``validate.triple_budget: 0``, ``entropy`` on it with the misspelt
-  key ``fit.n_brun`` (``unknown_key``) and ``compare`` on it with
-  ``tolerances.estimator_tol: true`` (``boolean_number``). All but the
-  first are configuration errors, exit code 3. These runs also keep their
+  key ``fit.n_brun`` (``unknown_key``), ``compare`` on it with
+  ``tolerances.estimator_tol: true`` (``boolean_number``) and ``counts`` on
+  it with ``map.r: 3.0``, a key the doubling map does not read
+  (``kind_key``). All but the first are configuration errors, exit code 3. These runs also keep their
   stderr, in ``stderr.txt``, so the exit-3 messages are byte-diffed.
 """
 from __future__ import annotations
@@ -327,6 +334,17 @@ variants: [two_sided, one_sided]
 output: {format: both}
 """
 
+SNAP_FLOORS_CONFIG = """\
+map: {kind: doubling}
+cloud: {kind: circle_grid, count: 1000}
+qmetric: {kind: circle_arc}
+schedule: {n_list: [1, 2, 3, 4], eps_list: [0.125, 0.0625, 0.03125]}
+variants: [two_sided, one_sided]
+orbits: {snap_mode: nearest}
+power: {m: 2}
+output: {format: both}
+"""
+
 POWER_UNDECLARED_CONFIG = """\
 map: {kind: tent, declared_uniformly_continuous: false}
 cloud: {kind: grid1d, lo: 0.0, hi: 1.0, count: 33}
@@ -474,7 +492,8 @@ def capture_errors(dest: str, scratch: str) -> None:
     for name, command, section, key, value in (
             ("triple_budget_0", "validate", "validate", "triple_budget", 0),
             ("unknown_key", "entropy", "fit", "n_brun", 5),
-            ("boolean_number", "compare", "tolerances", "estimator_tol", True)):
+            ("boolean_number", "compare", "tolerances", "estimator_tol", True),
+            ("kind_key", "counts", "map", "r", 3.0)):
         doc = yaml.safe_load(EXAMPLE_CONFIG)
         doc[section][key] = value
         config = write_config(yaml.safe_dump(doc), "errors_" + name, scratch)
@@ -525,6 +544,8 @@ def capture(out_root: str) -> None:
         capture_offlattice(os.path.join(out_root, "axioms_offlattice"), scratch)
         capture_config(HINGE_BLOCKS_CONFIG, ("counts", "power", "validate"),
                        os.path.join(out_root, "hinge_blocks"), scratch)
+        capture_config(SNAP_FLOORS_CONFIG, ("counts", "power"),
+                       os.path.join(out_root, "snap_floors"), scratch)
         for size in INDEX_WIDTHS_SIZES:
             capture_config(INDEX_WIDTHS_CONFIG % size, ("counts",),
                            os.path.join(out_root, "index_widths", str(size)), scratch)
