@@ -2,7 +2,8 @@
 solver policy and tolerances for a reproducible experiment.
 
 ``TABLES`` holds every key the document may set, one key table per section,
-and ``parse_config`` refuses any other."""
+and ``parse_config`` refuses any other, and any key of the ``map``, ``cloud``
+or ``qmetric`` section that the section's kind does not read (``KIND_KEYS``)."""
 from __future__ import annotations
 
 import os
@@ -25,7 +26,7 @@ from .entropy import (
 from .quasimetric import DEFAULT_SEED, QuasiMetricSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "EXAMPLE_CONFIG",
-           "TABLES"]
+           "TABLES", "KIND_KEYS"]
 
 DEFAULT_TRIPLE_BUDGET = 200_000
 
@@ -271,9 +272,26 @@ TABLES = {
 }
 
 
+_MAP_SHARED = ("kind", "power", "declared_uniformly_continuous")
+# section -> kind -> the keys of the section's table that the kind reads. A
+# kind that is not listed here is refused by its section's builder.
+KIND_KEYS = {
+    "map": {"identity": _MAP_SHARED, "doubling": _MAP_SHARED, "shift_left": _MAP_SHARED,
+            "tent": _MAP_SHARED + ("slope",), "logistic": _MAP_SHARED + ("r",),
+            "affine": _MAP_SHARED + ("a", "b")},
+    "cloud": {"grid1d": ("kind", "count", "lo", "hi"), "circle_grid": ("kind", "count"),
+              "indices": ("kind", "count"), "symbol_blocks": ("kind", "alphabet", "length"),
+              "custom": ("kind", "path")},
+    "qmetric": {"weighted_asym": ("kind", "alpha", "beta"), "matrix": ("kind", "path", "rows"),
+                **dict.fromkeys(("asym_line", "euclidean", "circle_arc", "block_prefix",
+                                 "block_prefix_asym"), ("kind",))},
+}
+
+
 def _read(sec, section: str) -> dict:
     """{key: value read} for every key of the section that sec sets or that
-    has a default; a ConfigError for a key that the section does not have."""
+    has a default; a ConfigError for a key that the section does not have,
+    or that the section's kind does not read (``KIND_KEYS``)."""
     table = TABLES[section]
     if sec is None:
         sec = {}
@@ -283,6 +301,13 @@ def _read(sec, section: str) -> dict:
         if key not in table:
             raise ConfigError(f"unknown key {key!r} in section {section!r}; "
                               f"known keys: {', '.join(table)}")
+    kind = sec.get("kind")
+    reads = KIND_KEYS.get(section, {}).get(kind, table) if isinstance(kind, str) else table
+    ignored = [key for key in sec if key not in reads]
+    if ignored:
+        raise ConfigError(f"{section} kind {kind!r} does not read "
+                          f"{', '.join(map(repr, ignored))}; it reads: "
+                          f"{', '.join(key for key in table if key in reads)}")
     return {key: parse(sec.get(key, default), f"{section}.{key}")
             for key, (parse, default) in table.items() if key in sec or default is not _ABSENT}
 

@@ -36,12 +36,15 @@ max, or min(bin f, bin b), and one_sided max(bin f, bin b). The blocks are
 advanced one at a time, each starting as all its pairs unless its certified
 floor exceeds eps_0: before the first orbit step, an off-diagonal block whose
 ``quasimetric.paired_floor`` bounds on f and b give every channel a step value
-above the largest eps starts empty, as step 0 would leave it. The kinds with a
-bound (``quasimetric.has_floor``) are ``circle_arc``, ``euclidean``,
-``asym_line`` and ``weighted_asym``; on sorted clouds most far blocks are
-skipped. Other rules, the derived kinds among them, take no floor and no tile
-extremes. The b floor is taken only where f alone
-does not settle the block. A shared rule is symmetric by construction
+above the largest eps starts empty, as step 0 would leave it. One
+``paired_floor`` call on the row tiles' step-0 extremes gives the f floors of
+every off-diagonal block, and a second their b floors, made only when f alone
+does not settle some block; nearest snapping (``dynamics.build_orbits``)
+reads its floors from the same routine. The kinds with a bound
+(``quasimetric.has_floor``) are ``circle_arc``, ``euclidean``, ``asym_line``
+and ``weighted_asym``; on sorted clouds most far blocks are skipped. Other
+rules, the derived kinds among them, take no floor and no tile extremes. A
+shared rule is symmetric by construction
 (``quasimetric.is_symmetric``), with a largest eps below 2^1023: D_n = D_n^T
 bit for bit, and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every
 eps. Each (n, eps) selects each pairing's relation from the chunks, as block
@@ -95,7 +98,7 @@ import numpy as np
 
 from .dynamics import OrbitTable
 from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, has_floor, is_symmetric, paired,
-                          paired_both, paired_floor, pairwise, row_tiles)
+                          paired_both, paired_floor, pairwise, row_tiles, tile_extremes)
 
 __all__ = [
     "VARIANTS",
@@ -212,24 +215,21 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
 
     Each n advances the blocks one at a time through the orbit steps since
     the previous n. A block starts as all its pairs unless its certified
-    floor exceeds eps_0 (``_first_chunk``), so at most one block holds all
-    its pairs at a time. Where the rule has a floor (``has_floor``), the
-    floors read each row tile's step-0 per-coordinate minima and maxima,
-    taken once per tile."""
+    floor exceeds eps_0 (``_far_blocks``), so at most one block holds all
+    its pairs at a time."""
     size = orbits.images.shape[0]
     blocks = _blocks(size)
     side = blocks[0][0].stop  # the widest block, the first
     if side > 256:
         raise ValueError(f"block offsets are uint8, so ROW_TILE must be <= 256, got {side}")
-    tiles = None
+    far = None
     if has_floor(spec):
-        start = orbits.iterate_points(0)
-        tiles = {t.start: (start[t].min(axis=0), start[t].max(axis=0)) for t in row_tiles(size)}
+        far = _far_blocks(spec, orbits.iterate_points(0), blocks, channels, bins.eps[0])
     chunks = [None] * len(blocks)
     done = 0
     for n in n_list:
         for k, block in enumerate(blocks):
-            chunk = chunks[k] or _first_chunk(spec, tiles, block, bins, channels)
+            chunk = chunks[k] or _first_chunk(k, far, block, bins, channels)
             for i in range(done, n):
                 chunk = _advance(spec, orbits.iterate_points(i), chunk, block, bins, channels)
             chunks[k] = chunk
@@ -237,17 +237,49 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
         yield n, chunks
 
 
-def _first_chunk(spec: QuasiMetricSpec, tiles: Optional[dict], block: tuple,
-                 bins: _EpsBins, channels: tuple) -> tuple:
-    """The chunk a block starts as before orbit step 0: every pair x < y, with
-    a bin array per channel, each pair at ``bins.top``, the bin of D_0 = 0.
-    An off-diagonal block starts empty when ``_beyond`` finds its floor
-    above eps_0. ``tiles`` maps a row tile's start to its (minima, maxima)
-    at step 0, or is None when the rule has no floor."""
+def _far_blocks(spec: QuasiMetricSpec, start: np.ndarray, blocks: list, channels: tuple,
+                eps: float) -> np.ndarray:
+    """far[k]: True when every channel's step value over block k of
+    ``blocks`` certainly exceeds ``eps`` at the orbit points ``start``: its
+    STEP of the ``paired_floor`` bounds of f over the block and of b (rows
+    and columns swapped) does. Every STEP is monotone, so it bounds the
+    channel's step values, and a NaN floor exceeds nothing. The diagonal
+    blocks are never far. The floors of every off-diagonal block come from
+    one ``paired_floor`` call on the row tiles' step-0 extremes, and the b
+    floors from a second, taken only when f does not settle some block: a
+    channel f at or below eps keeps the block, and f above eps drops it
+    when every channel is f or max(f, b) >= f."""
+    far = np.zeros(len(blocks), dtype=bool)
+    off = [k for k, (rows, cols) in enumerate(blocks) if rows.start != cols.start]
+    if not off:
+        return far
+    tiles = row_tiles(start.shape[0])
+    at = {t.start: i for i, t in enumerate(tiles)}
+    lo, hi = tile_extremes(start, tiles)
+    i = np.array([at[blocks[k][0].start] for k in off])
+    j = np.array([at[blocks[k][1].start] for k in off])
+    rows, cols = (lo[i], hi[i]), (lo[j], hi[j])
+    f = paired_floor(spec, rows, cols)
+    above = f > eps
+    settled = ~above if "f" in channels else np.zeros_like(above)
+    if set(channels) <= {"f", "max"}:
+        settled |= above
+    if not settled.all():
+        b = paired_floor(spec, cols, rows)
+        above = np.logical_and.reduce([STEP[channel](f, b) > eps for channel in channels])
+    far[off] = above
+    return far
+
+
+def _first_chunk(k: int, far: Optional[np.ndarray], block: tuple, bins: _EpsBins,
+                 channels: tuple) -> tuple:
+    """The chunk block k starts as before orbit step 0: every pair x < y,
+    with a bin array per channel, each pair at ``bins.top``, the bin of D_0 =
+    0, or no pair where ``far[k]`` (``_far_blocks``) holds. ``far`` is None
+    when the rule has no floor."""
     rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
-    if tiles is not None and cols.start != rows.start and \
-            _beyond(spec, tiles[rows.start], tiles[cols.start], channels, bins.eps[0]):
+    if far is not None and far[k]:
         height = 0  # no pair: the block starts empty
     xo = np.repeat(np.arange(height, dtype=np.uint8), width)
     yo = np.tile(np.arange(width, dtype=np.uint8), height)
@@ -255,25 +287,6 @@ def _first_chunk(spec: QuasiMetricSpec, tiles: Optional[dict], block: tuple,
         upper = xo < yo
         xo, yo = xo[upper], yo[upper]
     return xo, yo, *(np.full(len(xo), bins.top, dtype=bins.dtype) for _ in channels)
-
-
-def _beyond(spec: QuasiMetricSpec, row_tile: tuple, col_tile: tuple, channels: tuple,
-            eps: float) -> bool:
-    """True when every channel's step value over the block of ``row_tile`` x
-    ``col_tile`` certainly exceeds ``eps``: its STEP of the ``paired_floor``
-    bounds of f over the block and of b (rows and columns swapped) does.
-    Every STEP is monotone, so it bounds the channel's step values, and a
-    NaN floor exceeds nothing. The b floor is taken only when f does not
-    settle the answer: a channel f at or below eps keeps the block, and f
-    above eps drops it when every channel is f or max(f, b) >= f."""
-    f = paired_floor(spec, row_tile, col_tile)
-    if not f > eps:
-        if "f" in channels:
-            return False
-    elif set(channels) <= {"f", "max"}:
-        return True
-    b = paired_floor(spec, col_tile, row_tile)
-    return all(STEP[channel](f, b) > eps for channel in channels)
 
 
 def _read(channels: tuple, pairing: str):

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .quasimetric import QuasiMetricSpec, pair_blocks, pairwise, symmetrize_max
+from .quasimetric import (QuasiMetricSpec, block_grid, has_floor, paired_floor, pairwise,
+                          symmetrize_max, tile_extremes)
 
 __all__ = [
     "PointCloud",
@@ -233,12 +234,30 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
     ``nearest`` mode needs the run's distance rule to measure snap distances;
     it keeps every orbit on the cloud, for rules (matrix-backed) or maps that
     do not close over arbitrary coordinates. It snaps once per table: the
-    map's image of every cloud point is snapped in one pass over blocks of
-    at most PAIR_BLOCK (image, point) pairs, keeping a running minimum and
-    argmin per image, and the snapped map is then an index map of the cloud
-    that later steps follow by lookup. The map acts on each point alone, so
-    T(pts[idx]) is T(pts)[idx] bit for bit and the table equals snapping
-    every step's images afresh.
+    map's image of every cloud point is snapped in one pass (``_snap``), and
+    the snapped map is then an index map of the cloud that later steps follow
+    by lookup. The map acts on each point alone, so T(pts[idx]) is
+    T(pts)[idx] bit for bit and the table equals snapping every step's images
+    afresh.
+
+    The pass cuts the (image, point) table into the blocks of
+    ``block_grid``: row blocks of images by column tiles of points, at most
+    PAIR_BLOCK entries each (32 x 256). One ``paired_floor`` call per
+    direction bounds every block: the snap distance max(e(x, y), e(y, x)) is
+    at least the larger of its two directions' floors. A rule without a
+    floor, and a NaN floor, which bounds nothing, get -inf. Each row block
+    visits its tiles in increasing floor order, ties in column order,
+    keeping a running minimum and argmin per image that start at (+inf, id
+    0); a tile's argmin replaces them when strictly closer, or equally close
+    with a lower id. The block stops at the first tile whose floor exceeds
+    the largest running minimum of its images. Every tile that holds an
+    image's minimum has a floor at most that minimum, which is at most the
+    block's running maximum at every moment, so it comes before the stop and
+    is visited. So each image snaps to the lowest id among the points at its
+    minimum distance, every distance is the value a full ``pairwise`` pass
+    gives, and the snap error is unchanged. On sorted clouds, under maps
+    that keep nearby points together, a block visits one or two tiles; a
+    rule without a floor visits them all, in column order.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -255,25 +274,43 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
         for i in range(1, n_max):
             images[:, i, :] = map_spec.apply(images[:, i - 1, :])
     elif n_max > 1:
-        # step[j]: id of the cloud point nearest to T(pts[j]), ties to the
-        # lowest id; err[j]: that snap distance. A row's blocks come in
-        # column order and a later one wins only when strictly closer
-        sym = symmetrize_max(qspec)
-        raw = map_spec.apply(pts)
-        step = np.empty(n_pts, dtype=np.intp)
-        err = np.empty(n_pts)
-        for r, c in pair_blocks(n_pts, n_pts):
-            dist = pairwise(sym, raw[r], pts[c])
-            near = np.argmin(dist, axis=1)
-            low = dist[np.arange(dist.shape[0]), near]
-            closer = low < err[r] if c.start else slice(None)
-            step[r][closer] = near[closer] + c.start
-            err[r][closer] = low[closer]
         # step 1 snaps every cloud point; later steps snap a subset of them
-        snap_err = float(err.max())
+        step, snap_err = _snap(qspec, map_spec.apply(pts), pts)
         idx = np.arange(n_pts)
         for i in range(1, n_max):
             idx = step[idx]
             images[:, i, :] = pts[idx]
     images.setflags(write=False)
     return OrbitTable(images=images, snap_mode=snap_mode, snap_error=snap_err)
+
+
+def _snap(qspec: QuasiMetricSpec, raw: np.ndarray, pts: np.ndarray) -> tuple:
+    """(step, error): step[j] is the id of the cloud point nearest to the
+    image raw[j] in the max symmetrization of ``qspec``, ties to the lowest
+    id, and error is the largest of those snap distances; the pruned pass
+    that ``build_orbits`` describes."""
+    sym = symmetrize_max(qspec)
+    row_blocks, col_tiles = block_grid(len(raw), len(pts))
+    floors = np.full((len(row_blocks), len(col_tiles)), -np.inf)
+    if has_floor(qspec):
+        blocks = tuple(side[:, None] for side in tile_extremes(raw, row_blocks))
+        tiles = tuple(side[None] for side in tile_extremes(pts, col_tiles))
+        floors = np.maximum(paired_floor(qspec, blocks, tiles),
+                            paired_floor(qspec, tiles, blocks))
+        floors[np.isnan(floors)] = -np.inf
+    step = np.zeros(len(raw), dtype=np.intp)
+    err = np.full(len(raw), np.inf)
+    for r, row_floors in zip(row_blocks, floors):
+        ids, best = step[r], err[r]  # views: updated in place
+        for t in np.argsort(row_floors, kind="stable"):
+            if row_floors[t] > best.max():
+                break
+            c = col_tiles[t]
+            dist = pairwise(sym, raw[r], pts[c])
+            near = np.argmin(dist, axis=1)
+            low = dist[np.arange(len(near)), near]
+            near += c.start
+            closer = (low < best) | ((low == best) & (near < ids))
+            ids[closer] = near[closer]
+            best[closer] = low[closer]
+    return step, float(err.max())

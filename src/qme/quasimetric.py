@@ -8,7 +8,8 @@ per-kind formulas, or as its broadcast over all pairs (:func:`pairwise`).
 holds the hinge formula of ``weighted_asym``, which it evaluates in one pass
 over each coordinate's difference; ``paired`` takes that kind's forward
 direction from it.
-:func:`paired_floor` bounds it from below over a block of pairs.
+:func:`paired_floor` bounds it from below over every block of a table of
+blocks of pairs, in one call.
 Axiom validation, the symmetry test and the two symmetrizations (mean and
 max) also live here; orbit-maximized (Bowen) distances are built in
 ``covering``.
@@ -243,13 +244,18 @@ def has_floor(spec: QuasiMetricSpec) -> bool:
     return spec.kind in _FLOOR_KINDS
 
 
-def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[float]:
-    """A lower bound on every float value ``paired(spec, x, y)`` takes for x a
-    point of ``rows`` and y one of ``cols``; NaN values are not bounded, and a
-    NaN bound bounds nothing. None where the rule has no bound (``has_floor``).
+def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[np.ndarray]:
+    """Lower bounds, one per block of pairs, on every float value
+    ``paired(spec, x, y)`` takes for x a point of the block's rows and y one
+    of its columns; NaN values are not bounded, and a NaN bound bounds
+    nothing. None where the rule has no bound (``has_floor``).
 
     ``rows`` and ``cols`` are (lo, hi): the per-coordinate minima and maxima
-    of their points. The bound holds bit for bit.
+    of the points of each block's two sides, arrays whose last axis holds
+    the coordinates and whose leading axes broadcast to the blocks' shape, so
+    one call gives a whole table of blocks (``tile_extremes`` gives the
+    extremes of a list of tiles). The bound holds bit for bit, and each
+    block's is the value a call on that block alone gives.
     Rounded subtraction is monotone, so each coordinate's b - a lies between
     lo = cols.lo - rows.hi and hi = cols.hi - rows.lo, as rounded. Every
     step of the real-coordinate formulas is rounded and monotone, so their
@@ -263,10 +269,10 @@ def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[fl
     (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     lo, hi = col_lo - row_hi, col_hi - row_lo
     near = np.minimum(np.maximum(lo, 0.0), hi)
-    if np.isnan(near).any():  # asym_line reads a NaN difference as 1
-        return float("nan")
-    diffs = np.stack([near, lo, hi]) if spec.kind == "circle_arc" else near[None, :]
-    return float(paired(spec, np.zeros_like(diffs), diffs).min())
+    diffs = np.stack([near, lo, hi]) if spec.kind == "circle_arc" else near[None]
+    floor = paired(spec, np.zeros_like(diffs), diffs).min(axis=0)
+    # asym_line reads a NaN difference as 1
+    return np.where(np.isnan(near).any(axis=-1), np.nan, floor)
 
 
 def is_symmetric(spec: QuasiMetricSpec) -> bool:
@@ -287,13 +293,28 @@ def row_tiles(n: int, start: int = 0) -> list:
     return [slice(r, min(r + ROW_TILE, n)) for r in range(start, n, ROW_TILE)]
 
 
-def pair_blocks(rows: int, cols: int) -> list:
-    """Slices (r, c) that cover a rows x cols array (cols > 0) in row-major
-    order, each block at most ROW_TILE columns wide and PAIR_BLOCK entries."""
+def block_grid(rows: int, cols: int) -> tuple:
+    """(row slices, column slices) whose products cover a rows x cols array
+    (cols > 0), each block at most ROW_TILE columns wide and PAIR_BLOCK
+    entries."""
     width = min(cols, ROW_TILE, PAIR_BLOCK)
     height = PAIR_BLOCK // width
-    return [(slice(r, min(r + height, rows)), slice(c, min(c + width, cols)))
-            for r in range(0, rows, height) for c in range(0, cols, width)]
+    return ([slice(r, min(r + height, rows)) for r in range(0, rows, height)],
+            [slice(c, min(c + width, cols)) for c in range(0, cols, width)])
+
+
+def pair_blocks(rows: int, cols: int) -> list:
+    """The blocks (r, c) of ``block_grid``, in row-major order."""
+    row_slices, col_slices = block_grid(rows, cols)
+    return [(r, c) for r in row_slices for c in col_slices]
+
+
+def tile_extremes(pts: np.ndarray, tiles: list) -> tuple:
+    """(lo, hi): the per-coordinate minima and maxima of pts over each of
+    ``tiles``, consecutive slices that cover pts in order, as (tiles, d)
+    arrays; the sides ``paired_floor`` reads."""
+    starts = [t.start for t in tiles]
+    return np.minimum.reduceat(pts, starts, axis=0), np.maximum.reduceat(pts, starts, axis=0)
 
 
 def _matrix_indices(pts: np.ndarray, size: int) -> np.ndarray:

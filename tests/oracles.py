@@ -38,6 +38,8 @@ from qme.quasimetric import (
     AxiomReport,
     QuasiMetricSpec,
     _cloud_points,
+    has_floor,
+    paired,
     pairwise,
     symmetrize_max,
 )
@@ -329,6 +331,23 @@ def naive_symmetrized(dist: np.ndarray, variant: str) -> np.ndarray:
 def relation(spec, orbits, n: int, eps: float, variant: str) -> np.ndarray:
     """Cover relation of one variant at one (n, eps) cell, untiled."""
     return naive_symmetrized(naive_bowen(spec, orbits, n), variant) <= eps
+
+
+def block_floor(spec, rows: tuple, cols: tuple):
+    """``quasimetric.paired_floor`` of one block, as a float, by the scalar
+    formula it had before it took tables of blocks: ``paired`` at the
+    differences in [cols.lo - rows.hi, cols.hi - rows.lo] nearest 0, and for
+    ``circle_arc`` at both ends of that range too; NaN where a coordinate's
+    nearest difference is NaN, None where the rule has no floor."""
+    if not has_floor(spec):
+        return None
+    (row_lo, row_hi), (col_lo, col_hi) = rows, cols
+    lo, hi = col_lo - row_hi, col_hi - row_lo
+    near = np.minimum(np.maximum(lo, 0.0), hi)
+    if np.isnan(near).any():
+        return float("nan")
+    diffs = np.stack([near, lo, hi]) if spec.kind == "circle_arc" else near[None, :]
+    return float(paired(spec, np.zeros_like(diffs), diffs).min())
 
 
 def naive_snap(map_spec, cloud, n_max: int, qspec) -> tuple:

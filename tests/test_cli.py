@@ -506,6 +506,14 @@ MALFORMED = [
      "unknown key 'bse' in section 'seeds'; known keys: base"),
     ("cloud_key_misspelt", "count: 48", "count: 48\n  cout: 32",
      "unknown key 'cout' in section 'cloud'; known keys: kind, count, lo, hi, "),
+    # a key that the section's kind does not read would be dropped without a word
+    ("map_key_kind_ignores", "kind: doubling", "kind: doubling\n  r: 3.0",
+     "map kind 'doubling' does not read 'r'; it reads: kind, power, "
+     "declared_uniformly_continuous"),
+    ("cloud_key_kind_ignores", "count: 48", "count: 48\n  lo: 5.0",
+     "cloud kind 'circle_grid' does not read 'lo'; it reads: kind, count"),
+    ("qmetric_key_kind_ignores", "kind: circle_arc", "kind: circle_arc\n  alpha: 2.0",
+     "qmetric kind 'circle_arc' does not read 'alpha'; it reads: kind"),
     # a YAML boolean is not a number: true would read as 1.0 and false as 0.0
     ("boolean_tolerance", "output:", "tolerances:\n  estimator_tol: true\noutput:",
      "tolerances.estimator_tol must be a number, got True"),

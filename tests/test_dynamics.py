@@ -15,6 +15,7 @@ from qme import (
     iterate_map,
     pairwise,
     symbol_blocks,
+    symmetrize_mean,
 )
 from qme.dynamics import DYADIC_QUANTUM, PointCloud
 
@@ -227,8 +228,12 @@ def test_nearest_snap_keeps_orbit_on_cloud():
 
 
 def test_nearest_snap_measures_one_square_per_table(monkeypatch):
-    # perfbench reports these entries as dynamics.snap_entries: one N x N
-    # snap pass per orbit table, whatever its length; none for n_max = 1
+    # perfbench reports these entries as dynamics.snap_entries: one snap pass
+    # per orbit table, whatever its length, and none for n_max = 1. A rule
+    # with no floor measures the whole N x N square; on a sorted cloud the
+    # floors stop each 32-image block after the tiles nearest its images.
+    # Swapping the hinge weights leaves the max symmetrization, and so the
+    # pass, as it was, though each one-way floor changes
     entries = []
 
     def counting(spec, a, b):
@@ -237,13 +242,23 @@ def test_nearest_snap_measures_one_square_per_table(monkeypatch):
         return out
 
     monkeypatch.setattr(qme.dynamics, "pairwise", counting)
-    cloud = grid1d(0.0, 1.0, 300)  # two 256-row tiles
-    spec = QuasiMetricSpec(kind="weighted_asym", alpha=0.5, beta=2.0)
-    for n_max in range(1, 9):
-        entries.clear()
-        build_orbits(MapSpec(kind="logistic", r=4.0), cloud, n_max,
-                     snap_mode="nearest", qspec=spec)
-        assert sum(entries) == (len(cloud) ** 2 if n_max >= 2 else 0), n_max
+    cloud = grid1d(0.0, 1.0, 1024)  # four 256-point tiles
+    hinge = QuasiMetricSpec(kind="weighted_asym", alpha=2.0 ** -10, beta=1.0)
+    swapped = QuasiMetricSpec(kind="weighted_asym", alpha=1.0, beta=2.0 ** -10)
+    totals = {}
+    for name, spec in (("hinge", hinge), ("swapped", swapped),
+                       ("no_floor", symmetrize_mean(hinge))):
+        per_n = []
+        for n_max in range(1, 9):
+            entries.clear()
+            build_orbits(MapSpec(kind="logistic", r=4.0), cloud, n_max,
+                         snap_mode="nearest", qspec=spec)
+            per_n.append(sum(entries))
+        assert per_n[0] == 0 and len(set(per_n[1:])) == 1, (name, per_n)
+        totals[name] = per_n[1]
+    size = len(cloud)
+    assert totals["no_floor"] == size * size
+    assert totals["hinge"] == totals["swapped"] < size * size / 2
 
 
 def test_nearest_snap_single_step_never_applies_map():

@@ -19,7 +19,7 @@ from qme import (
 )
 from qme.covering import STEP
 from qme.quasimetric import (has_floor, is_symmetric, load_matrix_csv, paired, paired_both,
-                             paired_floor)
+                             paired_floor, tile_extremes)
 
 import oracles
 from oracles import BallSpec, ball_members, evaluate, plain
@@ -613,6 +613,40 @@ def test_paired_floor_bounds_every_value_and_channel(case):
     assert f <= fwd.min() and b <= bwd.min(), name
     for channel, step in STEP.items():
         assert step(f, b) <= step(fwd, bwd).min(), (name, channel)
+
+
+@st.composite
+def floor_tables(draw):
+    """(name, spec, blocks): a rule with a floor and 1 to 5 blocks of 1 to 6
+    points each. Half the circle_arc cases keep their points to the two ends
+    of [0, 1], so the arcs between blocks run across the wrap."""
+    name = draw(st.sampled_from(sorted(FLOOR_RULES)))
+    spec, dim, top = FLOOR_RULES[name]
+    coord = st.floats(0.0, top)
+    if name == "circle_arc" and draw(st.booleans()):
+        coord = st.one_of(st.floats(0.0, 0.0625), st.floats(0.9375, 1.0))
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    blocks = draw(st.lists(st.lists(point, min_size=1, max_size=6), min_size=1, max_size=5))
+    return name, spec, [np.array(b) for b in blocks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_tables())
+def test_paired_floor_table_equals_each_block_alone(case):
+    # one call on the extremes of every tile (tile_extremes) gives the floor
+    # of every (row tile, column tile) block, each bit for bit the scalar
+    # floor of that block alone, and none above a value of the block
+    name, spec, blocks = case
+    cuts = np.cumsum([0] + [len(b) for b in blocks])
+    tiles = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    lo, hi = tile_extremes(np.concatenate(blocks), tiles)
+    table = paired_floor(spec, (lo[:, None], hi[:, None]), (lo[None], hi[None]))
+    assert table.shape == (len(blocks), len(blocks)), name
+    for i, rows in enumerate(blocks):
+        for j, cols in enumerate(blocks):
+            alone = oracles.block_floor(spec, _side(rows), _side(cols))
+            assert table[i, j].tobytes() == np.float64(alone).tobytes(), (name, i, j)
+            assert table[i, j] <= pairwise(spec, rows, cols).min(), (name, i, j)
 
 
 def test_paired_floor_is_attained_at_the_extreme_pairs():

@@ -543,9 +543,10 @@ def test_pair_blocks_cover_each_entry_once(rows, cols):
 def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
     # at the default constants, count_grid makes no pairwise call and no
     # paired or paired_both call on more than PAIR_BLOCK pairs, and nearest
-    # snapping evaluates the N^2 entries of the snap table in pieces of at most
-    # PAIR_BLOCK; an asymmetric rule's orbit steps call paired_both, whose
-    # two directions each cover the call's pairs
+    # snapping evaluates the snap table in pieces of at most PAIR_BLOCK,
+    # under half of its N^2 entries on this sorted cloud; an asymmetric
+    # rule's orbit steps call paired_both, whose two directions each cover
+    # the call's pairs
     _default_tiles(monkeypatch)
     entries = {"covering.pairwise": [], "covering.paired": [], "covering.paired_both": [],
                "dynamics.pairwise": []}
@@ -571,7 +572,7 @@ def test_pairwise_calls_stay_within_one_block(monkeypatch, kind):
     evaluated = entries["covering.paired"] + entries["covering.paired_both"]
     assert evaluated and max(evaluated) <= 8192
     assert bool(entries["covering.paired_both"]) == (kind == "weighted_asym")
-    assert sum(entries["dynamics.pairwise"]) == size * size
+    assert 0 < sum(entries["dynamics.pairwise"]) < size * size / 2
     assert max(entries["dynamics.pairwise"]) <= 8192
 
 
@@ -599,6 +600,20 @@ def test_nearest_snap_tie_across_tile_boundary_keeps_lowest_id():
     # max symmetrization of the hinge: 2 * 1/16 to either neighbour
     assert orbits.snap_error == 0.125
     images, err = oracles.naive_snap(shift, cloud, 3, spec)
+    assert _same_bits(orbits.images, images) and err == orbits.snap_error
+
+
+def test_nearest_snap_visits_a_tile_whose_floor_equals_the_running_distance():
+    # 2-wide tiles {0.5, 0.875} and {0.25, 0.75}: the image 0.375 of id 3 is
+    # 1/8 from id 2 in the second tile, whose floor is 0, and 1/8 from id 0
+    # in the first, whose floor is 1/8 exactly; the first tile is visited
+    # second and must be, for its lower id
+    cloud = custom_cloud([0.5, 0.875, 0.25, 0.75])
+    spec = QuasiMetricSpec(kind="euclidean")
+    half = MapSpec(kind="affine", a=0.5)
+    orbits = build_orbits(half, cloud, 2, snap_mode="nearest", qspec=spec)
+    assert orbits.images[3, 1, 0] == 0.5
+    images, err = oracles.naive_snap(half, cloud, 2, spec)
     assert _same_bits(orbits.images, images) and err == orbits.snap_error
 
 
