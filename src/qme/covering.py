@@ -357,37 +357,46 @@ def _relation(selection: list, blocks: list, size: int) -> Relation:
     """The relation of a selection: its pairs in both directions, and the
     diagonal.
 
-    It is built one row tile R at a time into arrays allocated once from the
-    selection's counts. A tile gathers the transposed entries of blocks
-    (C, R) for C <= R, then its diagonal, then the entries of blocks (R, C)
-    for C >= R. Blocks come in column order and each chunk is sorted by
-    (xo, yo), so every row receives its columns in increasing order, and a
-    stable sort by row offset (a radix sort on uint8) keeps them so."""
-    # per row tile, the (row offsets, column offsets, column origin) of the
-    # blocks below and right of its diagonal
-    parts = {tile.start: ([], []) for tile in row_tiles(size)}
-    total = size
+    It is built one row tile at a time into arrays allocated once from the
+    selection's counts. A tile's entries, from its diagonal and its blocks'
+    pairs (transposed where it is their column tile), go into one buffer
+    sized for the largest tile as keys (row offset << w) | column: w is the
+    bit width of the column type (unsigned, also for size 0), the key twice
+    as wide. A pair x < y lies in one block, so the keys are distinct and one
+    unstable sort puts them in row order, columns increasing; a column is its
+    key's low half. A row ends where the next row's keys start, but the last
+    at the tile's length, as its next key can wrap (256 << 8 in a u16)."""
+    column = np.min_scalar_type(max(size - 1, 0))
+    width = 8 * column.itemsize
+    key = np.dtype(f"uint{2 * width}")
+    # per row tile, the (row offsets, column offsets, column origin) of each part
+    parts = {}
+    for tile in row_tiles(size):
+        diagonal = np.arange(tile.stop - tile.start, dtype=np.uint8)
+        parts[tile.start] = [(diagonal, diagonal, tile.start)]
     for (xo, yo), (rows, cols) in zip(selection, blocks):
         if len(xo):
-            parts[cols.start][0].append((yo, xo, rows.start))  # transposed
-            parts[rows.start][1].append((xo, yo, cols.start))
-            total += 2 * len(xo)
+            parts[cols.start].append((yo, xo, rows.start))  # transposed
+            parts[rows.start].append((xo, yo, cols.start))
+    counts = [sum(len(r) for r, _, _ in part) for part in parts.values()]
     indptr = np.zeros(size + 1, dtype=np.int64)
-    indices = np.empty(total, dtype=np.min_scalar_type(size - 1))
+    indices = np.empty(sum(counts), dtype=column)
+    buffer = np.empty(max(counts, default=0), dtype=key)
     end = 0
-    for tile in row_tiles(size):
-        below, right = parts[tile.start]
-        diagonal = np.arange(tile.stop - tile.start, dtype=np.uint8)
-        entries = below + [(diagonal, diagonal, tile.start)] + right
-        offsets = np.concatenate([r for r, _, _ in entries])
-        order = np.argsort(offsets, kind="stable")
-        columns = np.concatenate([np.add(c, origin, dtype=indices.dtype)
-                                  for _, c, origin in entries])
-        start, end = end, end + len(order)
-        np.take(columns, order, out=indices[start:end])
+    for tile, count in zip(row_tiles(size), counts):
+        keys, at = buffer[:count], 0
+        for rows, cols, origin in parts[tile.start]:
+            part = keys[at:at + len(rows)]
+            np.left_shift(rows, width, out=part, dtype=key)
+            part += cols
+            part += origin
+            at += len(rows)
+        keys.sort()
+        start, end = end, end + count
+        np.copyto(indices[start:end], keys, casting="unsafe")
         ptr = indptr[tile.start + 1:tile.stop + 1]
-        np.cumsum(np.bincount(offsets, minlength=len(diagonal)), out=ptr)
-        ptr += start
+        ptr[:-1] = start + keys.searchsorted(np.arange(1, len(ptr), dtype=key) << width)
+        ptr[-1] = end
     return Relation(indptr, indices)
 
 
