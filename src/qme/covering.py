@@ -34,17 +34,15 @@ those of its step value, f, b, max(f, b) or (f + b) / 2.0 (bit for bit the
 ``mean_of`` value); and drops the pairs whose bins are all 0. two_sided reads
 max, or min(bin f, bin b), and one_sided max(bin f, bin b). The blocks are
 advanced one at a time, each starting as all its pairs unless its certified
-floor exceeds eps_0: before the first orbit step, an off-diagonal block whose
-``quasimetric.paired_floor`` bounds on f and b give every channel a step value
+floor exceeds eps_0: before the first orbit step, a block whose
+``quasimetric.block_floors`` bounds on f and b give every channel a step value
 above the largest eps starts empty, as step 0 would leave it. One
-``paired_floor`` call on the row tiles' step-0 extremes gives the f floors of
-every off-diagonal block, and a second their b floors, made only when f alone
-does not settle some block; nearest snapping (``dynamics.build_orbits``)
-reads its floors from the same routine. The kinds with a bound
-(``quasimetric.has_floor``) are ``circle_arc``, ``euclidean``, ``asym_line``
-and ``weighted_asym``; on sorted clouds most far blocks are skipped. Other
-rules, the derived kinds among them, take no floor and no tile extremes. A
-shared rule is symmetric by construction
+``block_floors`` call on the row tiles' step-0 extremes gives the f and b
+floors of every (row tile, column tile) block; nearest snapping
+(``dynamics.build_orbits``) reads its floors from the same routine. On sorted
+clouds most far blocks are skipped. A rule without a floor formula, the
+derived kinds among them, gets NaN floors, which exceed nothing, and takes the
+same path. A shared rule is symmetric by construction
 (``quasimetric.is_symmetric``), with a largest eps below 2^1023: D_n = D_n^T
 bit for bit, and (v + v) / 2.0 = v unless v >= 2^1023, which exceeds every
 eps. Each (n, eps) selects each pairing's relation from the chunks, as block
@@ -97,8 +95,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .dynamics import OrbitTable
-from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, has_floor, is_symmetric, paired,
-                          paired_both, paired_floor, pairwise, row_tiles, tile_extremes)
+from .quasimetric import (PAIR_BLOCK, QuasiMetricSpec, block_floors, is_symmetric, paired,
+                          paired_both, pairwise, row_tiles)
 
 __all__ = [
     "VARIANTS",
@@ -161,14 +159,9 @@ class Relation:
         return cover
 
     @cached_property
-    def _words(self) -> np.ndarray:
-        """The rows packed into 64-bit words (``_pack``)."""
-        return _pack(self._dense)
-
-    @cached_property
     def _masks(self) -> list:
         """The rows (equal to the columns) as python-int bitsets."""
-        return _ints(self._words)
+        return _ints(_pack(self._dense))
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +215,7 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
     side = blocks[0][0].stop  # the widest block, the first
     if side > 256:
         raise ValueError(f"block offsets are uint8, so ROW_TILE must be <= 256, got {side}")
-    far = None
-    if has_floor(spec):
-        far = _far_blocks(spec, orbits.iterate_points(0), blocks, channels, bins.eps[0])
+    far = _far_blocks(spec, orbits.iterate_points(0), channels, bins.eps[0])
     chunks = [None] * len(blocks)
     done = 0
     for n in n_list:
@@ -237,49 +228,29 @@ def _live_pairs(spec: QuasiMetricSpec, orbits: OrbitTable, n_list: Sequence,
         yield n, chunks
 
 
-def _far_blocks(spec: QuasiMetricSpec, start: np.ndarray, blocks: list, channels: tuple,
+def _far_blocks(spec: QuasiMetricSpec, start: np.ndarray, channels: tuple,
                 eps: float) -> np.ndarray:
     """far[k]: True when every channel's step value over block k of
-    ``blocks`` certainly exceeds ``eps`` at the orbit points ``start``: its
-    STEP of the ``paired_floor`` bounds of f over the block and of b (rows
-    and columns swapped) does. Every STEP is monotone, so it bounds the
-    channel's step values, and a NaN floor exceeds nothing. The diagonal
-    blocks are never far. The floors of every off-diagonal block come from
-    one ``paired_floor`` call on the row tiles' step-0 extremes, and the b
-    floors from a second, taken only when f does not settle some block: a
-    channel f at or below eps keeps the block, and f above eps drops it
-    when every channel is f or max(f, b) >= f."""
-    far = np.zeros(len(blocks), dtype=bool)
-    off = [k for k, (rows, cols) in enumerate(blocks) if rows.start != cols.start]
-    if not off:
-        return far
+    ``_blocks`` certainly exceeds ``eps`` at the orbit points ``start``: its
+    STEP of the ``block_floors`` bounds of f and of b over the block does.
+    Every STEP is monotone, so it bounds the channel's step values. A NaN
+    floor exceeds nothing, and a diagonal block's floor is at most 0, so
+    neither is far. The table's upper triangle, row by row, is the blocks
+    in ``_blocks`` order."""
     tiles = row_tiles(start.shape[0])
-    at = {t.start: i for i, t in enumerate(tiles)}
-    lo, hi = tile_extremes(start, tiles)
-    i = np.array([at[blocks[k][0].start] for k in off])
-    j = np.array([at[blocks[k][1].start] for k in off])
-    rows, cols = (lo[i], hi[i]), (lo[j], hi[j])
-    f = paired_floor(spec, rows, cols)
-    above = f > eps
-    settled = ~above if "f" in channels else np.zeros_like(above)
-    if set(channels) <= {"f", "max"}:
-        settled |= above
-    if not settled.all():
-        b = paired_floor(spec, cols, rows)
-        above = np.logical_and.reduce([STEP[channel](f, b) > eps for channel in channels])
-    far[off] = above
-    return far
+    f, b = block_floors(spec, start, tiles, start, tiles)
+    far = np.logical_and.reduce([STEP[channel](f, b) > eps for channel in channels])
+    return far[np.triu_indices(len(tiles))]
 
 
-def _first_chunk(k: int, far: Optional[np.ndarray], block: tuple, bins: _EpsBins,
+def _first_chunk(k: int, far: np.ndarray, block: tuple, bins: _EpsBins,
                  channels: tuple) -> tuple:
     """The chunk block k starts as before orbit step 0: every pair x < y,
     with a bin array per channel, each pair at ``bins.top``, the bin of D_0 =
-    0, or no pair where ``far[k]`` (``_far_blocks``) holds. ``far`` is None
-    when the rule has no floor."""
+    0, or no pair where ``far[k]`` (``_far_blocks``) holds."""
     rows, cols = block
     height, width = rows.stop - rows.start, cols.stop - cols.start
-    if far is not None and far[k]:
+    if far[k]:
         height = 0  # no pair: the block starts empty
     xo = np.repeat(np.arange(height, dtype=np.uint8), width)
     yo = np.tile(np.arange(width, dtype=np.uint8), height)
@@ -498,29 +469,12 @@ def greedy_separated(rel: Relation) -> list:
 # exact solvers (bitset branch and bound)
 # ---------------------------------------------------------------------------
 
-# Bytes of the (rows, N, words) temporary of one two-hop row slice.
-_HOP_SLICE_BYTES = 1 << 20
-
-
 def _pack(cover: np.ndarray) -> np.ndarray:
     """cover rows packed into little-endian 64-bit words, N x ceil(N / 64)."""
     packed = np.packbits(cover, axis=1, bitorder="little")
     words = np.zeros((len(cover), -(-len(cover) // 64)), dtype="<u8")
     words.view(np.uint8)[:, :packed.shape[1]] = packed
     return words
-
-
-def _two_hop(cover: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """For each y, the OR of the words of the points y covers. Rows are
-    taken in slices whose temporary holds at most _HOP_SLICE_BYTES (one row
-    where a row needs more), so memory stays O(N^2) bytes; a relation of up
-    to 64 points is one slice."""
-    out = np.empty_like(words)
-    step = max(1, _HOP_SLICE_BYTES // max(1, words.nbytes))
-    for start in range(0, len(words), step):
-        rows = slice(start, start + step)
-        np.bitwise_or.reduce(cover[rows, :, None] * words, axis=1, out=out[rows])
-    return out
 
 
 def _ints(words: np.ndarray) -> list:
@@ -665,9 +619,11 @@ def exact_cover(rel: Relation) -> tuple:
     full = (1 << n) - 1
     bits = [1 << x for x in range(n)]
     # keyed by the point's bit: its coverers (cover is symmetric) and, for
-    # the lower bound, the points sharing a coverer with it
+    # the lower bound, the points sharing a coverer with it, from one float32
+    # product, exact as each count is at most n < 2^24
     covmask = dict(zip(bits, rel._masks))
-    blocked = dict(zip(bits, _ints(_two_hop(cover, rel._words))))
+    c = cover.astype(np.float32)
+    blocked = dict(zip(bits, _ints(_pack(c @ c > 0))))
     ncov = {bit: m.bit_count() for bit, m in covmask.items()}
 
     best = _bit_greedy_cover(rel._masks)

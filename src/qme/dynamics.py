@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .quasimetric import (QuasiMetricSpec, block_grid, has_floor, paired_floor, pairwise,
-                          symmetrize_max, tile_extremes)
+from .quasimetric import QuasiMetricSpec, block_floors, block_grid, pairwise, symmetrize_max
 
 __all__ = [
     "PointCloud",
@@ -60,7 +59,8 @@ class PointCloud:
     kind: str = "custom"
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        # a copy, read-only below, so no caller's array aliases the cloud
+        pts = np.array(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] == 0:
@@ -242,22 +242,23 @@ def build_orbits(map_spec: MapSpec, cloud: PointCloud, n_max: int,
 
     The pass cuts the (image, point) table into the blocks of
     ``block_grid``: row blocks of images by column tiles of points, at most
-    PAIR_BLOCK entries each (32 x 256). One ``paired_floor`` call per
-    direction bounds every block: the snap distance max(e(x, y), e(y, x)) is
-    at least the larger of its two directions' floors. A rule without a
-    floor, and a NaN floor, which bounds nothing, get -inf. Each row block
-    visits its tiles in increasing floor order, ties in column order,
-    keeping a running minimum and argmin per image that start at (+inf, id
-    0); a tile's argmin replaces them when strictly closer, or equally close
-    with a lower id. The block stops at the first tile whose floor exceeds
-    the largest running minimum of its images. Every tile that holds an
-    image's minimum has a floor at most that minimum, which is at most the
-    block's running maximum at every moment, so it comes before the stop and
-    is visited. So each image snaps to the lowest id among the points at its
-    minimum distance, every distance is the value a full ``pairwise`` pass
-    gives, and the snap error is unchanged. On sorted clouds, under maps
-    that keep nearby points together, a block visits one or two tiles; a
-    rule without a floor visits them all, in column order.
+    PAIR_BLOCK entries each (32 x 256). One ``block_floors`` call bounds
+    every block in both directions: the snap distance max(e(x, y), e(y, x))
+    is at least the larger of its two directions' floors. A NaN floor, which
+    bounds nothing and is every floor of a rule without a floor formula,
+    gets -inf. Each row block visits its tiles in increasing floor order,
+    ties in column order, keeping a running minimum and argmin per image
+    that start at (+inf, id 0); a tile's argmin replaces them when strictly
+    closer, or equally close with a lower id. The block stops at the first
+    tile whose floor exceeds the largest running minimum of its images.
+    Every tile that holds an image's minimum has a floor at most that
+    minimum, which is at most the block's running maximum at every moment,
+    so it comes before the stop and is visited. So each image snaps to the
+    lowest id among the points at its minimum distance, every distance is
+    the value a full ``pairwise`` pass gives, and the snap error is
+    unchanged. On sorted clouds, under maps that keep nearby points
+    together, a block visits one or two tiles; a rule without a floor visits
+    them all, in column order.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -291,13 +292,8 @@ def _snap(qspec: QuasiMetricSpec, raw: np.ndarray, pts: np.ndarray) -> tuple:
     that ``build_orbits`` describes."""
     sym = symmetrize_max(qspec)
     row_blocks, col_tiles = block_grid(len(raw), len(pts))
-    floors = np.full((len(row_blocks), len(col_tiles)), -np.inf)
-    if has_floor(qspec):
-        blocks = tuple(side[:, None] for side in tile_extremes(raw, row_blocks))
-        tiles = tuple(side[None] for side in tile_extremes(pts, col_tiles))
-        floors = np.maximum(paired_floor(qspec, blocks, tiles),
-                            paired_floor(qspec, tiles, blocks))
-        floors[np.isnan(floors)] = -np.inf
+    floors = np.maximum(*block_floors(qspec, raw, row_blocks, pts, col_tiles))
+    floors[np.isnan(floors)] = -np.inf
     step = np.zeros(len(raw), dtype=np.intp)
     err = np.full(len(raw), np.inf)
     for r, row_floors in zip(row_blocks, floors):

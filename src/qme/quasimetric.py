@@ -9,7 +9,10 @@ holds the hinge formula of ``weighted_asym``, which it evaluates in one pass
 over each coordinate's difference; ``paired`` takes that kind's forward
 direction from it.
 :func:`paired_floor` bounds it from below over every block of a table of
-blocks of pairs, in one call.
+blocks of pairs, in one call, and :func:`block_floors` gives the two
+directions' tables over the blocks of two tilings. A rule without a floor
+formula gets a table of NaN, which bounds nothing, so every caller takes
+one path whatever the rule.
 Axiom validation, the symmetry test and the two symmetrizations (mean and
 max) also live here; orbit-maximized (Bowen) distances are built in
 ``covering``.
@@ -34,6 +37,7 @@ by :func:`symmetrize_mean` and :func:`symmetrize_max`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -44,8 +48,8 @@ __all__ = [
     "pairwise",
     "paired",
     "paired_both",
-    "has_floor",
     "paired_floor",
+    "block_floors",
     "is_symmetric",
     "check_axioms",
     "symmetrize_mean",
@@ -63,7 +67,7 @@ _BASE_KINDS = {
     "block_prefix_asym",
 }
 _DERIVED_KINDS = {"mean_of", "max_of"}
-# kinds with a paired_floor
+# kinds whose paired_floor is not NaN
 _FLOOR_KINDS = {"asym_line", "euclidean", "circle_arc", "weighted_asym"}
 # kinds whose formula gives e(x, y) == e(y, x) bit for bit: negation, abs,
 # squaring, + and max are exact or commutative in IEEE arithmetic
@@ -111,13 +115,14 @@ class QuasiMetricSpec:
             m = self.matrix
             if m is None:
                 raise ValueError("matrix kind needs a matrix")
-            m = np.asarray(m, dtype=float)
+            m = np.array(m, dtype=float)  # a copy, made read-only below
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("distance matrix must be square")
             if not np.all(np.isfinite(m)) or np.any(m < 0.0):
                 raise ValueError("distance matrix entries must be finite and >= 0")
             if np.any(np.diagonal(m) != 0.0):
                 raise ValueError("distance matrix must have a zero diagonal")
+            m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
         if self.kind in _DERIVED_KINDS and self.base is None:
             raise ValueError(f"{self.kind} needs a base spec")
@@ -236,19 +241,13 @@ def paired_both(spec: QuasiMetricSpec, a, b) -> tuple:
     return fwd, bwd
 
 
-def has_floor(spec: QuasiMetricSpec) -> bool:
-    """True when :func:`paired_floor` bounds the rule: ``circle_arc``,
-    ``euclidean``, ``asym_line`` and ``weighted_asym``. ``matrix`` and the
-    ``block_prefix`` kinds have no cheap bound, and derived kinds take no
-    floor."""
-    return spec.kind in _FLOOR_KINDS
-
-
-def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[np.ndarray]:
+def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> np.ndarray:
     """Lower bounds, one per block of pairs, on every float value
     ``paired(spec, x, y)`` takes for x a point of the block's rows and y one
     of its columns; NaN values are not bounded, and a NaN bound bounds
-    nothing. None where the rule has no bound (``has_floor``).
+    nothing. ``circle_arc``, ``euclidean``, ``asym_line`` and
+    ``weighted_asym`` have a bound; ``matrix``, the ``block_prefix`` kinds
+    and the derived kinds get NaN for every block.
 
     ``rows`` and ``cols`` are (lo, hi): the per-coordinate minima and maxima
     of the points of each block's two sides, arrays whose last axis holds
@@ -264,15 +263,27 @@ def paired_floor(spec: QuasiMetricSpec, rows: tuple, cols: tuple) -> Optional[np
     least d and its 1 - d at the largest. The bound is therefore ``paired``
     on the differences in [lo, hi] nearest 0, and for ``circle_arc`` the
     least of that and ``paired`` on lo and on hi."""
-    if not has_floor(spec):
-        return None
     (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     lo, hi = col_lo - row_hi, col_hi - row_lo
     near = np.minimum(np.maximum(lo, 0.0), hi)
+    if spec.kind not in _FLOOR_KINDS:
+        return np.full(near.shape[:-1], np.nan)
     diffs = np.stack([near, lo, hi]) if spec.kind == "circle_arc" else near[None]
     floor = paired(spec, np.zeros_like(diffs), diffs).min(axis=0)
     # asym_line reads a NaN difference as 1
     return np.where(np.isnan(near).any(axis=-1), np.nan, floor)
+
+
+def block_floors(spec: QuasiMetricSpec, a: np.ndarray, a_tiles: list, b: np.ndarray,
+                 b_tiles: list) -> tuple:
+    """(fwd, bwd): the :func:`paired_floor` tables, (a tiles, b tiles), of
+    e(x, y) and of e(y, x) over x in an a tile and y in a b tile, from the
+    two tilings' ``tile_extremes``. The differences over a tile against
+    itself span 0, so that block's floor is at most 0, or NaN."""
+    a_lo, a_hi = tile_extremes(a, a_tiles)
+    b_lo, b_hi = tile_extremes(b, b_tiles)
+    rows, cols = (a_lo[:, None], a_hi[:, None]), (b_lo[None], b_hi[None])
+    return paired_floor(spec, rows, cols), paired_floor(spec, cols, rows)
 
 
 def is_symmetric(spec: QuasiMetricSpec) -> bool:
@@ -301,12 +312,6 @@ def block_grid(rows: int, cols: int) -> tuple:
     height = PAIR_BLOCK // width
     return ([slice(r, min(r + height, rows)) for r in range(0, rows, height)],
             [slice(c, min(c + width, cols)) for c in range(0, cols, width)])
-
-
-def pair_blocks(rows: int, cols: int) -> list:
-    """The blocks (r, c) of ``block_grid``, in row-major order."""
-    row_slices, col_slices = block_grid(rows, cols)
-    return [(r, c) for r in row_slices for c in col_slices]
 
 
 def tile_extremes(pts: np.ndarray, tiles: list) -> tuple:
@@ -382,9 +387,10 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     tolerance is applied.
 
     Memory does not grow with N^2 or with the budget: e is evaluated in both
-    directions, by one :func:`paired_both` call, on :func:`pair_blocks` of at
-    most ``PAIR_BLOCK`` pairs on and right of the diagonal of each row tile,
-    so each unordered pair is read once outside the diagonal sub-blocks.
+    directions, by one :func:`paired_both` call, on the :func:`block_grid`
+    blocks of at most ``PAIR_BLOCK`` pairs on and right of the diagonal of
+    each row tile, so each unordered pair is read once outside the diagonal
+    sub-blocks.
     Triples, enumerated in order or drawn, are checked in slices of about
     ``PAIR_BLOCK`` by one loop of :func:`paired` calls.
     """
@@ -399,7 +405,7 @@ def check_axioms(spec: QuasiMetricSpec, cloud, triple_budget: int,
     max_asym = 0.0
     for tile in row_tiles(n):
         lo = tile.start
-        for r, c in pair_blocks(tile.stop - lo, n - lo):
+        for r, c in product(*block_grid(tile.stop - lo, n - lo)):
             if c.stop <= r.start:
                 continue  # below the diagonal: read both ways from above it
             r, c = slice(lo + r.start, lo + r.stop), slice(lo + c.start, lo + c.stop)

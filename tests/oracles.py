@@ -38,7 +38,6 @@ from qme.quasimetric import (
     AxiomReport,
     QuasiMetricSpec,
     _cloud_points,
-    has_floor,
     paired,
     pairwise,
     symmetrize_max,
@@ -338,9 +337,9 @@ def block_floor(spec, rows: tuple, cols: tuple):
     formula it had before it took tables of blocks: ``paired`` at the
     differences in [cols.lo - rows.hi, cols.hi - rows.lo] nearest 0, and for
     ``circle_arc`` at both ends of that range too; NaN where a coordinate's
-    nearest difference is NaN, None where the rule has no floor."""
-    if not has_floor(spec):
-        return None
+    nearest difference is NaN or the rule has no floor formula."""
+    if spec.kind not in ("asym_line", "euclidean", "circle_arc", "weighted_asym"):
+        return float("nan")
     (row_lo, row_hi), (col_lo, col_hi) = rows, cols
     lo, hi = col_lo - row_hi, col_hi - row_lo
     near = np.minimum(np.maximum(lo, 0.0), hi)
@@ -465,9 +464,12 @@ def reference_packing_lp(cover: np.ndarray) -> np.ndarray:
 
 def column_masks(cover: np.ndarray, hops: int = 1) -> list:
     """cover columns (equal to its rows) as python-int bitsets: mask[y] has
-    bit x iff y covers x or, at hops=2, iff x and y share a coverer."""
-    words = covering._pack(cover)
-    return covering._ints(covering._two_hop(cover, words) if hops == 2 else words)
+    bit x iff y covers x or, at hops=2, iff x and y share a coverer, by the
+    float32 product ``exact_cover`` takes."""
+    if hops == 2:
+        c = cover.astype(np.float32)
+        cover = c @ c > 0
+    return covering._ints(covering._pack(cover))
 
 
 def recursive_exact_cover(rel: Relation) -> tuple:

@@ -1,7 +1,9 @@
 """Command-line behavior: config parsing, outputs, exit codes, determinism."""
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -626,3 +628,15 @@ def test_perfbench_tracer_fits_this_checkout(tmp_path):
             "entropy.estimate_from_grid", "covering.count_grid"} <= names
     # the example's 48 points are solved exactly, through the traced names
     assert {"covering.exact_cover", "covering.exact_separated"} <= names
+
+
+def test_every_exported_name_resolves():
+    # each qme module's __all__ names only what it defines, and a star
+    # import of the package and of each module succeeds
+    names = ["qme"] + [f"qme.{info.name}" for info in pkgutil.iter_modules(qme.__path__)]
+    assert "qme.quasimetric" in names
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (name, missing)
+        exec(f"from {name} import *", {})

@@ -504,14 +504,11 @@ def test_bitset_incumbents_are_the_greedy_solvers(cover):
 
 
 @settings(max_examples=100, deadline=None)
-@given(search_graphs(0, 130), st.sampled_from([None, 1, 3000]))
-def test_two_hop_masks_mark_points_sharing_a_coverer(cover, slice_bytes):
-    # the same masks whatever the row slices: one row, a few, or all
-    with pytest.MonkeyPatch.context() as mp:
-        if slice_bytes is not None:
-            mp.setattr(covering, "_HOP_SLICE_BYTES", slice_bytes)
-        assert oracles.column_masks(cover, hops=2) == \
-            oracles.column_masks((cover.astype(np.int32) @ cover) > 0)
+@given(search_graphs(0, 130))
+def test_two_hop_masks_mark_points_sharing_a_coverer(cover):
+    # the float32 product's masks are the int32 product's
+    assert oracles.column_masks(cover, hops=2) == \
+        oracles.column_masks((cover.astype(np.int32) @ cover) > 0)
 
 
 def test_two_hop_masks_take_quadratic_memory():
@@ -739,9 +736,12 @@ def test_count_grid_solves_each_distinct_exact_relation_once(monkeypatch):
     assert len(distinct) < len(cells)
     assert calls == {"exact_cover": len(distinct), "exact_separated": len(distinct)}
     assert sorted(cover.tobytes() for cover in built) == sorted(distinct)
-    # the incumbents come from the bitsets, packed once per distinct relation
+    # the incumbents come from the bitsets, packed once per distinct
+    # relation; exact_cover packs each one's two-hop matrix once more
     assert greedy == {"greedy_cover": 0, "greedy_separated": 0}
-    assert sorted(packed) == sorted(distinct)
+    covers = [np.frombuffer(c, dtype=bool).reshape(12, 12).astype(np.int32) for c in distinct]
+    hops = [(c @ c > 0).tobytes() for c in covers]
+    assert sorted(packed) == sorted([*distinct, *hops])
     _assert_cells_solved_alone(grid, cells, covering.DEFAULT_EXACT_THRESHOLD)
 
 

@@ -64,6 +64,18 @@ def test_distinct_coordinates_accepted(points):
     assert len(custom_cloud(points)) == len(points)
 
 
+@pytest.mark.parametrize("points", [[[0.1], [0.3]], [0.1, 0.3], [[0.1, 0.0], [0.3, 0.0]]])
+def test_cloud_keeps_its_own_points(points):
+    # writing to the caller's array after construction leaves the cloud as
+    # validated (no duplicate point), and the caller's array writable
+    caller = np.array(points)
+    for cloud in (custom_cloud(caller), PointCloud(points=caller)):
+        caller[0] = 0.3
+        assert cloud.points[0, 0] == 0.1 and len(np.unique(cloud.points, axis=0)) == 2
+        assert not cloud.points.flags.writeable
+        caller[0] = 0.1
+
+
 def test_empty_cloud_rejected():
     with pytest.raises(ValueError):
         PointCloud(points=np.zeros((0, 1)))

@@ -18,8 +18,8 @@ from qme import (
     symmetrize_mean,
 )
 from qme.covering import STEP
-from qme.quasimetric import (has_floor, is_symmetric, load_matrix_csv, paired, paired_both,
-                             paired_floor, tile_extremes)
+from qme.quasimetric import (block_floors, is_symmetric, load_matrix_csv, paired, paired_both,
+                             paired_floor)
 
 import oracles
 from oracles import BallSpec, ball_members, evaluate, plain
@@ -543,6 +543,16 @@ def test_matrix_validation():
         QuasiMetricSpec(kind="matrix", matrix=np.array([[0.5, 1.0], [1.0, 0.0]]))
 
 
+def test_matrix_spec_keeps_its_own_table():
+    # writing to the caller's matrix after construction leaves the spec's
+    # table as validated (a zero diagonal), and the caller's array writable
+    m = np.array([[0.0, 1.0], [2.0, 0.0]])
+    spec = QuasiMetricSpec(kind="matrix", matrix=m)
+    m[0, 0] = 5.0
+    assert spec.matrix[0, 0] == 0.0 and not spec.matrix.flags.writeable
+    assert evaluate(spec, [0.0], [0.0]) == 0.0
+
+
 def test_matrix_index_out_of_range():
     with pytest.raises(IndexError):
         evaluate(TWO_POINT, [0.0], [5.0])
@@ -633,20 +643,21 @@ def floor_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(floor_tables())
 def test_paired_floor_table_equals_each_block_alone(case):
-    # one call on the extremes of every tile (tile_extremes) gives the floor
-    # of every (row tile, column tile) block, each bit for bit the scalar
+    # one block_floors call on the tiles gives the floor of every (row tile,
+    # column tile) block in each direction, each bit for bit the scalar
     # floor of that block alone, and none above a value of the block
     name, spec, blocks = case
     cuts = np.cumsum([0] + [len(b) for b in blocks])
     tiles = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    lo, hi = tile_extremes(np.concatenate(blocks), tiles)
-    table = paired_floor(spec, (lo[:, None], hi[:, None]), (lo[None], hi[None]))
-    assert table.shape == (len(blocks), len(blocks)), name
+    pts = np.concatenate(blocks)
+    fwd, bwd = block_floors(spec, pts, tiles, pts, tiles)
+    assert fwd.shape == bwd.shape == (len(blocks), len(blocks)), name
     for i, rows in enumerate(blocks):
         for j, cols in enumerate(blocks):
-            alone = oracles.block_floor(spec, _side(rows), _side(cols))
-            assert table[i, j].tobytes() == np.float64(alone).tobytes(), (name, i, j)
-            assert table[i, j] <= pairwise(spec, rows, cols).min(), (name, i, j)
+            for table, (x, y) in ((fwd, (rows, cols)), (bwd, (cols, rows))):
+                alone = oracles.block_floor(spec, _side(x), _side(y))
+                assert table[i, j].tobytes() == np.float64(alone).tobytes(), (name, i, j)
+                assert table[i, j] <= pairwise(spec, x, y).min(), (name, i, j)
 
 
 def test_paired_floor_is_attained_at_the_extreme_pairs():
@@ -660,8 +671,11 @@ def test_paired_floor_is_attained_at_the_extreme_pairs():
 
 
 def test_paired_floor_none_and_nan():
-    # derived kinds take no floor, whatever their base
-    assert all(has_floor(spec) for spec, _, _ in FLOOR_RULES.values())
+    # rules without a floor formula, derived kinds whatever their base among
+    # them, get NaN tables; rules with one get floors
+    for spec, dim, _ in FLOOR_RULES.values():
+        side = _side(np.zeros((1, dim)))
+        assert not np.isnan(paired_floor(spec, side, side))
     blocks = symbol_blocks(2, 3).points
     line = np.array([[0.0], [1.0]])
     for spec, pts in ((QuasiMetricSpec(kind="block_prefix"), blocks),
@@ -671,8 +685,10 @@ def test_paired_floor_none_and_nan():
                       (symmetrize_mean(TWO_POINT), line),
                       (symmetrize_mean(HINGE), line),
                       (symmetrize_max(LINE), line)):
-        assert not has_floor(spec)
-        assert paired_floor(spec, _side(pts[:1]), _side(pts[1:])) is None
+        assert np.isnan(paired_floor(spec, _side(pts[:1]), _side(pts[1:])))
+        tiles = [slice(0, 1), slice(1, len(pts))]
+        for table in block_floors(spec, pts, tiles, pts, tiles[:1]):
+            assert table.shape == (2, 1) and np.isnan(table).all()
     # asym_line reads a NaN difference as 1, but a NaN coordinate leaves no floor
     rows, cols = np.array([[0.0], [np.nan]]), np.array([[0.5]])
     for spec in (LINE, ARC, HINGE):

@@ -8,6 +8,7 @@ then cover every layout: smaller than a tile, exactly one tile, and
 multiples of a tile plus or minus one.
 """
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ from qme.covering import (
     _selection,
 )
 from qme.dynamics import OrbitTable
-from qme.quasimetric import has_floor, is_symmetric
+from qme.quasimetric import is_symmetric
 
 import oracles
 from oracles import plain
@@ -570,7 +571,8 @@ def test_check_axioms_reads_each_pair_once_outside_diagonal_blocks(monkeypatch, 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 3), (3, 2), (7, 1), (2, 7)])
 def test_pair_blocks_cover_each_entry_once(rows, cols):
     seen = np.zeros((rows, cols), dtype=int)
-    for r, c in qm.pair_blocks(rows, cols):
+    row_slices, col_slices = qm.block_grid(rows, cols)
+    for r, c in itertools.product(row_slices, col_slices):
         assert 0 < seen[r, c].size <= qm.PAIR_BLOCK
         seen[r, c] += 1
     assert np.all(seen == 1)
@@ -829,6 +831,13 @@ def _sorted_case(kind: str, size: int, rng: np.random.Generator) -> tuple:
     return spec, custom_cloud(pts[np.lexsort(pts.T[::-1])])
 
 
+def _no_floors(spec, a, a_tiles, b, b_tiles) -> tuple:
+    """``block_floors``' tables with every entry NaN: floors that bound
+    nothing, as a rule without a floor formula gets."""
+    nan = np.full((len(a_tiles), len(b_tiles)), np.nan)
+    return nan, nan
+
+
 def _stream(spec, orbits, n_list, bins, channels) -> list:
     """The chunks _live_pairs yields at each n, copied, as bytes and dtypes."""
     return [(n, [[(a.dtype.str, a.tobytes()) for a in chunk] for chunk in chunks])
@@ -839,17 +848,21 @@ def _stream(spec, orbits, n_list, bins, channels) -> list:
 def test_block_floors_leave_every_chunk_unchanged(monkeypatch, kind):
     # with and without the step-0 block floors, the chunks are equal for
     # every channel tuple, on sorted clouds, where far blocks start empty,
-    # and on shuffled ones; a rule without a floor takes no tile extremes
-    empty_starts, tile_calls = [], []
-    first_chunk = qme.covering._first_chunk
+    # and on shuffled ones
+    empty_starts, tables = [], []
+    first_chunk, block_floors = qme.covering._first_chunk, qme.covering.block_floors
 
-    def spied(spec, tiles, block, bins, channels):
-        tile_calls.append(tiles)
-        chunk = first_chunk(spec, tiles, block, bins, channels)
+    def spied(k, far, block, bins, channels):
+        chunk = first_chunk(k, far, block, bins, channels)
         (rows, cols), xo = block, chunk[0]
         if rows.start != cols.start and not len(xo):
             empty_starts.append(block)
         return chunk
+
+    def spied_floors(*args):
+        fwd_bwd = block_floors(*args)
+        tables.extend(fwd_bwd)
+        return fwd_bwd
 
     rng = np.random.default_rng(11)
     bins = _EpsBins(FAR_EPS)
@@ -861,14 +874,17 @@ def test_block_floors_leave_every_chunk_unchanged(monkeypatch, kind):
                 for n_list in SCHEDULES:
                     with monkeypatch.context() as patch:
                         patch.setattr(qme.covering, "_first_chunk", spied)
+                        patch.setattr(qme.covering, "block_floors", spied_floors)
                         floored = _stream(spec, orbits, n_list, bins, channels)
                     with monkeypatch.context() as patch:
-                        patch.setattr(qme.covering, "has_floor", lambda spec: False)
+                        patch.setattr(qme.covering, "block_floors", _no_floors)
                         assert _stream(spec, orbits, n_list, bins, channels) == floored, \
                             (size, ordered, channels, n_list)
-    # the floors skip blocks wherever the kind has one
-    assert bool(empty_starts) == has_floor(spec), kind
-    assert tile_calls and all((tiles is not None) == has_floor(spec) for tiles in tile_calls)
+    # the floors skip blocks wherever the kind has one; a rule without a
+    # floor gets an all-NaN table and starts every block full
+    floored = kind in ("weighted_asym", "asym_line", "circle_arc", "euclidean_2d")
+    assert bool(empty_starts) == floored, kind
+    assert tables and all(np.isnan(table).all() != floored for table in tables), kind
 
 
 def test_block_floors_raise_as_paired_does(monkeypatch):
@@ -880,7 +896,7 @@ def test_block_floors_raise_as_paired_does(monkeypatch):
     for floors in (True, False):
         with monkeypatch.context() as patch:
             if not floors:
-                patch.setattr(qme.covering, "has_floor", lambda spec: False)
+                patch.setattr(qme.covering, "block_floors", _no_floors)
             with pytest.raises(ValueError) as info:
                 list(_live_pairs(spec, orbits, [1, 2], _EpsBins([0.5]), ("f", "b")))
             errors.append(str(info.value))
@@ -904,34 +920,21 @@ def test_a_block_whose_floor_equals_eps_0_is_not_skipped(spec):
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
-def test_the_backward_floor_is_read_only_where_f_does_not_settle(monkeypatch, order):
+def test_floors_of_unequal_directions_keep_what_step_0_keeps(monkeypatch, order):
     # hinge 4 / 0.25 on tiles {0, 1/8, 1/4} and {1/2, 5/8, 3/4}: over the
     # off-diagonal block one direction's floor is 1 and the other's 1/16, so
     # max's is 1 and mean's 17/32. At eps_0 between and on these values the
-    # floors keep exactly the pairs step 0 keeps, for every channel tuple;
-    # the b floor is read only where f does not settle the block
+    # floors keep exactly the pairs step 0 keeps, for every channel tuple
     spec = QuasiMetricSpec(kind="weighted_asym", alpha=4.0, beta=0.25)
     tiles = [[0.0, 0.125, 0.25], [0.5, 0.625, 0.75]]
     points = tiles[0] + tiles[1] if order == "sorted" else tiles[1] + tiles[0]
     orbits = build_orbits(MapSpec(kind="identity"), custom_cloud(points), 1)
-    reads = []
-
-    def counted(spec, rows, cols):
-        reads.append(1)
-        return qm.paired_floor(spec, rows, cols)
-
-    monkeypatch.setattr(qme.covering, "paired_floor", counted)
     for eps in (2.0, 1.0, 0.75, 17 / 32, 0.5, 0.0625, 0.03):
         bins = _EpsBins([eps])
-        f = 1.0 if order == "sorted" else 0.0625
         for channels in CHANNEL_TUPLES:
-            reads.clear()
             floored = _stream(spec, orbits, [1], bins, channels)
-            settled = ("f" in channels and f <= eps
-                       or f > eps and set(channels) <= {"f", "max"})
-            assert len(reads) == (1 if settled else 2), (eps, channels)
             with monkeypatch.context() as patch:
-                patch.setattr(qme.covering, "has_floor", lambda spec: False)
+                patch.setattr(qme.covering, "block_floors", _no_floors)
                 assert _stream(spec, orbits, [1], bins, channels) == floored, (eps, channels)
 
 
